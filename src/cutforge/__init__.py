@@ -8,7 +8,6 @@ cuts, series, sieve, trees, ends.
 from .graphs import (
     Graph,
     GraphError,
-    build_graph,
     collapse_blocks,
     components,
     graph_from_json_dict,
@@ -80,7 +79,7 @@ from .ends import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "GraphError", "build_graph", "collapse_blocks", "components",
+    "Graph", "GraphError", "collapse_blocks", "components",
     "graph_from_json_dict", "graph_to_json_dict", "is_forest", "is_tree",
     "reduced_path", "tree_distance",
     "FreeOracle", "FreeProductOracle", "GroupError", "PermOracle",

@@ -71,10 +71,6 @@ class Graph:
         return "Graph(%d vertices, %d edges)" % (self.nv, self.ne)
 
 
-def build_graph(vertices, edges):
-    return Graph(vertices, edges)
-
-
 @dataclass(frozen=True)
 class ComponentPartition:
     """Vertex blocks in order of smallest member index; optional per-block
@@ -131,34 +127,25 @@ def collapse(g, collapsed):
     """Collapse the edge set `collapsed`: the result keeps the other edges,
     and its vertices are the components of (V, collapsed).  Each new vertex
     is named by the first (input order) old vertex of its block."""
+    return collapse_blocks(g, collapsed)[0]
+
+
+def collapse_blocks(g, collapsed):
+    """Like collapse() but also returns {old vertex id: new vertex id}."""
     collapsed = set(collapsed)
     for e in collapsed:
         if e not in g.eindex:
             raise GraphError("collapsed edge %r not in graph" % (e,))
     keep = [t for t in g.edges if t[0] not in collapsed]
     only_collapsed = [t for t in g.edges if t[0] in collapsed]
-    sub = Graph(g.vertices, only_collapsed)
-    part = components(sub)
-    rep = {}
-    for block in part.blocks:
-        r = block[0]
-        for v in block:
-            rep[v] = r
-    new_vertices = [block[0] for block in part.blocks]
-    new_edges = [(e, rep[s], rep[d]) for (e, s, d) in keep]
-    return Graph(new_vertices, new_edges)
-
-
-def collapse_blocks(g, collapsed):
-    """Like collapse() but also returns {old vertex id: new vertex id}."""
-    collapsed = set(collapsed)
-    only_collapsed = [t for t in g.edges if t[0] in collapsed]
     part = components(Graph(g.vertices, only_collapsed))
     rep = {}
     for block in part.blocks:
         for v in block:
             rep[v] = block[0]
-    return collapse(g, collapsed), rep
+    new_vertices = [block[0] for block in part.blocks]
+    new_edges = [(e, rep[s], rep[d]) for (e, s, d) in keep]
+    return Graph(new_vertices, new_edges), rep
 
 
 def is_forest(g):

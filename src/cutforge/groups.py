@@ -433,9 +433,6 @@ class BallView:
             m |= 1 << i
         return m
 
-    def interior_mask(self):
-        return ((1 << self.nv) - 1) ^ self.sphere_mask()
-
     def index_of(self, element):
         if element not in self.el_to_idx:
             raise GroupError(
@@ -504,21 +501,6 @@ def ball(oracle, radius, cap=None):
     )
 
 
-def act_left(bv, g, vertex_ids):
-    """Left translate a set of ball vertices; error if any image escapes."""
-    o = bv.oracle
-    out = []
-    for v in vertex_ids:
-        el = bv.elements[bv.graph.vindex[v]]
-        img = o.multiply(g, el)
-        if img not in bv.el_to_idx:
-            raise GroupError(
-                "radius too small: %s escapes the ball" % (o.el_str(img),)
-            )
-        out.append(bv.graph.vertices[bv.el_to_idx[img]])
-    return set(out)
-
-
 def left_edge_image(bv, g, edge_idx):
     """Image of Cayley edge (h, s) under left translation: (gh, s).
     Returns the edge index, or None if an endpoint escapes."""
@@ -530,22 +512,3 @@ def left_edge_image(bv, g, edge_idx):
     name = "%s|%s" % (bv.graph.vertices[bv.el_to_idx[img]], o.generators()[gen_j][0])
     k = bv.graph.eindex.get(name)
     return k
-
-
-def translate_right(bv, member_bits, g):
-    """Right translate: x is a member of Ag iff x g^-1 was a member of A.
-    Membership is only decidable where x g^-1 stays in the ball, so the
-    result is (bits, valid_bits)."""
-    o = bv.oracle
-    ginv = o.invert(g)
-    bits = 0
-    valid = 0
-    for i, el in enumerate(bv.elements):
-        pre = o.multiply(el, ginv)
-        j = bv.el_to_idx.get(pre)
-        if j is None:
-            continue
-        valid |= 1 << i
-        if (member_bits >> j) & 1:
-            bits |= 1 << i
-    return bits, valid

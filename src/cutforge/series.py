@@ -7,9 +7,14 @@ The odd-crossing variant counts walks crossing a given edge set an odd
 number of times, and the corner variant counts walks from one set into
 another.
 
-Two engines compute the same coefficients: a transfer system (exact big
-integers, linear in L) and a brute-force walk enumeration.  They are kept
-separate on purpose; the test suites require them to agree.
+Two engines compute the same coefficients.  The first is one sparse
+walk-count kernel: every series is u^T A^l w for a start set u and an end
+set w, where A is the adjacency matrix of the universe or, for odd
+crossings, of its parity-doubled state space.  The kernel steps over the
+darts of the graph in exact big integers, so it costs O(L |darts|) per
+start vector, against O(L |V|^2) for a dense matrix.  The second is a
+brute-force walk enumeration.  They are kept separate on purpose; the test
+suites require them to agree.
 
 Comparison is lexicographic.  A strict verdict at some pivot l <= L is
 exact regardless of truncation; equality through L is certified only when
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cuts import bits_of_members, coboundary_indices, full_mask, universe_graph, Cut
+from .cuts import bits_of_members, full_mask, universe_graph, Cut
 
 DEFAULT_BALL_L = 16
 
@@ -114,75 +119,78 @@ def _normalize_spec(universe, spec):
     raise SeriesError("unknown series spec kind %r" % (kind,))
 
 
-# -- engine 1: transfer system ------------------------------------------------
+# -- engine 1: sparse walk-count kernel ----------------------------------------
 
 
-def _adjacency_rows(g):
-    rows = [[0] * g.nv for _ in range(g.nv)]
-    for (_e, s, d) in g.edges:
-        si, di = g.vindex[s], g.vindex[d]
-        rows[si][di] += 1
-        rows[di][si] += 1
-    return rows
+def _successors(g, crossing=None):
+    """Sparse rows of the walk matrix A: nbrs[u] lists, with multiplicity,
+    the state a dart at u steps to, so (A v)[u] = sum of v over nbrs[u].
+    Without `crossing` the states are the vertices.  With a set of edge
+    indices the space is parity-doubled: state v + p|V| steps along edge k
+    to w + (p xor [k in crossing])|V|."""
+    if crossing is None:
+        return [[w for (w, _k, _dir) in ds] for ds in g.darts]
+    n = g.nv
+    even = [[w + n if k in crossing else w for (w, k, _dir) in ds] for ds in g.darts]
+    odd = [[w if k in crossing else w + n for (w, k, _dir) in ds] for ds in g.darts]
+    return even + odd
 
 
-def _row_step(rows, vec):
-    n = len(rows)
-    out = [0] * n
-    for i, x in enumerate(vec):
-        if x:
-            row = rows[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] += x * row[j]
-    return out
+def _walk_counts(nbrs, starts, L):
+    """Yield, for l = 0..L, the list of vectors A^l v over the start vectors
+    v.  One step costs O(|darts|) per vector."""
+    vecs = starts
+    yield vecs
+    for _ in range(L):
+        vecs = [[sum(map(v.__getitem__, ns)) for ns in nbrs] for v in vecs]
+        yield vecs
+
+
+def _indicator(bits, n):
+    return [(bits >> i) & 1 for i in range(n)]
+
+
+def _members(bits, n):
+    return [i for i in range(n) if (bits >> i) & 1]
+
+
+def _project(levels, pairs):
+    """One coefficient tuple per (start position, end index list) pair:
+    coefficient l sums that start's vector at level l over the end set."""
+    coeffs = [[] for _ in pairs]
+    for vecs in levels:
+        for out, (s, end) in zip(coeffs, pairs):
+            out.append(sum(map(vecs[s].__getitem__, end)))
+    return [tuple(c) for c in coeffs]
 
 
 def transfer_counts(universe, spec, L):
-    """Coefficients 0..L via a transfer system: plain adjacency iteration
-    for set-to-set walks, a parity-doubled state space for odd crossings."""
+    """Coefficients 0..L from the walk-count kernel: walks from a start set
+    to an end set of vertices, or, for odd crossings, from parity 0 to
+    parity 1 in the parity-doubled space."""
     if L < 0:
         raise SeriesError("L must be >= 0")
     g = universe_graph(universe)
+    n = g.nv
     kind_spec = _normalize_spec(universe, spec)
     certified = L >= certified_length(universe)
     kind = kind_spec[0]
-    if kind in ("measure", "corner"):
+    if kind == "odd":
+        nbrs = _successors(g, kind_spec[1])
+        start = [1] * n + [0] * n
+        end = range(n, 2 * n)
+    else:
+        full = full_mask(universe)
         if kind == "measure":
-            start_bits = kind_spec[1]
-            end_bits = full_mask(universe) ^ kind_spec[1]
+            start_bits, end_bits = kind_spec[1], full ^ kind_spec[1]
         else:
             cbits, dbits = kind_spec[1], kind_spec[2]
-            full = full_mask(universe)
-            start_bits = cbits & (full ^ dbits)
-            end_bits = (full ^ cbits) & dbits
-        rows = _adjacency_rows(g)
-        vec = [(start_bits >> i) & 1 for i in range(g.nv)]
-        coeffs = []
-        for l in range(L + 1):
-            coeffs.append(sum(vec[i] for i in range(g.nv) if (end_bits >> i) & 1))
-            if l < L:
-                vec = _row_step(rows, vec)
-        return TruncatedSeries(tuple(coeffs), "transfer", certified)
-    # odd crossings of an edge set: states (vertex, parity)
-    crossing = kind_spec[1]
-    n = g.nv
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for k, (_e, s, d) in enumerate(g.edges):
-        si, di = g.vindex[s], g.vindex[d]
-        flip = 1 if k in crossing else 0
-        for (a, b) in ((si, di), (di, si)):
-            for p in (0, 1):
-                rows[a + p * n][b + ((p + flip) % 2) * n] += 1
-    vec = [0] * (2 * n)
-    for i in range(n):
-        vec[i] = 1
-    coeffs = []
-    for l in range(L + 1):
-        coeffs.append(sum(vec[n:]))
-        if l < L:
-            vec = _row_step(rows, vec)
-    return TruncatedSeries(tuple(coeffs), "transfer", certified)
+            start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
+        nbrs = _successors(g)
+        start = _indicator(start_bits, n)
+        end = _members(end_bits, n)
+    (coeffs,) = _project(_walk_counts(nbrs, [start], L), [(0, end)])
+    return TruncatedSeries(coeffs, "transfer", certified)
 
 
 # -- engine 2: walk enumeration -----------------------------------------------
@@ -258,33 +266,22 @@ def corner_series(universe, a, b, L=None):
     Coefficientwise (a* + b*) + c* equals the measure of A."""
     if L is None:
         L = certified_length(universe)
+    g = universe_graph(universe)
+    n = g.nv
     abits = _as_bits(universe, a)
     bbits = _as_bits(universe, b)
     full = full_mask(universe)
-    corner_ab = abits & bbits
-    corner_ab_c = abits & (full ^ bbits)
-    corner_a_c_b = (full ^ abits) & bbits
-    corner_a_c_b_c = (full ^ abits) & (full ^ bbits)
+    starts = [_indicator(abits & bbits, n), _indicator(abits & (full ^ bbits), n)]
     pairs = (
-        (corner_ab, corner_a_c_b),
-        (corner_ab, corner_a_c_b_c),
-        (corner_ab_c, full ^ abits),
-        (corner_ab_c, corner_ab),
+        (0, _members((full ^ abits) & bbits, n)),
+        (0, _members((full ^ abits) & (full ^ bbits), n)),
+        (1, _members(full ^ abits, n)),
+        (1, _members(abits & bbits, n)),
     )
-    return tuple(_set_to_set_series(universe, s, e, L) for (s, e) in pairs)
-
-
-def _set_to_set_series(universe, start_bits, end_bits, L):
-    g = universe_graph(universe)
-    rows = _adjacency_rows(g)
-    vec = [(start_bits >> i) & 1 for i in range(g.nv)]
-    coeffs = []
-    for l in range(L + 1):
-        coeffs.append(sum(vec[i] for i in range(g.nv) if (end_bits >> i) & 1))
-        if l < L:
-            vec = _row_step(rows, vec)
-    return TruncatedSeries(
-        tuple(coeffs), "transfer", L >= certified_length(universe)
+    certified = L >= certified_length(universe)
+    return tuple(
+        TruncatedSeries(coeffs, "transfer", certified)
+        for coeffs in _project(_walk_counts(_successors(g), starts, L), pairs)
     )
 
 
@@ -333,41 +330,6 @@ def crossing_distance(universe, r_edges, s_edges, cap=None):
     raise SeriesError("no walk crosses both edge sets within cap %d" % (cap,))
 
 
-def edge_set_distance(universe, r_edges, s_edges):
-    """Graph distance between two edge sets: least vertex distance between
-    an endpoint of one and an endpoint of the other."""
-    g = universe_graph(universe)
-    r_idx = _edge_index_set(universe, r_edges)
-    s_idx = _edge_index_set(universe, s_edges)
-    starts = set()
-    for k in r_idx:
-        _e, s, d = g.edges[k]
-        starts.add(g.vindex[s])
-        starts.add(g.vindex[d])
-    targets = set()
-    for k in s_idx:
-        _e, s, d = g.edges[k]
-        targets.add(g.vindex[s])
-        targets.add(g.vindex[d])
-    if starts & targets:
-        return 0
-    dist = {v: 0 for v in starts}
-    frontier = sorted(starts)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for (w, _k, _dir) in g.darts[u]:
-                if w not in dist:
-                    dist[w] = d
-                    if w in targets:
-                        return d
-                    nxt.append(w)
-        frontier = nxt
-    raise SeriesError("edge sets lie in different components")
-
-
 # -- atom pair tables (shared with the sieve) ----------------------------------
 
 
@@ -375,22 +337,21 @@ def atom_pair_table(universe, atoms, L):
     """P[l][i][j] = number of length-l walks from atom i into atom j.
     Lets callers assemble the series of every union of atoms by addition."""
     g = universe_graph(universe)
-    rows = _adjacency_rows(g)
+    n = g.nv
     a = len(atoms)
-    ind = [[1 if (atoms[i] >> v) & 1 else 0 for v in range(g.nv)] for i in range(a)]
-    vecs = [list(ind[i]) for i in range(a)]
+    # vertices outside every atom fall into bucket a, which is dropped
+    atom_of = [a] * n
+    for i, bits in enumerate(atoms):
+        for v in _members(bits, n):
+            atom_of[v] = i
+    starts = [_indicator(bits, n) for bits in atoms]
     table = []
-    for l in range(L + 1):
+    for vecs in _walk_counts(_successors(g), starts, L):
         level = []
-        for i in range(a):
-            vi = vecs[i]
-            level.append(
-                tuple(
-                    sum(vi[v] for v in range(g.nv) if (atoms[j] >> v) & 1)
-                    for j in range(a)
-                )
-            )
+        for vec in vecs:
+            row = [0] * (a + 1)
+            for i, x in zip(atom_of, vec):
+                row[i] += x
+            level.append(tuple(row[:a]))
         table.append(tuple(level))
-        if l < L:
-            vecs = [_row_step(rows, v) for v in vecs]
     return tuple(table)

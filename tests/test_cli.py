@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,20 @@ def test_check_suite_runs(capsys):
     assert out.startswith("check suite=cuts seed=0")
     assert out.strip().endswith("assertions)")
     assert "[ok]" in out
+
+
+# sha256 of the full seed-0 transcript.  Any change to a coefficient, a
+# verdict or the transcript format changes it; update it only together with
+# a CHANGES.md entry that says why the transcript moved.
+CHECK_ALL_SEED0_SHA256 = (
+    "9dc63894e7f2c13f31d4c5d9bc669ecc7288677134947e8919919fc3b51d016f"
+)
+
+
+def test_check_transcript_is_pinned(capsys):
+    assert main(["check", "--suite", "all", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SEED0_SHA256
 
 
 def test_usage_errors_exit_2():

@@ -5,6 +5,7 @@ from cutforge.graphs import Graph
 from cutforge.series import (
     DEFAULT_BALL_L,
     SeriesError,
+    atom_pair_table,
     certified_length,
     compare,
     corner_series,
@@ -32,6 +33,36 @@ def c4():
             ("e4", "v4", "v1"),
         ],
     )
+
+
+def multi():
+    """A loop at y and a parallel pair x = y: both count as two darts."""
+    return Graph(
+        ["x", "y", "z"],
+        [
+            ("p1", "x", "y"),
+            ("p2", "y", "x"),
+            ("l", "y", "y"),
+            ("q", "y", "z"),
+        ],
+    )
+
+
+def walk_count(g, start_bits, end_bits, L):
+    """Length-l walks from the start set into the end set, l = 0..L."""
+    counts = [0] * (L + 1)
+
+    def rec(u, depth):
+        if (end_bits >> u) & 1:
+            counts[depth] += 1
+        if depth < L:
+            for (w, _k, _dir) in g.darts[u]:
+                rec(w, depth + 1)
+
+    for v in range(g.nv):
+        if (start_bits >> v) & 1:
+            rec(v, 0)
+    return tuple(counts)
 
 
 def test_k2_measure_alternates():
@@ -116,14 +147,37 @@ def test_crossing_distance():
 
 
 def test_engines_agree_on_fixed_cases():
-    g = c4()
-    a = cut_from_members(g, ["v1", "v2"]).bits
-    b = cut_from_members(g, ["v2", "v3"]).bits
-    for spec in (("measure", a), ("odd", ("e1", "e2")), ("corner", a, b)):
-        t = transfer_counts(g, spec, 6)
-        e = enumeration_counts(g, spec, 6)
-        assert t.coeffs == e.coeffs
-        assert t.provenance == "transfer" and e.provenance == "enumeration"
+    cases = (
+        (c4(), ["v1", "v2"], ["v2", "v3"], ("e1", "e2")),
+        (multi(), ["x"], ["x", "y"], ("l", "p1")),
+    )
+    for g, a_members, b_members, crossing in cases:
+        a = cut_from_members(g, a_members).bits
+        b = cut_from_members(g, b_members).bits
+        for spec in (("measure", a), ("odd", crossing), ("corner", a, b)):
+            t = transfer_counts(g, spec, 6)
+            e = enumeration_counts(g, spec, 6)
+            assert t.coeffs == e.coeffs
+            assert t.provenance == "transfer" and e.provenance == "enumeration"
+
+
+def test_atom_pair_table_counts_walks():
+    L = 5
+    cases = (
+        (c4(), [["v1"], ["v2", "v3"], ["v4"]]),
+        (multi(), [["x", "z"], ["y"]]),
+    )
+    for g, parts in cases:
+        atoms = [cut_from_members(g, p).bits for p in parts]
+        table = atom_pair_table(g, atoms, L)
+        assert len(table) == L + 1
+        for i, ai in enumerate(atoms):
+            for j, aj in enumerate(atoms):
+                if i == j:
+                    want = walk_count(g, ai, ai, L)
+                else:
+                    want = enumeration_counts(g, ("corner", ai, aj), L).coeffs
+                assert tuple(table[l][i][j] for l in range(L + 1)) == want
 
 
 def test_series_str_format():
