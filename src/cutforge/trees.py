@@ -20,9 +20,9 @@ fixed vertices only when every generator visibly fixes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cuts import Cut, CutError, act_left_cut, full_mask, is_nested_bits
+from .cuts import Cut, CutError, act_left_cut, full_mask
 from .graphs import Graph, collapse_blocks, components, is_tree
 
 SUBGROUP_ENUM_CAP = 48
@@ -45,8 +45,17 @@ class NestedSystem:
     nested_witness: object
     excludes_empty: bool
     excludes_full: bool
-    finitely_separating: bool
-    max_separation: object  # int, or None when the scan was skipped
+    finitely_separating: bool  # True: a finite system separates finitely
+    # the most cuts separating two universe vertices; None when the system
+    # has more than SEPARATION_SCAN_CAP distinct membership signatures
+    max_separation: object
+    # cut bits -> cut index, for O(1) complement lookups
+    bits_index: dict = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.bits_index is None:
+            index = {c.bits: i for i, c in enumerate(self.cuts)}
+            object.__setattr__(self, "bits_index", index)
 
     @property
     def valid(self):
@@ -76,15 +85,48 @@ class NestedSystem:
         return self.cuts[0].universe if self.cuts else None
 
     def index_of_bits(self, bits):
-        for i, c in enumerate(self.cuts):
-            if c.bits == bits:
-                return i
-        return None
+        return self.bits_index.get(bits)
 
 
 def _cut_name(system, i):
     name = system.cuts[i].name
     return name if name is not None else "cut%d" % (i,)
+
+
+def _max_separation(bits, nv):
+    """Most cuts separating two of the nv universe vertices, or None when
+    there are more than SEPARATION_SCAN_CAP distinct signatures to scan.
+
+    The signature of vertex v has bit k set iff cut k contains v.  Cut k
+    separates v and w iff exactly one of them is in it, i.e. iff bit k of
+    sig(v) ^ sig(w) is set; so sep(v, w) = popcount(sig(v) ^ sig(w)).
+    That depends on the vertices only through their signatures, and two
+    vertices with equal signatures are separated by no cut.  Hence the
+    maximum over vertex pairs is 0 when all signatures agree, and otherwise
+    equals the maximum over pairs of distinct signatures, which is what is
+    scanned.  A nested system has at most len(bits) + 1 signatures, so the
+    cap only bites on large non-nested systems."""
+    sig = [0] * nv
+    for k, b in enumerate(bits):
+        # walk the members on the reversed binary string: O(nv) per cut,
+        # where clearing low bits of a big int would cost O(|cut| * nv)
+        kbit = 1 << k
+        row = bin(b)[:1:-1]
+        v = row.find("1")
+        while v >= 0:
+            sig[v] |= kbit
+            v = row.find("1", v + 1)
+    distinct = list(set(sig))
+    if len(distinct) > SEPARATION_SCAN_CAP:
+        return None
+    return max(
+        (
+            (a ^ b).bit_count()
+            for i, a in enumerate(distinct)
+            for b in distinct[i + 1:]
+        ),
+        default=0,
+    )
 
 
 def verify_system(cuts):
@@ -104,35 +146,27 @@ def verify_system(cuts):
             )
         seen[c.bits] = i
     full = full_mask(universe)
-    excludes_empty = all(c.bits != 0 for c in cuts)
-    excludes_full = all(c.bits != full for c in cuts)
-    comp_stable = all((full ^ c.bits) in seen for c in cuts)
-    comp_free = all((full ^ c.bits) not in seen for c in cuts)
+    bits = [c.bits for c in cuts]
+    comps = [full ^ b for b in bits]
+    excludes_empty = all(b != 0 for b in bits)
+    excludes_full = all(b != full for b in bits)
+    comp_stable = all(cb in seen for cb in comps)
+    comp_free = all(cb not in seen for cb in comps)
     nested = True
     witness = None
     for i in range(len(cuts)):
+        a, ac = bits[i], comps[i]
         for j in range(i + 1, len(cuts)):
-            if not is_nested_bits(full, cuts[i].bits, cuts[j].bits):
+            b, bc = bits[j], comps[j]
+            if a & b and a & bc and ac & b and ac & bc:
                 nested = False
                 witness = (cuts[i].name, cuts[j].name)
                 break
         if not nested:
             break
-    # finite systems always separate finitely; record the worst pair count
-    # when the universe is small enough to scan
-    nv = full.bit_count()
-    max_sep = None
-    if nv <= SEPARATION_SCAN_CAP:
-        max_sep = 0
-        for v in range(nv):
-            for w in range(v + 1, nv):
-                sep = sum(
-                    1
-                    for c in cuts
-                    if ((c.bits >> v) & 1) != ((c.bits >> w) & 1)
-                )
-                if sep > max_sep:
-                    max_sep = sep
+    # a finite system separates every pair by finitely many cuts; the worst
+    # pair count is exact up to SEPARATION_SCAN_CAP distinct signatures
+    max_sep = _max_separation(bits, full.bit_count())
     return NestedSystem(
         cuts,
         comp_stable,
@@ -143,6 +177,7 @@ def verify_system(cuts):
         excludes_full,
         True,
         max_sep,
+        seen,
     )
 
 

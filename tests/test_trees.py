@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
-from cutforge.cuts import cut_from_members, orbit_cuts
+from cutforge.cuts import Cut, cut_from_members, orbit_cuts
 from cutforge.graphs import Graph, is_tree, tree_distance
 from cutforge.groups import TableOracle, ZdOracle, ball
 from cutforge.sieve import select_nested_generating
 from cutforge.trees import (
+    SEPARATION_SCAN_CAP,
+    NestedSystem,
     SizePolynomial,
     TreeAction,
     TreeError,
@@ -72,6 +76,79 @@ def test_verify_system_rejections():
         ]
     )
     assert crossing.excludes_empty and crossing.excludes_full
+
+
+def brute_max_separation(nv, cuts):
+    """Most cuts separating two of the nv vertices, over every vertex pair."""
+    return max(
+        (
+            sum(((c.bits >> v) ^ (c.bits >> w)) & 1 for c in cuts)
+            for v in range(nv)
+            for w in range(v + 1, nv)
+        ),
+        default=0,
+    )
+
+
+def random_tree(rng, n):
+    parent = [None] + [rng.randrange(i) for i in range(1, n)]
+    return Graph(
+        ["v%d" % i for i in range(n)],
+        [("e%d" % i, "v%d" % parent[i], "v%d" % i) for i in range(1, n)],
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_separation_matches_vertex_pairs(seed):
+    rng = random.Random(seed)
+    t = random_tree(rng, rng.randrange(2, 40))
+    one_sided = [
+        cut_from_members(t, side, e) for e, side in sorted(edge_cuts(t).items())
+    ]
+    both_sided = one_sided + [c.complement() for c in one_sided]
+    for cuts in (both_sided, one_sided):
+        system = verify_system(cuts)
+        assert system.nested
+        assert system.max_separation == brute_max_separation(t.nv, cuts)
+    g = Graph(["x%d" % i for i in range(rng.randrange(1, 30))], [])
+    pool = rng.sample(range(1 << g.nv), min(1 << g.nv, rng.randrange(1, 25)))
+    cuts = [Cut(g, bits, "c%d" % k) for k, bits in enumerate(pool)]
+    system = verify_system(cuts)
+    assert system.max_separation == brute_max_separation(g.nv, cuts)
+
+
+def test_max_separation_edge_cases():
+    assert verify_system([]).max_separation == 0
+    point = Graph(["x"], [])
+    system = verify_system([Cut(point, 0, "none"), Cut(point, 1, "all")])
+    assert system.max_separation == 0 == brute_max_separation(1, system.cuts)
+
+
+def test_max_separation_is_exact_past_the_scan_cap():
+    n = SEPARATION_SCAN_CAP + 100
+    path = Graph(
+        ["p%d" % i for i in range(n)],
+        [("e%d" % i, "p%d" % i, "p%d" % (i + 1)) for i in range(n - 1)],
+    )
+    cuts = [
+        cut_from_members(path, ["p%d" % i for i in range(k)], "A%d" % k)
+        for k in (10, 1000, 2050)
+    ]
+    system = verify_system(cuts)
+    assert system.nested and system.max_separation == 3
+
+
+def test_index_of_bits():
+    _g, system = k2_pair()
+    a, na = system.cuts
+    assert system.index_of_bits(na.bits) == 1
+    assert system.index_of_bits(a.bits) == 0
+    assert system.index_of_bits(0) is None
+    # a system built by hand indexes its cuts too
+    by_hand = NestedSystem(
+        system.cuts, True, False, True, None, True, True, True, 2
+    )
+    assert by_hand.index_of_bits(na.bits) == 1 and by_hand == system
 
 
 def test_crossing_witness():
