@@ -4,6 +4,9 @@ import json
 import pytest
 
 from cutforge.cli import main
+from cutforge.cuts import boolean_closure, cut_from_members
+from cutforge.graphs import Graph
+from cutforge.series import measure
 
 GRAPH = {
     "vertices": ["a", "b", "c", "d"],
@@ -103,6 +106,47 @@ def test_sieve_summary(chain_files, capsys):
     assert "algebra: 4 atoms, 16 elements" in out
     assert "6 irreducible, 0 undecided" in out
     assert "complement-stable: yes  nested: yes  generates: yes" in out
+
+
+C4 = {
+    "vertices": ["v1", "v2", "v3", "v4"],
+    "edges": [
+        {"id": "e1", "src": "v1", "dst": "v2"},
+        {"id": "e2", "src": "v2", "dst": "v3"},
+        {"id": "e3", "src": "v3", "dst": "v4"},
+        {"id": "e4", "src": "v4", "dst": "v1"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "graph, members",
+    [
+        (GRAPH, [["a"], ["a", "b"], ["a", "b", "c"]]),
+        (C4, [["v1", "v2"], ["v2", "v3"]]),
+    ],
+    ids=["chain", "c4-crossing-pair"],
+)
+def test_sieve_json_prints_full_series(tmp_path, capsys, graph, members):
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    cpath = tmp_path / "cuts.json"
+    cpath.write_text(json.dumps(
+        {"universe": "g.json",
+         "cuts": [{"name": "C%d" % i, "members": m}
+                  for i, m in enumerate(members)]}
+    ))
+    assert main(["sieve", "--cuts", str(cpath), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    g = Graph(graph["vertices"],
+              [(e["id"], e["src"], e["dst"]) for e in graph["edges"]])
+    algebra = boolean_closure([cut_from_members(g, m) for m in members])
+    L = data["L"]
+    assert L == 4 * len(graph["vertices"]) + 1 and data["certified"]
+    assert len(data["elements"]) == 1 << algebra.n_atoms
+    for el in data["elements"]:
+        assert len(el["series"]) == L + 1
+        bits = algebra.element_bits(el["mask"])
+        assert el["series"] == measure(g, bits, L).json_coeffs()
 
 
 def test_tree_text_json_dot(chain_files, tmp_path, capsys):
