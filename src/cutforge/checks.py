@@ -671,9 +671,19 @@ def check_pipeline_signatures():
 # -- runner -----------------------------------------------------------------------
 
 
-def run_suite(name, seed):
+def run_suite(name, seed, shared=None):
+    """Transcript lines and assertion count of one suite.  `shared` is a
+    dict kept across the suites of one run, so that the sieve and tree
+    suites build their seeded sieve artifacts once."""
     lines = []
     total = 0
+    if shared is None:
+        shared = {}
+
+    def seeded_artifacts():
+        if "sieve" not in shared:
+            shared["sieve"] = sieve_artifacts(seed)
+        return shared["sieve"]
 
     def done(label, n):
         nonlocal total
@@ -696,12 +706,12 @@ def run_suite(name, seed):
             check_crossing_subadditivity(seed),
         )
     elif name == "sieve":
-        n, artifacts = check_sieve_soundness(seed)
+        artifacts = seeded_artifacts()
+        n, _ = check_sieve_soundness(seed, artifacts=artifacts)
         done("irreducible families certified, nested, generating", n)
         done("corner dichotomy on irreducible pairs", check_corner_dichotomy(artifacts))
     elif name == "tree":
-        artifacts = sieve_artifacts(seed)
-        done("tree metric and vertex embedding over sieve runs", check_tree_invariants(artifacts))
+        done("tree metric and vertex embedding over sieve runs", check_tree_invariants(seeded_artifacts()))
         done("edge-cut double dual reproduces labeled trees", check_double_dual(seed))
         done("action surgery: orbits, collapse, blow-up", check_action_surgery())
     elif name == "ends":
@@ -717,10 +727,11 @@ def run_check(suite, seed):
     names = SUITE_NAMES if suite == "all" else (suite,)
     out = ["check suite=%s seed=%d" % (suite, seed)]
     total = 0
+    shared = {}
     for nm in names:
         out.append("suite %s" % nm)
         try:
-            lines, n = run_suite(nm, seed)
+            lines, n = run_suite(nm, seed, shared)
         except CheckError as exc:
             out.append("  FAIL: %s" % (exc,))
             return out, 1

@@ -27,7 +27,7 @@ from .ends import (
 from .graphs import graph_from_json_dict, graph_to_json_dict, is_forest
 from .groups import GroupError, ball, make_oracle
 from .series import DEFAULT_BALL_L, certified_length, measure
-from .sieve import classify
+from .sieve import classify, full_series
 from .cuts import members_of_bits
 from .trees import paired_tree, unpaired_tree, verify_system
 
@@ -180,6 +180,7 @@ def cmd_sieve(args):
     algebra = boolean_closure(cuts)
     report = classify(algebra, _default_L(universe, args.L))
     if args.json:
+        series = full_series(report)
         _emit(json.dumps(
             {
                 "L": report.L,
@@ -188,7 +189,7 @@ def cmd_sieve(args):
                     {
                         "mask": el.mask,
                         "status": el.status,
-                        "series": [str(c) for c in el.series],
+                        "series": [str(c) for c in series[el.mask]],
                     }
                     for el in report.elements
                 ],

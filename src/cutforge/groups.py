@@ -410,6 +410,7 @@ class BallView:
         "sphere",
         "exhausted",
         "edge_meta",
+        "_edge_of",
     )
 
     def __init__(self, oracle, radius, graph, elements, dist, sphere, exhausted, edge_meta):
@@ -422,6 +423,7 @@ class BallView:
         self.sphere = sphere  # frozenset of vertex indices
         self.exhausted = exhausted
         self.edge_meta = edge_meta  # per edge: (src_vertex_idx, gen_idx)
+        self._edge_of = None  # inverse of edge_meta, see edge_index
 
     @property
     def nv(self):
@@ -432,6 +434,14 @@ class BallView:
         for i in self.sphere:
             m |= 1 << i
         return m
+
+    def edge_index(self, src_i, gen_j):
+        """Index of the Cayley edge (src_i, gen_j), or None when it leaves
+        the ball.  The table is built on first use, so balls that are
+        never translated (ends profiles) do not hold it."""
+        if self._edge_of is None:
+            self._edge_of = {meta: k for k, meta in enumerate(self.edge_meta)}
+        return self._edge_of.get((src_i, gen_j))
 
     def index_of(self, element):
         if element not in self.el_to_idx:
@@ -505,10 +515,7 @@ def left_edge_image(bv, g, edge_idx):
     """Image of Cayley edge (h, s) under left translation: (gh, s).
     Returns the edge index, or None if an endpoint escapes."""
     src_i, gen_j = bv.edge_meta[edge_idx]
-    o = bv.oracle
-    img = o.multiply(g, bv.elements[src_i])
-    if img not in bv.el_to_idx:
+    img_i = bv.el_to_idx.get(bv.oracle.multiply(g, bv.elements[src_i]))
+    if img_i is None:
         return None
-    name = "%s|%s" % (bv.graph.vertices[bv.el_to_idx[img]], o.generators()[gen_j][0])
-    k = bv.graph.eindex.get(name)
-    return k
+    return bv.edge_index(img_i, gen_j)

@@ -21,7 +21,11 @@ exact regardless of truncation; equality through L is certified only when
 L >= 4|V| + 1, because the parity-augmented transfer system has <= 2|V|
 states, so each coefficient sequence satisfies a linear recurrence of
 order <= 2|V| and two such sequences agreeing on the first 4|V| + 1 terms
-agree everywhere.
+agree everywhere.  That length stays the reported contract.  The sieve
+decides on less: its measure series all come from the one |V|-state matrix
+A, so by Cayley-Hamilton the difference of two of them vanishes for good
+once it vanishes for l < |V|, and `sieve.classify` orders elements on the
+terms through degree min(L, |V|) (the proof is in its docstring).
 """
 
 from __future__ import annotations

@@ -43,6 +43,8 @@ class SieveError(ValueError):
 class SieveElement:
     mask: int  # atom-subset index
     bits: int  # vertex bit mask
+    # measure coefficients 0..min(L, |V|): the prefix that decides the
+    # order (see classify); full_series(report) gives all L + 1 of them
     series: tuple
     status: str  # "reducible" | "irreducible" | "undecided"
 
@@ -112,26 +114,13 @@ def _series_by_mask(table, a, L):
     return out
 
 
-def classify(algebra, L=None):
-    universe = algebra.universe
-    g = universe_graph(universe)
-    if len(components(g).blocks) != 1:
-        raise SieveError("measure sieve needs a connected universe")
-    a = algebra.n_atoms
-    if a > MAX_SIEVE_ATOMS:
-        raise SieveError(
-            "algebra has %d atoms; sieve cap is %d" % (a, MAX_SIEVE_ATOMS)
-        )
-    lstar = certified_length(universe)
-    if L is None:
-        L = lstar
-    if L < 1:
-        raise SieveError("L must be >= 1")
-    certified = L >= lstar
-    table = atom_pair_table(universe, algebra.atoms, L)
-    series = _series_by_mask(table, a, L)
-    full = (1 << a) - 1
+def _verdicts(series, a, certified):
+    """Masks in (series, mask) order, and the status of every mask.
 
+    Elements are visited by increasing measure, one tie group at a time;
+    `blocks` is the atom partition generated by every strictly smaller
+    group, so a mask is reducible exactly when it is a union of blocks."""
+    full = (1 << a) - 1
     order = sorted(range(1 << a), key=lambda m: (series[m], m))
     groups = []
     for m in order:
@@ -155,18 +144,56 @@ def classify(algebra, L=None):
             else:
                 status[m] = "irreducible"
         blocks = _refine(blocks, group)
+    return order, status
+
+
+def classify(algebra, L=None):
+    """Sieve every element of the algebra by its measure series at length L.
+
+    The verdicts are computed from the prefix of degree P = min(L, |V|),
+    and they are the verdicts of the full length-L series.  Proof: every
+    series here is a sum of terms u^T A^l w, for the one adjacency matrix
+    A of the universe (n = |V|) and 0/1 vectors u, w.  So is the
+    difference d_l of two element series, d_l = tr(A^l M) for a fixed
+    matrix M.  A's characteristic polynomial x^n + c_{n-1} x^{n-1} + ...
+    + c_0 annihilates A (Cayley-Hamilton), hence d_{l+n} = -(c_{n-1}
+    d_{l+n-1} + ... + c_0 d_l) for every l >= 0.  If d_l = 0 for l < n,
+    then d_l = 0 for every l.  Two series that agree through degree P
+    therefore agree through L, and two that differ do so first at a pivot
+    l < n, where the prefix already holds both coefficients.  The
+    lexicographic order, the tie groups and so every status, the
+    irreducible order and the class order of `select_nested_generating`
+    are those of the length-L series.  `certified` still depends on L
+    alone, so this holds at every L >= n: also for the uncertified band
+    n <= L < 4n + 1 and its `undecided` logic.  For L < n the prefix is
+    the whole series.  `SieveReport.L` stays L; `full_series` rebuilds
+    the length-L series for the callers that print them.
+    """
+    universe = algebra.universe
+    g = universe_graph(universe)
+    if len(components(g).blocks) != 1:
+        raise SieveError("measure sieve needs a connected universe")
+    a = algebra.n_atoms
+    if a > MAX_SIEVE_ATOMS:
+        raise SieveError(
+            "algebra has %d atoms; sieve cap is %d" % (a, MAX_SIEVE_ATOMS)
+        )
+    lstar = certified_length(universe)
+    if L is None:
+        L = lstar
+    if L < 1:
+        raise SieveError("L must be >= 1")
+    certified = L >= lstar
+    P = min(L, g.nv)
+    series = _series_by_mask(atom_pair_table(universe, algebra.atoms, P), a, P)
+    full = (1 << a) - 1
+    order, status = _verdicts(series, a, certified)
 
     elements = tuple(
         SieveElement(m, algebra.element_bits(m), series[m], status[m])
         for m in range(1 << a)
     )
-    irr = tuple(
-        elements[m]
-        for m in sorted(
-            (m for m in range(1 << a) if status[m] == "irreducible"),
-            key=lambda m: (series[m], m),
-        )
-    )
+    irr = tuple(elements[m] for m in order if status[m] == "irreducible")
     undecided = sum(1 for s in status if s == "undecided")
     comp_stable = all(status[m] == status[full ^ m] for m in range(1 << a))
     nested = True
@@ -192,6 +219,14 @@ def classify(algebra, L=None):
         nested,
         generates,
     )
+
+
+def full_series(report):
+    """Measure series of every element at the report's full length L, in
+    mask order; classify keeps only the prefix that decides its verdicts."""
+    algebra = report.algebra
+    table = atom_pair_table(algebra.universe, algebra.atoms, report.L)
+    return _series_by_mask(table, algebra.n_atoms, report.L)
 
 
 def _paired_cuts(report):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cutforge import checks
 from cutforge.cli import main
 from cutforge.cuts import boolean_closure, cut_from_members
 from cutforge.graphs import Graph
@@ -214,6 +215,18 @@ def test_check_transcript_is_pinned(capsys):
     assert main(["check", "--suite", "all", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SEED0_SHA256
+
+
+def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):
+    built = []
+    real = checks.sieve_artifacts
+    monkeypatch.setattr(
+        checks, "sieve_artifacts", lambda seed: built.append(seed) or real(seed)
+    )
+    shared = {}
+    for name in ("sieve", "tree"):
+        checks.run_suite(name, 3, shared)
+    assert built == [3]
 
 
 def test_usage_errors_exit_2():

@@ -8,6 +8,7 @@ from cutforge.groups import (
     TableOracle,
     ZdOracle,
     ball,
+    left_edge_image,
     make_oracle,
 )
 
@@ -69,6 +70,29 @@ def test_free_ball_is_tree():
     assert bv.nv == 17 and bv.graph.ne == 16
     assert len(bv.sphere) == 12
     assert not bv.exhausted
+
+
+def test_edge_table_matches_edge_names():
+    bv = ball(FreeOracle(2), 3)
+    o = bv.oracle
+    gens = o.generators()
+    g = bv.graph
+    for k, (src_i, gen_j) in enumerate(bv.edge_meta):
+        name = "%s|%s" % (g.vertices[src_i], gens[gen_j][0])
+        assert bv.edge_index(src_i, gen_j) == g.eindex[name] == k
+    escaped = 0
+    for el, _word in o.words_up_to(2):
+        for k, (src_i, gen_j) in enumerate(bv.edge_meta):
+            img = o.multiply(el, bv.elements[src_i])
+            if img in bv.el_to_idx:
+                name = "%s|%s" % (g.vertices[bv.el_to_idx[img]], gens[gen_j][0])
+                expected = g.eindex.get(name)
+            else:
+                expected = None
+            got = left_edge_image(bv, el, k)
+            assert got == expected
+            escaped += got is None
+    assert escaped  # translates push some edges off the ball
 
 
 def test_free_product_ball_is_line():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutforge.cuts import (
@@ -10,10 +12,15 @@ from cutforge.cuts import (
     nested_report,
     orbit_cuts,
 )
+from cutforge.ends import balanced_cut
 from cutforge.graphs import Graph
-from cutforge.groups import ZdOracle, ball
+from cutforge.groups import ZdOracle, ball, make_oracle
+from cutforge.series import atom_pair_table, certified_length
 from cutforge.sieve import (
+    _series_by_mask,
+    _verdicts,
     classify,
+    full_series,
     irreducible_family,
     select_nested_generating,
 )
@@ -140,3 +147,49 @@ def test_ball_window_classification():
     assert not rep.certified
     assert rep.undecided_count == 0  # measured: half-spaces decide early
     assert classify(boolean_closure([half])).certified
+
+
+def _random_algebra(rng):
+    nv = rng.randint(2, 9)
+    names = ["v%d" % i for i in range(nv)]
+    edges = [("t%d" % i, names[rng.randrange(i)], names[i]) for i in range(1, nv)]
+    edges += [
+        ("x%d" % i, rng.choice(names), rng.choice(names))
+        for i in range(rng.randint(0, nv))
+    ]
+    g = Graph(names, edges)
+    cuts = [Cut(g, rng.getrandbits(nv)) for _ in range(rng.randint(1, 3))]
+    return boolean_closure(cuts)
+
+
+def _orbit_algebra(spec):
+    cut = balanced_cut(make_oracle(spec), 6)
+    wl = cut.universe.oracle.words_up_to(2)
+    return boolean_closure(list(orbit_cuts(cut.universe, cut, wl).cuts))
+
+
+ORBITS = ({"kind": "zd", "d": 1}, {"kind": "free_product", "orders": [2, 2]})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_verdicts_equal_full_length_verdicts(seed):
+    """classify sorts on the degree-min(L, |V|) prefix (Cayley-Hamilton);
+    every verdict must be the one the full length-L series give."""
+    rng = random.Random("sieve-prefix-%d" % seed)
+    algebras = [_random_algebra(rng) for _ in range(12)]
+    algebras += [_orbit_algebra(spec) for spec in ORBITS]
+    for algebra in algebras:
+        n = algebra.universe.nv
+        a = algebra.n_atoms
+        for L in (certified_length(algebra.universe), n, rng.randrange(n + 1, 4 * n + 1)):
+            rep = classify(algebra, L)
+            full = _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, L), a, L)
+            order, status = _verdicts(full, a, rep.certified)
+            assert rep.L == L and full_series(rep) == full
+            assert [el.status for el in rep.elements] == status
+            assert [el.mask for el in rep.irreducible] == [
+                m for m in order if status[m] == "irreducible"
+            ]
+            assert rep.undecided_count == status.count("undecided")
+            prefix = sorted(range(1 << a), key=lambda m: (rep.elements[m].series, m))
+            assert prefix == order
