@@ -10,6 +10,7 @@ byte-identical transcripts for a fixed seed.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import sieve as sieve_mod
 from .cuts import (
@@ -36,7 +37,6 @@ from .graphs import (
 )
 from .groups import FreeOracle, FreeProductOracle, TableOracle, ZdOracle, ball
 from .series import (
-    compare,
     corner_series,
     crossing_distance,
     enumeration_counts,
@@ -432,32 +432,52 @@ def check_sieve_soundness(seed, samples=100, artifacts=None):
     return t.n, artifacts
 
 
+def corner_choices(g, L, pairs, P=None):
+    """For each pair (A, B) of vertex bit masks, the complement choice
+    (A', B'), A' in {A, ~A} and B' in {B, ~B} in that order, whose meeting
+    corner A' & B' has the least length-L measure; ties keep the first
+    minimal choice.
+
+    The corner measures are computed through `measure`, once per distinct
+    corner, and compared on degrees 0..P, by default P = min(L, |V|).  That
+    picks what the length-L series pick, by the proof in `sieve.classify`:
+    every corner measure is u^T A^l w for the one adjacency matrix A, so two
+    of them that agree for l < |V| agree for every l, and two that differ
+    do so first at some l < |V|.
+    """
+    full = full_mask(g)
+    if P is None:
+        P = min(L, g.nv)
+    measured = {}
+
+    def corner_measure(choice):
+        bits = choice[0] & choice[1]
+        if bits not in measured:
+            measured[bits] = measure(g, bits, P).coeffs
+        return measured[bits]
+
+    return [
+        min(
+            ((a, b), (a, full ^ b), (full ^ a, b), (full ^ a, full ^ b)),
+            key=corner_measure,
+        )
+        for a, b in pairs
+    ]
+
+
 def check_corner_dichotomy(artifacts):
     """After the complement choice minimizing the measure of the meeting
-    corner, that corner or its opposite is empty."""
+    corner (`corner_choices`), that corner or its opposite is empty.  The
+    measures are recomputed, not read from the sieve's own series."""
     t = _Tally()
     for i, g, _algebra, report in artifacts:
         full = full_mask(g)
-        els = report.irreducible
-        for x in range(len(els)):
-            for y in range(x + 1, len(els)):
-                choices = (
-                    (els[x].bits, els[y].bits),
-                    (els[x].bits, full ^ els[y].bits),
-                    (full ^ els[x].bits, els[y].bits),
-                    (full ^ els[x].bits, full ^ els[y].bits),
-                )
-                best = None
-                best_m = None
-                for ca, cb in choices:
-                    m = measure(g, ca & cb, report.L)
-                    if best is None or compare(m, best_m).outcome == "less":
-                        best, best_m = (ca, cb), m
-                ca, cb = best
-                t.hit(
-                    ca & cb == 0 or (full ^ ca) & (full ^ cb) == 0,
-                    "corner dichotomy fails on sample %d" % i,
-                )
+        pairs = combinations([el.bits for el in report.irreducible], 2)
+        for ca, cb in corner_choices(g, report.L, pairs):
+            t.hit(
+                ca & cb == 0 or (full ^ ca) & (full ^ cb) == 0,
+                "corner dichotomy fails on sample %d" % i,
+            )
     return t.n
 
 

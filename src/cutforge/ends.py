@@ -124,7 +124,13 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
         if not (cut.bits & sm) or not ((full ^ cut.bits) & sm):
             raise EndsError("candidate side lost its sphere contact (internal)")
         return cut
-    raise EndsError("no balanced cut")
+    raise EndsError(
+        "no balanced cut: at radius R=%d, balanced_cut tried the generator "
+        "edge classes at the identity and the edge sets of the radius-1 and "
+        "radius-2 balls inside R, and no candidate left two sides that touch "
+        "the sphere; a one-ended group such as zd:2 has no such cut, and a "
+        "group with more ends may need a larger --radius" % (radius,)
+    )
 
 
 @dataclass(frozen=True)

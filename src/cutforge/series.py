@@ -13,8 +13,10 @@ set w, where A is the adjacency matrix of the universe or, for odd
 crossings, of its parity-doubled state space.  The kernel steps over the
 darts of the graph in exact big integers, so it costs O(L |darts|) per
 start vector, against O(L |V|^2) for a dense matrix.  The second is a
-brute-force walk enumeration.  They are kept separate on purpose; the test
-suites require them to agree.
+literal walk enumeration: it lists every walk, level by level, one entry
+per walk, so its time and memory grow with the number of length-L walks.
+They are kept separate on purpose (the enumeration shares no stepping code
+with the kernel); the test suites require them to agree.
 
 Comparison is lexicographic.  A strict verdict at some pivot l <= L is
 exact regardless of truncation; equality through L is certified only when
@@ -201,49 +203,43 @@ def transfer_counts(universe, spec, L):
 
 
 def enumeration_counts(universe, spec, L):
-    """Same coefficients by brute-force walk enumeration (exponential in L;
-    the independent oracle for the transfer engine)."""
+    """Same coefficients by literal walk enumeration, the independent oracle
+    for the transfer engine.  `walks` holds one entry per walk, its end
+    state, and grows level by level: each walk is extended along every
+    dart at its end.  c_l counts the length-l walks that end in the end
+    set; odd crossings walk the parity-doubled state space.  Nothing is
+    aggregated per vertex, so memory, like time, grows with the number of
+    length-L walks (exponential in L)."""
     if L < 0:
         raise SeriesError("L must be >= 0")
     g = universe_graph(universe)
+    n = g.nv
     kind_spec = _normalize_spec(universe, spec)
     certified = L >= certified_length(universe)
     kind = kind_spec[0]
-    counts = [0] * (L + 1)
-    if kind in ("measure", "corner"):
+    if kind == "odd":
+        crossing = kind_spec[1]
+        nbrs = [
+            [w + n * (p ^ (k in crossing)) for (w, k, _dir) in g.darts[u]]
+            for p in (0, 1)
+            for u in range(n)
+        ]
+        walks = list(range(n))
+        is_end = [0] * n + [1] * n
+    else:
+        full = full_mask(universe)
         if kind == "measure":
-            start_bits = kind_spec[1]
-            end_bits = full_mask(universe) ^ kind_spec[1]
+            start_bits, end_bits = kind_spec[1], full ^ kind_spec[1]
         else:
             cbits, dbits = kind_spec[1], kind_spec[2]
-            full = full_mask(universe)
-            start_bits = cbits & (full ^ dbits)
-            end_bits = (full ^ cbits) & dbits
-
-        def rec(u, depth):
-            if (end_bits >> u) & 1:
-                counts[depth] += 1
-            if depth == L:
-                return
-            for (w, _k, _dir) in g.darts[u]:
-                rec(w, depth + 1)
-
-        for v0 in range(g.nv):
-            if (start_bits >> v0) & 1:
-                rec(v0, 0)
-    else:
-        crossing = kind_spec[1]
-
-        def rec(u, depth, parity):
-            if parity:
-                counts[depth] += 1
-            if depth == L:
-                return
-            for (w, k, _dir) in g.darts[u]:
-                rec(w, depth + 1, parity ^ (1 if k in crossing else 0))
-
-        for v0 in range(g.nv):
-            rec(v0, 0, 0)
+            start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
+        nbrs = [[w for (w, _k, _dir) in ds] for ds in g.darts]
+        walks = _members(start_bits, n)
+        is_end = _indicator(end_bits, n)
+    counts = [sum(map(is_end.__getitem__, walks))]
+    for _ in range(L):
+        walks = [w for u in walks for w in nbrs[u]]
+        counts.append(sum(map(is_end.__getitem__, walks)))
     return TruncatedSeries(tuple(counts), "enumeration", certified)
 
 

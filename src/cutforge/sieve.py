@@ -61,9 +61,6 @@ class SieveReport:
     nested: bool
     generates: bool
 
-    def status_of(self, mask):
-        return self.elements[mask].status
-
 
 def _refine(blocks, masks):
     for m in masks:

@@ -229,7 +229,6 @@ class StructureTree:
         "labels",
         "label_to_vertex",
         "edge_cut_index",
-        "cut_edge_id",
     )
 
     def __init__(self, graph, mode, system, labels):
@@ -241,13 +240,9 @@ class StructureTree:
         for vid, lab in zip(graph.vertices, self.labels):
             self.label_to_vertex[lab] = vid
         self.edge_cut_index = {e: k for k, (e, _s, _d) in enumerate(graph.edges)}
-        self.cut_edge_id = tuple(e for (e, _s, _d) in graph.edges)
 
     def label_of(self, vertex_id):
         return self.labels[self.graph.vindex[vertex_id]]
-
-    def cut_of_edge(self, edge_id):
-        return self.system.cuts[self.edge_cut_index[edge_id]]
 
     def label_names(self, label):
         return tuple(_cut_name(self.system, i) for i in sorted(label))

@@ -112,3 +112,13 @@ def test_report_lines_render():
     text = "\n".join(rep.lines())
     assert "final tree: 1 edge orbit" in text
     assert text.endswith("ball-verified(R=6, W=2, L=53)")
+
+
+def test_no_balanced_cut_names_stage_limit_and_remedy():
+    with pytest.raises(EndsError) as exc:
+        balanced_cut(ZdOracle(2), 5)
+    msg = str(exc.value)
+    assert msg.startswith("no balanced cut: at radius R=5, balanced_cut tried")
+    assert "generator edge classes" in msg and "radius-2 balls" in msg
+    assert "two sides that touch the sphere" in msg
+    assert "one-ended group such as zd:2" in msg and "--radius" in msg

@@ -184,3 +184,58 @@ def test_series_str_format():
     g = k2()
     assert str(measure(g, 1, 3)) == "0 + 1 t + 0 t^2 + 1 t^3"
     assert measure(g, 1, 3).json_coeffs() == ["0", "1", "0", "1"]
+
+
+def test_enumeration_at_length_zero_and_on_empty_sets():
+    g = multi()
+    x = cut_from_members(g, ["x"]).bits
+    yz = cut_from_members(g, ["y", "z"]).bits
+    for spec in (("measure", x), ("odd", ("l",)), ("corner", x, yz)):
+        assert enumeration_counts(g, spec, 0).coeffs == (0,)
+    # an empty start set, or an empty crossing set, has no counted walk
+    assert enumeration_counts(g, ("measure", 0), 4).coeffs == (0,) * 5
+    assert enumeration_counts(g, ("corner", 0, yz), 4).coeffs == (0,) * 5
+    assert enumeration_counts(g, ("corner", x, x), 4).coeffs == (0,) * 5
+    assert enumeration_counts(g, ("odd", ()), 4).coeffs == (0,) * 5
+
+
+# Hand counts on `multi()`, whose walk matrix is A = [[0,2,0],[2,2,1],[0,1,0]]
+# (x, y, z): the parallel pair gives the 2s off the diagonal, the loop the 2
+# at y.  Walks from x end at A^l e_x = (1,0,0), (0,2,0), (4,4,2), (8,18,4),
+# (36,56,18).  Walks with an odd number of steps over an edge set S number
+# (1^T A^l 1 - 1^T D^l 1) / 2, where D is A with the darts of S negated.
+MULTI_HAND_COUNTS = (
+    (("measure", ["x"]), (0, 2, 6, 22, 74)),
+    (("corner", ["x", "y"], ["y", "z"]), (0, 0, 2, 4, 18)),
+    (("odd", ("l",)), (0, 2, 12, 46)),
+    (("odd", ("p1",)), (0, 2, 10, 38)),
+)
+
+
+def _multi_spec(g, spec):
+    if spec[0] == "odd":
+        return spec
+    return (spec[0],) + tuple(cut_from_members(g, m).bits for m in spec[1:])
+
+
+def test_enumeration_counts_a_loop_and_a_parallel_pair_by_hand():
+    g = multi()
+    for spec, want in MULTI_HAND_COUNTS:
+        got = enumeration_counts(g, _multi_spec(g, spec), len(want) - 1)
+        assert got.coeffs == want, spec
+        assert transfer_counts(g, _multi_spec(g, spec), len(want) - 1).coeffs == want
+
+
+def test_enumeration_is_independent_of_the_kernel(monkeypatch):
+    import cutforge.series as series_mod
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle must not use the walk-count kernel")
+
+    for name in ("_walk_counts", "_successors", "_project"):
+        monkeypatch.setattr(series_mod, name, refuse)
+    g = multi()
+    for spec, want in MULTI_HAND_COUNTS:
+        assert enumeration_counts(g, _multi_spec(g, spec), len(want) - 1).coeffs == want
+    with pytest.raises(AssertionError):
+        transfer_counts(g, ("measure", 1), 3)
