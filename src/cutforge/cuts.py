@@ -267,12 +267,14 @@ class CutAlgebra:
         )
 
 
-def boolean_closure(cuts, max_generators=MAX_CLOSURE_GENERATORS):
+def boolean_closure(cuts):
     if not cuts:
         raise CutError("boolean_closure needs at least one generating cut")
-    if len(cuts) > max_generators:
+    if len(cuts) > MAX_CLOSURE_GENERATORS:
         raise CutError(
-            "%d generators exceed closure cap %d" % (len(cuts), max_generators)
+            "Boolean closure: %d generators exceed closure cap "
+            "MAX_CLOSURE_GENERATORS = %d; pass fewer cuts (for split, a "
+            "smaller --words)" % (len(cuts), MAX_CLOSURE_GENERATORS)
         )
     universe = cuts[0].universe
     for c in cuts[1:]:

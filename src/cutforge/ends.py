@@ -268,7 +268,10 @@ def splitting_pipeline(
             final_vertex_stabilizer_orders=(),
             final_edge_stabilizer_order=None,
             diagnostics="no vertex is fixed by all generators at any "
-            "collapse stage within the ball evidence",
+            "collapse stage within the ball evidence (R=%d, W=%d); words that "
+            "gave no evidence (cut images missing or inconsistent on the "
+            "tree): %s"
+            % (bv.radius, words, ", ".join(paction.blind_words()) or "none"),
             final_partial=None,
             **common,
         )

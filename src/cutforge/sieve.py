@@ -173,7 +173,9 @@ def classify(algebra, L=None):
     a = algebra.n_atoms
     if a > MAX_SIEVE_ATOMS:
         raise SieveError(
-            "algebra has %d atoms; sieve cap is %d" % (a, MAX_SIEVE_ATOMS)
+            "measure sieve: algebra has %d atoms; sieve cap MAX_SIEVE_ATOMS "
+            "= %d; pass fewer cuts (for split, a smaller --words)"
+            % (a, MAX_SIEVE_ATOMS)
         )
     lstar = certified_length(universe)
     if L is None:

@@ -16,6 +16,15 @@ stabilizers, orbits, compressible collapse, blow-up, and the size
 polynomial.  PartialAction is the word-bounded evidence available over a
 Cayley ball: per-word partial maps, orbits as reachability classes, and
 fixed vertices only when every generator visibly fixes them.
+
+Both move tree vertices by one rule, _agreeing_map: a vertex map is read
+off (point, image) evidence pairs, and a point's image is the one value its
+pairs name.  The pairs come from edge incidences (an edge with a known image
+sends its source to the image's source and its target to the image's
+target) and, under a collapse, from (block of x, block of the image of x).
+When two pairs disagree the evidence is not a map: a full action raises
+TreeError, while a partial action drops the whole word, whose vertex and
+edge images all become None.
 """
 
 from __future__ import annotations
@@ -387,6 +396,84 @@ def prec(system, e, f):
     return half_open == [ebits]
 
 
+# -- the vertex-transport rule ---------------------------------------------------
+
+
+def _agreeing_map(n, pairs):
+    """The map on range(n) read off (point, image) evidence pairs: a point's
+    image is the one value all of its pairs name, and None when it has no
+    pair.  Returns None when two pairs name different images for one point,
+    since the evidence is then not a map."""
+    out = [None] * n
+    for x, y in pairs:
+        if out[x] is None:
+            out[x] = y
+        elif out[x] != y:
+            return None
+    return tuple(out)
+
+
+def _incidence_pairs(g, emap):
+    """Vertex evidence of an edge map: an edge with a known image sends its
+    source to the image's source and its target to the image's target."""
+    ends = [(g.vindex[s], g.vindex[d]) for (_e, s, d) in g.edges]
+    for k, j in enumerate(emap):
+        if j is not None:
+            yield ends[k][0], ends[j][0]
+            yield ends[k][1], ends[j][1]
+
+
+def _orbit_blocks(maps, n):
+    """Classes of range(n) joined by the defined images of the maps, least
+    member first; for a group action these are its orbits."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for m in maps:
+        for i in range(n):
+            if m[i] is not None:
+                ri, rj = find(i), find(m[i])
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
+def _collapse(g, edge_ids, vertex_maps, edge_maps):
+    """Contract the named edges of g, which the edge maps must send into
+    themselves, and push each (vertex map, edge map) pair through to the
+    quotient.  A pushed vertex map is read off the pairs (block of x, block
+    of the image of x); where those disagree it comes back as None."""
+    idxs = set()
+    for e in edge_ids:
+        if e not in g.eindex:
+            raise TreeError("edge %r not in tree" % (e,))
+        idxs.add(g.eindex[e])
+    for em in edge_maps:
+        if any(em[k] is not None and em[k] not in idxs for k in idxs):
+            raise TreeError("collapsed edge set is not closed under the maps")
+    newg, rep = collapse_blocks(g, [g.edges[k][0] for k in idxs])
+    block = [newg.vindex[rep[v]] for v in g.vertices]
+    kept = [k for k in range(g.ne) if k not in idxs]
+    kept_pos = {k: p for p, k in enumerate(kept)}
+    vmaps = [
+        _agreeing_map(
+            newg.nv,
+            ((block[x], block[y]) for x, y in enumerate(vm) if y is not None),
+        )
+        for vm in vertex_maps
+    ]
+    emaps = [tuple(kept_pos.get(em[k]) for k in kept) for em in edge_maps]
+    return newg, vmaps, emaps
+
+
 # -- full actions of finite groups ---------------------------------------------
 
 
@@ -423,13 +510,8 @@ class TreeAction:
             vm, em = self.vertex_maps[a], self.edge_maps[a]
             if sorted(vm) != list(range(g.nv)) or sorted(em) != list(range(g.ne)):
                 raise TreeError("element %s does not act bijectively" % (a,))
-            for k, (_e, s, d) in enumerate(g.edges):
-                k2 = em[k]
-                _e2, s2, d2 = g.edges[k2]
-                if g.vindex[s2] != vm[g.vindex[s]] or g.vindex[d2] != vm[g.vindex[d]]:
-                    raise TreeError(
-                        "incidence broken: element %s, edge %r" % (a, _e)
-                    )
+            if any(vm[x] != y for x, y in _incidence_pairs(g, em)):
+                raise TreeError("incidence broken: element %s" % (a,))
         for a in els:
             for b in els:
                 ab = self.oracle.multiply(a, b)
@@ -449,23 +531,11 @@ class TreeAction:
     def elements(self):
         return self._elements
 
-    def _orbits(self, maps, n):
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            block = sorted({maps[a][start] for a in self._elements})
-            for x in block:
-                seen[x] = True
-            out.append(tuple(block))
-        return tuple(out)
-
     def vertex_orbits(self):
-        return self._orbits(self.vertex_maps, self.graph.nv)
+        return _orbit_blocks(self.vertex_maps.values(), self.graph.nv)
 
     def edge_orbits(self):
-        return self._orbits(self.edge_maps, self.graph.ne)
+        return _orbit_blocks(self.edge_maps.values(), self.graph.ne)
 
     def vertex_stabilizer(self, vi):
         return frozenset(a for a in self._elements if self.vertex_maps[a][vi] == vi)
@@ -481,36 +551,18 @@ class TreeAction:
 
     def collapse(self, edge_ids):
         """Collapse an action-closed edge set; returns the induced action."""
-        g = self.graph
-        idxs = set()
-        for e in edge_ids:
-            if e not in g.eindex:
-                raise TreeError("edge %r not in tree" % (e,))
-            idxs.add(g.eindex[e])
-        for a in self._elements:
-            for k in idxs:
-                if self.edge_maps[a][k] not in idxs:
-                    raise TreeError("collapsed edge set is not action-closed")
-        newg, vmap = collapse_blocks(g, edge_ids)
-        old_to_new = [newg.vindex[vmap[v]] for v in g.vertices]
-        kept = [k for k in range(g.ne) if k not in idxs]
-        kept_pos = {k: p for p, k in enumerate(kept)}
-        vertex_maps = {}
-        edge_maps = {}
-        for a in self._elements:
-            vm_old = self.vertex_maps[a]
-            nvm = [None] * newg.nv
-            for x in range(g.nv):
-                src = old_to_new[x]
-                dst = old_to_new[vm_old[x]]
-                if nvm[src] is None:
-                    nvm[src] = dst
-                elif nvm[src] != dst:
-                    raise TreeError("collapse produced an inconsistent action")
-            vertex_maps[a] = tuple(nvm)
-            em_old = self.edge_maps[a]
-            edge_maps[a] = tuple(kept_pos[em_old[k]] for k in kept)
-        return TreeAction(newg, self.oracle, vertex_maps, edge_maps)
+        els = self._elements
+        newg, vmaps, emaps = _collapse(
+            self.graph,
+            edge_ids,
+            [self.vertex_maps[a] for a in els],
+            [self.edge_maps[a] for a in els],
+        )
+        if None in vmaps:
+            raise TreeError("collapse produced an inconsistent action")
+        return TreeAction(
+            newg, self.oracle, dict(zip(els, vmaps)), dict(zip(els, emaps))
+        )
 
 
 def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
@@ -521,7 +573,7 @@ def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
     system = stree.system
     n = len(system.cuts)
     full = full_mask(system.universe) if system.cuts else 0
-    bits_to_idx = {c.bits: i for i, c in enumerate(system.cuts)}
+    bits_to_idx = system.bits_index
     comp_idx = [bits_to_idx[full ^ c.bits] for c in system.cuts]
 
     if (cut_maps is None) == (vertex_perms is None):
@@ -590,23 +642,18 @@ def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
     if len(cut_action) != len(oracle.elements()):
         raise TreeError("generators do not generate the group (internal)")
 
+    # a tree with edges has every vertex on one; a tree without has one vertex
     g = stree.graph
     vertex_maps = {}
-    edge_maps = {}
     for el, amap in cut_action.items():
-        nvm = []
-        for lab in stree.labels:
-            img_lab = frozenset(amap[i] for i in lab)
-            vid = stree.label_to_vertex.get(img_lab)
-            if vid is None:
-                raise TreeError(
-                    "label transport escapes the tree (cut maps do not preserve "
-                    "the nesting order)"
-                )
-            nvm.append(g.vindex[vid])
-        vertex_maps[el] = tuple(nvm)
-        edge_maps[el] = amap
-    return TreeAction(g, oracle, vertex_maps, edge_maps, stree=stree)
+        vm = _agreeing_map(g.nv, _incidence_pairs(g, amap)) if g.ne else (0,)
+        if vm is None:
+            raise TreeError(
+                "cut maps do not move the tree (they do not preserve the "
+                "nesting order)"
+            )
+        vertex_maps[el] = vm
+    return TreeAction(g, oracle, vertex_maps, cut_action, stree=stree)
 
 
 def is_compressible(action, edge_id):
@@ -854,21 +901,26 @@ def blow_up(action, fibers, attachments=None):
         ftree = fiber_tree[rep_of_vertex[v]]
         for x in ftree.vertices:
             new_vertices.append(fiber_point(v, x))
+    # fiber edges come first, then the base edges in base order
     new_edges = []
     fiber_edge_ids = []
-    fiber_edge_meta = {}  # id -> (v, fiber edge id)
     for v in range(g.nv):
         ftree = fiber_tree[rep_of_vertex[v]]
         for (fe, fs, fd) in ftree.edges:
             eid = "%s|%s" % (g.vertices[v], fe)
             new_edges.append((eid, fiber_point(v, fs), fiber_point(v, fd)))
             fiber_edge_ids.append(eid)
-            fiber_edge_meta[eid] = (v, fe)
+    nf = len(fiber_edge_ids)
     for k, (e, _s, _d) in enumerate(g.edges):
         sv, sx = attach[(k, "src")]
         dv, dx = attach[(k, "dst")]
         new_edges.append((e, fiber_point(sv, sx), fiber_point(dv, dx)))
     newg = Graph(new_vertices, new_edges)
+    # fibers are trees, so a fiber edge is the only one on its endpoints
+    fiber_edge_at = {
+        (newg.vindex[s], newg.vindex[d]): k
+        for k, (_e, s, d) in enumerate(newg.edges[:nf])
+    }
 
     vertex_maps = {}
     edge_maps = {}
@@ -880,23 +932,16 @@ def blow_up(action, fibers, attachments=None):
                 v2, x2 = act_point(a, v, x)
                 nvm.append(newg.vindex[fiber_point(v2, x2)])
         nem = []
-        for (eid, s, d) in newg.edges:
-            if eid in fiber_edge_meta:
-                si = nvm[newg.vindex[s]]
-                di = nvm[newg.vindex[d]]
-                # the image fiber edge is the unique edge on those endpoints
-                img = None
-                for (e2, s2, d2) in newg.edges:
-                    if e2 in fiber_edge_meta and newg.vindex[s2] == si and newg.vindex[d2] == di:
-                        img = e2
-                        break
-                if img is None:
-                    raise TreeError(
-                        "fiber action is not a tree automorphism at %r" % (eid,)
-                    )
-                nem.append(newg.eindex[img])
-            else:
-                nem.append(newg.eindex[g.edges[action.edge_maps[a][g.eindex[eid]]][0]])
+        for k, (eid, s, d) in enumerate(newg.edges):
+            if k >= nf:
+                nem.append(nf + action.edge_maps[a][k - nf])
+                continue
+            img = fiber_edge_at.get((nvm[newg.vindex[s]], nvm[newg.vindex[d]]))
+            if img is None:
+                raise TreeError(
+                    "fiber action is not a tree automorphism at %r" % (eid,)
+                )
+            nem.append(img)
         vertex_maps[a] = tuple(nvm)
         edge_maps[a] = tuple(nem)
     out = TreeAction(newg, oracle, vertex_maps, edge_maps)
@@ -917,9 +962,11 @@ def blow_up(action, fibers, attachments=None):
 
 class PartialAction:
     """Per-word partial vertex and edge maps on a tree; None marks images the
-    ball evidence cannot determine.  Orbits are reachability classes of the
-    defined images, and a vertex counts as fixed only when every generator
-    demonstrably fixes it."""
+    ball evidence cannot determine.  A word whose vertex map is given as None
+    (its evidence contradicted itself) gives no evidence at all: every one of
+    its vertex and edge images is None.  Orbits are reachability classes of
+    the defined images, and a vertex counts as fixed only when every
+    generator demonstrably fixes it."""
 
     __slots__ = ("graph", "words", "gen_word_pos", "vertex_images", "edge_images")
 
@@ -927,36 +974,19 @@ class PartialAction:
         self.graph = graph
         self.words = tuple(words)
         self.gen_word_pos = tuple(gen_word_pos)
-        self.vertex_images = tuple(tuple(m) for m in vertex_images)
-        self.edge_images = tuple(tuple(m) for m in edge_images)
-
-    def _orbit_blocks(self, images, n):
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for m in images:
-            for i in range(n):
-                j = m[i]
-                if j is None:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        blocks = {}
-        for i in range(n):
-            blocks.setdefault(find(i), []).append(i)
-        return tuple(tuple(blocks[r]) for r in sorted(blocks))
+        self.vertex_images = tuple(
+            (None,) * graph.nv if vm is None else tuple(vm) for vm in vertex_images
+        )
+        self.edge_images = tuple(
+            (None,) * graph.ne if vm is None else tuple(em)
+            for vm, em in zip(vertex_images, edge_images)
+        )
 
     def vertex_orbits(self):
-        return self._orbit_blocks(self.vertex_images, self.graph.nv)
+        return _orbit_blocks(self.vertex_images, self.graph.nv)
 
     def edge_orbits(self):
-        return self._orbit_blocks(self.edge_images, self.graph.ne)
+        return _orbit_blocks(self.edge_images, self.graph.ne)
 
     def vertex_stabilizer_size(self, vi):
         return sum(1 for m in self.vertex_images if m[vi] == vi)
@@ -981,54 +1011,29 @@ class PartialAction:
                 out.append(self.graph.vertices[vi])
         return tuple(out)
 
+    def blind_words(self):
+        """Word strings with no vertex image at all: their cut images were
+        missing, or did not move the tree consistently."""
+        return tuple(
+            w
+            for (_el, w), vm in zip(self.words, self.vertex_images)
+            if vm.count(None) == len(vm)
+        )
+
     def collapse(self, edge_ids):
         """Collapse an orbit-closed edge set, inducing partial maps on the
-        blocks; contradictory member images raise."""
-        g = self.graph
-        idxs = set()
-        for e in edge_ids:
-            if e not in g.eindex:
-                raise TreeError("edge %r not in tree" % (e,))
-            idxs.add(g.eindex[e])
-        for m in self.edge_images:
-            for k in idxs:
-                if m[k] is not None and m[k] not in idxs:
-                    raise TreeError("collapsed edge set is not closed under the maps")
-        newg, vmap = collapse_blocks(g, [g.edges[k][0] for k in idxs])
-        old_to_new = [newg.vindex[vmap[v]] for v in g.vertices]
-        kept = [k for k in range(g.ne) if k not in idxs]
-        kept_pos = {k: p for p, k in enumerate(kept)}
-        new_vimgs = []
-        new_eimgs = []
-        for w in range(len(self.words)):
-            vm = self.vertex_images[w]
-            nvm = [None] * newg.nv
-            for x in range(g.nv):
-                if vm[x] is None:
-                    continue
-                src, dst = old_to_new[x], old_to_new[vm[x]]
-                if nvm[src] is None:
-                    nvm[src] = dst
-                elif nvm[src] != dst:
-                    raise TreeError(
-                        "collapse transport contradicts itself at %r"
-                        % (newg.vertices[src],)
-                    )
-            new_vimgs.append(tuple(nvm))
-            em = self.edge_images[w]
-            new_eimgs.append(
-                tuple(
-                    kept_pos[em[k]] if em[k] is not None else None for k in kept
-                )
-            )
-        return PartialAction(newg, self.words, self.gen_word_pos, new_vimgs, new_eimgs)
+        blocks; a word whose block images disagree gives no evidence."""
+        newg, vmaps, emaps = _collapse(
+            self.graph, edge_ids, self.vertex_images, self.edge_images
+        )
+        return PartialAction(newg, self.words, self.gen_word_pos, vmaps, emaps)
 
 
 def build_partial_action(stree, words):
     """Word-bounded action evidence on a paired tree over a Cayley ball.
     words: (element, word string) pairs, the identity included.  Cut images
-    are exact translations when representable; vertex images are transported
-    through incident edges and must agree across them."""
+    are exact translations when representable, and vertex images are read
+    off the incident edges; a word whose edges disagree gives no evidence."""
     system = stree.system
     if not system.cuts:
         raise TreeError("partial actions need a nonempty system")
@@ -1037,8 +1042,7 @@ def build_partial_action(stree, words):
         raise TreeError("partial actions need a ball universe")
     oracle = bv.oracle
     g = stree.graph
-    n = len(system.cuts)
-    bits_to_idx = {c.bits: i for i, c in enumerate(system.cuts)}
+    bits_to_idx = system.bits_index
 
     gen_word_pos = []
     for _name, gel in oracle.generators():
@@ -1055,33 +1059,13 @@ def build_partial_action(stree, words):
     vertex_images = []
     for el, _word in words:
         emap = []
-        for i, c in enumerate(system.cuts):
+        for c in system.cuts:
             try:
-                img = act_left_cut(bv, el, c)
+                emap.append(bits_to_idx.get(act_left_cut(bv, el, c).bits))
             except CutError:
                 emap.append(None)
-                continue
-            emap.append(bits_to_idx.get(img.bits))
-        # transport each vertex through its incident edges
-        vmap = []
-        for vi in range(g.nv):
-            cand = None
-            for (other, k, direction) in g.darts[vi]:
-                j = emap[k]
-                if j is None:
-                    continue
-                _e2, s2, d2 = g.edges[j]
-                img_v = g.vindex[s2] if direction == 1 else g.vindex[d2]
-                if cand is None:
-                    cand = img_v
-                elif cand != img_v:
-                    raise TreeError(
-                        "transport contradicts itself at tree vertex %r"
-                        % (g.vertices[vi],)
-                    )
-            vmap.append(cand)
         edge_images.append(emap)
-        vertex_images.append(vmap)
+        vertex_images.append(_agreeing_map(g.nv, _incidence_pairs(g, emap)))
     return PartialAction(g, words, gen_word_pos, vertex_images, edge_images)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -222,6 +223,69 @@ def test_check_transcript_is_pinned(capsys):
         assert main(["check", "--suite", "all", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, seed
+
+
+# sha256 of the `split` transcript of each cell of the split ladder, the
+# cells the benchmark's split workload runs.  Any change to a tree, an orbit,
+# a stabilizer count or the report format changes them; update them only
+# together with a CHANGES.md entry that says why the transcript moved.
+SPLIT_LADDER_SHA256 = {
+    "--group zd:1":
+        "632a6771997f81afe7fb66f846d675c8c0db0db8125129153d4fa2c9c2f00b2a",
+    "--group free:1":
+        "632a6771997f81afe7fb66f846d675c8c0db0db8125129153d4fa2c9c2f00b2a",
+    "--group free_product:2,2":
+        "c9b428d67da3c2578136af8c1e84d2bcfd460085bcded42c5197c77dbf0d8d63",
+    "--group free_product:2,3":
+        "23ef1379bb6cea7ba5cc29cccfb42a08c414252c01b6ee15dae4ab514b8e7ee3",
+    "--group free_product:2,3 --radius 8":
+        "c1823435c35cfb2f4d568379accb43a33e3b66f42f69ce1f4171a978e6cc3f94",
+    "--group free_product:2,4":
+        "c11c12a950ae60c0a3c9ded59ad96f7a4a10e70a401d2c974b52e381d1182ad2",
+    "--group free_product:2,2,2 --words 1":
+        "77e0a80fe153384087c3186f1c207b6e2365eb792bef9e5c76a698ed5ad089a6",
+}
+
+
+def test_split_ladder_is_pinned(capsys):
+    for args, want in SPLIT_LADDER_SHA256.items():
+        assert main(["split"] + args.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
+# Every split cell of this grid ends in a report or a named refusal, never in
+# an internal error.  `free:2 --words 1` (about 5 s) is left to CI.
+SPLIT_GRID = [
+    (group, words)
+    for group in ("zd:1", "zd:2", "free:1", "free_product:2,2",
+                  "free_product:2,3", "free_product:3,3",
+                  "free_product:2,2,2")
+    for words in (1, 2)
+] + [("free:2", 2)]
+NAMED_REFUSAL = re.compile(
+    r"^error: (no balanced cut|Boolean closure|measure sieve): "
+)
+
+
+@pytest.mark.parametrize(
+    "group, words", SPLIT_GRID, ids=["%s-W%d" % cell for cell in SPLIT_GRID]
+)
+def test_split_grid_ends_in_a_report_or_a_named_refusal(capsys, group, words):
+    code = main(["split", "--group", group, "--words", str(words)])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert NAMED_REFUSAL.match(err), err
+        return
+    assert code == 0
+    last = out.splitlines()[-2]
+    assert last.startswith(("final tree: ", "undetermined: ")), out
+    if (group, words) == ("free_product:3,3", 1):
+        assert last.startswith("undetermined: ")
+        assert last.endswith(
+            "(R=6, W=1); words that gave no evidence (cut images missing or "
+            "inconsistent on the tree): a, a^-1"
+        )
 
 
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):

@@ -155,3 +155,16 @@ def test_orbit_cuts_names_and_dedup():
     assert orb.words == ("", "x", "x^-1")
     # translates are distinct cuts of the same ball
     assert len({c.bits for c in orb.cuts}) == 3
+
+
+def test_closure_cap_names_stage_limit_and_remedy():
+    g = Graph(["v%d" % i for i in range(14)],
+              [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(13)])
+    cuts = [cut_from_members(g, ["v%d" % i]) for i in range(13)]
+    with pytest.raises(
+        CutError,
+        match=r"^Boolean closure: 13 generators exceed closure cap "
+        r"MAX_CLOSURE_GENERATORS = 12; pass fewer cuts \(for split, a "
+        r"smaller --words\)$",
+    ):
+        boolean_closure(cuts)

@@ -17,6 +17,7 @@ from cutforge.graphs import Graph
 from cutforge.groups import ZdOracle, ball, make_oracle
 from cutforge.series import atom_pair_table, certified_length
 from cutforge.sieve import (
+    SieveError,
     _series_by_mask,
     _verdicts,
     classify,
@@ -193,3 +194,18 @@ def test_prefix_verdicts_equal_full_length_verdicts(seed):
             assert rep.undecided_count == status.count("undecided")
             prefix = sorted(range(1 << a), key=lambda m: (rep.elements[m].series, m))
             assert prefix == order
+
+
+def test_sieve_cap_names_stage_limit_and_remedy():
+    # twelve singleton cuts of a 14-vertex path leave 13 atoms
+    g = Graph(["v%d" % i for i in range(14)],
+              [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(13)])
+    algebra = boolean_closure([cut_from_members(g, ["v%d" % i]) for i in range(12)])
+    assert algebra.n_atoms == 13
+    with pytest.raises(
+        SieveError,
+        match=r"^measure sieve: algebra has 13 atoms; sieve cap "
+        r"MAX_SIEVE_ATOMS = 12; pass fewer cuts \(for split, a smaller "
+        r"--words\)$",
+    ):
+        classify(algebra)

@@ -4,11 +4,13 @@ import pytest
 
 from cutforge.cuts import Cut, cut_from_members, orbit_cuts
 from cutforge.graphs import Graph, is_tree, tree_distance
-from cutforge.groups import TableOracle, ZdOracle, ball
+from cutforge.ends import balanced_cut
+from cutforge.groups import FreeProductOracle, TableOracle, ZdOracle, ball
 from cutforge.sieve import select_nested_generating
 from cutforge.trees import (
     SEPARATION_SCAN_CAP,
     NestedSystem,
+    PartialAction,
     SizePolynomial,
     TreeAction,
     TreeError,
@@ -320,6 +322,13 @@ def test_cut_maps_must_respect_nesting():
         induce_action(t, z2(), cut_maps={"s": (2, 3, 0, 1)})
 
 
+def test_induced_action_on_an_edgeless_tree_fixes_its_vertex():
+    t = paired_tree(verify_system([]))
+    act = induce_action(t, z2(), cut_maps={"s": ()})
+    assert act.vertex_maps == {0: (0,), 1: (0,)}
+    assert act.vertex_orbits() == ((0,),)
+
+
 def test_blow_up_path_fiber():
     act = reflection_action()
     fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
@@ -374,3 +383,44 @@ def test_partial_collapse_stages():
     assert c2.graph.nv == 1 and c2.fixed_vertices() == ("n0",)
     with pytest.raises(TreeError):
         pa.collapse(first[:2])  # not closed under the word maps
+
+
+def test_partial_collapse_drops_a_contradicted_word():
+    # on the path x - y - z, word "s" sends x to x but y to z: once x and y
+    # are one block, that block has two images, so "s" gives no evidence
+    g = Graph(["x", "y", "z"], [("e0", "x", "y"), ("e1", "y", "z")])
+    words = [(0, ""), (1, "s"), (2, "t")]
+    pa = PartialAction(
+        g,
+        words,
+        (1, 2),
+        [(0, 1, 2), (0, 2, 2), (2, None, None)],
+        [(0, 1), (None, 1), (None, None)],
+    )
+    assert pa.blind_words() == ()
+    c = pa.collapse(["e0"])
+    assert c.graph.vertices == ("x", "z")
+    assert c.vertex_images == ((0, 1), (None, None), (1, None))
+    assert c.edge_images == ((0,), (None,), (None,))
+    assert c.blind_words() == ("s",)
+    assert c.fixed_vertices() == ()
+    assert c.vertex_orbits() == ((0, 1),)
+
+
+def test_partial_action_drops_words_whose_edges_disagree():
+    # Z/3 * Z/3 at word bound 1: the kept system is not closed under a and
+    # a^-1, whose cut images do not move the tree consistently
+    o = FreeProductOracle([3, 3])
+    wl = o.words_up_to(1)
+    cut = balanced_cut(o)
+    sel = select_nested_generating(orbit_cuts(cut.universe, cut, wl).cuts, action=wl)
+    stree = paired_tree(sel.system)
+    pa = build_partial_action(stree, wl)
+    g = stree.graph
+    assert [w for _el, w in wl] == ["", "a", "a^-1", "b", "b^-1"]
+    assert pa.blind_words() == ("a", "a^-1")
+    for i in (1, 2):
+        assert set(pa.vertex_images[i]) == {None}
+        assert set(pa.edge_images[i]) == {None}
+    assert pa.vertex_images[0] == tuple(range(g.nv))
+    assert pa.edge_images[0] == tuple(range(g.ne))
