@@ -331,11 +331,9 @@ def crossing_sources(bv, bits, gen_index):
     """Sources x of Cayley edges (x, s) that cross the bit set, for the
     generator with the given index."""
     out = 0
-    for k, (src_i, gj) in enumerate(bv.edge_meta):
+    for (src_i, gj), di in zip(bv.edge_meta, bv.edge_dst):
         if gj != gen_index:
             continue
-        _e, _s, d = bv.graph.edges[k]
-        di = bv.graph.vindex[d]
         if ((bits >> src_i) & 1) != ((bits >> di) & 1):
             out |= 1 << src_i
     return out

@@ -3,7 +3,9 @@
 The end count of a finitely generated group is approximated exactly on the
 built-in families by counting residual components of a large ball after the
 edges of a smaller ball are deleted; a component is flagged infinite when it
-reaches the outer sphere.  A balanced cut is one infinite side of a small
+reaches the outer sphere.  `ends_profile` gets every radius from one
+union-find sweep over the ball's index edges, shell by shell from the
+outside in, and never builds the ball's string graph.  A balanced cut is one infinite side of a small
 central edge set.  The pipeline pushes such a cut through its word orbit,
 the measure sieve, and the paired tree, then collapses partial edge orbits
 one at a time until the remaining evidence first pins down a fixed vertex;
@@ -47,23 +49,48 @@ def _growth_window(radii, counts):
 
 def ends_profile(oracle, rmax=DEFAULT_RADIUS):
     """Infinite-component counts of ball(rmax) minus the edges of ball(R),
-    for R = 1..rmax-1, with the sphere-touching rule."""
+    for R = 1..rmax-1, with the sphere-touching rule.
+
+    An edge lies in ball(R) when both of its endpoints do, so removing the
+    edges of ball(R) keeps exactly the edges whose farther endpoint is at
+    distance > R, the shells R+1..rmax.  As R falls the kept edge set only
+    grows, so one union-find over vertex indices serves every radius: R
+    walks from rmax-1 down to 1, and at each step the edges of shell R+1
+    are united in.  The count at R is the number of blocks that hold a
+    sphere vertex.  Before any union every vertex is its own block, so the
+    count starts at |sphere|; a union changes it only when it joins two
+    blocks that both hold sphere vertices, and then lowers it by one.  A
+    finite (exhausted) ball has an empty sphere, so every count is 0.
+    """
     if rmax < 2:
         raise EndsError("rmax must be at least 2")
     bv = ball(oracle, rmax)
-    g = bv.graph
-    sphere_ids = tuple(g.vertices[i] for i in sorted(bv.sphere))
-    radii = tuple(range(1, rmax))
+    dist = bv.dist
+    shells = [[] for _ in range(rmax + 1)]
+    for (s, _gj), d in zip(bv.edge_meta, bv.edge_dst):
+        shells[max(dist[s], dist[d])].append((s, d))
+    parent = list(range(bv.nv))
+    flagged = [False] * bv.nv
+    for i in bv.sphere:
+        flagged[i] = True
+    live = len(bv.sphere)
     counts = []
-    for r in radii:
-        removed = [
-            e
-            for (e, s, d) in g.edges
-            if bv.dist[g.vindex[s]] <= r and bv.dist[g.vindex[d]] <= r
-        ]
-        part = components(g, removed=removed, boundary=sphere_ids)
-        counts.append(sum(1 for f in part.touches_boundary if f))
-    counts = tuple(counts)
+    for r in range(rmax - 1, 0, -1):
+        for s, d in shells[r + 1]:
+            while parent[s] != s:
+                parent[s] = s = parent[parent[s]]
+            while parent[d] != d:
+                parent[d] = d = parent[parent[d]]
+            if s == d:
+                continue
+            if flagged[s]:
+                if flagged[d]:
+                    live -= 1
+                flagged[d] = True
+            parent[s] = d
+        counts.append(live)
+    radii = tuple(range(1, rmax))
+    counts = tuple(reversed(counts))
     if bv.exhausted:
         cls, witness = "zero", None
     elif all(c == 1 for c in counts):
@@ -148,13 +175,17 @@ class SplittingReport:
     tree_edges: int
     edge_orbit_count: int
     vertex_orbit_count: int
-    edge_stabilizer_orders: tuple  # full tree, word-visible max per orbit
+    # Stabilizer "orders" below are counts within the word ball, not group
+    # orders: the number of distinct elements of length <= W (identity
+    # included) that fix a vertex or edge, maximised over the orbit.  They
+    # grow with W where the true stabilizer is infinite.
+    edge_stabilizer_orders: tuple  # full tree, per edge orbit
     collapse_log: tuple  # per stage, the cut names of the collapsed orbit
     stage: object  # first fixing stage (1-based), or None
     final_edge_orbit_count: object
     final_vertex_orbit_count: object
-    final_vertex_stabilizer_orders: tuple
-    final_edge_stabilizer_order: object
+    final_vertex_stabilizer_orders: tuple  # final tree, per vertex orbit
+    final_edge_stabilizer_order: object  # final tree, its one edge orbit
     certificate: str
     diagnostics: object
     stree: object

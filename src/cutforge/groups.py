@@ -8,7 +8,9 @@ through balls of finite radius.
 
 Cayley edges are pairs (g, s) with s a generator, drawn g -> gs.  A ball of
 radius R carries every edge with both endpoints at distance <= R, plus the
-breadth-first layering that certifies those distances.
+breadth-first layering that certifies those distances.  The ball keeps its
+edges as vertex and generator indices; the Graph on element strings is
+built only when a caller asks for `BallView.graph`.
 """
 
 from __future__ import annotations
@@ -393,8 +395,13 @@ def make_oracle(spec):
 
 
 class BallView:
-    """Cayley ball of radius R: a Graph on element strings, the aligned
-    element list, breadth-first distances, and the sphere (distance == R).
+    """Cayley ball of radius R: the element list, breadth-first distances,
+    the sphere (distance == R), and the Cayley edges as index data:
+    edge_meta[k] = (source index, generator index) and edge_dst[k] = target
+    index, in (source, generator) order.
+
+    The Graph on element strings (`graph`) is built on first access, so
+    balls that only count ends never name their elements.
 
     exhausted is True when the group ran out before radius R (finite group);
     then the ball is the whole Cayley graph and the sphere is empty.
@@ -403,31 +410,50 @@ class BallView:
     __slots__ = (
         "oracle",
         "radius",
-        "graph",
         "elements",
         "el_to_idx",
         "dist",
         "sphere",
         "exhausted",
         "edge_meta",
+        "edge_dst",
+        "_graph",
         "_edge_of",
     )
 
-    def __init__(self, oracle, radius, graph, elements, dist, sphere, exhausted, edge_meta):
+    def __init__(self, oracle, radius, elements, el_to_idx, dist, sphere,
+                 exhausted, edge_meta, edge_dst):
         self.oracle = oracle
         self.radius = radius
-        self.graph = graph
         self.elements = elements
-        self.el_to_idx = {el: i for i, el in enumerate(elements)}
+        self.el_to_idx = el_to_idx  # element -> index into elements
         self.dist = dist
         self.sphere = sphere  # frozenset of vertex indices
         self.exhausted = exhausted
         self.edge_meta = edge_meta  # per edge: (src_vertex_idx, gen_idx)
+        self.edge_dst = edge_dst  # per edge: dst_vertex_idx
+        self._graph = None  # see graph
         self._edge_of = None  # inverse of edge_meta, see edge_index
 
     @property
     def nv(self):
-        return self.graph.nv
+        return len(self.elements)
+
+    @property
+    def graph(self):
+        """Graph on el_str names with edge ids "source|generator", in edge
+        order; built on first access and cached."""
+        if self._graph is None:
+            names = [self.oracle.el_str(el) for el in self.elements]
+            gens = self.oracle.generators()
+            self._graph = Graph(
+                names,
+                [
+                    ("%s|%s" % (names[i], gens[gj][0]), names[i], names[d])
+                    for (i, gj), d in zip(self.edge_meta, self.edge_dst)
+                ],
+            )
+        return self._graph
 
     def sphere_mask(self):
         m = 0
@@ -484,30 +510,31 @@ def ball(oracle, radius, cap=None):
         if not frontier:
             exhausted = True
             break
-    idx = {el: i for i, el in enumerate(order)}
-    names = [oracle.el_str(el) for el in order]
-    gens = oracle.generators()
-    edges = []
+    idx = dict(zip(order, range(len(order))))
+    gens = [g for _name, g in oracle.generators()]
     edge_meta = []
+    edge_dst = []
     for i, el in enumerate(order):
-        for gj, (gname, g) in enumerate(gens):
-            img = oracle.multiply(el, g)
-            if img in idx:
-                edges.append(("%s|%s" % (names[i], gname), names[i], names[idx[img]]))
+        for gj, g in enumerate(gens):
+            j = idx.get(oracle.multiply(el, g))
+            if j is not None:
                 edge_meta.append((i, gj))
-    graph = Graph(names, edges)
-    sphere = frozenset(i for i, el in enumerate(order) if dist[el] == radius)
+                edge_dst.append(j)
+    # breadth-first order: the last frontier is the sphere, a suffix of order
     if exhausted:
         sphere = frozenset()
+    else:
+        sphere = frozenset(range(len(order) - len(frontier), len(order)))
     return BallView(
         oracle,
         radius,
-        graph,
         tuple(order),
-        tuple(dist[el] for el in order),
+        idx,
+        tuple(dist.values()),  # dist was filled in the order of `order`
         sphere,
         exhausted,
         tuple(edge_meta),
+        tuple(edge_dst),
     )
 
 

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import cutforge.groups
 from cutforge.cuts import (
     Cut,
     CutError,
@@ -15,7 +18,7 @@ from cutforge.cuts import (
     sym_diff,
 )
 from cutforge.graphs import Graph
-from cutforge.groups import ZdOracle, ball
+from cutforge.groups import FreeOracle, FreeProductOracle, ZdOracle, ball
 
 
 def c4():
@@ -116,6 +119,21 @@ def test_flip_equals_crossing_sources():
     assert flip & ~valid == 0
     assert flip == crossing_sources(bv, a.bits, 0)
     assert flip.bit_count() == 1  # only g = 0 has g in A, gx not in A
+
+
+def test_crossing_sources_read_index_edges(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("crossing_sources built a string graph")
+
+    monkeypatch.setattr(cutforge.groups, "Graph", refuse)
+    rng = random.Random(8)
+    for oracle in (ZdOracle(2), FreeOracle(2), FreeProductOracle([2, 3])):
+        bv = ball(oracle, 3)
+        for _ in range(5):
+            bits = rng.getrandbits(bv.nv)
+            for gi, (_name, g) in enumerate(oracle.generators()):
+                flip, _valid = right_flip_bits(bv, bits, g)
+                assert crossing_sources(bv, bits, gi) == flip
 
 
 def test_right_stability_certificates():

@@ -1,5 +1,7 @@
 import pytest
 
+import cutforge.ends
+import cutforge.groups
 from cutforge.cuts import cut_from_members
 from cutforge.ends import (
     EndsError,
@@ -7,6 +9,7 @@ from cutforge.ends import (
     ends_profile,
     splitting_pipeline,
 )
+from cutforge.graphs import components
 from cutforge.groups import (
     FreeOracle,
     FreeProductOracle,
@@ -122,3 +125,56 @@ def test_no_balanced_cut_names_stage_limit_and_remedy():
     assert "generator edge classes" in msg and "radius-2 balls" in msg
     assert "two sides that touch the sphere" in msg
     assert "one-ended group such as zd:2" in msg and "--radius" in msg
+
+
+def _counts_by_components(oracle, rmax):
+    """One full components pass per radius over the string graph, flagging
+    the blocks that touch the sphere: the per-radius count that the
+    union-find sweep in ends_profile replaces."""
+    bv = ball(oracle, rmax)
+    g = bv.graph
+    sphere_ids = [g.vertices[i] for i in sorted(bv.sphere)]
+    out = []
+    for r in range(1, rmax):
+        removed = [
+            e
+            for (e, s, d) in g.edges
+            if bv.dist[g.vindex[s]] <= r and bv.dist[g.vindex[d]] <= r
+        ]
+        part = components(g, removed=removed, boundary=sphere_ids)
+        out.append(sum(1 for f in part.touches_boundary if f))
+    return tuple(out)
+
+
+ENDS_WITNESS_GROUPS = {
+    "zd:1": lambda: ZdOracle(1),
+    "zd:2": lambda: ZdOracle(2),
+    "zd:3": lambda: ZdOracle(3),
+    "free:1": lambda: FreeOracle(1),
+    "free:2": lambda: FreeOracle(2),
+    "fp(2,2)": lambda: FreeProductOracle([2, 2]),
+    "fp(2,3)": lambda: FreeProductOracle([2, 3]),
+    "fp(3,3)": lambda: FreeProductOracle([3, 3]),
+    "fp(2,2,2)": lambda: FreeProductOracle([2, 2, 2]),
+    "z6": z6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDS_WITNESS_GROUPS))
+def test_sweep_counts_equal_per_radius_components(name):
+    oracle = ENDS_WITNESS_GROUPS[name]()
+    for rmax in range(2, 8):
+        p = ends_profile(oracle, rmax)
+        assert p.radii == tuple(range(1, rmax))
+        assert p.counts == _counts_by_components(oracle, rmax), (name, rmax)
+
+
+def test_ends_profile_needs_no_string_graph(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("ends_profile built a string graph")
+
+    monkeypatch.setattr(cutforge.groups, "Graph", refuse)
+    monkeypatch.setattr(cutforge.ends, "components", refuse)
+    p = ends_profile(FreeOracle(2), 6)
+    assert p.classification == "infinitely_many"
+    assert p.counts == tuple(4 * 3 ** (r - 1) for r in p.radii)

@@ -1,5 +1,6 @@
 import pytest
 
+from cutforge.graphs import Graph
 from cutforge.groups import (
     FreeOracle,
     FreeProductOracle,
@@ -70,6 +71,35 @@ def test_free_ball_is_tree():
     assert bv.nv == 17 and bv.graph.ne == 16
     assert len(bv.sphere) == 12
     assert not bv.exhausted
+
+
+@pytest.mark.parametrize(
+    "oracle, radius",
+    [
+        (ZdOracle(2), 3),
+        (FreeOracle(2), 3),
+        (FreeProductOracle([2, 3]), 5),
+        (z6(), 4),  # exhausted: the ball is the whole Cayley graph
+        (FreeOracle(2), 0),
+    ],
+)
+def test_lazy_graph_matches_names_and_edge_ids(oracle, radius):
+    bv = ball(oracle, radius)
+    names = [oracle.el_str(el) for el in bv.elements]
+    gens = oracle.generators()
+    edges = []
+    for i, el in enumerate(bv.elements):
+        for name, g in gens:
+            j = bv.el_to_idx.get(oracle.multiply(el, g))
+            if j is not None:
+                edges.append(("%s|%s" % (names[i], name), names[i], names[j]))
+    want = Graph(names, edges)
+    got = bv.graph
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert bv.graph is got  # cached after the first access
+    assert bv.nv == got.nv == len(bv.elements)
+    assert len(bv.edge_meta) == len(bv.edge_dst) == got.ne
 
 
 def test_edge_table_matches_edge_names():
