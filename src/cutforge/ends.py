@@ -5,12 +5,12 @@ built-in families by counting residual components of a large ball after the
 edges of a smaller ball are deleted; a component is flagged infinite when it
 reaches the outer sphere.  `ends_profile` gets every radius from one
 union-find sweep over the ball's index edges, shell by shell from the
-outside in, and never builds the ball's string graph.  A balanced cut is one infinite side of a small
-central edge set.  The pipeline pushes such a cut through its word orbit,
-the measure sieve, and the paired tree, then collapses partial edge orbits
-one at a time until the remaining evidence first pins down a fixed vertex;
-the orbit collapsed at that stage is the edge set of the reported one-orbit
-tree.
+outside in, and never builds the ball's string graph.  A balanced cut is
+one infinite side of a small central edge set.  The pipeline pushes such a
+cut through its word orbit, the measure sieve, and the paired tree, then
+collapses partial edge orbits one at a time until the remaining evidence
+first pins down a fixed vertex; the orbit collapsed at that stage is the
+edge set of the reported one-orbit tree.
 """
 
 from __future__ import annotations

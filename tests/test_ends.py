@@ -128,9 +128,8 @@ def test_no_balanced_cut_names_stage_limit_and_remedy():
 
 
 def _counts_by_components(oracle, rmax):
-    """One full components pass per radius over the string graph, flagging
-    the blocks that touch the sphere: the per-radius count that the
-    union-find sweep in ends_profile replaces."""
+    """Reference counts: one full components pass per radius over the
+    string graph, counting the blocks that touch the sphere."""
     bv = ball(oracle, rmax)
     g = bv.graph
     sphere_ids = [g.vertices[i] for i in sorted(bv.sphere)]
