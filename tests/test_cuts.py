@@ -17,8 +17,14 @@ from cutforge.cuts import (
     right_flip_bits,
     sym_diff,
 )
-from cutforge.graphs import Graph
-from cutforge.groups import FreeOracle, FreeProductOracle, ZdOracle, ball
+from cutforge.graphs import Graph, components
+from cutforge.groups import (
+    FreeOracle,
+    FreeProductOracle,
+    TableOracle,
+    ZdOracle,
+    ball,
+)
 
 
 def c4():
@@ -186,3 +192,123 @@ def test_closure_cap_names_stage_limit_and_remedy():
         r"smaller --words\)$",
     ):
         boolean_closure(cuts)
+
+
+ESCAPES = "radius too small: translated coboundary escapes the ball"
+NOT_INTERIOR = "radius too small: translated coboundary not interior"
+UNDECIDABLE = "radius too small: a fringe component is undecidable"
+INCONSISTENT = "translated cut is inconsistent on a component"
+
+
+def reference_act_left(bv, g, bits):
+    """Left translation on the ball's string graph: map each coboundary
+    edge "x|s" to "gx|s" by name, require the images to be interior, and
+    fill each component of the ball minus the images from the preimages it
+    holds.  Returns the translated bits, or the CutError message."""
+    o = bv.oracle
+    graph = bv.graph
+    idx = graph.vindex
+    images = []
+    for (e, s, d) in graph.edges:
+        if ((bits >> idx[s]) & 1) == ((bits >> idx[d]) & 1):
+            continue
+        src = bv.el_to_idx.get(o.multiply(g, bv.elements[idx[s]]))
+        img = None
+        if src is not None:
+            img = "%s|%s" % (graph.vertices[src], e.rsplit("|", 1)[1])
+        if img not in graph.eindex:
+            return ESCAPES
+        images.append(img)
+    limit = bv.radius if bv.exhausted else bv.radius - 1
+    for img in images:
+        _e, s, d = graph.edges[graph.eindex[img]]
+        if bv.dist[idx[s]] > limit or bv.dist[idx[d]] > limit:
+            return NOT_INTERIOR
+    ginv = o.invert(g)
+    out = 0
+    for block in components(graph, removed=images).blocks:
+        sides = set()
+        for v in block:
+            j = bv.el_to_idx.get(o.multiply(ginv, bv.elements[idx[v]]))
+            if j is not None:
+                sides.add((bits >> j) & 1)
+        if not sides:
+            return UNDECIDABLE
+        if len(sides) > 1:
+            return INCONSISTENT
+        if sides == {1}:
+            for v in block:
+                out |= 1 << idx[v]
+    return out
+
+
+def cyclic(n):
+    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return TableOracle([str(i) for i in range(n)], mul, ["1"])
+
+
+def sample_bits(rng, bv):
+    """Bit sets whose coboundary is interior: all of them on a ball of at
+    most 8 vertices; otherwise uniformly random sets (small balls accept
+    some), and random sets on the ball of a random inner radius that are
+    constant outside it."""
+    if bv.nv <= 8:
+        candidates = range(1 << bv.nv)
+    else:
+        candidates = [0, (1 << bv.nv) - 1]
+    out = []
+    for bits in candidates:
+        try:
+            out.append(Cut(bv, bits).bits)
+        except CutError:
+            pass
+    for attempt in range(400):
+        if len(out) >= 12:
+            break
+        if attempt % 2:
+            bits = rng.getrandbits(bv.nv)
+        else:
+            r0 = rng.randint(0, bv.radius)
+            bits = ((1 << bv.nv) - 1) * rng.getrandbits(1)
+            for i in range(bv.nv):
+                if bv.dist[i] <= r0:
+                    bits = (bits & ~(1 << i)) | (rng.getrandbits(1) << i)
+        try:
+            out.append(Cut(bv, bits).bits)
+        except CutError:
+            pass
+    return out
+
+
+def test_act_left_cut_matches_string_graph_reference():
+    rng = random.Random(9)
+    balls = [
+        ball(ZdOracle(1), 4),
+        ball(ZdOracle(2), 3),
+        ball(FreeOracle(2), 3),
+        ball(FreeProductOracle([2, 3]), 4),
+        ball(FreeProductOracle([2, 2, 2]), 3),
+        ball(cyclic(6), 4),  # exhausted: the whole Cayley graph
+        # a path that misses 4, so a translate can wrap around it
+        ball(cyclic(8), 3),
+        ball(FreeOracle(2), 0),  # every nontrivial translate is blind
+    ]
+    messages = set()
+    translated = 0
+    for bv in balls:
+        words = bv.oracle.words_up_to(2)
+        for bits in sample_bits(rng, bv):
+            cut = Cut(bv, bits)
+            for el, _word in words:
+                want = reference_act_left(bv, el, bits)
+                try:
+                    got = act_left_cut(bv, el, cut).bits
+                except CutError as exc:
+                    got = str(exc)
+                assert got == want, (bv.oracle.kind, bv.radius, bits, el)
+                if isinstance(want, str):
+                    messages.add(want)
+                else:
+                    translated += 1
+    assert messages == {ESCAPES, NOT_INTERIOR, UNDECIDABLE, INCONSISTENT}
+    assert translated

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutforge.graphs import (
@@ -93,3 +95,56 @@ def test_json_round_trip_preserves_order():
     rt = graph_from_json_dict(graph_to_json_dict(g))
     assert rt.vertices == g.vertices
     assert rt.edges == g.edges
+
+
+def reference_components(g, removed, boundary):
+    """Depth-first components of g minus the removed edge ids: blocks of
+    vertex ids sorted by index, least member first, each flagged when it
+    holds a boundary vertex."""
+    removed = set(removed)
+    seen = set()
+    blocks, flags = [], []
+    for start in range(g.nv):
+        if start in seen:
+            continue
+        seen.add(start)
+        block, stack = [start], [start]
+        while stack:
+            u = stack.pop()
+            for k, (e, s, d) in enumerate(g.edges):
+                if e in removed:
+                    continue
+                for a, b in ((s, d), (d, s)):
+                    w = g.vindex[b]
+                    if g.vindex[a] == u and w not in seen:
+                        seen.add(w)
+                        block.append(w)
+                        stack.append(w)
+        block.sort()
+        blocks.append(tuple(g.vertices[i] for i in block))
+        flags.append(any(g.vertices[i] in boundary for i in block))
+    return tuple(blocks), tuple(flags)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_depth_first_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        nv = rng.randint(1, 12)
+        vertices = ["v%d" % i for i in range(nv)]
+        rng.shuffle(vertices)
+        edges = []
+        for k in range(rng.randint(0, 2 * nv)):
+            s = rng.choice(vertices)
+            # loops and parallel edges on purpose
+            d = s if rng.random() < 0.15 else rng.choice(vertices)
+            edges.append(("e%d" % k, s, d))
+            if rng.random() < 0.15:
+                edges.append(("p%d" % k, d, s))
+        g = Graph(vertices, edges)
+        removed = [e for (e, _s, _d) in edges if rng.random() < 0.3]
+        boundary = [v for v in vertices if rng.random() < 0.2]
+        part = components(g, removed=removed, boundary=boundary)
+        blocks, flags = reference_components(g, removed, set(boundary))
+        assert part.blocks == blocks
+        assert part.touches_boundary == flags
