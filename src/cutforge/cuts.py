@@ -6,14 +6,19 @@ the hot loop downstream).  On ball universes a Cut carries the interior
 contract: every coboundary edge has both endpoints at distance <= R-1, so
 corner emptiness and nestedness decided on the trace are exact for the
 half-space families the pipeline produces.
+
+A Graph and a BallView both carry `nv` and `index_edges`, the (source,
+target) vertex index pair of every edge, and cuts are built, checked and
+translated on those alone.  Edge and vertex ids are read from the string
+graph only where they are printed or parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components
-from .groups import BallView, ball as make_ball, left_edge_image
+from .graphs import Graph, index_classes
+from .groups import BallView, ball as make_ball
 
 MAX_CLOSURE_GENERATORS = 12
 MAX_ENUMERATED_ATOMS = 20
@@ -32,7 +37,9 @@ def universe_graph(universe):
 
 
 def full_mask(universe):
-    return (1 << universe_graph(universe).nv) - 1
+    if not isinstance(universe, (BallView, Graph)):
+        raise CutError("universe must be a Graph or a BallView")
+    return (1 << universe.nv) - 1
 
 
 def bits_of_members(universe, members):
@@ -50,25 +57,28 @@ def members_of_bits(universe, bits):
     return tuple(g.vertices[i] for i in range(g.nv) if (bits >> i) & 1)
 
 
-def coboundary_indices(graph, bits):
+def _sides(bits, n):
+    """Per-vertex membership characters '0' / '1' of a bit set."""
+    return format(bits, "0%db" % n)[::-1]
+
+
+def coboundary_indices(universe, bits):
     """Indices of edges with exactly one endpoint in the bit set."""
-    out = []
-    for k, (_e, s, d) in enumerate(graph.edges):
-        si, di = graph.vindex[s], graph.vindex[d]
-        if ((bits >> si) & 1) != ((bits >> di) & 1):
-            out.append(k)
-    return out
+    side = _sides(bits, universe.nv)
+    return [k for k, (s, d) in enumerate(universe.index_edges) if side[s] != side[d]]
 
 
 def _check_interior(universe, bits):
     if not isinstance(universe, BallView):
         return
-    g = universe.graph
     limit = universe.radius - 1
-    for k in coboundary_indices(g, bits):
-        _e, s, d = g.edges[k]
-        if universe.dist[g.vindex[s]] > limit or universe.dist[g.vindex[d]] > limit:
-            raise CutError("interior-coboundary violated: edge %r" % (_e,))
+    dist = universe.dist
+    for k in coboundary_indices(universe, bits):
+        s, d = universe.index_edges[k]
+        if dist[s] > limit or dist[d] > limit:
+            raise CutError(
+                "interior-coboundary violated: edge %r" % (universe.graph.edges[k][0],)
+            )
 
 
 class Cut:
@@ -78,8 +88,7 @@ class Cut:
     __slots__ = ("universe", "bits", "name", "_cob")
 
     def __init__(self, universe, bits, name=None):
-        g = universe_graph(universe)
-        if bits < 0 or bits >> g.nv:
+        if bits < 0 or bits > full_mask(universe):
             raise CutError("member bits out of range for universe")
         _check_interior(universe, bits)
         self.universe = universe
@@ -102,7 +111,7 @@ class Cut:
         if self._cob is None:
             g = universe_graph(self.universe)
             self._cob = tuple(
-                g.edges[k][0] for k in coboundary_indices(g, self.bits)
+                g.edges[k][0] for k in coboundary_indices(self.universe, self.bits)
             )
         return frozenset(self._cob)
 
@@ -133,7 +142,7 @@ def coboundary(universe, members_or_cut):
     bits = bits_of_members(universe, members_or_cut)
     _check_interior(universe, bits)
     g = universe_graph(universe)
-    return frozenset(g.edges[k][0] for k in coboundary_indices(g, bits))
+    return frozenset(g.edges[k][0] for k in coboundary_indices(universe, bits))
 
 
 def sym_diff(a, b):
@@ -330,11 +339,10 @@ def right_flip_bits(bv, bits, s_element):
 def crossing_sources(bv, bits, gen_index):
     """Sources x of Cayley edges (x, s) that cross the bit set, for the
     generator with the given index."""
+    side = _sides(bits, bv.nv)
     out = 0
-    for (src_i, gj), di in zip(bv.edge_meta, bv.edge_dst):
-        if gj != gen_index:
-            continue
-        if ((bits >> src_i) & 1) != ((bits >> di) & 1):
+    for (src_i, di), gj in zip(bv.index_edges, bv.edge_gen):
+        if gj == gen_index and side[src_i] != side[di]:
             out |= 1 << src_i
     return out
 
@@ -385,51 +393,52 @@ def is_almost_right_stable(bv, cut, probe_radius=None):
 def act_left_cut(bv, g, cut, name=None):
     """Left translate of an interior-coboundary cut, as a cut of the same
     ball.  The translated coboundary must stay interior; membership on the
-    fringe (where g^-1 x escapes) is filled in per residual component."""
+    fringe (where g^-1 x escapes) is filled in per residual component.
+
+    One pass over the ball's index edges, with pre[i] the index of
+    g^-1 x_i (None when it escapes).  An edge whose two preimages are known
+    and lie on opposite sides is the image of a coboundary edge.  Left
+    translation is a bijection on Cayley edges, and a ball edge whose
+    endpoints have preimages in the ball is the image of a ball edge, so
+    the translated coboundary stays in the ball exactly when there are as
+    many such edges as coboundary edges.  Every other edge joins the
+    residual components."""
     if cut.universe is not bv:
         raise CutError("cut does not live on this ball")
     o = bv.oracle
-    graph = bv.graph
-    img_edges = []
-    for k in coboundary_indices(graph, cut.bits):
-        k2 = left_edge_image(bv, g, k)
-        if k2 is None:
-            raise CutError(
-                "radius too small: translated coboundary escapes the ball"
-            )
-        img_edges.append(k2)
-    limit = bv.radius - 1 if not bv.exhausted else bv.radius
-    for k2 in img_edges:
-        _e, s, d = graph.edges[k2]
-        if bv.dist[graph.vindex[s]] > limit or bv.dist[graph.vindex[d]] > limit:
-            raise CutError("radius too small: translated coboundary not interior")
     ginv = o.invert(g)
-    known = 0
-    known_bits = 0
-    for i, el in enumerate(bv.elements):
-        pre = o.multiply(ginv, el)
-        j = bv.el_to_idx.get(pre)
-        if j is None:
-            continue
-        known |= 1 << i
-        if (cut.bits >> j) & 1:
-            known_bits |= 1 << i
-    removed = [graph.edges[k2][0] for k2 in img_edges]
-    part = components(graph, removed=removed)
-    bits = 0
-    for block in part.blocks:
-        bmask = 0
-        for v in block:
-            bmask |= 1 << graph.vindex[v]
-        probe = bmask & known
-        if probe == 0:
+    get = bv.el_to_idx.get
+    pre = [get(o.multiply(ginv, el)) for el in bv.elements]
+    side = _sides(cut.bits, bv.nv)
+    dist = bv.dist
+    limit = bv.radius - 1 if not bv.exhausted else bv.radius
+    n_cob = n_img = 0
+    exposed = False
+    rest = []
+    for s, d in bv.index_edges:
+        if side[s] != side[d]:
+            n_cob += 1
+        ps, pd = pre[s], pre[d]
+        if ps is None or pd is None or side[ps] == side[pd]:
+            rest.append((s, d))
+        else:
+            n_img += 1
+            exposed = exposed or dist[s] > limit or dist[d] > limit
+    if n_img != n_cob:
+        raise CutError("radius too small: translated coboundary escapes the ball")
+    if exposed:
+        raise CutError("radius too small: translated coboundary not interior")
+    out = ["0"] * bv.nv
+    for block in index_classes(bv.nv, rest):
+        sides = {side[pre[i]] for i in block if pre[i] is not None}
+        if not sides:
             raise CutError("radius too small: a fringe component is undecidable")
-        inside = probe & known_bits
-        if inside == probe:
-            bits |= bmask
-        elif inside != 0:
+        if len(sides) > 1:
             raise CutError("translated cut is inconsistent on a component")
-    return Cut(bv, bits, name)
+        if "1" in sides:
+            for i in block:
+                out[i] = "1"
+    return Cut(bv, int("".join(reversed(out)), 2), name)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import trees
-from .cuts import cut_from_members, full_mask, orbit_cuts
-from .graphs import components
+from .cuts import Cut, full_mask, orbit_cuts
+from .graphs import index_classes
 from .groups import ball
 from .series import certified_length
 from .sieve import select_nested_generating
@@ -67,7 +67,7 @@ def ends_profile(oracle, rmax=DEFAULT_RADIUS):
     bv = ball(oracle, rmax)
     dist = bv.dist
     shells = [[] for _ in range(rmax + 1)]
-    for (s, _gj), d in zip(bv.edge_meta, bv.edge_dst):
+    for s, d in bv.index_edges:
         shells[max(dist[s], dist[d])].append((s, d))
     parent = list(range(bv.nv))
     flagged = [False] * bv.nv
@@ -110,42 +110,31 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
     bv = ball(oracle, radius)
     if bv.exhausted:
         raise EndsError("no balanced cut: the group is finite")
-    g = bv.graph
-    sphere_ids = tuple(g.vertices[i] for i in sorted(bv.sphere))
+    edges = bv.index_edges
+    dist = bv.dist
     candidates = []
-    ident_id = g.vertices[0]
     for _name, gel in oracle.generators():
-        target_id = g.vertices[bv.el_to_idx[gel]]
-        cls = [
-            e
-            for (e, s, d) in g.edges
-            if {s, d} == {ident_id, target_id}
-        ]
-        candidates.append(cls)
+        pair = {0, bv.el_to_idx[gel]}  # the identity has index 0
+        candidates.append({k for k, (s, d) in enumerate(edges) if {s, d} == pair})
     for r in (1, 2):
         if r > radius - 1:
             break
         candidates.append(
-            [
-                e
-                for (e, s, d) in g.edges
-                if bv.dist[g.vindex[s]] <= r and bv.dist[g.vindex[d]] <= r
-            ]
+            {k for k, (s, d) in enumerate(edges) if dist[s] <= r and dist[d] <= r}
         )
     for cls in candidates:
         if not cls:
             continue
-        part = components(g, removed=cls, boundary=sphere_ids)
-        flagged = [
-            b for b, f in zip(part.blocks, part.touches_boundary) if f
-        ]
+        blocks = index_classes(bv.nv, [p for k, p in enumerate(edges) if k not in cls])
+        flagged = [b for b in blocks if not bv.sphere.isdisjoint(b)]
         if len(flagged) < 2:
             continue
-        members = set(flagged[0])
-        for b, f in zip(part.blocks, part.touches_boundary):
-            if not f:
-                members.update(b)
-        cut = cut_from_members(bv, members, name="A")
+        bits = 0
+        for b in blocks:
+            if b is flagged[0] or bv.sphere.isdisjoint(b):
+                for i in b:
+                    bits |= 1 << i
+        cut = Cut(bv, bits, name="A")
         full = full_mask(bv)
         sm = bv.sphere_mask()
         if not (cut.bits & sm) or not ((full ^ cut.bits) & sm):

@@ -1,9 +1,13 @@
 """Finite multigraphs with explicit edge identities.
 
 Edges are first class: parallel edges and loops are allowed, and incidence
-is a pair of maps edge -> vertex (src, dst).  Everything is immutable after
-construction, and every derived order (components, collapses, DOT output)
-follows input order, so downstream artifacts are reproducible byte for byte.
+is a pair of maps edge -> vertex (src, dst), kept once as the vertex index
+pairs `index_edges` (a Cayley ball keeps the same field, so cuts read both
+alike).  Everything is immutable after construction, and every derived
+order (components, collapses, DOT output) follows input order, so
+downstream artifacts are reproducible byte for byte.  Components,
+collapses, the forest test and the orbits of tree actions share one
+union-find, `index_classes` (Tarjan, 1975).
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ class Graph:
 
     vertices: tuple of vertex ids, in input order.
     edges: tuple of (edge_id, src_id, dst_id) triples, in input order.
+    index_edges: the aligned (src index, dst index) pairs.
     """
 
-    __slots__ = ("vertices", "edges", "vindex", "eindex", "darts")
+    __slots__ = ("vertices", "edges", "vindex", "eindex", "index_edges", "darts")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -36,6 +41,7 @@ class Graph:
                 raise GraphError("duplicate vertex id: %r" % (v,))
             self.vindex[v] = i
         self.eindex = {}
+        pairs = []
         for k, (e, s, d) in enumerate(self.edges):
             if e in self.eindex:
                 raise GraphError("duplicate edge id: %r" % (e,))
@@ -46,11 +52,12 @@ class Graph:
             if d not in self.vindex:
                 raise GraphError("edge %r has dangling dst %r" % (e, d))
             self.eindex[e] = k
-        # darts[v] = list of (other_vertex_index, edge_index, direction);
+            pairs.append((self.vindex[s], self.vindex[d]))
+        self.index_edges = tuple(pairs)
+        # darts[v] = list of (other vertex index, edge index, direction);
         # a loop contributes two darts at its vertex.
         darts = [[] for _ in self.vertices]
-        for k, (e, s, d) in enumerate(self.edges):
-            si, di = self.vindex[s], self.vindex[d]
+        for k, (si, di) in enumerate(self.index_edges):
             darts[si].append((di, k, FORWARD))
             darts[di].append((si, k, INVERSE))
         self.darts = tuple(tuple(ds) for ds in darts)
@@ -86,6 +93,33 @@ class ComponentPartition:
         raise GraphError("vertex %r not in partition" % (vid,))
 
 
+def index_classes(n, pairs):
+    """Classes of range(n) under the equivalence the (i, j) pairs generate,
+    least member first, each sorted.  A union hangs the larger root under
+    the smaller, so every parent index is below its child's and one
+    ascending pass reads off the classes."""
+    parent = list(range(n))
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    classes = []
+    for i, p in enumerate(parent):
+        if p == i:
+            parent[i] = len(classes)
+            classes.append([i])
+        else:
+            # parent[p], p < i, was set above to the class of p's root
+            parent[i] = parent[p]
+            classes[parent[i]].append(i)
+    return tuple(map(tuple, classes))
+
+
 def components(g, removed=(), boundary=()):
     """Connected components of g with the edges in `removed` deleted.
 
@@ -97,30 +131,16 @@ def components(g, removed=(), boundary=()):
         if e not in g.eindex:
             raise GraphError("removed edge %r not in graph" % (e,))
         removed_idx.add(g.eindex[e])
-    boundary_idx = set()
-    for v in boundary:
-        boundary_idx.add(g.vindex[v])
-    seen = [False] * g.nv
-    blocks = []
-    flags = []
-    for start in range(g.nv):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for (w, k, _dir) in g.darts[u]:
-                if k in removed_idx or seen[w]:
-                    continue
-                seen[w] = True
-                block.append(w)
-                stack.append(w)
-        block.sort()
-        blocks.append(tuple(g.vertices[i] for i in block))
-        flags.append(any(i in boundary_idx for i in block))
-    return ComponentPartition(tuple(blocks), tuple(flags))
+    pairs = g.index_edges
+    if removed_idx:
+        pairs = [p for k, p in enumerate(pairs) if k not in removed_idx]
+    boundary_idx = {g.vindex[v] for v in boundary}
+    classes = index_classes(g.nv, pairs)
+    vs = g.vertices
+    return ComponentPartition(
+        tuple(tuple(vs[i] for i in c) for c in classes),
+        tuple(not boundary_idx.isdisjoint(c) for c in classes),
+    )
 
 
 def collapse(g, collapsed):
@@ -136,35 +156,23 @@ def collapse_blocks(g, collapsed):
     for e in collapsed:
         if e not in g.eindex:
             raise GraphError("collapsed edge %r not in graph" % (e,))
-    keep = [t for t in g.edges if t[0] not in collapsed]
-    only_collapsed = [t for t in g.edges if t[0] in collapsed]
-    part = components(Graph(g.vertices, only_collapsed))
+    vs = g.vertices
     rep = {}
-    for block in part.blocks:
-        for v in block:
-            rep[v] = block[0]
-    new_vertices = [block[0] for block in part.blocks]
-    new_edges = [(e, rep[s], rep[d]) for (e, s, d) in keep]
+    for c in index_classes(g.nv, [g.index_edges[g.eindex[e]] for e in collapsed]):
+        for i in c:
+            rep[vs[i]] = vs[c[0]]
+    new_vertices = [v for v in vs if rep[v] == v]
+    new_edges = [(e, rep[s], rep[d]) for (e, s, d) in g.edges if e not in collapsed]
     return Graph(new_vertices, new_edges), rep
 
 
 def is_forest(g):
-    part = components(g)
-    # count edges per block; acyclic iff |E_c| = |V_c| - 1 everywhere
-    where = {}
-    for i, block in enumerate(part.blocks):
-        for v in block:
-            where[v] = i
-    counts = [0] * len(part.blocks)
-    for (_e, s, _d) in g.edges:
-        counts[where[s]] += 1
-    return all(counts[i] == len(part.blocks[i]) - 1 for i in range(len(part.blocks)))
+    # acyclic iff every component has one edge fewer than vertices
+    return g.ne == g.nv - len(index_classes(g.nv, g.index_edges))
 
 
 def is_tree(g):
-    if g.nv == 0:
-        return False
-    return g.ne == g.nv - 1 and len(components(g).blocks) == 1
+    return g.nv > 0 and g.ne == g.nv - 1 and is_forest(g)
 
 
 @dataclass(frozen=True)

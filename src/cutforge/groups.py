@@ -9,8 +9,10 @@ through balls of finite radius.
 Cayley edges are pairs (g, s) with s a generator, drawn g -> gs.  A ball of
 radius R carries every edge with both endpoints at distance <= R, plus the
 breadth-first layering that certifies those distances.  The ball keeps its
-edges as vertex and generator indices; the Graph on element strings is
-built only when a caller asks for `BallView.graph`.
+edges as (source, target) vertex index pairs with aligned generator
+indices, the same `index_edges` form a Graph has; the Graph on element
+strings is built only when a caller asks for `BallView.graph`.  Left
+translation of cuts reads the index pairs (see `cuts.act_left_cut`).
 """
 
 from __future__ import annotations
@@ -397,11 +399,12 @@ def make_oracle(spec):
 class BallView:
     """Cayley ball of radius R: the element list, breadth-first distances,
     the sphere (distance == R), and the Cayley edges as index data:
-    edge_meta[k] = (source index, generator index) and edge_dst[k] = target
-    index, in (source, generator) order.
+    index_edges[k] = (source index, target index) and edge_gen[k] = the
+    generator index, in (source, generator) order.  These are the
+    index_edges of `graph`, so cuts read a ball and a Graph alike.
 
     The Graph on element strings (`graph`) is built on first access, so
-    balls that only count ends never name their elements.
+    balls that only count ends or translate cuts never name their elements.
 
     exhausted is True when the group ran out before radius R (finite group);
     then the ball is the whole Cayley graph and the sphere is empty.
@@ -415,14 +418,13 @@ class BallView:
         "dist",
         "sphere",
         "exhausted",
-        "edge_meta",
-        "edge_dst",
+        "index_edges",
+        "edge_gen",
         "_graph",
-        "_edge_of",
     )
 
     def __init__(self, oracle, radius, elements, el_to_idx, dist, sphere,
-                 exhausted, edge_meta, edge_dst):
+                 exhausted, index_edges, edge_gen):
         self.oracle = oracle
         self.radius = radius
         self.elements = elements
@@ -430,10 +432,9 @@ class BallView:
         self.dist = dist
         self.sphere = sphere  # frozenset of vertex indices
         self.exhausted = exhausted
-        self.edge_meta = edge_meta  # per edge: (src_vertex_idx, gen_idx)
-        self.edge_dst = edge_dst  # per edge: dst_vertex_idx
+        self.index_edges = index_edges  # per edge: (src_vertex_idx, dst_vertex_idx)
+        self.edge_gen = edge_gen  # per edge: gen_idx
         self._graph = None  # see graph
-        self._edge_of = None  # inverse of edge_meta, see edge_index
 
     @property
     def nv(self):
@@ -450,7 +451,7 @@ class BallView:
                 names,
                 [
                     ("%s|%s" % (names[i], gens[gj][0]), names[i], names[d])
-                    for (i, gj), d in zip(self.edge_meta, self.edge_dst)
+                    for (i, d), gj in zip(self.index_edges, self.edge_gen)
                 ],
             )
         return self._graph
@@ -460,14 +461,6 @@ class BallView:
         for i in self.sphere:
             m |= 1 << i
         return m
-
-    def edge_index(self, src_i, gen_j):
-        """Index of the Cayley edge (src_i, gen_j), or None when it leaves
-        the ball.  The table is built on first use, so balls that are
-        never translated (ends profiles) do not hold it."""
-        if self._edge_of is None:
-            self._edge_of = {meta: k for k, meta in enumerate(self.edge_meta)}
-        return self._edge_of.get((src_i, gen_j))
 
     def index_of(self, element):
         if element not in self.el_to_idx:
@@ -479,70 +472,73 @@ class BallView:
 
 
 def ball(oracle, radius, cap=None):
+    """Breadth-first ball of the given radius.  An element inside the
+    sphere has every product with a letter formed by the search, and those
+    products lie in the ball, so its edges are recorded there; only the
+    sphere is multiplied again, in a final pass."""
     if radius < 0:
         raise GroupError("radius must be >= 0")
     cap = _vertex_cap(cap)
     e = oracle.identity()
-    dist = {e: 0}
+    idx = {e: 0}
     order = [e]
+    dist = [0]
     frontier = [e]
+    # (letter, generator index); an inverse letter has no edge of its own
     letters = []
-    for name, g in oracle.generators():
-        letters.append(g)
+    gens = [g for _name, g in oracle.generators()]
+    for gj, g in enumerate(gens):
+        letters.append((g, gj))
         gi = oracle.invert(g)
         if gi != g:
-            letters.append(gi)
+            letters.append((gi, None))
+    index_edges = []
+    edge_gen = []
     exhausted = False
+    src = 0
     for r in range(1, radius + 1):
         nxt = []
         for el in frontier:
-            for g in letters:
+            for g, gj in letters:
                 img = oracle.multiply(el, g)
-                if img not in dist:
-                    dist[img] = r
+                j = idx.get(img)
+                if j is None:
+                    j = idx[img] = len(order)
                     order.append(img)
+                    dist.append(r)
                     nxt.append(img)
                     if len(order) > cap:
                         raise GroupError(
                             "ball of radius %d exceeds vertex cap %d" % (radius, cap)
                         )
+                if gj is not None:
+                    index_edges.append((src, j))
+                    edge_gen.append(gj)
+            src += 1
         frontier = nxt
         if not frontier:
             exhausted = True
             break
-    idx = dict(zip(order, range(len(order))))
-    gens = [g for _name, g in oracle.generators()]
-    edge_meta = []
-    edge_dst = []
-    for i, el in enumerate(order):
-        for gj, g in enumerate(gens):
-            j = idx.get(oracle.multiply(el, g))
-            if j is not None:
-                edge_meta.append((i, gj))
-                edge_dst.append(j)
     # breadth-first order: the last frontier is the sphere, a suffix of order
     if exhausted:
         sphere = frozenset()
     else:
-        sphere = frozenset(range(len(order) - len(frontier), len(order)))
+        sphere = frozenset(range(src, len(order)))
+        for el in frontier:
+            for gj, g in enumerate(gens):
+                j = idx.get(oracle.multiply(el, g))
+                if j is not None:
+                    index_edges.append((src, j))
+                    edge_gen.append(gj)
+            src += 1
     return BallView(
         oracle,
         radius,
         tuple(order),
         idx,
-        tuple(dist.values()),  # dist was filled in the order of `order`
+        tuple(dist),
         sphere,
         exhausted,
-        tuple(edge_meta),
-        tuple(edge_dst),
+        tuple(index_edges),
+        tuple(edge_gen),
     )
-
-
-def left_edge_image(bv, g, edge_idx):
-    """Image of Cayley edge (h, s) under left translation: (gh, s).
-    Returns the edge index, or None if an endpoint escapes."""
-    src_i, gen_j = bv.edge_meta[edge_idx]
-    img_i = bv.el_to_idx.get(bv.oracle.multiply(g, bv.elements[src_i]))
-    if img_i is None:
-        return None
-    return bv.edge_index(img_i, gen_j)

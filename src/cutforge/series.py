@@ -104,7 +104,7 @@ def _as_bits(universe, spec_set):
     return bits_of_members(universe, spec_set)
 
 
-def _edge_index_set(universe, edge_ids):
+def _edge_indices(universe, edge_ids):
     g = universe_graph(universe)
     out = set()
     for e in edge_ids:
@@ -119,7 +119,7 @@ def _normalize_spec(universe, spec):
     if kind == "measure":
         return ("measure", _as_bits(universe, spec[1]))
     if kind == "odd":
-        return ("odd", frozenset(_edge_index_set(universe, spec[1])))
+        return ("odd", frozenset(_edge_indices(universe, spec[1])))
     if kind == "corner":
         return ("corner", _as_bits(universe, spec[1]), _as_bits(universe, spec[2]))
     raise SeriesError("unknown series spec kind %r" % (kind,))
@@ -307,8 +307,8 @@ def crossing_distance(universe, r_edges, s_edges, cap=None):
     """Minimum length of a walk that crosses both edge sets at least once.
     BFS over (vertex, crossed R?, crossed S?) states."""
     g = universe_graph(universe)
-    r_idx = _edge_index_set(universe, r_edges)
-    s_idx = _edge_index_set(universe, s_edges)
+    r_idx = _edge_indices(universe, r_edges)
+    s_idx = _edge_indices(universe, s_edges)
     if cap is None:
         cap = 2 * g.nv + 2
     seen = set()

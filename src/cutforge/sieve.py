@@ -26,9 +26,8 @@ from .cuts import (
     boolean_closure,
     full_mask,
     is_nested_bits,
-    universe_graph,
 )
-from .graphs import components
+from .graphs import index_classes
 from .series import atom_pair_table, certified_length
 from . import trees
 
@@ -167,8 +166,7 @@ def classify(algebra, L=None):
     the length-L series for the callers that print them.
     """
     universe = algebra.universe
-    g = universe_graph(universe)
-    if len(components(g).blocks) != 1:
+    if len(index_classes(universe.nv, universe.index_edges)) != 1:
         raise SieveError("measure sieve needs a connected universe")
     a = algebra.n_atoms
     if a > MAX_SIEVE_ATOMS:
@@ -183,7 +181,7 @@ def classify(algebra, L=None):
     if L < 1:
         raise SieveError("L must be >= 1")
     certified = L >= lstar
-    P = min(L, g.nv)
+    P = min(L, universe.nv)
     series = _series_by_mask(atom_pair_table(universe, algebra.atoms, P), a, P)
     full = (1 << a) - 1
     order, status = _verdicts(series, a, certified)
@@ -296,21 +294,8 @@ def select_nested_generating(cuts, L=None, action=None):
     masks = [algebra.decompose(c.bits) for c in irr]
     pos = {m: i for i, m in enumerate(masks)}
 
-    parent = list(range(len(irr)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i, m in enumerate(masks):
-        union(i, pos[full ^ m])
+    # complement pairs, then representable translates in the family
+    pairs = [(i, pos[full ^ m]) for i, m in enumerate(masks)]
     if action:
         if not hasattr(universe, "oracle"):
             raise SieveError("action data needs a ball universe")
@@ -322,11 +307,8 @@ def select_nested_generating(cuts, L=None, action=None):
                     continue
                 mm = algebra.decompose(img.bits)
                 if mm in pos:
-                    union(i, pos[mm])
-
-    classes = {}
-    for i in range(len(irr)):
-        classes.setdefault(find(i), []).append(i)
+                    pairs.append((i, pos[mm]))
+    classes = index_classes(len(irr), pairs)
     targets = [algebra.decompose(c.bits) for c in cuts]
 
     def covers(kept_indices):
@@ -334,7 +316,7 @@ def select_nested_generating(cuts, L=None, action=None):
         return all(_is_union(t, blocks) for t in targets)
 
     order = sorted(
-        classes.values(),
+        classes,
         key=lambda idxs: (
             tuple(-c for c in max(report.elements[masks[i]].series for i in idxs)),
             min(idxs),

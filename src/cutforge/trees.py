@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cuts import Cut, CutError, act_left_cut, full_mask
-from .graphs import Graph, collapse_blocks, components, is_tree
+from .cuts import Cut, CutError, act_left_cut, full_mask, universe_graph
+from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 
 SUBGROUP_ENUM_CAP = 48
 SEPARATION_SCAN_CAP = 2000
@@ -340,8 +340,6 @@ def vertex_embed(stree, universe_vertex):
     g_univ = system.cuts[0].universe if system.cuts else None
     if not system.cuts:
         return stree.graph.vertices[0]
-    from .cuts import universe_graph
-
     vi = universe_graph(g_univ).vindex[universe_vertex]
     loc = [i for i, c in enumerate(system.cuts) if (c.bits >> vi) & 1]
     if not loc:
@@ -416,34 +414,17 @@ def _agreeing_map(n, pairs):
 def _incidence_pairs(g, emap):
     """Vertex evidence of an edge map: an edge with a known image sends its
     source to the image's source and its target to the image's target."""
-    ends = [(g.vindex[s], g.vindex[d]) for (_e, s, d) in g.edges]
+    ie = g.index_edges
     for k, j in enumerate(emap):
         if j is not None:
-            yield ends[k][0], ends[j][0]
-            yield ends[k][1], ends[j][1]
+            yield ie[k][0], ie[j][0]
+            yield ie[k][1], ie[j][1]
 
 
-def _orbit_blocks(maps, n):
-    """Classes of range(n) joined by the defined images of the maps, least
-    member first; for a group action these are its orbits."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for m in maps:
-        for i in range(n):
-            if m[i] is not None:
-                ri, rj = find(i), find(m[i])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    blocks = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+def _image_pairs(maps):
+    """(point, image) pairs of the defined images of the maps; their
+    index_classes are the orbits of a group action."""
+    return ((i, y) for m in maps for i, y in enumerate(m) if y is not None)
 
 
 def _collapse(g, edge_ids, vertex_maps, edge_maps):
@@ -532,10 +513,10 @@ class TreeAction:
         return self._elements
 
     def vertex_orbits(self):
-        return _orbit_blocks(self.vertex_maps.values(), self.graph.nv)
+        return index_classes(self.graph.nv, _image_pairs(self.vertex_maps.values()))
 
     def edge_orbits(self):
-        return _orbit_blocks(self.edge_maps.values(), self.graph.ne)
+        return index_classes(self.graph.ne, _image_pairs(self.edge_maps.values()))
 
     def vertex_stabilizer(self, vi):
         return frozenset(a for a in self._elements if self.vertex_maps[a][vi] == vi)
@@ -580,8 +561,6 @@ def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
         raise TreeError("provide exactly one of cut_maps / vertex_perms")
     gen_maps = {}
     if vertex_perms is not None:
-        from .cuts import universe_graph
-
         g_univ = universe_graph(system.universe)
         for name, _el in oracle.generators():
             if name not in vertex_perms:
@@ -664,8 +643,7 @@ def is_compressible(action, edge_id):
     if edge_id not in g.eindex:
         raise TreeError("edge %r not in tree" % (edge_id,))
     k = g.eindex[edge_id]
-    _e, s, d = g.edges[k]
-    si, di = g.vindex[s], g.vindex[d]
+    si, di = g.index_edges[k]
     if action.orbit_of_vertex(si) == action.orbit_of_vertex(di):
         return False
     gs, gd = action.vertex_stabilizer(si), action.vertex_stabilizer(di)
@@ -861,8 +839,8 @@ def blow_up(action, fibers, attachments=None):
     for orb in eorbits:
         rep_k = orb[0]
         rep_id = g.edges[rep_k][0]
-        for side, vid in (("src", g.edges[rep_k][1]), ("dst", g.edges[rep_k][2])):
-            vi = g.vindex[vid]
+        for side, vi in zip(("src", "dst"), g.index_edges[rep_k]):
+            vid = g.vertices[vi]
             ftree = fiber_tree[rep_of_vertex[vi]]
             key = (rep_id, side)
             if ftree.nv == 1:
@@ -891,7 +869,7 @@ def blow_up(action, fibers, attachments=None):
                 a = _first_transporter(action, "e", rep_k, k)
                 src_v = vi
                 v2, x2 = act_point(a, src_v, choice)
-                want = g.vindex[g.edges[k][1] if side == "src" else g.edges[k][2]]
+                want = g.index_edges[k][0 if side == "src" else 1]
                 if v2 != want:
                     raise TreeError("edge transport mismatch (internal)")
                 attach[(k, side)] = (v2, x2)
@@ -917,10 +895,7 @@ def blow_up(action, fibers, attachments=None):
         new_edges.append((e, fiber_point(sv, sx), fiber_point(dv, dx)))
     newg = Graph(new_vertices, new_edges)
     # fibers are trees, so a fiber edge is the only one on its endpoints
-    fiber_edge_at = {
-        (newg.vindex[s], newg.vindex[d]): k
-        for k, (_e, s, d) in enumerate(newg.edges[:nf])
-    }
+    fiber_edge_at = {pair: k for k, pair in enumerate(newg.index_edges[:nf])}
 
     vertex_maps = {}
     edge_maps = {}
@@ -932,14 +907,15 @@ def blow_up(action, fibers, attachments=None):
                 v2, x2 = act_point(a, v, x)
                 nvm.append(newg.vindex[fiber_point(v2, x2)])
         nem = []
-        for k, (eid, s, d) in enumerate(newg.edges):
+        for k, (si, di) in enumerate(newg.index_edges):
             if k >= nf:
                 nem.append(nf + action.edge_maps[a][k - nf])
                 continue
-            img = fiber_edge_at.get((nvm[newg.vindex[s]], nvm[newg.vindex[d]]))
+            img = fiber_edge_at.get((nvm[si], nvm[di]))
             if img is None:
                 raise TreeError(
-                    "fiber action is not a tree automorphism at %r" % (eid,)
+                    "fiber action is not a tree automorphism at %r"
+                    % (newg.edges[k][0],)
                 )
             nem.append(img)
         vertex_maps[a] = tuple(nvm)
@@ -983,10 +959,10 @@ class PartialAction:
         )
 
     def vertex_orbits(self):
-        return _orbit_blocks(self.vertex_images, self.graph.nv)
+        return index_classes(self.graph.nv, _image_pairs(self.vertex_images))
 
     def edge_orbits(self):
-        return _orbit_blocks(self.edge_images, self.graph.ne)
+        return index_classes(self.graph.ne, _image_pairs(self.edge_images))
 
     def vertex_stabilizer_size(self, vi):
         return sum(1 for m in self.vertex_images if m[vi] == vi)

@@ -9,6 +9,7 @@ from cutforge.cuts import (
     act_left_cut,
     almost_equal,
     boolean_closure,
+    coboundary_indices,
     crossing_sources,
     cut_from_members,
     is_almost_right_stable,
@@ -312,3 +313,15 @@ def test_act_left_cut_matches_string_graph_reference():
                     translated += 1
     assert messages == {ESCAPES, NOT_INTERIOR, UNDECIDABLE, INCONSISTENT}
     assert translated
+
+
+def test_translation_reads_index_edges(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a cut built a string graph")
+
+    monkeypatch.setattr(cutforge.groups, "Graph", refuse)
+    bv = ball(FreeOracle(2), 4)
+    a = Cut(bv, 1)  # the identity alone
+    assert len(coboundary_indices(bv, a.bits)) == 4
+    for el, _word in bv.oracle.words_up_to(2):
+        assert act_left_cut(bv, el, a).bits == 1 << bv.index_of(el)

@@ -173,7 +173,7 @@ def test_ends_profile_needs_no_string_graph(monkeypatch):
         raise AssertionError("ends_profile built a string graph")
 
     monkeypatch.setattr(cutforge.groups, "Graph", refuse)
-    monkeypatch.setattr(cutforge.ends, "components", refuse)
+    monkeypatch.setattr(cutforge.ends, "index_classes", refuse)
     p = ends_profile(FreeOracle(2), 6)
     assert p.classification == "infinitely_many"
     assert p.counts == tuple(4 * 3 ** (r - 1) for r in p.radii)

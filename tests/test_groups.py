@@ -9,7 +9,6 @@ from cutforge.groups import (
     TableOracle,
     ZdOracle,
     ball,
-    left_edge_image,
     make_oracle,
 )
 
@@ -99,30 +98,7 @@ def test_lazy_graph_matches_names_and_edge_ids(oracle, radius):
     assert got.edges == want.edges
     assert bv.graph is got  # cached after the first access
     assert bv.nv == got.nv == len(bv.elements)
-    assert len(bv.edge_meta) == len(bv.edge_dst) == got.ne
-
-
-def test_edge_table_matches_edge_names():
-    bv = ball(FreeOracle(2), 3)
-    o = bv.oracle
-    gens = o.generators()
-    g = bv.graph
-    for k, (src_i, gen_j) in enumerate(bv.edge_meta):
-        name = "%s|%s" % (g.vertices[src_i], gens[gen_j][0])
-        assert bv.edge_index(src_i, gen_j) == g.eindex[name] == k
-    escaped = 0
-    for el, _word in o.words_up_to(2):
-        for k, (src_i, gen_j) in enumerate(bv.edge_meta):
-            img = o.multiply(el, bv.elements[src_i])
-            if img in bv.el_to_idx:
-                name = "%s|%s" % (g.vertices[bv.el_to_idx[img]], gens[gen_j][0])
-                expected = g.eindex.get(name)
-            else:
-                expected = None
-            got = left_edge_image(bv, el, k)
-            assert got == expected
-            escaped += got is None
-    assert escaped  # translates push some edges off the ball
+    assert bv.index_edges == got.index_edges
 
 
 def test_free_product_ball_is_line():
