@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import checks, trees
-from .cuts import CutError, boolean_closure, cut_from_members
+from .cuts import Cut, CutError, boolean_closure, cut_from_members, members_of_bits
 from .ends import (
     DEFAULT_RADIUS,
     DEFAULT_WORD_BOUND,
@@ -28,7 +28,6 @@ from .graphs import graph_from_json_dict, graph_to_json_dict, is_forest
 from .groups import GroupError, ball, make_oracle
 from .series import DEFAULT_BALL_L, certified_length, measure
 from .sieve import classify, full_series
-from .cuts import members_of_bits
 from .trees import paired_tree, unpaired_tree, verify_system
 
 _PHRASES = {
@@ -88,11 +87,10 @@ def _cut_from_dict(universe, data, default_name="A"):
     if "members_words" in data:
         if not hasattr(universe, "oracle"):
             raise CutError("members_words needs a Cayley-ball universe")
-        members = []
+        bits = 0
         for w in data["members_words"]:
-            el = universe.oracle.element_from_word(w)
-            members.append(universe.graph.vertices[universe.index_of(el)])
-        return cut_from_members(universe, members, name)
+            bits |= 1 << universe.index_of(universe.oracle.element_from_word(w))
+        return Cut(universe, bits, name)
     if "members" not in data:
         raise CutError("cut object needs 'members' or 'members_words'")
     return cut_from_members(universe, data["members"], name)
@@ -232,10 +230,8 @@ def cmd_tree(args):
     _emit("%s-tree: %d vertices, %d edges" % (stree.mode, g.nv, g.ne))
     for vid, lab in zip(g.vertices, stree.labels):
         _emit("  %s {%s}" % (vid, ", ".join(stree.label_names(lab))))
-    for (e, s, d) in g.edges:
-        _emit("  %s: %s -- %s  cut %s"
-              % (e, s, d,
-                 trees._cut_name(system, stree.edge_cut_index[e])))
+    for k, (e, s, d) in enumerate(g.edges):
+        _emit("  %s: %s -- %s  cut %s" % (e, s, d, trees._cut_name(system, k)))
     return 0
 
 

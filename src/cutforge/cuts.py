@@ -276,6 +276,22 @@ class CutAlgebra:
         )
 
 
+def refine(blocks, masks):
+    """Split every block by every mask, dropping empty pieces: the atoms of
+    the Boolean algebra the blocks and masks generate inside the blocks."""
+    for m in masks:
+        nxt = []
+        for b in blocks:
+            inside = b & m
+            outside = b & ~m
+            if inside:
+                nxt.append(inside)
+            if outside:
+                nxt.append(outside)
+        blocks = nxt
+    return blocks
+
+
 def boolean_closure(cuts):
     if not cuts:
         raise CutError("boolean_closure needs at least one generating cut")
@@ -288,19 +304,10 @@ def boolean_closure(cuts):
     universe = cuts[0].universe
     for c in cuts[1:]:
         _same_universe(cuts[0], c)
-    blocks = [full_mask(universe)]
-    if blocks[0] == 0:
+    full = full_mask(universe)
+    if full == 0:
         raise CutError("empty universe has no cut algebra")
-    for c in cuts:
-        nxt = []
-        for b in blocks:
-            inside = b & c.bits
-            outside = b & ~c.bits
-            if inside:
-                nxt.append(inside)
-            if outside:
-                nxt.append(outside)
-        blocks = nxt
+    blocks = refine([full], [c.bits for c in cuts])
     blocks.sort(key=lambda b: (b & -b).bit_length())
     return CutAlgebra(universe, cuts, blocks)
 

@@ -238,16 +238,13 @@ def splitting_pipeline(
     selection = select_nested_generating(orb.cuts, L=L, action=wlist)
     report = selection.report
     stree = trees.paired_tree(selection.system)
-    paction = trees.build_partial_action(stree, wlist)
+    paction = trees.build_partial_action(stree, wlist, selection.images)
     eorbs = paction.edge_orbits()
     vorbs = paction.vertex_orbits()
     g = stree.graph
 
     def orbit_names(block):
-        return tuple(
-            trees._cut_name(stree.system, stree.edge_cut_index[g.edges[k][0]])
-            for k in block
-        )
+        return tuple(trees._cut_name(stree.system, k) for k in block)
 
     certificate = "ball-verified(R=%d, W=%d, L=%d)" % (bv.radius, words, L)
     common = dict(

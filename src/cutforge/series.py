@@ -96,6 +96,8 @@ def compare(s1, s2):
 
 def _as_bits(universe, spec_set):
     if isinstance(spec_set, Cut):
+        if spec_set.universe is not universe:
+            raise SeriesError("cut lives over a different universe")
         return spec_set.bits
     if isinstance(spec_set, int):
         if spec_set < 0 or spec_set >> universe_graph(universe).nv:

@@ -26,6 +26,7 @@ from .cuts import (
     boolean_closure,
     full_mask,
     is_nested_bits,
+    refine,
 )
 from .graphs import index_classes
 from .series import atom_pair_table, certified_length
@@ -59,20 +60,6 @@ class SieveReport:
     complement_stable: bool
     nested: bool
     generates: bool
-
-
-def _refine(blocks, masks):
-    for m in masks:
-        nxt = []
-        for b in blocks:
-            inb = b & m
-            outb = b & ~m
-            if inb:
-                nxt.append(inb)
-            if outb:
-                nxt.append(outb)
-        blocks = nxt
-    return blocks
 
 
 def _is_union(m, blocks):
@@ -135,11 +122,11 @@ def _verdicts(series, a, certified):
                 status[m] = "reducible" if red_min else "irreducible"
                 continue
             ties = [d for d in group if d != m and d != (full ^ m)]
-            if ties and _is_union(m, _refine(blocks, ties)):
+            if ties and _is_union(m, refine(blocks, ties)):
                 status[m] = "undecided"
             else:
                 status[m] = "irreducible"
-        blocks = _refine(blocks, group)
+        blocks = refine(blocks, group)
     return order, status
 
 
@@ -203,7 +190,7 @@ def classify(algebra, L=None):
         if not nested:
             break
     generates = all(
-        b.bit_count() == 1 for b in _refine([full], [e.mask for e in irr])
+        b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True
     return SieveReport(
         algebra,
@@ -274,6 +261,9 @@ class Selection:
     report: SieveReport
     kept: tuple  # Cuts
     removed: tuple  # names of cuts dropped by the greedy pass, in drop order
+    # per action word, per kept cut: the kept index of the cut's left
+    # translate, or None when it is not representable or not in the family
+    images: tuple
 
 
 def select_nested_generating(cuts, L=None, action=None):
@@ -285,6 +275,9 @@ def select_nested_generating(cuts, L=None, action=None):
     image counts when it is representable and lands in the family).  The
     greedy pass visits classes by descending measure, then first-appearance
     order, and keeps a class whenever dropping it would lose some input cut.
+    The translates made here are returned as `Selection.images`, the edge
+    images of `trees.build_partial_action`; a kept class is closed under the
+    action, so the image of a kept cut in the family is a kept cut.
     """
     cuts = list(cuts)
     report, irr = irreducible_family(cuts, L=L)
@@ -296,23 +289,26 @@ def select_nested_generating(cuts, L=None, action=None):
 
     # complement pairs, then representable translates in the family
     pairs = [(i, pos[full ^ m]) for i, m in enumerate(masks)]
+    rows = []  # per word, per irreducible cut: the index of its translate
     if action:
         if not hasattr(universe, "oracle"):
             raise SieveError("action data needs a ball universe")
         for el, _word in action:
+            row = []
             for i, c in enumerate(irr):
                 try:
-                    img = act_left_cut(universe, el, c)
+                    j = pos.get(algebra.decompose(act_left_cut(universe, el, c).bits))
                 except CutError:
-                    continue
-                mm = algebra.decompose(img.bits)
-                if mm in pos:
-                    pairs.append((i, pos[mm]))
+                    j = None
+                if j is not None:
+                    pairs.append((i, j))
+                row.append(j)
+            rows.append(row)
     classes = index_classes(len(irr), pairs)
     targets = [algebra.decompose(c.bits) for c in cuts]
 
     def covers(kept_indices):
-        blocks = _refine([full], [masks[i] for i in kept_indices])
+        blocks = refine([full], [masks[i] for i in kept_indices])
         return all(_is_union(t, blocks) for t in targets)
 
     order = sorted(
@@ -329,10 +325,13 @@ def select_nested_generating(cuts, L=None, action=None):
         if covers(trial):
             kept = trial
             removed.extend(irr[i].name for i in idxs)
-    kept_cuts = tuple(irr[i] for i in sorted(kept))
+    kept = sorted(kept)
+    kept_cuts = tuple(irr[i] for i in kept)
     system = trees.verify_system(kept_cuts)
     if not system.valid:
         raise SieveError(
             "selected family fails system flags: %s" % (system.failures(),)
         )
-    return Selection(system, report, kept_cuts, tuple(removed))
+    kept_pos = {i: p for p, i in enumerate(kept)}
+    images = tuple(tuple(kept_pos.get(row[i]) for i in kept) for row in rows)
+    return Selection(system, report, kept_cuts, tuple(removed), images)

@@ -15,7 +15,9 @@ group, verified exhaustively (homomorphism plus incidence), supporting
 stabilizers, orbits, compressible collapse, blow-up, and the size
 polynomial.  PartialAction is the word-bounded evidence available over a
 Cayley ball: per-word partial maps, orbits as reachability classes, and
-fixed vertices only when every generator visibly fixes them.
+fixed vertices only when every generator visibly fixes them.  Its edge
+images are the left translates that sieve.select_nested_generating made to
+close its classes under the action (`Selection.images`), not new ones.
 
 Both move tree vertices by one rule, _agreeing_map: a vertex map is read
 off (point, image) evidence pairs, and a point's image is the one value its
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cuts import Cut, CutError, act_left_cut, full_mask, universe_graph
+from .cuts import Cut, full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 
 SUBGROUP_ENUM_CAP = 48
@@ -197,28 +199,14 @@ def _subset(a, b):
     return a & ~b == 0
 
 
-def _initial_label(system, i):
-    """{d | d contains cut i, or d strictly contains its complement}."""
-    bits = system.cuts[i].bits
-    full = full_mask(system.universe)
-    cbits = full ^ bits
-    out = []
-    for d, c in enumerate(system.cuts):
-        if _subset(bits, c.bits) or (_subset(cbits, c.bits) and c.bits != cbits):
-            out.append(d)
-    return frozenset(out)
-
-
-def _outward_label(system, i):
-    """{d | d strictly contains cut i, or d contains its complement}."""
-    bits = system.cuts[i].bits
-    full = full_mask(system.universe)
-    cbits = full ^ bits
-    out = []
-    for d, c in enumerate(system.cuts):
-        if (_subset(bits, c.bits) and c.bits != bits) or _subset(cbits, c.bits):
-            out.append(d)
-    return frozenset(out)
+def _label(system, bits):
+    """{d | d contains the set, or d strictly contains its complement}."""
+    cbits = full_mask(system.universe) ^ bits
+    return frozenset(
+        d
+        for d, c in enumerate(system.cuts)
+        if _subset(bits, c.bits) or (_subset(cbits, c.bits) and c.bits != cbits)
+    )
 
 
 def _pair_label(system, i):
@@ -237,7 +225,6 @@ class StructureTree:
         "system",
         "labels",
         "label_to_vertex",
-        "edge_cut_index",
     )
 
     def __init__(self, graph, mode, system, labels):
@@ -248,7 +235,6 @@ class StructureTree:
         self.label_to_vertex = {}
         for vid, lab in zip(graph.vertices, self.labels):
             self.label_to_vertex[lab] = vid
-        self.edge_cut_index = {e: k for k, (e, _s, _d) in enumerate(graph.edges)}
 
     def label_of(self, vertex_id):
         return self.labels[self.graph.vindex[vertex_id]]
@@ -265,11 +251,12 @@ def _build(system, mode):
     if n == 0:
         g = Graph(["n0"], [])
         return StructureTree(g, mode, system, [frozenset()])
-    heads = [_initial_label(system, i) for i in range(n)]
+    heads = [_label(system, c.bits) for c in system.cuts]
     if mode == "T":
         tails = [_pair_label(system, i) for i in range(n)]
     else:
-        tails = [_outward_label(system, i) for i in range(n)]
+        full = full_mask(system.universe)
+        tails = [_label(system, full ^ c.bits) for c in system.cuts]
     names = {}
     order = []
     for lab in [l for pair in zip(heads, tails) for l in pair]:
@@ -356,7 +343,7 @@ def vertex_embed(stree, universe_vertex):
             and system.cuts[i].bits != system.cuts[best].bits
         ):
             best = i
-    label = _initial_label(system, best)
+    label = _label(system, system.cuts[best].bits)
     if frozenset(loc) != label:
         raise TreeError(
             "label identity fails at %r: cuts containing it are %r, label %r"
@@ -1005,20 +992,24 @@ class PartialAction:
         return PartialAction(newg, self.words, self.gen_word_pos, vmaps, emaps)
 
 
-def build_partial_action(stree, words):
+def build_partial_action(stree, words, edge_images):
     """Word-bounded action evidence on a paired tree over a Cayley ball.
-    words: (element, word string) pairs, the identity included.  Cut images
-    are exact translations when representable, and vertex images are read
-    off the incident edges; a word whose edges disagree gives no evidence."""
+    words: (element, word string) pairs, the identity included.
+    edge_images: per word, per cut of the system (so per tree edge), the
+    index of the cut's exact left translate, or None when that translate is
+    not representable or not in the system; `Selection.images` is this
+    table.  Vertex images are read off the incident edges; a word whose
+    edges disagree gives no evidence."""
     system = stree.system
     if not system.cuts:
         raise TreeError("partial actions need a nonempty system")
-    bv = system.universe
-    if not hasattr(bv, "oracle"):
+    if not hasattr(system.universe, "oracle"):
         raise TreeError("partial actions need a ball universe")
-    oracle = bv.oracle
+    n = len(system.cuts)
+    if len(edge_images) != len(words) or any(len(em) != n for em in edge_images):
+        raise TreeError("edge images need one row per word and one entry per cut")
+    oracle = system.universe.oracle
     g = stree.graph
-    bits_to_idx = system.bits_index
 
     gen_word_pos = []
     for _name, gel in oracle.generators():
@@ -1031,17 +1022,9 @@ def build_partial_action(stree, words):
             raise TreeError("words must include every generator")
         gen_word_pos.append(pos)
 
-    edge_images = []
-    vertex_images = []
-    for el, _word in words:
-        emap = []
-        for c in system.cuts:
-            try:
-                emap.append(bits_to_idx.get(act_left_cut(bv, el, c).bits))
-            except CutError:
-                emap.append(None)
-        edge_images.append(emap)
-        vertex_images.append(_agreeing_map(g.nv, _incidence_pairs(g, emap)))
+    vertex_images = [
+        _agreeing_map(g.nv, _incidence_pairs(g, em)) for em in edge_images
+    ]
     return PartialAction(g, words, gen_word_pos, vertex_images, edge_images)
 
 
@@ -1075,8 +1058,8 @@ def tree_dot(stree):
         for vid, lab in zip(stree.graph.vertices, stree.labels)
     }
     elabels = {
-        e: _cut_name(stree.system, stree.edge_cut_index[e])
-        for (e, _s, _d) in stree.graph.edges
+        e: _cut_name(stree.system, k)
+        for k, (e, _s, _d) in enumerate(stree.graph.edges)
     }
     return graph_dot(stree.graph, vlabels, elabels)
 
@@ -1091,10 +1074,10 @@ def tree_json_dict(stree):
         "edges": [
             {
                 "id": e,
-                "cut": _cut_name(stree.system, stree.edge_cut_index[e]),
+                "cut": _cut_name(stree.system, k),
                 "src": s,
                 "dst": d,
             }
-            for (e, s, d) in stree.graph.edges
+            for k, (e, s, d) in enumerate(stree.graph.edges)
         ],
     }

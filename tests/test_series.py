@@ -1,6 +1,6 @@
 import pytest
 
-from cutforge.cuts import cut_from_members
+from cutforge.cuts import Cut, cut_from_members
 from cutforge.graphs import Graph
 from cutforge.series import (
     DEFAULT_BALL_L,
@@ -77,6 +77,19 @@ def test_measure_empty_cut_is_zero():
     g = k2()
     s = measure(g, 0, 5)
     assert s.is_zero()
+
+
+def test_cut_from_another_universe_is_refused():
+    # a cut of a 3-vertex path is not a set of k2's vertices, even where
+    # its bits happen to fit
+    g3 = Graph(["p", "q", "r"], [("f1", "p", "q"), ("f2", "q", "r")])
+    foreign = Cut(g3, 0b011)
+    g = Graph(["a", "b"], [("e", "a", "b")])
+    with pytest.raises(SeriesError):
+        measure(g, foreign, 3)
+    with pytest.raises(SeriesError):
+        corner_series(g, foreign, 0b01, 3)
+    assert measure(g3, foreign, 3).coeffs == (0, 1, 1, 2)
 
 
 def test_k2_odd_crossing():

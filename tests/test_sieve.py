@@ -6,6 +6,7 @@ from cutforge.cuts import (
     Cut,
     CutAlgebra,
     CutError,
+    act_left_cut,
     boolean_closure,
     cut_from_members,
     full_mask,
@@ -209,3 +210,44 @@ def test_sieve_cap_names_stage_limit_and_remedy():
         r"--words\)$",
     ):
         classify(algebra)
+
+
+def _fp(*orders):
+    return {"kind": "free_product", "orders": list(orders)}
+
+
+# (group, word bound): W = 1 and 2 on groups that split, and fp(3,3) and
+# fp(3,4) at W = 1, where words go blind
+IMAGE_CELLS = [
+    (spec, w) for spec in ({"kind": "zd", "d": 1}, _fp(2, 2), _fp(2, 3), _fp(2, 2, 2))
+    for w in (1, 2)
+] + [(_fp(3, 3), 1), (_fp(3, 4), 1)]
+
+
+@pytest.mark.parametrize("spec, words", IMAGE_CELLS)
+def test_selection_images_are_the_translates_of_the_kept_cuts(spec, words):
+    """Selection.images is what translating every kept cut by every word
+    gives: the index of the translate among the kept cuts, or None when it
+    is not representable or not kept."""
+    cut = balanced_cut(make_oracle(spec), 6)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(words)
+    sel = select_nested_generating(orbit_cuts(bv, cut, wl).cuts, action=wl)
+    want = []
+    for el, _word in wl:
+        row = []
+        for c in sel.kept:
+            try:
+                row.append(sel.system.bits_index.get(act_left_cut(bv, el, c).bits))
+            except CutError:
+                row.append(None)
+        want.append(tuple(row))
+    assert sel.images == tuple(want)
+    assert sel.images[0] == tuple(range(len(sel.kept)))  # the identity
+    # a kept cut far from the identity translates out of the ball
+    assert any(None in row for row in sel.images)
+
+
+def test_selection_without_action_has_no_images():
+    sel = select_nested_generating([cut_from_members(k2(), ["u"], "A")])
+    assert sel.images == ()

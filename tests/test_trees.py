@@ -360,7 +360,7 @@ def z_partial():
     wl = o.words_up_to(2)
     sel = select_nested_generating(orbit_cuts(bv, half, wl).cuts, action=wl)
     stree = paired_tree(sel.system)
-    return stree, build_partial_action(stree, wl)
+    return stree, build_partial_action(stree, wl, sel.images)
 
 
 def test_partial_action_on_z_tree():
@@ -407,6 +407,21 @@ def test_partial_collapse_drops_a_contradicted_word():
     assert c.vertex_orbits() == ((0, 1),)
 
 
+def test_partial_action_needs_an_edge_image_row_per_word_and_cut():
+    bv = ball(ZdOracle(1), 6)
+    members = [
+        bv.graph.vertices[i] for i, el in enumerate(bv.elements) if el[0] <= 0
+    ]
+    half = cut_from_members(bv, members, "A")
+    wl = bv.oracle.words_up_to(1)
+    sel = select_nested_generating(orbit_cuts(bv, half, wl).cuts, action=wl)
+    stree = paired_tree(sel.system)
+    with pytest.raises(TreeError):
+        build_partial_action(stree, wl, sel.images[:-1])
+    with pytest.raises(TreeError):
+        build_partial_action(stree, wl, [row[:-1] for row in sel.images])
+
+
 def test_partial_action_drops_words_whose_edges_disagree():
     # Z/3 * Z/3 at word bound 1: the kept system is not closed under a and
     # a^-1, whose cut images do not move the tree consistently
@@ -415,7 +430,7 @@ def test_partial_action_drops_words_whose_edges_disagree():
     cut = balanced_cut(o)
     sel = select_nested_generating(orbit_cuts(cut.universe, cut, wl).cuts, action=wl)
     stree = paired_tree(sel.system)
-    pa = build_partial_action(stree, wl)
+    pa = build_partial_action(stree, wl, sel.images)
     g = stree.graph
     assert [w for _el, w in wl] == ["", "a", "a^-1", "b", "b^-1"]
     assert pa.blind_words() == ("a", "a^-1")
