@@ -170,15 +170,16 @@ class SplittingReport:
     # grow with W where the true stabilizer is infinite.
     edge_stabilizer_orders: tuple  # full tree, per edge orbit
     collapse_log: tuple  # per stage, the cut names of the collapsed orbit
-    stage: object  # first fixing stage (1-based), or None
-    final_edge_orbit_count: object
-    final_vertex_orbit_count: object
-    final_vertex_stabilizer_orders: tuple  # final tree, per vertex orbit
-    final_edge_stabilizer_order: object  # final tree, its one edge orbit
     certificate: str
-    diagnostics: object
     stree: object
-    final_partial: object
+    stage: object = None  # first fixing stage (1-based), or None
+    # the final tree's figures, set on a split report only
+    final_edge_orbit_count: object = None
+    final_vertex_orbit_count: object = None
+    final_vertex_stabilizer_orders: tuple = ()  # per vertex orbit
+    final_edge_stabilizer_order: object = None  # its one edge orbit
+    final_partial: object = None
+    diagnostics: object = None  # why an undetermined report is one
 
     def lines(self):
         out = [
@@ -224,8 +225,10 @@ def splitting_pipeline(
 
     Stops at the first stage whose cumulative collapse leaves a vertex fixed
     by every generator; the report's final tree keeps exactly the orbit
-    collapsed at that stage.  One-ended and finite groups are refused by
-    balanced_cut when no cut is supplied."""
+    collapsed at that stage.  When collapsing the other orbits already
+    fixes a vertex, that final tree shows no splitting and the report is
+    undetermined, naming the stage.  One-ended and finite groups are refused
+    by balanced_cut when no cut is supplied."""
     if cut is None:
         cut = balanced_cut(oracle, radius)
     bv = cut.universe
@@ -279,17 +282,11 @@ def splitting_pipeline(
         return SplittingReport(
             status="undetermined",
             collapse_log=tuple(orbit_names(b) for b in eorbs),
-            stage=None,
-            final_edge_orbit_count=None,
-            final_vertex_orbit_count=None,
-            final_vertex_stabilizer_orders=(),
-            final_edge_stabilizer_order=None,
             diagnostics="no vertex is fixed by all generators at any "
             "collapse stage within the ball evidence (R=%d, W=%d); words that "
             "gave no evidence (cut images missing or inconsistent on the "
             "tree): %s"
             % (bv.radius, words, ", ".join(paction.blind_words()) or "none"),
-            final_partial=None,
             **common,
         )
 
@@ -304,7 +301,16 @@ def splitting_pipeline(
     if len(f_eorbs) != 1:
         raise EndsError("final tree has %d edge orbits, expected 1" % (len(f_eorbs),))
     if final.fixed_vertices():
-        raise EndsError("final tree already fixes a vertex (internal)")
+        return SplittingReport(
+            status="undetermined",
+            collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]),
+            stage=stage,
+            diagnostics="the stage %d orbit {%s} gives no splitting: "
+            "collapsing the other edge orbits already fixes a vertex within "
+            "the ball evidence (R=%d, W=%d)"
+            % (stage, ", ".join(orbit_names(eorbs[stage - 1])), bv.radius, words),
+            **common,
+        )
     f_vorbs = final.vertex_orbits()
     return SplittingReport(
         status="split",
@@ -316,7 +322,6 @@ def splitting_pipeline(
             final.orbit_max_vertex_stabilizer(b) for b in f_vorbs
         ),
         final_edge_stabilizer_order=final.orbit_max_edge_stabilizer(f_eorbs[0]),
-        diagnostics=None,
         final_partial=final,
         **common,
     )

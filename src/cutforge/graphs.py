@@ -30,7 +30,9 @@ class Graph:
     index_edges: the aligned (src index, dst index) pairs.
     """
 
-    __slots__ = ("vertices", "edges", "vindex", "eindex", "index_edges", "darts")
+    __slots__ = (
+        "vertices", "edges", "vindex", "eindex", "index_edges", "darts", "_tree"
+    )
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -61,6 +63,7 @@ class Graph:
             darts[si].append((di, k, FORWARD))
             darts[di].append((si, k, INVERSE))
         self.darts = tuple(tuple(ds) for ds in darts)
+        self._tree = None  # is_tree's answer, once asked
 
     @property
     def nv(self):
@@ -143,15 +146,11 @@ def components(g, removed=(), boundary=()):
     )
 
 
-def collapse(g, collapsed):
+def collapse_blocks(g, collapsed):
     """Collapse the edge set `collapsed`: the result keeps the other edges,
     and its vertices are the components of (V, collapsed).  Each new vertex
-    is named by the first (input order) old vertex of its block."""
-    return collapse_blocks(g, collapsed)[0]
-
-
-def collapse_blocks(g, collapsed):
-    """Like collapse() but also returns {old vertex id: new vertex id}."""
+    is named by the first (input order) old vertex of its block.  Returns
+    the new graph and {old vertex id: new vertex id}."""
     collapsed = set(collapsed)
     for e in collapsed:
         if e not in g.eindex:
@@ -172,7 +171,12 @@ def is_forest(g):
 
 
 def is_tree(g):
-    return g.nv > 0 and g.ne == g.nv - 1 and is_forest(g)
+    """Connected and acyclic.  A Graph never changes, so the answer is
+    computed once and kept on it: the tree checks of path queries, edge
+    cuts and actions on one tree cost one union-find pass in all."""
+    if g._tree is None:
+        g._tree = g.nv > 0 and g.ne == g.nv - 1 and is_forest(g)
+    return g._tree
 
 
 @dataclass(frozen=True)

@@ -188,10 +188,10 @@ class TableOracle(GroupOracle):
             frontier = nxt
         if len(closure) != n:
             raise GroupError("generators do not generate the group")
-        self.order = n
+        self._elements = tuple(range(n))
 
     def elements(self):
-        return tuple(range(self.order))
+        return self._elements
 
     def identity(self):
         return self._identity
@@ -245,7 +245,6 @@ class PermOracle(GroupOracle):
             if len(closure) > closure_cap:
                 raise GroupError("permutation closure exceeds cap %d" % (closure_cap,))
         self._elements = tuple(order)
-        self.order = len(order)
 
     def elements(self):
         return self._elements

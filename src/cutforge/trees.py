@@ -10,20 +10,22 @@ with no midpoints.  Vertex labels are materialized as explicit cut-index
 sets: the tree metric equals the symmetric-difference size of labels, and
 that identity is what the test suites check.
 
-The action layer has two flavors.  TreeAction is a full action of a finite
-group, verified exhaustively (homomorphism plus incidence), supporting
-stabilizers, orbits, compressible collapse, blow-up, and the size
-polynomial.  PartialAction is the word-bounded evidence available over a
-Cayley ball: per-word partial maps, orbits as reachability classes, and
-fixed vertices only when every generator visibly fixes them.  Its edge
-images are the left translates that sieve.select_nested_generating made to
-close its classes under the action (`Selection.images`), not new ones.
+The action layer is one class.  PartialAction holds per-word vertex and
+edge maps, None marking an image the evidence cannot determine, and every
+query on them: orbits as reachability classes, stabilizers, fixed vertices
+(only when every generator visibly fixes them), blind words and collapse.
+Over a Cayley ball it is word-bounded evidence; its edge images are the
+left translates that sieve.select_nested_generating made to close its
+classes under the action (`Selection.images`), not new ones.  TreeAction is
+its subclass for a full action of a finite group, verified once when made
+(homomorphism plus incidence); compressible collapse, blow-up and the size
+polynomial take one and read the same queries.
 
-Both move tree vertices by one rule, _agreeing_map: a vertex map is read
-off (point, image) evidence pairs, and a point's image is the one value its
-pairs name.  The pairs come from edge incidences (an edge with a known image
-sends its source to the image's source and its target to the image's
-target) and, under a collapse, from (block of x, block of the image of x).
+Vertices move by one rule, _agreeing_map: a vertex map is read off (point,
+image) evidence pairs, and a point's image is the one value its pairs name.
+The pairs come from edge incidences (an edge with a known image sends its
+source to the image's source and its target to the image's target) and,
+under a collapse, from (block of x, block of the image of x).
 When two pairs disagree the evidence is not a map: a full action raises
 TreeError, while a partial action drops the whole word, whose vertex and
 edge images all become None.
@@ -32,6 +34,7 @@ edge images all become None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .cuts import Cut, full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
@@ -352,7 +355,7 @@ def vertex_embed(stree, universe_vertex):
     return stree.label_to_vertex[label]
 
 
-def _as_bits(universe, cut_or_bits):
+def _as_bits(cut_or_bits):
     if isinstance(cut_or_bits, Cut):
         return cut_or_bits.bits
     return int(cut_or_bits)
@@ -360,9 +363,8 @@ def _as_bits(universe, cut_or_bits):
 
 def interval(system, e, f):
     """Cuts d of the system with e <= d <= f (as vertex sets)."""
-    universe = system.universe
-    ebits = _as_bits(universe, e)
-    fbits = _as_bits(universe, f)
+    ebits = _as_bits(e)
+    fbits = _as_bits(f)
     return tuple(
         c
         for c in system.cuts
@@ -372,9 +374,8 @@ def interval(system, e, f):
 
 def prec(system, e, f):
     """e < f with nothing of the system strictly between: [e, f[ = {e}."""
-    universe = system.universe
-    ebits = _as_bits(universe, e)
-    fbits = _as_bits(universe, f)
+    ebits = _as_bits(e)
+    fbits = _as_bits(f)
     if ebits == fbits:
         return False
     half_open = [c.bits for c in interval(system, ebits, fbits) if c.bits != fbits]
@@ -442,92 +443,142 @@ def _collapse(g, edge_ids, vertex_maps, edge_maps):
     return newg, vmaps, emaps
 
 
-# -- full actions of finite groups ---------------------------------------------
+# -- tree actions ---------------------------------------------------------------
 
 
-class TreeAction:
-    """Fully verified action of a finite group on a tree: element-indexed
-    vertex and edge permutations commuting with incidences."""
+class PartialAction:
+    """Per-word vertex and edge maps on a tree; None marks an image the
+    evidence cannot determine.  words: (element, word string) pairs, one per
+    element; gen_word_pos: the position in words of each generator.  A word
+    whose vertex map is given as None (its evidence contradicted itself)
+    gives no evidence at all: every one of its vertex and edge images is
+    None.  Orbits are reachability classes of the defined images, a
+    stabilizer is the set of elements whose images visibly fix, and a vertex
+    counts as fixed only when every generator demonstrably fixes it."""
 
-    __slots__ = ("graph", "oracle", "vertex_maps", "edge_maps", "stree", "_elements")
+    __slots__ = ("graph", "words", "gen_word_pos", "vertex_images", "edge_images")
 
-    def __init__(self, graph, oracle, vertex_maps, edge_maps, stree=None):
+    def __init__(self, graph, words, gen_word_pos, vertex_images, edge_images):
+        self.graph = graph
+        self.words = tuple(words)
+        self.gen_word_pos = tuple(gen_word_pos)
+        self.vertex_images = tuple(
+            (None,) * graph.nv if vm is None else tuple(vm) for vm in vertex_images
+        )
+        self.edge_images = tuple(
+            (None,) * graph.ne if vm is None else tuple(em)
+            for vm, em in zip(vertex_images, edge_images)
+        )
+
+    def vertex_orbits(self):
+        return index_classes(self.graph.nv, _image_pairs(self.vertex_images))
+
+    def edge_orbits(self):
+        return index_classes(self.graph.ne, _image_pairs(self.edge_images))
+
+    def vertex_stabilizer(self, vi):
+        return frozenset(
+            el for (el, _w), m in zip(self.words, self.vertex_images) if m[vi] == vi
+        )
+
+    def edge_stabilizer(self, k):
+        return frozenset(
+            el for (el, _w), m in zip(self.words, self.edge_images) if m[k] == k
+        )
+
+    def orbit_max_vertex_stabilizer(self, orbit):
+        return max(len(self.vertex_stabilizer(v)) for v in orbit)
+
+    def orbit_max_edge_stabilizer(self, orbit):
+        return max(len(self.edge_stabilizer(k)) for k in orbit)
+
+    def fixed_vertices(self):
+        """Vertices every generator maps to themselves (defined images only:
+        absence of evidence never counts as fixing)."""
+        out = []
+        for vi in range(self.graph.nv):
+            if all(
+                self.vertex_images[w][vi] == vi for w in self.gen_word_pos
+            ):
+                out.append(self.graph.vertices[vi])
+        return tuple(out)
+
+    def blind_words(self):
+        """Word strings with no vertex image at all: their cut images were
+        missing, or did not move the tree consistently."""
+        return tuple(
+            w
+            for (_el, w), vm in zip(self.words, self.vertex_images)
+            if vm.count(None) == len(vm)
+        )
+
+    def collapse(self, edge_ids):
+        """Collapse an orbit-closed edge set, inducing partial maps on the
+        blocks; a word whose block images disagree gives no evidence."""
+        newg, vmaps, emaps = _collapse(
+            self.graph, edge_ids, self.vertex_images, self.edge_images
+        )
+        return PartialAction(newg, self.words, self.gen_word_pos, vmaps, emaps)
+
+
+class TreeAction(PartialAction):
+    """Full action of a finite group on a tree, verified once, when made:
+    every element permutes the vertices and the edges, commuting with
+    incidences, and the maps compose as the group multiplies.  Its words are
+    the group elements in oracle order, written by el_str; vertex_maps is a
+    read-only view {element: vertex map}."""
+
+    __slots__ = ("oracle", "vertex_maps")
+
+    def __init__(self, graph, oracle, vertex_maps, edge_maps):
         if not oracle.finite_kind:
             raise TreeError("tree actions need a finite group oracle")
         if not is_tree(graph):
             raise TreeError("tree actions need a tree")
-        self.graph = graph
-        self.oracle = oracle
-        self.vertex_maps = dict(vertex_maps)
-        self.edge_maps = dict(edge_maps)
-        self.stree = stree
-        self._elements = tuple(oracle.elements())
-        self._verify()
-
-    def _verify(self):
-        g = self.graph
-        ident = self.oracle.identity()
-        els = self._elements
-        if set(self.vertex_maps) != set(els) or set(self.edge_maps) != set(els):
+        els = tuple(oracle.elements())
+        if set(vertex_maps) != set(els) or set(edge_maps) != set(els):
             raise TreeError("action must map every group element")
-        if tuple(self.vertex_maps[ident]) != tuple(range(g.nv)):
+        at = {a: i for i, a in enumerate(els)}
+        super().__init__(
+            graph,
+            [(a, oracle.el_str(a)) for a in els],
+            [at[gel] for _name, gel in oracle.generators()],
+            [vertex_maps[a] for a in els],
+            [edge_maps[a] for a in els],
+        )
+        self.oracle = oracle
+        self.vertex_maps = MappingProxyType(dict(zip(els, self.vertex_images)))
+        vms, ems = self.vertex_images, self.edge_images
+        vs, es = range(graph.nv), range(graph.ne)
+        ident = at[oracle.identity()]
+        if vms[ident] != tuple(vs):
             raise TreeError("identity does not act trivially on vertices")
-        if tuple(self.edge_maps[ident]) != tuple(range(g.ne)):
+        if ems[ident] != tuple(es):
             raise TreeError("identity does not act trivially on edges")
-        for a in els:
-            vm, em = self.vertex_maps[a], self.edge_maps[a]
-            if sorted(vm) != list(range(g.nv)) or sorted(em) != list(range(g.ne)):
+        for a, vm, em in zip(els, vms, ems):
+            if sorted(vm) != list(vs) or sorted(em) != list(es):
                 raise TreeError("element %s does not act bijectively" % (a,))
-            if any(vm[x] != y for x, y in _incidence_pairs(g, em)):
+            if any(vm[x] != y for x, y in _incidence_pairs(graph, em)):
                 raise TreeError("incidence broken: element %s" % (a,))
-        for a in els:
-            for b in els:
-                ab = self.oracle.multiply(a, b)
-                vab, va, vb = self.vertex_maps[ab], self.vertex_maps[a], self.vertex_maps[b]
-                eab, ea, eb = self.edge_maps[ab], self.edge_maps[a], self.edge_maps[b]
-                for x in range(g.nv):
-                    if vab[x] != va[vb[x]]:
-                        raise TreeError("vertex maps are not a homomorphism")
-                for k in range(g.ne):
-                    if eab[k] != ea[eb[k]]:
-                        raise TreeError("edge maps are not a homomorphism")
-
-    @property
-    def order(self):
-        return len(self._elements)
+        for a, va, ea in zip(els, vms, ems):
+            for b, vb, eb in zip(els, vms, ems):
+                ab = at[oracle.multiply(a, b)]
+                if vms[ab] != tuple(va[y] for y in vb):
+                    raise TreeError("vertex maps are not a homomorphism")
+                if ems[ab] != tuple(ea[j] for j in eb):
+                    raise TreeError("edge maps are not a homomorphism")
 
     def elements(self):
-        return self._elements
-
-    def vertex_orbits(self):
-        return index_classes(self.graph.nv, _image_pairs(self.vertex_maps.values()))
-
-    def edge_orbits(self):
-        return index_classes(self.graph.ne, _image_pairs(self.edge_maps.values()))
-
-    def vertex_stabilizer(self, vi):
-        return frozenset(a for a in self._elements if self.vertex_maps[a][vi] == vi)
-
-    def edge_stabilizer(self, k):
-        return frozenset(a for a in self._elements if self.edge_maps[a][k] == k)
-
-    def orbit_of_vertex(self, vi):
-        return tuple(sorted({self.vertex_maps[a][vi] for a in self._elements}))
-
-    def orbit_of_edge(self, k):
-        return tuple(sorted({self.edge_maps[a][k] for a in self._elements}))
+        return tuple(el for el, _w in self.words)
 
     def collapse(self, edge_ids):
         """Collapse an action-closed edge set; returns the induced action."""
-        els = self._elements
         newg, vmaps, emaps = _collapse(
-            self.graph,
-            edge_ids,
-            [self.vertex_maps[a] for a in els],
-            [self.edge_maps[a] for a in els],
+            self.graph, edge_ids, self.vertex_images, self.edge_images
         )
         if None in vmaps:
             raise TreeError("collapse produced an inconsistent action")
+        els = self.elements()
         return TreeAction(
             newg, self.oracle, dict(zip(els, vmaps)), dict(zip(els, emaps))
         )
@@ -619,7 +670,7 @@ def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
                 "nesting order)"
             )
         vertex_maps[el] = vm
-    return TreeAction(g, oracle, vertex_maps, cut_action, stree=stree)
+    return TreeAction(g, oracle, vertex_maps, cut_action)
 
 
 def is_compressible(action, edge_id):
@@ -631,7 +682,7 @@ def is_compressible(action, edge_id):
         raise TreeError("edge %r not in tree" % (edge_id,))
     k = g.eindex[edge_id]
     si, di = g.index_edges[k]
-    if action.orbit_of_vertex(si) == action.orbit_of_vertex(di):
+    if di in next(o for o in action.vertex_orbits() if si in o):
         return False
     gs, gd = action.vertex_stabilizer(si), action.vertex_stabilizer(di)
     for small, big in ((gs, gd), (gd, gs)):
@@ -698,10 +749,10 @@ def collapse_compressible(action):
         comp = [k for k in range(g.ne) if is_compressible(action, g.edges[k][0])]
         if not comp:
             return action, tuple(log)
-        orbit = action.orbit_of_edge(min(comp))
+        orbit = next(o for o in action.edge_orbits() if min(comp) in o)
         edge_ids = tuple(g.edges[k][0] for k in orbit)
         before = None
-        if action.order <= SUBGROUP_ENUM_CAP:
+        if len(action.words) <= SUBGROUP_ENUM_CAP:
             before = substabs(action)
         action = action.collapse(edge_ids)
         if before is not None and substabs(action) != before:
@@ -737,10 +788,11 @@ def size_polynomial(action):
 # -- blow-up --------------------------------------------------------------------
 
 
-def _first_transporter(action, kind, src, dst):
-    maps = action.vertex_maps if kind == "v" else action.edge_maps
-    for a in action.elements():
-        if maps[a][src] == dst:
+def _first_transporter(action, images, src, dst):
+    """The first element whose map (vertex_images or edge_images of the
+    action) sends src to dst."""
+    for (a, _w), m in zip(action.words, images):
+        if m[src] == dst:
             return a
     raise TreeError("no transporter found (distinct orbits?)")
 
@@ -806,7 +858,9 @@ def blow_up(action, fibers, attachments=None):
     transporter = {}
     for orb in vorbits:
         for v in orb:
-            transporter[v] = _first_transporter(action, "v", orb[0], v)
+            transporter[v] = _first_transporter(
+                action, action.vertex_images, orb[0], v
+            )
 
     def fiber_point(v, x):
         return "%s|%s" % (g.vertices[v], x)
@@ -853,7 +907,7 @@ def blow_up(action, fibers, attachments=None):
                         % (choice, rep_id, a)
                     )
             for k in orb:
-                a = _first_transporter(action, "e", rep_k, k)
+                a = _first_transporter(action, action.edge_images, rep_k, k)
                 src_v = vi
                 v2, x2 = act_point(a, src_v, choice)
                 want = g.index_edges[k][0 if side == "src" else 1]
@@ -886,7 +940,7 @@ def blow_up(action, fibers, attachments=None):
 
     vertex_maps = {}
     edge_maps = {}
-    for a in action.elements():
+    for a, em in zip(action.elements(), action.edge_images):
         nvm = []
         for v in range(g.nv):
             ftree = fiber_tree[rep_of_vertex[v]]
@@ -896,7 +950,7 @@ def blow_up(action, fibers, attachments=None):
         nem = []
         for k, (si, di) in enumerate(newg.index_edges):
             if k >= nf:
-                nem.append(nf + action.edge_maps[a][k - nf])
+                nem.append(nf + em[k - nf])
                 continue
             img = fiber_edge_at.get((nvm[si], nvm[di]))
             if img is None:
@@ -921,75 +975,6 @@ def blow_up(action, fibers, attachments=None):
 
 
 # -- word-bounded partial actions ------------------------------------------------
-
-
-class PartialAction:
-    """Per-word partial vertex and edge maps on a tree; None marks images the
-    ball evidence cannot determine.  A word whose vertex map is given as None
-    (its evidence contradicted itself) gives no evidence at all: every one of
-    its vertex and edge images is None.  Orbits are reachability classes of
-    the defined images, and a vertex counts as fixed only when every
-    generator demonstrably fixes it."""
-
-    __slots__ = ("graph", "words", "gen_word_pos", "vertex_images", "edge_images")
-
-    def __init__(self, graph, words, gen_word_pos, vertex_images, edge_images):
-        self.graph = graph
-        self.words = tuple(words)
-        self.gen_word_pos = tuple(gen_word_pos)
-        self.vertex_images = tuple(
-            (None,) * graph.nv if vm is None else tuple(vm) for vm in vertex_images
-        )
-        self.edge_images = tuple(
-            (None,) * graph.ne if vm is None else tuple(em)
-            for vm, em in zip(vertex_images, edge_images)
-        )
-
-    def vertex_orbits(self):
-        return index_classes(self.graph.nv, _image_pairs(self.vertex_images))
-
-    def edge_orbits(self):
-        return index_classes(self.graph.ne, _image_pairs(self.edge_images))
-
-    def vertex_stabilizer_size(self, vi):
-        return sum(1 for m in self.vertex_images if m[vi] == vi)
-
-    def edge_stabilizer_size(self, k):
-        return sum(1 for m in self.edge_images if m[k] == k)
-
-    def orbit_max_vertex_stabilizer(self, orbit):
-        return max(self.vertex_stabilizer_size(v) for v in orbit)
-
-    def orbit_max_edge_stabilizer(self, orbit):
-        return max(self.edge_stabilizer_size(k) for k in orbit)
-
-    def fixed_vertices(self):
-        """Vertices every generator maps to themselves (defined images only:
-        absence of evidence never counts as fixing)."""
-        out = []
-        for vi in range(self.graph.nv):
-            if all(
-                self.vertex_images[w][vi] == vi for w in self.gen_word_pos
-            ):
-                out.append(self.graph.vertices[vi])
-        return tuple(out)
-
-    def blind_words(self):
-        """Word strings with no vertex image at all: their cut images were
-        missing, or did not move the tree consistently."""
-        return tuple(
-            w
-            for (_el, w), vm in zip(self.words, self.vertex_images)
-            if vm.count(None) == len(vm)
-        )
-
-    def collapse(self, edge_ids):
-        """Collapse an orbit-closed edge set, inducing partial maps on the
-        blocks; a word whose block images disagree gives no evidence."""
-        newg, vmaps, emaps = _collapse(
-            self.graph, edge_ids, self.vertex_images, self.edge_images
-        )
-        return PartialAction(newg, self.words, self.gen_word_pos, vmaps, emaps)
 
 
 def build_partial_action(stree, words, edge_images):

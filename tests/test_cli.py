@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import re
 
 import pytest
@@ -286,6 +287,34 @@ def test_split_grid_ends_in_a_report_or_a_named_refusal(capsys, group, words):
             "(R=6, W=1); words that gave no evidence (cut images missing or "
             "inconsistent on the tree): a, a^-1"
         )
+
+
+# Kept cuts of the W=1 systems of Z/3 * Z/3 and Z/3 * Z/4, written as
+# members_words.  Fed back through `split --cut`, the first stage fixes a
+# vertex, but collapsing the other edge orbits fixes one as well, so the
+# final tree shows no splitting.
+DATA = pathlib.Path(__file__).parent / "data"
+REFED_CUTS = [
+    ("free_product:3,3", "fp33_c2.json", "{c0, ~c1, c2, c3}"),
+    ("free_product:3,4", "fp34_c0.json", "{c0, ~c1, c2, c3}"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, fixture, orbit", REFED_CUTS, ids=[f for _g, f, _o in REFED_CUTS]
+)
+def test_split_of_a_refed_kept_cut_is_undetermined(capsys, group, fixture, orbit):
+    code = main(
+        ["split", "--group", group, "--words", "1", "--cut", str(DATA / fixture)]
+    )
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    last = out.splitlines()[-2]
+    assert last == (
+        "undetermined: the stage 1 orbit %s gives no splitting: collapsing "
+        "the other edge orbits already fixes a vertex within the ball "
+        "evidence (R=6, W=1)" % (orbit,)
+    )
 
 
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):

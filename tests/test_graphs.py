@@ -87,6 +87,18 @@ def test_reduced_path_unique_on_tree():
     assert reduced_path(g, "b", "b").length == 0
 
 
+def test_reduced_path_refuses_a_non_tree():
+    cyc = Graph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])
+    with pytest.raises(GraphError):
+        reduced_path(cyc, "a", "b")
+    # a tree answer kept on one graph does not carry over to another
+    assert reduced_path(path4(), "a", "b").length == 1
+    with pytest.raises(GraphError):
+        reduced_path(Graph(["a", "b"], []), "a", "a")
+    with pytest.raises(GraphError):
+        tree_distance(cyc, "a", "b")
+
+
 def test_json_round_trip_preserves_order():
     g = Graph(
         ["x", "a"],

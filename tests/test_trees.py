@@ -211,6 +211,18 @@ def test_edge_cut_blocks():
     assert edge_cuts(t.graph)["e1"] == frozenset(["n2"])
 
 
+def test_edge_cut_refuses_a_non_tree():
+    _g, system = k2_pair()
+    t = paired_tree(system)
+    assert edge_cut(t.graph, "e0") == frozenset(["n0"])
+    cyc = Graph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])
+    with pytest.raises(TreeError):
+        edge_cut(cyc, "e")
+    with pytest.raises(TreeError):
+        edge_cuts(Graph(["a", "b", "c"], [("e", "a", "b")]))
+    assert edge_cuts(t.graph)["e1"] == frozenset(["n2"])
+
+
 def test_vertex_embed_t_mode_only():
     g, system = k2_pair()
     t = paired_tree(system)
@@ -251,6 +263,23 @@ def test_tree_action_orbits_and_stabilizers():
     assert act.vertex_stabilizer(1) == frozenset([0, 1])
     assert act.vertex_stabilizer(0) == frozenset([0])
     assert act.edge_stabilizer(0) == frozenset([0])
+
+
+def test_tree_action_is_the_partial_action_queries():
+    act = reflection_action()
+    assert isinstance(act, PartialAction)
+    assert act.fixed_vertices() == ("m",)
+    assert act.blind_words() == ()
+    for orbit in act.vertex_orbits():
+        assert act.orbit_max_vertex_stabilizer(orbit) == max(
+            len(act.vertex_stabilizer(v)) for v in orbit
+        )
+    assert act.orbit_max_vertex_stabilizer((1,)) == len(act.vertex_stabilizer(1))
+    # each class defines its own collapse: the benchmark times them apart
+    assert "collapse" in TreeAction.__dict__
+    assert "collapse" in PartialAction.__dict__
+    with pytest.raises(TypeError):
+        act.vertex_maps[0] = (0, 1, 2)
 
 
 def test_action_with_inversion_rejected():
