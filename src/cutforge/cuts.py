@@ -96,6 +96,17 @@ class Cut:
         self.name = name
         self._cob = None
 
+    @classmethod
+    def _checked(cls, universe, bits, name):
+        """A cut whose bits the caller has already shown to be in range and
+        to have an interior coboundary, built without checking them again."""
+        cut = cls.__new__(cls)
+        cut.universe = universe
+        cut.bits = bits
+        cut.name = name
+        cut._cob = None
+        return cut
+
     def members(self):
         return members_of_bits(self.universe, self.bits)
 
@@ -409,10 +420,18 @@ def act_left_cut(bv, g, cut, name=None):
     endpoints have preimages in the ball is the image of a ball edge, so
     the translated coboundary stays in the ball exactly when there are as
     many such edges as coboundary edges.  Every other edge joins the
-    residual components."""
+    residual components.
+
+    The identity translate is the cut itself.  Every other result is built
+    without a second interior check: its coboundary is exactly the image
+    edges (each residual component takes one side), and the pass has just
+    checked those against radius - 1.  (On an exhausted ball the limit
+    reads radius, but no vertex lies beyond radius - 1 there.)"""
     if cut.universe is not bv:
         raise CutError("cut does not live on this ball")
     o = bv.oracle
+    if g == o.identity():
+        return Cut._checked(bv, cut.bits, name)
     ginv = o.invert(g)
     get = bv.el_to_idx.get
     pre = [get(o.multiply(ginv, el)) for el in bv.elements]
@@ -445,7 +464,7 @@ def act_left_cut(bv, g, cut, name=None):
         if "1" in sides:
             for i in block:
                 out[i] = "1"
-    return Cut(bv, int("".join(reversed(out)), 2), name)
+    return Cut._checked(bv, int("".join(reversed(out)), 2), name)
 
 
 @dataclass(frozen=True)

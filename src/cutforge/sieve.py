@@ -29,7 +29,7 @@ from .cuts import (
     refine,
 )
 from .graphs import index_classes
-from .series import atom_pair_table, certified_length
+from .series import atom_pair_prefix, atom_pair_table, certified_length
 from . import trees
 
 MAX_SIEVE_ATOMS = 12
@@ -43,7 +43,7 @@ class SieveError(ValueError):
 class SieveElement:
     mask: int  # atom-subset index
     bits: int  # vertex bit mask
-    # measure coefficients 0..min(L, |V|): the prefix that decides the
+    # measure coefficients 0..P, P = min(L, d): the prefix that decides the
     # order (see classify); full_series(report) gives all L + 1 of them
     series: tuple
     status: str  # "reducible" | "irreducible" | "undecided"
@@ -133,24 +133,31 @@ def _verdicts(series, a, certified):
 def classify(algebra, L=None):
     """Sieve every element of the algebra by its measure series at length L.
 
-    The verdicts are computed from the prefix of degree P = min(L, |V|),
-    and they are the verdicts of the full length-L series.  Proof: every
-    series here is a sum of terms u^T A^l w, for the one adjacency matrix
-    A of the universe (n = |V|) and 0/1 vectors u, w.  So is the
-    difference d_l of two element series, d_l = tr(A^l M) for a fixed
-    matrix M.  A's characteristic polynomial x^n + c_{n-1} x^{n-1} + ...
-    + c_0 annihilates A (Cayley-Hamilton), hence d_{l+n} = -(c_{n-1}
-    d_{l+n-1} + ... + c_0 d_l) for every l >= 0.  If d_l = 0 for l < n,
-    then d_l = 0 for every l.  Two series that agree through degree P
-    therefore agree through L, and two that differ do so first at a pivot
-    l < n, where the prefix already holds both coefficients.  The
-    lexicographic order, the tie groups and so every status, the
-    irreducible order and the class order of `select_nested_generating`
-    are those of the length-L series.  `certified` still depends on L
-    alone, so this holds at every L >= n: also for the uncertified band
-    n <= L < 4n + 1 and its `undecided` logic.  For L < n the prefix is
-    the whole series.  `SieveReport.L` stays L; `full_series` rebuilds
-    the length-L series for the callers that print them.
+    The verdicts are computed from the prefix of degree P = min(L, d), and
+    they are the verdicts of the full length-L series.  Here d is the
+    degree of a monic polynomial q with q(A) w_i = 0 for every atom
+    indicator w_i, where A is the adjacency matrix of the universe
+    (n = |V|): `series.atom_pair_prefix` proves the least such d in the
+    pass that builds the table, or else takes the characteristic
+    polynomial, d = n (Cayley-Hamilton), and P is read off the table.  (The
+    least such q divides the minimal polynomial of the integer matrix A,
+    so it has integer coefficients by Gauss's lemma; the proof below only
+    needs q monic.)  Proof: every series here is a sum of terms u^T A^l w_i for 0/1 vectors
+    u, so is the difference D_l of two element series, D_l = sum_i
+    u_i^T A^l w_i for fixed u_i.  With q = x^d + q_(d-1) x^(d-1) + ... + q_0,
+    A^(l+d) w_i = -(q_(d-1) A^(l+d-1) w_i + ... + q_0 A^l w_i), hence
+    D_(l+d) = -(q_(d-1) D_(l+d-1) + ... + q_0 D_l) for every l >= 0.  If
+    D_l = 0 for l < d, then D_l = 0 for every l.  Two series that agree
+    through degree P therefore agree through L, and two that differ do so
+    first at a pivot l < d, where the prefix already holds both
+    coefficients.  The lexicographic order, the tie groups and so every
+    status, the irreducible order and the class order of
+    `select_nested_generating` are those of the length-L series.
+    `certified` still depends on L alone, so this holds at every L >= d:
+    also for the uncertified band d <= L < 4n + 1 and its `undecided`
+    logic.  For L < d the prefix is the whole series.  `SieveReport.L`
+    stays L; `full_series` rebuilds the length-L series for the callers
+    that print them.
     """
     universe = algebra.universe
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
@@ -168,8 +175,9 @@ def classify(algebra, L=None):
     if L < 1:
         raise SieveError("L must be >= 1")
     certified = L >= lstar
-    P = min(L, universe.nv)
-    series = _series_by_mask(atom_pair_table(universe, algebra.atoms, P), a, P)
+    table = atom_pair_prefix(universe, algebra.atoms, L)
+    P = len(table) - 1
+    series = _series_by_mask(table, a, P)
     full = (1 << a) - 1
     order, status = _verdicts(series, a, certified)
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cutforge import checks
+from cutforge import checks, series
 from cutforge.cli import main
 from cutforge.cuts import boolean_closure, cut_from_members
 from cutforge.graphs import Graph
@@ -253,6 +253,14 @@ def test_split_ladder_is_pinned(capsys):
         assert main(["split"] + args.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
+def test_split_ladder_is_pinned_when_no_recurrence_is_certified(monkeypatch, capsys):
+    """Modulo 2 no recurrence passes the certificate, so every sieve
+    decides on degrees 0..|V| as Cayley-Hamilton allows: the transcripts
+    must not move."""
+    monkeypatch.setattr(series, "_PRIME", 2)
+    test_split_ladder_is_pinned(capsys)
 
 
 # Every split cell of this grid ends in a report or a named refusal, never in

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,8 @@ from cutforge.cuts import (
 from cutforge.ends import balanced_cut
 from cutforge.graphs import Graph
 from cutforge.groups import ZdOracle, ball, make_oracle
-from cutforge.series import atom_pair_table, certified_length
+import cutforge.series as series_mod
+from cutforge.series import atom_pair_prefix, atom_pair_table, certified_length
 from cutforge.sieve import (
     SieveError,
     _series_by_mask,
@@ -164,9 +166,9 @@ def _random_algebra(rng):
     return boolean_closure(cuts)
 
 
-def _orbit_algebra(spec):
-    cut = balanced_cut(make_oracle(spec), 6)
-    wl = cut.universe.oracle.words_up_to(2)
+def _orbit_algebra(spec, radius=6, words=2):
+    cut = balanced_cut(make_oracle(spec), radius)
+    wl = cut.universe.oracle.words_up_to(words)
     return boolean_closure(list(orbit_cuts(cut.universe, cut, wl).cuts))
 
 
@@ -175,8 +177,9 @@ ORBITS = ({"kind": "zd", "d": 1}, {"kind": "free_product", "orders": [2, 2]})
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_verdicts_equal_full_length_verdicts(seed):
-    """classify sorts on the degree-min(L, |V|) prefix (Cayley-Hamilton);
-    every verdict must be the one the full length-L series give."""
+    """classify sorts on the degree-min(L, d) prefix, d the degree of the
+    atoms' annihilator; every verdict must be the one the full length-L
+    series give.  This is the seeded witness on random multigraphs."""
     rng = random.Random("sieve-prefix-%d" % seed)
     algebras = [_random_algebra(rng) for _ in range(12)]
     algebras += [_orbit_algebra(spec) for spec in ORBITS]
@@ -214,6 +217,129 @@ def test_sieve_cap_names_stage_limit_and_remedy():
 
 def _fp(*orders):
     return {"kind": "free_product", "orders": list(orders)}
+
+
+def _annihilator_degree(algebra):
+    """Least d with q(A) w_i = 0 for every atom i and one monic q of degree
+    d, by exact elimination on the adjacency matrix: the first k at which
+    the atoms' stacked vectors (A^k w_1, ..., A^k w_a) depend on those of
+    lower degree."""
+    u = algebra.universe
+    n = u.nv
+    adj = [[0] * n for _ in range(n)]
+    for s, d in u.index_edges:
+        adj[s][d] += 1
+        adj[d][s] += 1
+    vecs = [[(bits >> v) & 1 for v in range(n)] for bits in algebra.atoms]
+    basis = []  # (pivot, row) with row[pivot] == 1, pivots distinct
+    for k in range(n + 1):
+        row = [Fraction(x) for vec in vecs for x in vec]
+        for pivot, b in basis:
+            if row[pivot]:
+                f = row[pivot]
+                row = [x - f * y for x, y in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            return k
+        basis.append((pivot, [x / row[pivot] for x in row]))
+        vecs = [[sum(adj[v][w] * vec[w] for w in range(n)) for v in range(n)] for vec in vecs]
+    raise AssertionError("Cayley-Hamilton bounds the degree by |V|")
+
+
+def _verdicts_at(algebra, L, P):
+    """Order and statuses decided on the length-P prefix of the series."""
+    a = algebra.n_atoms
+    series = _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, P), a, P)
+    return _verdicts(series, a, L >= certified_length(algebra.universe))
+
+
+def _assert_verdicts(rep, order, status):
+    assert [el.status for el in rep.elements] == status
+    assert [el.mask for el in rep.irreducible] == [m for m in order if status[m] == "irreducible"]
+    assert rep.undecided_count == status.count("undecided")
+    assert sorted(range(len(status)), key=lambda m: (rep.elements[m].series, m)) == order
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_stops_at_the_annihilator_degree(seed):
+    """The walk stops at the degree d of the atoms' annihilator whenever
+    d < min(L, |V|), and runs to min(L, |V|) otherwise."""
+    rng = random.Random("sieve-degree-%d" % seed)
+    for _ in range(12):
+        algebra = _random_algebra(rng)
+        u, atoms = algebra.universe, algebra.atoms
+        d = _annihilator_degree(algebra)
+        for L in (1, rng.randint(1, u.nv), u.nv, certified_length(u)):
+            table = atom_pair_prefix(u, atoms, L)
+            assert len(table) - 1 == min(d, L, u.nv)
+            assert table == atom_pair_table(u, atoms, len(table) - 1)
+
+
+# (group, radius, word bound, annihilator degree): three split-ladder sieves
+# and the free:2 --words 1 reach cell.  A silent fallback to |V| fails here.
+DEGREE_CELLS = [
+    (_fp(2, 2, 2), 6, 1, 17),
+    (_fp(2, 3), 8, 2, 32),
+    (_fp(2, 4), 6, 2, 41),
+    ({"kind": "free", "k": 2}, 6, 1, 17),
+]
+
+
+@pytest.mark.parametrize("spec, radius, words, d", DEGREE_CELLS)
+def test_ball_sieves_decide_on_the_annihilator_degree(spec, radius, words, d):
+    algebra = _orbit_algebra(spec, radius, words)
+    rep = classify(algebra)
+    assert algebra.universe.nv > d
+    assert all(len(el.series) == d + 1 for el in rep.elements)
+
+
+WITNESS_ORBITS = [
+    ({"kind": "zd", "d": 1}, 6, 2),
+    (_fp(2, 2), 6, 2),
+    (_fp(2, 3), 6, 2),
+    (_fp(2, 2, 2), 6, 1),
+    (_fp(3, 3), 6, 1),
+    (_fp(3, 4), 6, 1),
+]
+
+
+@pytest.mark.parametrize("spec, radius, words", WITNESS_ORBITS)
+def test_ball_verdicts_at_the_annihilator_degree_equal_those_at_v(spec, radius, words):
+    algebra = _orbit_algebra(spec, radius, words)
+    u = algebra.universe
+    L = certified_length(u)
+    _assert_verdicts(classify(algebra, L), *_verdicts_at(algebra, L, u.nv))
+
+
+# (prime, group, radius, word bound): modulo 2 BM settles on the constant
+# 1, a wrong lift; modulo 2^107 - 1 it settles on the true annihilator of
+# fp(2,3), but the certificate's bound exceeds that prime; modulo 2^61 - 1
+# the detection ends before BM settles.  Each must fall back to |V| with
+# unchanged verdicts, irreducible order and selection.
+FALLBACK_CELLS = [
+    (2, _fp(2, 2, 2), 6, 1),
+    (2**107 - 1, _fp(2, 3), 6, 2),
+    (2**61 - 1, _fp(2, 3), 8, 2),
+]
+
+
+@pytest.mark.parametrize("prime, spec, radius, words", FALLBACK_CELLS)
+def test_uncertified_recurrence_falls_back_to_v(monkeypatch, prime, spec, radius, words):
+    cut = balanced_cut(make_oracle(spec), radius)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(words)
+    cuts = orbit_cuts(bv, cut, wl).cuts
+    want = select_nested_generating(cuts, action=wl)
+    assert len(want.report.elements[0].series) - 1 < bv.nv
+    monkeypatch.setattr(series_mod, "_PRIME", prime)
+    got = select_nested_generating(cuts, action=wl)
+    rep = got.report
+    assert all(len(el.series) == bv.nv + 1 for el in rep.elements)
+    _assert_verdicts(rep, *_verdicts_at(rep.algebra, rep.L, bv.nv))
+    assert [el.status for el in rep.elements] == [el.status for el in want.report.elements]
+    assert [el.mask for el in rep.irreducible] == [el.mask for el in want.report.irreducible]
+    assert got.kept == want.kept and got.removed == want.removed
+    assert got.images == want.images
 
 
 # (group, word bound): W = 1 and 2 on groups that split, and fp(3,3) and
