@@ -264,14 +264,14 @@ def test_split_ladder_is_pinned_when_no_recurrence_is_certified(monkeypatch, cap
 
 
 # Every split cell of this grid ends in a report or a named refusal, never in
-# an internal error.  `free:2 --words 1` (about 5 s) is left to CI.
+# an internal error.
 SPLIT_GRID = [
     (group, words)
     for group in ("zd:1", "zd:2", "free:1", "free_product:2,2",
                   "free_product:2,3", "free_product:3,3",
-                  "free_product:2,2,2")
+                  "free_product:2,2,2", "free:2")
     for words in (1, 2)
-] + [("free:2", 2)]
+]
 NAMED_REFUSAL = re.compile(
     r"^error: (no balanced cut|Boolean closure|measure sieve): "
 )
