@@ -440,10 +440,10 @@ def corner_choices(g, L, pairs, P=None):
 
     The corner measures are computed through `measure`, once per distinct
     corner, and compared on degrees 0..P, by default P = min(L, |V|).  That
-    picks what the length-L series pick, by the proof in `sieve.classify`:
-    every corner measure is u^T A^l w for the one adjacency matrix A, so two
-    of them that agree for l < |V| agree for every l, and two that differ
-    do so first at some l < |V|.
+    picks what the length-L series pick, by the proof in `sieve.classify`
+    for the discrete partition, k = |V|: every corner measure is u^T A^l w
+    for the one adjacency matrix A, so two of them that agree for l < |V|
+    agree for every l, and two that differ do so first at some l < |V|.
     """
     full = full_mask(g)
     if P is None:

@@ -24,22 +24,15 @@ L >= 4|V| + 1, because the parity-augmented transfer system has <= 2|V|
 states, so each coefficient sequence satisfies a linear recurrence of
 order <= 2|V| and two such sequences agreeing on the first 4|V| + 1 terms
 agree everywhere.  That length stays the reported contract.  The sieve
-decides on less: its measure series all come from the one symmetric
-|V|-state matrix A applied to the atom indicators w_i, so once a monic q of
-degree d with q(A) w_i = 0 for every atom is known, the difference of two
-of them vanishes for good once it vanishes for l < d.  Cayley-Hamilton
-gives d = |V|; `atom_pair_prefix` finds the least d in the same kernel pass
-that builds the table (Berlekamp-Massey on a Krylov sequence, as in
-Wiedemann, "Solving sparse linear equations over finite fields", 1986),
-proves it exactly and stops there, and `sieve.classify` orders elements on
-the terms through degree min(L, d) (the proof is in its docstring).
+decides on less: `atom_pair_prefix` walks the k blocks of the coarsest
+equitable partition that refines the atoms instead of the |V| vertices, and
+two of its series that agree below degree k agree at every degree (the
+proof is in `sieve.classify`'s docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, zip_longest
-from operator import mul
 
 from .cuts import bits_of_members, full_mask, universe_graph, Cut
 
@@ -51,7 +44,7 @@ class SeriesError(ValueError):
 
 
 def certified_length(universe):
-    return 4 * universe_graph(universe).nv + 1
+    return 4 * full_mask(universe).bit_length() + 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ def _as_bits(universe, spec_set):
             raise SeriesError("cut lives over a different universe")
         return spec_set.bits
     if isinstance(spec_set, int):
-        if spec_set < 0 or spec_set >> universe_graph(universe).nv:
+        if spec_set < 0 or spec_set > full_mask(universe):
             raise SeriesError("bit mask out of range")
         return spec_set
     return bits_of_members(universe, spec_set)
@@ -140,12 +133,17 @@ def _normalize_spec(universe, spec):
 def _successors(g, crossing=None):
     """Sparse rows of the walk matrix A: nbrs[u] lists, with multiplicity,
     the state a dart at u steps to, so (A v)[u] = sum of v over nbrs[u].
-    Without `crossing` the states are the vertices.  With a set of edge
-    indices the space is parity-doubled: state v + p|V| steps along edge k
-    to w + (p xor [k in crossing])|V|."""
-    if crossing is None:
-        return [[w for (w, _k, _dir) in ds] for ds in g.darts]
+    Without `crossing` the states are the vertices, read off `index_edges`,
+    so a ball needs no string graph.  With a set of edge indices the space
+    is parity-doubled: state v + p|V| steps along edge k to
+    w + (p xor [k in crossing])|V|."""
     n = g.nv
+    if crossing is None:
+        nbrs = [[] for _ in range(n)]
+        for s, d in g.index_edges:
+            nbrs[s].append(d)
+            nbrs[d].append(s)
+        return nbrs
     even = [[w + n if k in crossing else w for (w, k, _dir) in ds] for ds in g.darts]
     odd = [[w if k in crossing else w + n for (w, k, _dir) in ds] for ds in g.darts]
     return even + odd
@@ -341,132 +339,74 @@ def crossing_distance(universe, r_edges, s_edges, cap=None):
 
 # -- atom pair tables (shared with the sieve) ----------------------------------
 
-# Berlekamp-Massey runs modulo this Mersenne prime; it also bounds the
-# recurrences `atom_pair_prefix` can certify (see there).
-_PRIME = 2**521 - 1
+
+def _equitable_partition(nbrs, atoms):
+    """Block index of every vertex in the coarsest equitable partition that
+    refines the atoms (colour refinement): starting from the atoms, split
+    blocks by (own block, sorted neighbour blocks) until their number stops
+    growing.  Then every vertex of a block has the same number of darts
+    into each block."""
+    block = [0] * len(nbrs)
+    for i, bits in enumerate(atoms):
+        for v in _members(bits, len(nbrs)):
+            block[v] = i + 1
+    count = len(set(block))
+    while True:
+        ids = {}
+        block = [
+            ids.setdefault((b, tuple(sorted(map(block.__getitem__, ns)))), len(ids))
+            for b, ns in zip(block, nbrs)
+        ]
+        if len(ids) == count:
+            return block
+        count = len(ids)
 
 
-def _atom_levels(g, atoms, L):
-    """Yield, for l = 0..L, the atom vectors A^l w_i and the table level
-    P[l][i][j] = number of length-l walks from atom i into atom j."""
-    n = g.nv
-    members = [_members(bits, n) for bits in atoms]
-    starts = [_indicator(bits, n) for bits in atoms]
-    for vecs in _walk_counts(_successors(g), starts, L):
-        yield vecs, tuple(
-            tuple([sum(map(vec.__getitem__, mem)) for mem in members]) for vec in vecs
-        )
+def _quotient(universe, atoms):
+    """The atoms' walk on the k blocks of `_equitable_partition`.  Entry X
+    of atom i's vector at level l counts the length-l walks from atom i that
+    end in block X.  Every vertex of X has the same number of darts into
+    block Y, so such a walk extends into Y in that many ways: row Y of the
+    quotient lists block X that many times.  Returns the k rows, the atom
+    start vectors (block sizes inside the atom), and per atom its blocks."""
+    nbrs = _successors(universe)
+    block = _equitable_partition(nbrs, atoms)
+    k = max(block, default=-1) + 1
+    rows = [[] for _ in range(k)]
+    starts = [[0] * k for _ in atoms]
+    seen = [False] * k
+    for v, b in enumerate(block):
+        if not seen[b]:
+            seen[b] = True
+            for w in nbrs[v]:
+                rows[block[w]].append(b)
+    for start, bits in zip(starts, atoms):
+        for v in _members(bits, len(block)):
+            start[block[v]] += 1
+    ends = [[b for b in range(k) if start[b]] for start in starts]
+    return rows, starts, ends
+
+
+def _atom_table(quotient, L):
+    rows, starts, ends = quotient
+    return tuple(
+        tuple(tuple([sum(map(vec.__getitem__, end)) for end in ends]) for vec in vecs)
+        for vecs in _walk_counts(rows, starts, L)
+    )
 
 
 def atom_pair_table(universe, atoms, L):
-    """P[l][i][j] = number of length-l walks from atom i into atom j.
-    Lets callers assemble the series of every union of atoms by addition."""
-    return tuple(level for _vecs, level in _atom_levels(universe_graph(universe), atoms, L))
-
-
-class _Recurrence:
-    """Berlekamp-Massey over GF(_PRIME), fed one term at a time (Massey,
-    "Shift-register synthesis and BCH decoding", 1969): `conn` is, up to a
-    nonzero factor, the connection polynomial 1 + c_1 x + ... + c_D x^D of
-    the shortest linear recurrence of the terms pushed so far, and `length`
-    is D.  Each update is scaled by the last discrepancy instead of divided
-    by it, so no inverse is taken until the recurrence is lifted."""
-
-    def __init__(self):
-        self.terms = []
-        self.conn = [1]
-        self.length = 0
-        self._before = [1]  # conn before the last length change
-        self._disc = 1  # the discrepancy that made that change
-        self._gap = 1  # terms pushed since then
-
-    def push(self, t):
-        p = _PRIME
-        s = self.terms
-        s.append(t % p)
-        delta = sum(map(mul, self.conn, reversed(s))) % p
-        if delta == 0:
-            self._gap += 1
-            return
-        old, disc = self.conn, self._disc
-        shifted = [0] * self._gap + self._before
-        new = [
-            (disc * x - delta * y) % p
-            for x, y in zip_longest(old, shifted, fillvalue=0)
-        ]
-        if 2 * self.length < len(s):
-            self._before, self._disc = old, delta
-            self.length = len(s) - self.length
-            self._gap = 1
-        else:
-            self._gap += 1
-        self.conn = new
-
-    def certifies(self, n, deg):
-        """Whether the integer lift q of the recurrence, monic of degree D,
-        is proven to satisfy sum_i |q(A) w_i|^2 = 0 (see atom_pair_prefix)
-        from the terms T_0..T_2D, for n vertices of degree <= deg."""
-        d = self.length
-        p = _PRIME
-        unit = pow(self.conn[0], -1, p)
-        conn = self.conn + [0] * (d + 1 - len(self.conn))
-        q = [c * unit % p for c in reversed(conn[: d + 1])]
-        q = [c - p if 2 * c > p else c for c in q]
-        if n * sum(abs(c) * deg**k for k, c in enumerate(q)) ** 2 >= p:
-            return False
-        s = self.terms
-        return sum(qj * sum(map(mul, q, s[j:])) for j, qj in enumerate(q)) % p == 0
+    """P[l][i][j] = number of length-l walks from atom i into atom j, for
+    atoms that partition the vertices, walked on the atoms' equitable
+    quotient.  Lets callers assemble the series of every union of atoms by
+    addition."""
+    return _atom_table(_quotient(universe, atoms), L)
 
 
 def atom_pair_prefix(universe, atoms, L):
-    """atom_pair_table through degree P = min(L, d), the prefix on which
-    `sieve.classify` decides.  d is the degree of the annihilator of the
-    atom indicators w_i, the least degree of a monic q with q(A) w_i = 0 for
-    every atom i, when the walk proves it below min(L, |V|); otherwise
-    P = min(L, |V|), as Cayley-Hamilton allows.
-
-    The detector rides on the one kernel pass.  A is symmetric, so
-    T_k = sum_i w_i^T A^k w_i = sum_i (A^j w_i).(A^(k-j) w_i), and level l
-    gives T_(2l-1) and T_2l from the vectors of levels l - 1 and l.  Over
-    the eigenvalues x of A, T_k = sum_x x^k m_x with weights
-    m_x = sum_i |E_x w_i|^2 > 0 on exactly the eigenvalues the w_i see, so
-    the shortest recurrence of T over Q is the annihilator.  That is monic
-    with integer coefficients (it divides the minimal polynomial of the
-    integer matrix A; Gauss's lemma), so it still holds modulo the prime p,
-    and Berlekamp-Massey modulo p finds a recurrence of length D <= d,
-    settled (D <= l) by level l = d.
-
-    A settled recurrence is lifted to the monic q with coefficients in
-    (-p/2, p/2] and certified: S = sum_i |q(A) w_i|^2 = sum_(j,k) q_j q_k
-    T_(j+k) is an integer >= 0, and as |A|_2 <= deg, the largest vertex
-    degree, S <= B = |V| (sum_k |q_k| deg^k)^2.  If S = 0 mod p and B < p,
-    then S = 0, so q(A) w_i = 0 for every atom: d <= D, hence P = D = d.
-    The detector ends, and the walk runs on to min(L, |V|), when a settled
-    recurrence fails, when no monic q of length D can pass (B >= |V|
-    deg^(2D), and D never shrinks), or when it could stop the walk no
-    earlier than min(L, |V|).  So the prime and the detector move where the
-    walk stops, never a term of the table."""
-    g = universe_graph(universe)
-    n = g.nv
-    top = min(L, n)
-    deg = max(map(len, g.darts), default=0)
-    rec = _Recurrence()
-    table = []
-    prev = None
-    for level, (vecs, row) in enumerate(_atom_levels(g, atoms, top)):
-        table.append(row)
-        if rec is None:
-            continue
-        flat = list(chain.from_iterable(vecs))
-        if prev is not None:
-            rec.push(sum(map(mul, prev, flat)))
-        rec.push(sum(map(mul, flat, flat)))
-        prev = flat
-        d = rec.length
-        if d <= level:
-            if rec.certifies(n, deg):
-                break
-            rec = None
-        elif d >= top or n * deg ** (2 * d) >= _PRIME:
-            rec = None
-    return tuple(table)
+    """atom_pair_table through degree P = min(L, k), the prefix on which
+    `sieve.classify` decides; k is the number of blocks of the coarsest
+    equitable partition that refines the atoms (the proof is in classify's
+    docstring)."""
+    quotient = _quotient(universe, atoms)
+    return _atom_table(quotient, min(L, len(quotient[0])))

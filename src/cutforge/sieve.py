@@ -43,7 +43,7 @@ class SieveError(ValueError):
 class SieveElement:
     mask: int  # atom-subset index
     bits: int  # vertex bit mask
-    # measure coefficients 0..P, P = min(L, d): the prefix that decides the
+    # measure coefficients 0..P, P = min(L, k): the prefix that decides the
     # order (see classify); full_series(report) gives all L + 1 of them
     series: tuple
     status: str  # "reducible" | "irreducible" | "undecided"
@@ -133,29 +133,32 @@ def _verdicts(series, a, certified):
 def classify(algebra, L=None):
     """Sieve every element of the algebra by its measure series at length L.
 
-    The verdicts are computed from the prefix of degree P = min(L, d), and
-    they are the verdicts of the full length-L series.  Here d is the
-    degree of a monic polynomial q with q(A) w_i = 0 for every atom
-    indicator w_i, where A is the adjacency matrix of the universe
-    (n = |V|): `series.atom_pair_prefix` proves the least such d in the
-    pass that builds the table, or else takes the characteristic
-    polynomial, d = n (Cayley-Hamilton), and P is read off the table.  (The
-    least such q divides the minimal polynomial of the integer matrix A,
-    so it has integer coefficients by Gauss's lemma; the proof below only
-    needs q monic.)  Proof: every series here is a sum of terms u^T A^l w_i for 0/1 vectors
+    The verdicts are computed from the prefix of degree P = min(L, k), and
+    they are the verdicts of the full length-L series.  Here A is the
+    adjacency matrix of the universe, w_i the atom indicators, and k the
+    number of blocks of the coarsest equitable partition that refines the
+    atoms (`series.atom_pair_prefix`): every vertex of block X has the same
+    number B[X][Y] of darts into block Y (Godsil and Royle, "Algebraic
+    Graph Theory", 2001, section 9.3).  So A 1_Y = sum_X B[X][Y] 1_X: the
+    span of the k block indicators is A-invariant, A acts on it by the
+    integer k x k matrix B, and it holds every w_i.  The characteristic
+    polynomial q of B is monic of degree k, and q(A) kills that span by
+    Cayley-Hamilton, so q(A) w_i = 0 for every atom.  (The discrete
+    partition, k = n = |V|, gives the characteristic polynomial of A.)
+    Proof: every series here is a sum of terms u^T A^l w_i for 0/1 vectors
     u, so is the difference D_l of two element series, D_l = sum_i
-    u_i^T A^l w_i for fixed u_i.  With q = x^d + q_(d-1) x^(d-1) + ... + q_0,
-    A^(l+d) w_i = -(q_(d-1) A^(l+d-1) w_i + ... + q_0 A^l w_i), hence
-    D_(l+d) = -(q_(d-1) D_(l+d-1) + ... + q_0 D_l) for every l >= 0.  If
-    D_l = 0 for l < d, then D_l = 0 for every l.  Two series that agree
+    u_i^T A^l w_i for fixed u_i.  With q = x^k + q_(k-1) x^(k-1) + ... + q_0,
+    A^(l+k) w_i = -(q_(k-1) A^(l+k-1) w_i + ... + q_0 A^l w_i), hence
+    D_(l+k) = -(q_(k-1) D_(l+k-1) + ... + q_0 D_l) for every l >= 0.  If
+    D_l = 0 for l < k, then D_l = 0 for every l.  Two series that agree
     through degree P therefore agree through L, and two that differ do so
-    first at a pivot l < d, where the prefix already holds both
+    first at a pivot l < k, where the prefix already holds both
     coefficients.  The lexicographic order, the tie groups and so every
     status, the irreducible order and the class order of
     `select_nested_generating` are those of the length-L series.
-    `certified` still depends on L alone, so this holds at every L >= d:
-    also for the uncertified band d <= L < 4n + 1 and its `undecided`
-    logic.  For L < d the prefix is the whole series.  `SieveReport.L`
+    `certified` still depends on L alone, so this holds at every L >= k:
+    also for the uncertified band k <= L < 4n + 1 and its `undecided`
+    logic.  For L < k the prefix is the whole series.  `SieveReport.L`
     stays L; `full_series` rebuilds the length-L series for the callers
     that print them.
     """

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import cutforge.groups
 from cutforge import checks, series
 from cutforge.cli import main
 from cutforge.cuts import boolean_closure, cut_from_members
@@ -256,11 +257,25 @@ def test_split_ladder_is_pinned(capsys):
 
 
 def test_split_ladder_is_pinned_when_no_recurrence_is_certified(monkeypatch, capsys):
-    """Modulo 2 no recurrence passes the certificate, so every sieve
+    """On the discrete partition (k = |V|) the one recurrence the sieve's
+    proof takes is the characteristic polynomial of A, so every sieve
     decides on degrees 0..|V| as Cayley-Hamilton allows: the transcripts
     must not move."""
-    monkeypatch.setattr(series, "_PRIME", 2)
+    monkeypatch.setattr(
+        series, "_equitable_partition", lambda nbrs, atoms: list(range(len(nbrs)))
+    )
     test_split_ladder_is_pinned(capsys)
+
+
+def test_split_needs_no_string_graph(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("split built a string graph")
+
+    monkeypatch.setattr(cutforge.groups, "Graph", refuse)
+    args = "--group free_product:2,3"
+    assert main(["split"] + args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SPLIT_LADDER_SHA256[args]
 
 
 # Every split cell of this grid ends in a report or a named refusal, never in

@@ -177,9 +177,10 @@ ORBITS = ({"kind": "zd", "d": 1}, {"kind": "free_product", "orders": [2, 2]})
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_verdicts_equal_full_length_verdicts(seed):
-    """classify sorts on the degree-min(L, d) prefix, d the degree of the
-    atoms' annihilator; every verdict must be the one the full length-L
-    series give.  This is the seeded witness on random multigraphs."""
+    """classify sorts on the degree-min(L, k) prefix, k the number of
+    blocks of the atoms' equitable partition; every verdict must be the one
+    the full length-L series give, counted here by a plain per-vertex walk.
+    This is the seeded witness on random multigraphs."""
     rng = random.Random("sieve-prefix-%d" % seed)
     algebras = [_random_algebra(rng) for _ in range(12)]
     algebras += [_orbit_algebra(spec) for spec in ORBITS]
@@ -188,7 +189,7 @@ def test_prefix_verdicts_equal_full_length_verdicts(seed):
         a = algebra.n_atoms
         for L in (certified_length(algebra.universe), n, rng.randrange(n + 1, 4 * n + 1)):
             rep = classify(algebra, L)
-            full = _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, L), a, L)
+            full = _series_by_mask(_walk_table(algebra, L), a, L)
             order, status = _verdicts(full, a, rep.certified)
             assert rep.L == L and full_series(rep) == full
             assert [el.status for el in rep.elements] == status
@@ -219,6 +220,43 @@ def _fp(*orders):
     return {"kind": "free_product", "orders": list(orders)}
 
 
+def _adjacency(u):
+    """Neighbour lists of the universe, one entry per dart."""
+    adj = [[] for _ in range(u.nv)]
+    for s, d in u.index_edges:
+        adj[s].append(d)
+        adj[d].append(s)
+    return adj
+
+
+def _walk_table(algebra, L):
+    """P[l][i][j] = number of length-l walks from atom i into atom j, by a
+    plain per-vertex walk: the reference for the quotient walk of
+    atom_pair_table."""
+    u = algebra.universe
+    n = u.nv
+    adj = _adjacency(u)
+    members = [[v for v in range(n) if (bits >> v) & 1] for bits in algebra.atoms]
+    vecs = [[(bits >> v) & 1 for v in range(n)] for bits in algebra.atoms]
+    table = []
+    for _ in range(L + 1):
+        table.append(tuple(tuple(sum(vec[v] for v in m) for m in members) for vec in vecs))
+        vecs = [[sum(vec[w] for w in adj[v]) for v in range(n)] for vec in vecs]
+    return tuple(table)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_atom_pair_table_equals_the_vertex_walk(seed):
+    """On random multigraphs with loops and parallel edges the quotient walk
+    counts what the per-vertex walk counts, at L = 0, 1, |V| and 4|V| + 1."""
+    rng = random.Random("sieve-table-%d" % seed)
+    for _ in range(12):
+        algebra = _random_algebra(rng)
+        n = algebra.universe.nv
+        for L in (0, 1, n, certified_length(algebra.universe)):
+            assert atom_pair_table(algebra.universe, algebra.atoms, L) == _walk_table(algebra, L)
+
+
 def _annihilator_degree(algebra):
     """Least d with q(A) w_i = 0 for every atom i and one monic q of degree
     d, by exact elimination on the adjacency matrix: the first k at which
@@ -246,10 +284,26 @@ def _annihilator_degree(algebra):
     raise AssertionError("Cayley-Hamilton bounds the degree by |V|")
 
 
+def _checked_blocks(algebra):
+    """Number of blocks of the sieve's partition, after checking by brute
+    force that it refines the atoms and is equitable: every vertex of a
+    block lies in the same atom and has the same neighbour blocks, with
+    multiplicity."""
+    u = algebra.universe
+    adj = _adjacency(u)
+    block = series_mod._equitable_partition(adj, algebra.atoms)
+    atom_of = {v: i for i, bits in enumerate(algebra.atoms) for v in range(u.nv) if (bits >> v) & 1}
+    profile = {}
+    for v in range(u.nv):
+        seen = (atom_of[v], sorted(block[w] for w in adj[v]))
+        assert profile.setdefault(block[v], seen) == seen
+    return len(profile)
+
+
 def _verdicts_at(algebra, L, P):
     """Order and statuses decided on the length-P prefix of the series."""
     a = algebra.n_atoms
-    series = _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, P), a, P)
+    series = _series_by_mask(_walk_table(algebra, P), a, P)
     return _verdicts(series, a, L >= certified_length(algebra.universe))
 
 
@@ -262,35 +316,40 @@ def _assert_verdicts(rep, order, status):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_stops_at_the_annihilator_degree(seed):
-    """The walk stops at the degree d of the atoms' annihilator whenever
-    d < min(L, |V|), and runs to min(L, |V|) otherwise."""
+    """The walk stops at min(L, k), k the number of blocks of the atoms'
+    equitable partition: the degree of the annihilator that classify's
+    proof takes, the characteristic polynomial of the quotient.  The least
+    annihilator degree d is at most k."""
     rng = random.Random("sieve-degree-%d" % seed)
     for _ in range(12):
         algebra = _random_algebra(rng)
         u, atoms = algebra.universe, algebra.atoms
-        d = _annihilator_degree(algebra)
+        k = _checked_blocks(algebra)
+        assert _annihilator_degree(algebra) <= k <= u.nv
         for L in (1, rng.randint(1, u.nv), u.nv, certified_length(u)):
             table = atom_pair_prefix(u, atoms, L)
-            assert len(table) - 1 == min(d, L, u.nv)
-            assert table == atom_pair_table(u, atoms, len(table) - 1)
+            assert len(table) - 1 == min(L, k)
+            assert table == _walk_table(algebra, len(table) - 1)
 
 
-# (group, radius, word bound, annihilator degree): three split-ladder sieves
-# and the free:2 --words 1 reach cell.  A silent fallback to |V| fails here.
+# (group, radius, word bound, k): three split-ladder sieves and the free:2
+# --words 1 reach cell, k the number of blocks of their atoms' equitable
+# partition (the least annihilator degrees read 17, 32, 41 and 17).  A
+# silent fallback to |V| fails here.
 DEGREE_CELLS = [
-    (_fp(2, 2, 2), 6, 1, 17),
+    (_fp(2, 2, 2), 6, 1, 29),
     (_fp(2, 3), 8, 2, 32),
-    (_fp(2, 4), 6, 2, 41),
-    ({"kind": "free", "k": 2}, 6, 1, 17),
+    (_fp(2, 4), 6, 2, 45),
+    ({"kind": "free", "k": 2}, 6, 1, 40),
 ]
 
 
-@pytest.mark.parametrize("spec, radius, words, d", DEGREE_CELLS)
-def test_ball_sieves_decide_on_the_annihilator_degree(spec, radius, words, d):
+@pytest.mark.parametrize("spec, radius, words, k", DEGREE_CELLS)
+def test_ball_sieves_decide_on_the_annihilator_degree(spec, radius, words, k):
     algebra = _orbit_algebra(spec, radius, words)
     rep = classify(algebra)
-    assert algebra.universe.nv > d
-    assert all(len(el.series) == d + 1 for el in rep.elements)
+    assert _checked_blocks(algebra) == k < algebra.universe.nv
+    assert all(len(el.series) == k + 1 for el in rep.elements)
 
 
 WITNESS_ORBITS = [
@@ -311,27 +370,30 @@ def test_ball_verdicts_at_the_annihilator_degree_equal_those_at_v(spec, radius, 
     _assert_verdicts(classify(algebra, L), *_verdicts_at(algebra, L, u.nv))
 
 
-# (prime, group, radius, word bound): modulo 2 BM settles on the constant
-# 1, a wrong lift; modulo 2^107 - 1 it settles on the true annihilator of
-# fp(2,3), but the certificate's bound exceeds that prime; modulo 2^61 - 1
-# the detection ends before BM settles.  Each must fall back to |V| with
-# unchanged verdicts, irreducible order and selection.
-FALLBACK_CELLS = [
-    (2, _fp(2, 2, 2), 6, 1),
-    (2**107 - 1, _fp(2, 3), 6, 2),
-    (2**61 - 1, _fp(2, 3), 8, 2),
+def _discrete_partition(nbrs, atoms):
+    return list(range(len(nbrs)))
+
+
+# (group, radius, word bound): ball sieves whose atoms' equitable partition
+# has far fewer than |V| blocks.  Forced onto the discrete partition, k = |V|,
+# each must decide on degrees 0..|V| with unchanged verdicts, irreducible
+# order and selection.
+DISCRETE_CELLS = [
+    (_fp(2, 2, 2), 6, 1),
+    (_fp(2, 3), 6, 2),
+    (_fp(2, 3), 8, 2),
 ]
 
 
-@pytest.mark.parametrize("prime, spec, radius, words", FALLBACK_CELLS)
-def test_uncertified_recurrence_falls_back_to_v(monkeypatch, prime, spec, radius, words):
+@pytest.mark.parametrize("spec, radius, words", DISCRETE_CELLS)
+def test_discrete_partition_falls_back_to_v(monkeypatch, spec, radius, words):
     cut = balanced_cut(make_oracle(spec), radius)
     bv = cut.universe
     wl = bv.oracle.words_up_to(words)
     cuts = orbit_cuts(bv, cut, wl).cuts
     want = select_nested_generating(cuts, action=wl)
     assert len(want.report.elements[0].series) - 1 < bv.nv
-    monkeypatch.setattr(series_mod, "_PRIME", prime)
+    monkeypatch.setattr(series_mod, "_equitable_partition", _discrete_partition)
     got = select_nested_generating(cuts, action=wl)
     rep = got.report
     assert all(len(el.series) == bv.nv + 1 for el in rep.elements)
