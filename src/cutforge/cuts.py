@@ -145,22 +145,6 @@ def cut_from_members(universe, members, name=None):
     return Cut(universe, bits_of_members(universe, members), name)
 
 
-def coboundary(universe, members_or_cut):
-    """Edge ids with exactly one endpoint in the set.  On a ball universe
-    the interior contract is enforced."""
-    if isinstance(members_or_cut, Cut):
-        return members_or_cut.coboundary()
-    bits = bits_of_members(universe, members_or_cut)
-    _check_interior(universe, bits)
-    g = universe_graph(universe)
-    return frozenset(g.edges[k][0] for k in coboundary_indices(universe, bits))
-
-
-def sym_diff(a, b):
-    _same_universe(a, b)
-    return frozenset(members_of_bits(a.universe, a.bits ^ b.bits))
-
-
 def almost_equal(a, b):
     """(almost equal?, symmetric difference).  Exact on finite graphs; on a
     ball the answer is certified only when the difference avoids the sphere
@@ -243,9 +227,6 @@ class CutAlgebra:
     def n_atoms(self):
         return len(self.atoms)
 
-    def full(self):
-        return full_mask(self.universe)
-
     def element_bits(self, subset):
         bits = 0
         for i in range(self.n_atoms):
@@ -269,9 +250,6 @@ class CutAlgebra:
             return None
         return subset
 
-    def contains(self, bits):
-        return self.decompose(bits) is not None
-
     def all_element_bits(self):
         if self.n_atoms > MAX_ENUMERATED_ATOMS:
             raise CutError(
@@ -280,11 +258,6 @@ class CutAlgebra:
             )
         for subset in range(1 << self.n_atoms):
             yield self.element_bits(subset)
-
-    def same_algebra(self, other):
-        return self.universe is other.universe and sorted(self.atoms) == sorted(
-            other.atoms
-        )
 
 
 def refine(blocks, masks):
@@ -388,14 +361,9 @@ def is_almost_right_stable(bv, cut, probe_radius=None):
     probe = probe_radius if probe_radius is not None else max(2, bv.radius // 2)
     if probe >= bv.radius:
         raise CutError("probe radius must be smaller than the ball radius")
-    small = make_ball(o, probe)
-    small_bits = 0
-    for i, el in enumerate(small.elements):
-        j = bv.el_to_idx.get(el)
-        if j is None:
-            raise CutError("probe ball escapes the outer ball")
-        if (cut.bits >> j) & 1:
-            small_bits |= 1 << i
+    # ball(probe) is a prefix of ball(R), so its bits are the low bits
+    small = make_ball(o, probe, cap=bv.nv)
+    small_bits = cut.bits & ((1 << small.nv) - 1)
     per = []
     witness = None
     for gi, (name, g) in enumerate(gens):

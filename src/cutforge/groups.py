@@ -6,6 +6,10 @@ their full element list; the lazy kinds (Z^d, free, free products of finite
 cyclics) work with canonical normal forms and are only ever observed
 through balls of finite radius.
 
+`ball` is the one search over a group, so ball(r).elements is a prefix of
+ball(R).elements for r <= R.  Word lists, a permutation group's elements, a
+table's generation check and `trees.induce_action` all read a ball.
+
 Cayley edges are pairs (g, s) with s a generator, drawn g -> gs.  A ball of
 radius R carries every edge with both endpoints at distance <= R, plus the
 breadth-first layering that certifies those distances.  The ball keeps its
@@ -18,11 +22,13 @@ translation of cuts reads the index pairs (see `cuts.act_left_cut`).
 from __future__ import annotations
 
 import os
+import sys
 
 from .graphs import Graph
 
 DEFAULT_VERTEX_CAP = 200_000
 CAP_ENV_VAR = "CUTFORGE_CAP_VERTICES"
+PERM_CLOSURE_CAP = 20000
 
 
 class GroupError(ValueError):
@@ -36,6 +42,13 @@ def _vertex_cap(explicit=None):
     if env:
         return int(env)
     return DEFAULT_VERTEX_CAP
+
+
+def _int_tuple(value, what):
+    """A list of integers as a tuple, not a string read digit by digit."""
+    if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+        raise GroupError("%s must be a list of integers" % (what,))
+    return tuple(value)
 
 
 class GroupOracle:
@@ -61,33 +74,15 @@ class GroupOracle:
         raise NotImplementedError
 
     def words_up_to(self, max_len):
-        """Deduplicated (element, word string) pairs for all words over the
-        generators and their inverses of length <= max_len, breadth first.
-        The word kept per element is the first one found."""
-        e = self.identity()
-        seen = {e: ""}
-        order = [e]
-        frontier = [e]
-        letters = []
-        for name, g in self.generators():
-            letters.append((name, g))
-            gi = self.invert(g)
-            if gi != g:
-                letters.append((name + "^-1", gi))
-        for _ in range(max_len):
-            nxt = []
-            for el in frontier:
-                w = seen[el]
-                for name, g in letters:
-                    img = self.multiply(el, g)
-                    if img not in seen:
-                        seen[img] = (w + " " + name).strip()
-                        order.append(img)
-                        nxt.append(img)
-            frontier = nxt
-            if not frontier:
-                break
-        return [(el, seen[el]) for el in order]
+        """(element, word) pairs of `ball(self, max_len)`, in its order, each
+        word spelling the search-tree path that first reached the element.
+        Words are bounded by their length, not by the vertex cap."""
+        bv = ball(self, max(max_len, 0), cap=sys.maxsize)
+        names = [name for name, _g, _gj in _letters(self)]
+        words = [""]
+        for parent, letter in search_tree(bv)[1:]:
+            words.append((words[parent] + " " + names[letter]).strip())
+        return list(zip(bv.elements, words))
 
     def element_from_word(self, word):
         """Parse a word string: space-separated tokens `name` or `name^k`
@@ -174,19 +169,7 @@ class TableOracle(GroupOracle):
         if len(set(i for _, i in gen_list)) != len(gen_list):
             raise GroupError("duplicate generator")
         self._gens = tuple(gen_list)
-        # generators must generate
-        closure = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for _, g in self._gens:
-                    for y in (self.mul[x][g], self.mul[x][self._inv[g]]):
-                        if y not in closure:
-                            closure.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        if len(closure) != n:
+        if ball(self, n, cap=n).nv != n:
             raise GroupError("generators do not generate the group")
         self._elements = tuple(range(n))
 
@@ -213,12 +196,14 @@ class PermOracle(GroupOracle):
     kind = "perm"
     finite_kind = True
 
-    def __init__(self, degree, gens, names=None, closure_cap=20000):
+    def __init__(self, degree, gens, names=None):
         self.degree = int(degree)
         ident = tuple(range(self.degree))
+        if names is not None and len(names) != len(gens):
+            raise GroupError("perm oracle needs one name per generator")
         gen_list = []
         for i, perm in enumerate(gens):
-            p = tuple(perm)
+            p = _int_tuple(perm, "generator %d" % (i,))
             if sorted(p) != list(range(self.degree)):
                 raise GroupError("generator %d is not a permutation" % (i,))
             if p == ident:
@@ -228,23 +213,11 @@ class PermOracle(GroupOracle):
         if not gen_list:
             raise GroupError("perm oracle needs at least one generator")
         self._gens = tuple(gen_list)
-        closure = {ident}
-        order = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for _, g in self._gens:
-                    for h in (g, self.invert(g)):
-                        y = self.multiply(x, h)
-                        if y not in closure:
-                            closure.add(y)
-                            order.append(y)
-                            nxt.append(y)
-            frontier = nxt
-            if len(closure) > closure_cap:
-                raise GroupError("permutation closure exceeds cap %d" % (closure_cap,))
-        self._elements = tuple(order)
+        cap = PERM_CLOSURE_CAP
+        try:
+            self._elements = ball(self, cap, cap=cap).elements
+        except GroupError:
+            raise GroupError("permutation closure exceeds cap %d" % (cap,)) from None
 
     def elements(self):
         return self._elements
@@ -339,7 +312,7 @@ class FreeProductOracle(GroupOracle):
     kind = "free_product"
 
     def __init__(self, orders):
-        orders = tuple(int(n) for n in orders)
+        orders = _int_tuple(orders, "free_product orders")
         if not orders or any(n < 2 for n in orders):
             raise GroupError("free_product needs cyclic orders >= 2")
         self.orders = orders
@@ -470,8 +443,22 @@ class BallView:
         return self.el_to_idx[element]
 
 
+def _letters(oracle):
+    """The search's letter order: each generator, then its inverse when that
+    differs, as (name, element, generator index or None)."""
+    out = []
+    for gj, (name, g) in enumerate(oracle.generators()):
+        out.append((name, g, gj))
+        gi = oracle.invert(g)
+        if gi != g:
+            out.append((name + "^-1", gi, None))
+    return out
+
+
 def ball(oracle, radius, cap=None):
-    """Breadth-first ball of the given radius.  An element inside the
+    """Breadth-first ball of the given radius.  Each frontier element, in
+    index order, is multiplied by each letter in `_letters` order, so a
+    smaller ball is a prefix of a larger one.  An element inside the
     sphere has every product with a letter formed by the search, and those
     products lie in the ball, so its edges are recorded there; only the
     sphere is multiplied again, in a final pass."""
@@ -484,13 +471,8 @@ def ball(oracle, radius, cap=None):
     dist = [0]
     frontier = [e]
     # (letter, generator index); an inverse letter has no edge of its own
-    letters = []
+    letters = [(g, gj) for _name, g, gj in _letters(oracle)]
     gens = [g for _name, g in oracle.generators()]
-    for gj, g in enumerate(gens):
-        letters.append((g, gj))
-        gi = oracle.invert(g)
-        if gi != g:
-            letters.append((gi, None))
     index_edges = []
     edge_gen = []
     exhausted = False
@@ -541,3 +523,26 @@ def ball(oracle, radius, cap=None):
         tuple(index_edges),
         tuple(edge_gen),
     )
+
+
+def search_tree(bv):
+    """Per element, the (parent index, letter index) that first reached it
+    in `ball`'s search (None for the identity): the least such pair one step
+    nearer the identity.  An edge i -> j of generator s is letter s from i
+    and letter s^-1 from j; an involution has the edge j -> i of its own."""
+    fwd, back = [], []
+    for k, (_name, _g, gj) in enumerate(_letters(bv.oracle)):
+        if gj is None:
+            back[-1] = k
+        else:
+            fwd.append(k)
+            back.append(None)
+    dist = bv.dist
+    tree = [None] * bv.nv
+    for (i, j), s in zip(bv.index_edges, bv.edge_gen):
+        for parent, child, letter in ((i, j, fwd[s]), (j, i, back[s])):
+            if letter is None or dist[child] != dist[parent] + 1:
+                continue
+            if tree[child] is None or (parent, letter) < tree[child]:
+                tree[child] = (parent, letter)
+    return tuple(tree)

@@ -38,6 +38,7 @@ from types import MappingProxyType
 
 from .cuts import Cut, full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
+from .groups import _letters, ball, search_tree
 
 SUBGROUP_ENUM_CAP = 48
 SEPARATION_SCAN_CAP = 2000
@@ -632,32 +633,22 @@ def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
                     "cut map for %r does not commute with complementation" % (name,)
                 )
 
-    # extend to the whole group breadth first; relations are re-verified by
-    # the TreeAction constructor
-    ident = oracle.identity()
-    cut_action = {ident: tuple(range(n))}
-    letters = []
-    for name, el in oracle.generators():
-        letters.append((el, gen_maps[name]))
-        inv = oracle.invert(el)
-        if inv != el:
-            inv_map = [None] * n
-            for i in range(n):
-                inv_map[gen_maps[name][i]] = i
-            letters.append((inv, tuple(inv_map)))
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            base = cut_action[el]
-            for gel, gmap in letters:
-                img = oracle.multiply(el, gel)
-                if img not in cut_action:
-                    cut_action[img] = tuple(base[gmap[i]] for i in range(n))
-                    nxt.append(img)
-        frontier = nxt
-    if len(cut_action) != len(oracle.elements()):
-        raise TreeError("generators do not generate the group (internal)")
+    # compose along the search tree of the whole group; relations are
+    # re-verified by the TreeAction constructor
+    letter_maps = []
+    for name, _el, gj in _letters(oracle):
+        if gj is None:  # the inverse permutation of the letter before it
+            prev = letter_maps[-1]
+            letter_maps.append(tuple(sorted(range(n), key=prev.__getitem__)))
+        else:
+            letter_maps.append(gen_maps[name])
+    order = len(oracle.elements())
+    bv = ball(oracle, order, cap=order)
+    maps = [tuple(range(n))]
+    for parent, letter in search_tree(bv)[1:]:
+        base = maps[parent]
+        maps.append(tuple(base[i] for i in letter_maps[letter]))
+    cut_action = dict(zip(bv.elements, maps))
 
     # a tree with edges has every vertex on one; a tree without has one vertex
     g = stree.graph

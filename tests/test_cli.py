@@ -364,3 +364,26 @@ def test_usage_errors_exit_2():
 def test_missing_file_is_reported(capsys):
     assert main(["measure", "--cut", "/nonexistent/cut.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_group_file_is_reported(tmp_path, capsys):
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps(
+        {"kind": "perm", "degree": 3, "gens": [[1, 2, 0], [1, 0, 2]],
+         "names": ["r"]}
+    ))
+    assert main(["ends", "--group", str(spec), "--rmax", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: perm oracle needs one name per generator\n"
+    )
+
+
+def test_group_file_in_tests_data(capsys):
+    s3 = str(pathlib.Path(__file__).parent / "data" / "s3.json")
+    assert main(["ends", "--group", s3, "--rmax", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "zero ends"
+    assert main(["cayley", "--group", s3, "--radius", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ball of radius 3: 6 vertices, 12 edges, sphere 0",
+        "exhausted: the ball is the whole Cayley graph",
+    ]

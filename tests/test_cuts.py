@@ -3,6 +3,7 @@ import random
 import pytest
 
 import cutforge.groups
+from cutforge.checks import _random_sphere_clean_bits
 from cutforge.cuts import (
     Cut,
     CutError,
@@ -16,7 +17,6 @@ from cutforge.cuts import (
     nested_report,
     orbit_cuts,
     right_flip_bits,
-    sym_diff,
 )
 from cutforge.graphs import Graph, components
 from cutforge.groups import (
@@ -67,9 +67,9 @@ def test_symdiff_cardinality_identity():
     g = c4()
     a = cut_from_members(g, ["v1", "v2"])
     b = cut_from_members(g, ["v2", "v3"])
-    d = sym_diff(a, b)
+    d = a.bits ^ b.bits
     na, nb = a.bits.bit_count(), b.bits.bit_count()
-    assert len(d) == na + nb - 2 * (a.bits & b.bits).bit_count()
+    assert d.bit_count() == na + nb - 2 * (a.bits & b.bits).bit_count()
     ok, diff = almost_equal(a, a)
     assert ok and not diff
 
@@ -95,8 +95,7 @@ def test_boolean_closure_crossing_pair():
     )
     assert algebra.n_atoms == 4
     assert len(list(algebra.all_element_bits())) == 16
-    assert algebra.same_algebra(algebra)
-    assert algebra.contains(algebra.atoms[0] | algebra.atoms[2])
+    assert algebra.decompose(algebra.atoms[0] | algebra.atoms[2]) is not None
 
 
 def test_algebra_membership_boundary():
@@ -107,7 +106,7 @@ def test_algebra_membership_boundary():
     algebra = boolean_closure([cut_from_members(g, ["a", "b"], "A")])
     # atoms {a,b} and {c,d}; a strict subset of an atom is not a member
     assert algebra.n_atoms == 2
-    assert not algebra.contains(1 << g.vindex["c"])
+    assert algebra.decompose(1 << g.vindex["c"]) is None
 
 
 def test_ball_cut_needs_interior_coboundary():
@@ -325,3 +324,23 @@ def test_translation_reads_index_edges(monkeypatch):
     assert len(coboundary_indices(bv, a.bits)) == 4
     for el, _word in bv.oracle.words_up_to(2):
         assert act_left_cut(bv, el, a).bits == 1 << bv.index_of(el)
+
+
+@pytest.mark.parametrize("oracle, radius", [(ZdOracle(1), 8), (FreeOracle(2), 4)])
+def test_probe_counts_read_the_cut_element_by_element(oracle, radius):
+    # the probe ball's bits, mapped one element at a time into the outer ball
+    bv = ball(oracle, radius)
+    small = ball(oracle, max(2, radius // 2))
+    rng = random.Random(0)
+    for _ in range(20):
+        bits = _random_sphere_clean_bits(rng, bv)
+        ref = 0
+        for i, el in enumerate(small.elements):
+            if (bits >> bv.el_to_idx[el]) & 1:
+                ref |= 1 << i
+        want = [
+            right_flip_bits(small, ref, g)[0].bit_count()
+            for _n, g in oracle.generators()
+        ]
+        rs = is_almost_right_stable(bv, Cut(bv, bits))
+        assert [ns for _n, ns, _nb in rs.per_generator] == want

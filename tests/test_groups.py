@@ -10,12 +10,64 @@ from cutforge.groups import (
     ZdOracle,
     ball,
     make_oracle,
+    search_tree,
 )
 
 
-def z6():
+def z6(gens=("1",)):
     mul = [[(a + b) % 6 for b in range(6)] for a in range(6)]
-    return TableOracle([str(i) for i in range(6)], mul, ["1"])
+    return TableOracle([str(i) for i in range(6)], mul, list(gens))
+
+
+def s4():
+    return PermOracle(4, [(1, 2, 3, 0), (1, 0, 2, 3)], ["r", "s"])
+
+
+def s5():
+    return PermOracle(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], ["r", "s"])
+
+
+def reference_words(o, max_len):
+    """The breadth-first word search each oracle used to run itself: every
+    frontier element times every generator, then its inverse when that
+    differs, keeping the first word found per element."""
+    e = o.identity()
+    seen = {e: ""}
+    order = [e]
+    frontier = [e]
+    letters = []
+    for name, g in o.generators():
+        letters.append((name, g))
+        gi = o.invert(g)
+        if gi != g:
+            letters.append((name + "^-1", gi))
+    for _ in range(max_len):
+        nxt = []
+        for el in frontier:
+            for name, g in letters:
+                img = o.multiply(el, g)
+                if img not in seen:
+                    seen[img] = (seen[el] + " " + name).strip()
+                    order.append(img)
+                    nxt.append(img)
+        frontier = nxt
+    return [(el, seen[el]) for el in order]
+
+
+SEARCH_ORACLES = {
+    "zd:1": lambda: ZdOracle(1),
+    "zd:2": lambda: ZdOracle(2),
+    "zd:3": lambda: ZdOracle(3),
+    "free:2": lambda: FreeOracle(2),
+    "free:3": lambda: FreeOracle(3),
+    "fp(2,3)": lambda: FreeProductOracle([2, 3]),
+    "fp(3,4)": lambda: FreeProductOracle([3, 4]),
+    "fp(2,2,2)": lambda: FreeProductOracle([2, 2, 2]),
+    "Z/6<1>": z6,
+    "Z/6<2,3>": lambda: z6(("2", "3")),
+    "S4": s4,
+    "S5": s5,
+}
 
 
 def test_zd_arithmetic():
@@ -136,3 +188,72 @@ def test_vertex_cap(monkeypatch):
     monkeypatch.setenv("CUTFORGE_CAP_VERTICES", "10")
     with pytest.raises(GroupError):
         ball(FreeOracle(2), 3)
+
+
+@pytest.mark.parametrize("max_len", range(5))
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_words_follow_the_reference_search(name, max_len):
+    o = SEARCH_ORACLES[name]()
+    assert o.words_up_to(max_len) == reference_words(o, max_len)
+
+
+@pytest.mark.parametrize("make", [s4, s5, lambda: PermOracle(3, [(1, 2, 0)])])
+def test_perm_elements_follow_the_reference_search(make):
+    o = make()
+    want = [el for el, _w in reference_words(o, 200)]
+    assert list(o.elements()) == want
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_smaller_ball_is_a_prefix(name):
+    o = SEARCH_ORACLES[name]()
+    big = ball(o, 4)
+    for r in range(4):
+        small = ball(o, r)
+        assert big.elements[: small.nv] == small.elements
+        assert big.dist[: small.nv] == small.dist
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_search_tree_steps_one_letter_inward(name):
+    o = SEARCH_ORACLES[name]()
+    bv = ball(o, 3)
+    letters = []
+    for _name, g in o.generators():
+        letters.append(g)
+        if o.invert(g) != g:
+            letters.append(o.invert(g))
+    tree = search_tree(bv)
+    assert tree[0] is None and len(tree) == bv.nv
+    for j in range(1, bv.nv):
+        parent, letter = tree[j]
+        assert bv.dist[parent] == bv.dist[j] - 1
+        assert o.multiply(bv.elements[parent], letters[letter]) == bv.elements[j]
+
+
+def test_perm_spec_needs_a_name_per_generator():
+    with pytest.raises(GroupError, match="one name per generator"):
+        make_oracle(
+            {"kind": "perm", "degree": 3, "gens": [[1, 2, 0], [1, 0, 2]],
+             "names": ["r"]}
+        )
+
+
+@pytest.mark.parametrize("perm", [[1, "2", 0], [1.0, 2, 0]])
+def test_perm_spec_needs_integer_entries(perm):
+    with pytest.raises(GroupError, match="list of integers"):
+        make_oracle({"kind": "perm", "degree": 3, "gens": [perm]})
+
+
+def test_free_product_spec_needs_a_list_of_orders():
+    with pytest.raises(GroupError, match="list of integers"):
+        make_oracle({"kind": "free_product", "orders": "23"})
+
+
+def test_vertex_cap_limits_only_requested_balls(monkeypatch):
+    monkeypatch.setenv("CUTFORGE_CAP_VERTICES", "3")
+    assert len(ZdOracle(1).words_up_to(4)) == 9
+    assert len(s5().elements()) == 120
+    assert z6(("2", "3")).elements() == tuple(range(6))
+    with pytest.raises(GroupError):
+        ball(ZdOracle(1), 2)

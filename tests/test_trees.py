@@ -5,7 +5,7 @@ import pytest
 from cutforge.cuts import Cut, cut_from_members, orbit_cuts
 from cutforge.graphs import Graph, is_tree, tree_distance
 from cutforge.ends import balanced_cut
-from cutforge.groups import FreeProductOracle, TableOracle, ZdOracle, ball
+from cutforge.groups import FreeProductOracle, PermOracle, TableOracle, ZdOracle, ball
 from cutforge.sieve import select_nested_generating
 from cutforge.trees import (
     SEPARATION_SCAN_CAP,
@@ -335,6 +335,50 @@ def test_induced_action_from_cut_maps():
     # mapping s to the identity permutation is the (legal) trivial action
     triv = induce_action(t, z2(), cut_maps={"s": (0, 1)})
     assert len(triv.edge_orbits()) == 2
+
+
+def c4_singleton_tree():
+    """Paired tree of the four singleton cuts of the 4-cycle v0..v3 and
+    their complements: 9 vertices, 8 edges."""
+    g = Graph(
+        ["v0", "v1", "v2", "v3"],
+        [("e%d" % i, "v%d" % i, "v%d" % ((i + 1) % 4)) for i in range(4)],
+    )
+    cuts = []
+    for i in range(4):
+        a = Cut(g, 1 << i, "A%d" % i)
+        cuts += [a, a.complement()]
+    return paired_tree(verify_system(cuts))
+
+
+def _vertex_perm(perm):
+    return {"v%d" % i: "v%d" % (img,) for i, img in enumerate(perm)}
+
+
+def test_induced_action_of_a_rotation_group():
+    # Z/4 by a generator of order 4: the search takes the inverse letter
+    z4 = TableOracle(
+        [str(i) for i in range(4)],
+        [[(a + b) % 4 for b in range(4)] for a in range(4)],
+        ["1"],
+    )
+    act = induce_action(
+        c4_singleton_tree(), z4, vertex_perms={"1": _vertex_perm((1, 2, 3, 0))}
+    )
+    assert act.vertex_orbits() == ((0, 3, 5, 7), (1, 4, 6, 8), (2,))
+    assert act.edge_orbits() == ((0, 2, 4, 6), (1, 3, 5, 7))
+
+
+def test_induced_action_of_s4():
+    r, s = (1, 2, 3, 0), (1, 0, 2, 3)
+    o = PermOracle(4, [r, s], ["r", "s"])
+    act = induce_action(
+        c4_singleton_tree(),
+        o,
+        vertex_perms={"r": _vertex_perm(r), "s": _vertex_perm(s)},
+    )
+    assert len(act.words) == 24
+    assert str(size_polynomial(act)) == "-1 + 2 t^6"
 
 
 def test_cut_maps_must_respect_nesting():
