@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, index_classes
+from .graphs import Graph
 from .groups import BallView, ball as make_ball
 
 MAX_CLOSURE_GENERATORS = 12
@@ -381,14 +381,26 @@ def act_left_cut(bv, g, cut, name=None):
     ball.  The translated coboundary must stay interior; membership on the
     fringe (where g^-1 x escapes) is filled in per residual component.
 
-    One pass over the ball's index edges, with pre[i] the index of
-    g^-1 x_i (None when it escapes).  An edge whose two preimages are known
-    and lie on opposite sides is the image of a coboundary edge.  Left
-    translation is a bijection on Cayley edges, and a ball edge whose
-    endpoints have preimages in the ball is the image of a ball edge, so
-    the translated coboundary stays in the ball exactly when there are as
-    many such edges as coboundary edges.  Every other edge joins the
-    residual components.
+    Reads the ball's cached `left_map(g)`: pre[i] the index of g^-1 x_i
+    (None when it escapes), the mapped edges (both preimages in the ball)
+    and the fringe classes.  A mapped edge whose preimages lie on opposite
+    sides is the image of a coboundary edge.  Left translation is a
+    bijection on Cayley edges, and a mapped edge is the image of a ball
+    edge, so the translated coboundary stays in the ball exactly when there
+    are as many such edges as coboundary edges.
+
+    Every other edge is residual, and each residual component takes one
+    side.  A vertex with a preimage takes its preimage's side.  A residual
+    edge whose two preimages are in the ball joins two vertices on the same
+    side, and every other residual edge lies in a fringe class, so a
+    residual component is a union of fringe classes and of vertices with
+    preimages, held together by same-side edges.  So it is mixed, or has no
+    vertex with a preimage, exactly when one of its fringe classes is.  The
+    fringe classes therefore decide the fill and both checks: each one
+    gives its vertices without preimages the one side of the rest.  The
+    two failures never meet, so no order between them is lost: a class
+    with no preimage at all is closed under every ball edge, hence the
+    whole (connected) ball.
 
     The identity translate is the cut itself.  Every other result is built
     without a second interior check: its coboundary is exactly the image
@@ -397,33 +409,29 @@ def act_left_cut(bv, g, cut, name=None):
     reads radius, but no vertex lies beyond radius - 1 there.)"""
     if cut.universe is not bv:
         raise CutError("cut does not live on this ball")
-    o = bv.oracle
-    if g == o.identity():
+    if g == bv.oracle.identity():
         return Cut._checked(bv, cut.bits, name)
-    ginv = o.invert(g)
-    get = bv.el_to_idx.get
-    pre = [get(o.multiply(ginv, el)) for el in bv.elements]
+    lm = bv.left_map(g)
+    pre = lm.pre
     side = _sides(cut.bits, bv.nv)
-    dist = bv.dist
-    limit = bv.radius - 1 if not bv.exhausted else bv.radius
-    n_cob = n_img = 0
-    exposed = False
-    rest = []
+    n_cob = 0
     for s, d in bv.index_edges:
         if side[s] != side[d]:
             n_cob += 1
-        ps, pd = pre[s], pre[d]
-        if ps is None or pd is None or side[ps] == side[pd]:
-            rest.append((s, d))
-        else:
+    dist = bv.dist
+    limit = bv.radius - 1 if not bv.exhausted else bv.radius
+    n_img = 0
+    exposed = False
+    for s, d, ps, pd in lm.mapped:
+        if side[ps] != side[pd]:
             n_img += 1
             exposed = exposed or dist[s] > limit or dist[d] > limit
     if n_img != n_cob:
         raise CutError("radius too small: translated coboundary escapes the ball")
     if exposed:
         raise CutError("radius too small: translated coboundary not interior")
-    out = ["0"] * bv.nv
-    for block in index_classes(bv.nv, rest):
+    out = ["0" if p is None else side[p] for p in pre]
+    for block in lm.fringe:
         sides = {side[pre[i]] for i in block if pre[i] is not None}
         if not sides:
             raise CutError("radius too small: a fringe component is undecidable")

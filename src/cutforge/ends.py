@@ -10,7 +10,9 @@ one infinite side of a small central edge set.  The pipeline pushes such a
 cut through its word orbit, the measure sieve, and the paired tree, then
 collapses partial edge orbits one at a time until the remaining evidence
 first pins down a fixed vertex; the orbit collapsed at that stage is the
-edge set of the reported one-orbit tree.
+edge set of the reported one-orbit tree.  A `split` report is audited
+against two facts about group actions on trees before it is printed
+(`_audit`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .sieve import select_nested_generating
 
 DEFAULT_RADIUS = 6
 DEFAULT_WORD_BOUND = 2
+AUDIT_ORDER_BOUND = 100  # the audit looks for g^k = 1 with 1 <= k <= this
 
 
 class EndsError(ValueError):
@@ -214,6 +217,61 @@ class SplittingReport:
         return out
 
 
+def _finite_order(oracle, g, bound=AUDIT_ORDER_BOUND):
+    """The least k <= bound with g^k = 1, or None when there is none."""
+    e = oracle.identity()
+    x = g
+    for k in range(1, bound + 1):
+        if x == e:
+            return k
+        x = oracle.multiply(x, g)
+    return None
+
+
+def _audit(oracle, final):
+    """Why a one-edge-orbit final tree cannot be right, or None.
+
+    Rule 1: a generator whose order the oracle finds within
+    AUDIT_ORDER_BOUND must fix a vertex of the final tree wherever its
+    evidence is defined.  It generates a finite group, and a finite group
+    acting on a tree without inversion fixes a vertex (Serre, Trees,
+    I.4.3).  A report reads as an amalgam or an HNN extension, which
+    presumes an action without inversion, so a generator that inverts an
+    edge instead fails the rule too.  A generator without any defined
+    image gives no evidence and is not audited.
+
+    Rule 2: if every generator fixes a vertex, the final tree needs at
+    least two vertex orbits.  A group acting on a tree maps onto the
+    fundamental group of the quotient graph, and every vertex stabilizer
+    lies in the kernel; a group generated by elements that fix vertices
+    therefore has a tree as its quotient graph (Serre, Trees, I.6.5).  A
+    tree with one edge has two vertices, while one vertex orbit and one
+    edge orbit make a loop: an HNN extension, which maps onto Z.  So
+    Z/3*Z/4, whose abelianization Z/12 is finite, has no such splitting."""
+    fixing = []
+    for (name, g), w in zip(oracle.generators(), final.gen_word_pos):
+        vm = final.vertex_images[w]
+        fixes = any(img == v for v, img in enumerate(vm))
+        fixing.append(fixes)
+        order = _finite_order(oracle, g)
+        if order is not None and not fixes and vm.count(None) < len(vm):
+            return (
+                "the split fails its audit: generator %s has order %d, found "
+                "within %d powers, but fixes no vertex of the final tree, "
+                "and a finite group acting on a tree without inversion fixes "
+                "a vertex (Serre, Trees, I.4.3)"
+                % (name, order, AUDIT_ORDER_BOUND)
+            )
+    if all(fixing) and len(final.vertex_orbits()) < 2:
+        return (
+            "the split fails its audit: every generator (%s) fixes a vertex "
+            "of the final tree, so its quotient graph is a tree (Serre, "
+            "Trees, I.6.5), but the final tree has one edge orbit and one "
+            "vertex orbit" % (", ".join(name for name, _g in oracle.generators()),)
+        )
+    return None
+
+
 def splitting_pipeline(
     oracle,
     cut=None,
@@ -227,7 +285,8 @@ def splitting_pipeline(
     by every generator; the report's final tree keeps exactly the orbit
     collapsed at that stage.  When collapsing the other orbits already
     fixes a vertex, that final tree shows no splitting and the report is
-    undetermined, naming the stage.  One-ended and finite groups are refused
+    undetermined, naming the stage.  A final tree that fails `_audit` also
+    ends undetermined, naming the generator and the rule.  One-ended and finite groups are refused
     by balanced_cut when no cut is supplied."""
     if cut is None:
         cut = balanced_cut(oracle, radius)
@@ -309,6 +368,16 @@ def splitting_pipeline(
             "collapsing the other edge orbits already fixes a vertex within "
             "the ball evidence (R=%d, W=%d)"
             % (stage, ", ".join(orbit_names(eorbs[stage - 1])), bv.radius, words),
+            **common,
+        )
+    failed = _audit(bv.oracle, final)
+    if failed is not None:
+        return SplittingReport(
+            status="undetermined",
+            collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]),
+            stage=stage,
+            diagnostics="%s; ball evidence (R=%d, W=%d)"
+            % (failed, bv.radius, words),
             **common,
         )
     f_vorbs = final.vertex_orbits()

@@ -16,15 +16,18 @@ breadth-first layering that certifies those distances.  The ball keeps its
 edges as (source, target) vertex index pairs with aligned generator
 indices, the same `index_edges` form a Graph has; the Graph on element
 strings is built only when a caller asks for `BallView.graph`.  Left
-translation of cuts reads the index pairs (see `cuts.act_left_cut`).
+translation of cuts reads the index pairs through a per-element map that
+the ball builds once for each element it translates by (`BallView.left_map`,
+read by `cuts.act_left_cut`).
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, index_classes
 
 DEFAULT_VERTEX_CAP = 200_000
 CAP_ENV_VAR = "CUTFORGE_CAP_VERTICES"
@@ -42,6 +45,13 @@ def _vertex_cap(explicit=None):
     if env:
         return int(env)
     return DEFAULT_VERTEX_CAP
+
+
+def _int(value, what):
+    """An integer field: not a bool, a float or a string of digits."""
+    if type(value) is not int:
+        raise GroupError("%s must be an integer" % (what,))
+    return value
 
 
 def _int_tuple(value, what):
@@ -197,7 +207,7 @@ class PermOracle(GroupOracle):
     finite_kind = True
 
     def __init__(self, degree, gens, names=None):
-        self.degree = int(degree)
+        self.degree = _int(degree, "perm degree")
         ident = tuple(range(self.degree))
         if names is not None and len(names) != len(gens):
             raise GroupError("perm oracle needs one name per generator")
@@ -212,6 +222,8 @@ class PermOracle(GroupOracle):
             gen_list.append((name, p))
         if not gen_list:
             raise GroupError("perm oracle needs at least one generator")
+        if len({name for name, _p in gen_list}) != len(gen_list):
+            raise GroupError("duplicate generator name")
         self._gens = tuple(gen_list)
         cap = PERM_CLOSURE_CAP
         try:
@@ -243,7 +255,7 @@ class ZdOracle(GroupOracle):
     kind = "zd"
 
     def __init__(self, d):
-        d = int(d)
+        d = _int(d, "zd dimension d")
         if d < 1:
             raise GroupError("zd needs d >= 1")
         self.d = d
@@ -276,7 +288,7 @@ class FreeOracle(GroupOracle):
     kind = "free"
 
     def __init__(self, k):
-        k = int(k)
+        k = _int(k, "free rank k")
         if k < 1:
             raise GroupError("free needs k >= 1")
         self.k = k
@@ -377,6 +389,8 @@ class BallView:
 
     The Graph on element strings (`graph`) is built on first access, so
     balls that only count ends or translate cuts never name their elements.
+    Likewise the left-translation map of an element (`left_map`) is built on
+    the first translate by it, so a ball that nothing translates holds none.
 
     exhausted is True when the group ran out before radius R (finite group);
     then the ball is the whole Cayley graph and the sphere is empty.
@@ -393,6 +407,7 @@ class BallView:
         "index_edges",
         "edge_gen",
         "_graph",
+        "_left",
     )
 
     def __init__(self, oracle, radius, elements, el_to_idx, dist, sphere,
@@ -407,6 +422,7 @@ class BallView:
         self.index_edges = index_edges  # per edge: (src_vertex_idx, dst_vertex_idx)
         self.edge_gen = edge_gen  # per edge: gen_idx
         self._graph = None  # see graph
+        self._left = None  # see left_map
 
     @property
     def nv(self):
@@ -428,6 +444,17 @@ class BallView:
             )
         return self._graph
 
+    def left_map(self, g):
+        """The `LeftMap` of left translation by g; built on the first call
+        for g and cached on the ball."""
+        maps = self._left
+        if maps is None:
+            maps = self._left = {}
+        m = maps.get(g)
+        if m is None:
+            m = maps[g] = _left_map(self, g)
+        return m
+
     def sphere_mask(self):
         m = 0
         for i in self.sphere:
@@ -441,6 +468,41 @@ class BallView:
                 % (self.oracle.el_str(element), self.radius)
             )
         return self.el_to_idx[element]
+
+
+@dataclass(frozen=True)
+class LeftMap:
+    """Left translation by g on a ball, as index data.
+
+    pre[i] is the index of g^-1 x_i, or None when it escapes the ball.
+    mapped holds (s, d, pre[s], pre[d]) for every ball edge s -> d whose two
+    endpoints have preimages in the ball, in edge order.  fringe holds the
+    classes (`graphs.index_classes`, least member first) of the other edges
+    that contain a vertex without a preimage: the fringe classes.  Every
+    vertex without a preimage lies in exactly one of them."""
+
+    pre: tuple
+    mapped: tuple
+    fringe: tuple
+
+
+def _left_map(bv, g):
+    o = bv.oracle
+    ginv = o.invert(g)
+    get = bv.el_to_idx.get
+    pre = tuple([get(o.multiply(ginv, el)) for el in bv.elements])
+    mapped = []
+    other = []
+    for s, d in bv.index_edges:
+        ps, pd = pre[s], pre[d]
+        if ps is None or pd is None:
+            other.append((s, d))
+        else:
+            mapped.append((s, d, ps, pd))
+    fringe = tuple(
+        c for c in index_classes(bv.nv, other) if any(pre[i] is None for i in c)
+    )
+    return LeftMap(pre, tuple(mapped), fringe)
 
 
 def _letters(oracle):

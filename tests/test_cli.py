@@ -340,6 +340,24 @@ def test_split_of_a_refed_kept_cut_is_undetermined(capsys, group, fixture, orbit
     )
 
 
+# Through fp(3,4)'s kept cut c2 the final tree has one edge orbit and one
+# vertex orbit, an HNN extension, which Z/3*Z/4 (finite abelianization) is
+# not; b, of order 4, fixes no vertex there.  The audit ends it undetermined.
+def test_split_of_a_refed_kept_cut_fails_the_audit(capsys):
+    code = main(
+        ["split", "--group", "free_product:3,4", "--words", "1",
+         "--cut", str(DATA / "fp34_c2.json")]
+    )
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.splitlines()[-2] == (
+        "undetermined: the split fails its audit: generator b has order 4, "
+        "found within 100 powers, but fixes no vertex of the final tree, and "
+        "a finite group acting on a tree without inversion fixes a vertex "
+        "(Serre, Trees, I.4.3); ball evidence (R=6, W=1)"
+    )
+
+
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):
     built = []
     real = checks.sieve_artifacts

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cutforge.ends
 import cutforge.groups
 from cutforge.checks import _random_sphere_clean_bits
 from cutforge.cuts import (
@@ -312,6 +313,66 @@ def test_act_left_cut_matches_string_graph_reference():
                     translated += 1
     assert messages == {ESCAPES, NOT_INTERIOR, UNDECIDABLE, INCONSISTENT}
     assert translated
+
+
+def test_translates_by_one_element_multiply_the_ball_once(monkeypatch):
+    bv = ball(FreeProductOracle([2, 3]), 5)
+    o = bv.oracle
+    g = o.element_from_word("b a")
+    calls = []
+    real = o.multiply
+    monkeypatch.setattr(o, "multiply", lambda a, b: calls.append(1) or real(a, b))
+    cuts = [Cut(bv, bits) for bits in sample_bits(random.Random(3), bv)]
+    done = 0
+    for _ in range(3):
+        for cut in cuts:
+            try:
+                act_left_cut(bv, g, cut)
+                done += 1
+            except CutError:
+                pass
+    assert done and len(cuts) > 1
+    assert 0 < len(calls) <= bv.nv
+
+
+def test_a_failed_translate_leaves_the_cached_map_intact():
+    # on a path of C8 that misses 4, translating by 2 can fail at every
+    # check but the undecidable one (which needs a map with no preimage)
+    bv = ball(cyclic(8), 3)
+    g = 2
+    cuts = [Cut(bv, bits) for bits in sample_bits(random.Random(0), bv)]
+    want = [reference_act_left(bv, g, c.bits) for c in cuts]
+    fails_first = sorted(range(len(cuts)), key=lambda i: isinstance(want[i], int))
+    assert isinstance(want[fails_first[0]], str)
+    assert isinstance(want[fails_first[-1]], int)
+    for i in fails_first:
+        try:
+            got = act_left_cut(bv, g, cuts[i]).bits
+        except CutError as exc:
+            got = str(exc)
+        assert got == want[i]
+    assert {w for w in want if isinstance(w, str)} == {
+        ESCAPES, NOT_INTERIOR, INCONSISTENT
+    }
+    assert bv.left_map(g) == ball(cyclic(8), 3).left_map(g)
+
+
+def test_balls_that_nothing_translates_hold_no_map(monkeypatch):
+    made = []
+    real = cutforge.ends.ball
+
+    def recording_ball(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cutforge.ends, "ball", recording_ball)
+    cutforge.ends.ends_profile(FreeOracle(2), 5)
+    assert len(made) == 1 and made[0]._left is None
+    bv = ball(FreeOracle(2), 3)
+    act_left_cut(bv, bv.oracle.identity(), Cut(bv, 1))
+    assert bv._left is None
+    act_left_cut(bv, (1,), Cut(bv, 1))
+    assert list(bv._left) == [(1,)]
 
 
 def test_translation_reads_index_edges(monkeypatch):

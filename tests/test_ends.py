@@ -5,11 +5,12 @@ import cutforge.groups
 from cutforge.cuts import cut_from_members
 from cutforge.ends import (
     EndsError,
+    _audit,
     balanced_cut,
     ends_profile,
     splitting_pipeline,
 )
-from cutforge.graphs import components
+from cutforge.graphs import Graph, components
 from cutforge.groups import (
     FreeOracle,
     FreeProductOracle,
@@ -17,6 +18,7 @@ from cutforge.groups import (
     ZdOracle,
     ball,
 )
+from cutforge.trees import PartialAction
 
 
 def z6():
@@ -94,6 +96,56 @@ def test_pipeline_on_infinite_dihedral():
     assert rep.final_vertex_orbit_count == 2
     assert tuple(sorted(rep.final_vertex_stabilizer_orders)) == (2, 2)
     assert rep.final_edge_stabilizer_order == 1
+
+
+@pytest.mark.parametrize(
+    "oracle", [ZdOracle(1), FreeProductOracle([2, 2]), FreeProductOracle([2, 3])]
+)
+def test_split_reports_pass_the_audit(oracle):
+    rep = splitting_pipeline(oracle)
+    assert rep.status == "split"
+    assert _audit(oracle, rep.final_partial) is None
+
+
+def path_action(oracle, vertex_images, edge_images):
+    """A partial action of the generators on the path u - v - w."""
+    g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "w")])
+    words = [(oracle.identity(), "")] + [(el, n) for n, el in oracle.generators()]
+    return PartialAction(
+        g,
+        words,
+        range(1, len(words)),
+        [(0, 1, 2)] + vertex_images,
+        [(0, 1)] + edge_images,
+    )
+
+
+def test_audit_finite_order_generator_must_fix_a_vertex():
+    # a (order 2) inverts e1, swapping u and v; b fixes w
+    o = FreeProductOracle([2, 2])
+    final = path_action(o, [(1, 0, None), (None, None, 2)], [(0, None), (None, 1)])
+    assert _audit(o, final) == (
+        "the split fails its audit: generator a has order 2, found within "
+        "100 powers, but fixes no vertex of the final tree, and a finite "
+        "group acting on a tree without inversion fixes a vertex (Serre, "
+        "Trees, I.4.3)"
+    )
+    # with no defined image, a gives no evidence and is not audited
+    blind = path_action(o, [(None,) * 3, (None, None, 2)], [(None,) * 2, (None, 1)])
+    assert _audit(o, blind) is None
+
+
+def test_audit_elliptic_generators_need_two_vertex_orbits():
+    # a fixes u and moves v to w, b fixes w and moves v to u: one vertex
+    # orbit and one edge orbit, though every generator fixes a vertex
+    o = FreeOracle(2)
+    final = path_action(o, [(0, 2, None), (None, 0, 2)], [(1, None), (None, 0)])
+    assert len(final.vertex_orbits()) == 1 and len(final.edge_orbits()) == 1
+    assert _audit(o, final) == (
+        "the split fails its audit: every generator (a, b) fixes a vertex of "
+        "the final tree, so its quotient graph is a tree (Serre, Trees, "
+        "I.6.5), but the final tree has one edge orbit and one vertex orbit"
+    )
 
 
 def test_pipeline_refuses_one_ended_groups():

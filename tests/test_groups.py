@@ -257,3 +257,35 @@ def test_vertex_cap_limits_only_requested_balls(monkeypatch):
     assert z6(("2", "3")).elements() == tuple(range(6))
     with pytest.raises(GroupError):
         ball(ZdOracle(1), 2)
+
+
+def test_perm_spec_refuses_duplicate_names():
+    with pytest.raises(GroupError, match="duplicate generator name"):
+        make_oracle(
+            {"kind": "perm", "degree": 3, "gens": [[1, 2, 0], [1, 0, 2]],
+             "names": ["r", "r"]}
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "zd", "d": 2.7},
+        {"kind": "zd", "d": "2"},
+        {"kind": "zd", "d": True},
+        {"kind": "free", "k": "2"},
+        {"kind": "free", "k": 2.0},
+        {"kind": "free", "k": True},
+        {"kind": "perm", "degree": 3.0, "gens": [[1, 2, 0]]},
+        {"kind": "perm", "degree": "3", "gens": [[1, 2, 0]]},
+    ],
+)
+def test_scalar_spec_fields_must_be_integers(spec):
+    with pytest.raises(GroupError, match="must be an integer"):
+        make_oracle(spec)
+
+
+def test_integer_scalar_fields_still_build():
+    assert make_oracle({"kind": "zd", "d": 2}).d == 2
+    assert make_oracle({"kind": "free", "k": 2}).k == 2
+    assert make_oracle({"kind": "perm", "degree": 3, "gens": [[1, 2, 0]]}).degree == 3
