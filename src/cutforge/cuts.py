@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
 
 MAX_CLOSURE_GENERATORS = 12
@@ -376,14 +376,49 @@ def is_almost_right_stable(bv, cut, probe_radius=None):
     return RightStability(status, bv.radius, probe, tuple(per), witness)
 
 
+@dataclass(frozen=True)
+class LeftMap:
+    """Left translation by g on a ball, as index data.
+
+    pre[i] is the index of g^-1 x_i, or None when it escapes the ball.
+    mapped holds (s, d, pre[s], pre[d]) for every ball edge s -> d whose two
+    endpoints have preimages in the ball, in edge order.  fringe holds the
+    classes (`graphs.index_classes`, least member first) of the other edges
+    that contain a vertex without a preimage: the fringe classes.  Every
+    vertex without a preimage lies in exactly one of them."""
+
+    pre: tuple
+    mapped: tuple
+    fringe: tuple
+
+
+def _left_map(bv, g):
+    o = bv.oracle
+    ginv = o.invert(g)
+    get = bv.el_to_idx.get
+    pre = tuple([get(o.multiply(ginv, el)) for el in bv.elements])
+    mapped = []
+    other = []
+    for s, d in bv.index_edges:
+        ps, pd = pre[s], pre[d]
+        if ps is None or pd is None:
+            other.append((s, d))
+        else:
+            mapped.append((s, d, ps, pd))
+    fringe = tuple(
+        c for c in index_classes(bv.nv, other) if any(pre[i] is None for i in c)
+    )
+    return LeftMap(pre, tuple(mapped), fringe)
+
+
 def act_left_cut(bv, g, cut, name=None):
     """Left translate of an interior-coboundary cut, as a cut of the same
     ball.  The translated coboundary must stay interior; membership on the
     fringe (where g^-1 x escapes) is filled in per residual component.
 
-    Reads the ball's cached `left_map(g)`: pre[i] the index of g^-1 x_i
-    (None when it escapes), the mapped edges (both preimages in the ball)
-    and the fringe classes.  A mapped edge whose preimages lie on opposite
+    Reads the `LeftMap` of g, built once and kept on the ball: pre[i] the
+    index of g^-1 x_i (None when it escapes), the mapped edges (both
+    preimages in the ball) and the fringe classes.  A mapped edge whose preimages lie on opposite
     sides is the image of a coboundary edge.  Left translation is a
     bijection on Cayley edges, and a mapped edge is the image of a ball
     edge, so the translated coboundary stays in the ball exactly when there
@@ -411,7 +446,7 @@ def act_left_cut(bv, g, cut, name=None):
         raise CutError("cut does not live on this ball")
     if g == bv.oracle.identity():
         return Cut._checked(bv, cut.bits, name)
-    lm = bv.left_map(g)
+    lm = bv.left_map(g, _left_map)
     pre = lm.pre
     side = _sides(cut.bits, bv.nv)
     n_cob = 0

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 from . import trees
 from .cuts import Cut, full_mask, orbit_cuts
-from .graphs import index_classes
+from .graphs import index_classes, path_vertices, reduced_path
 from .groups import ball
 from .series import certified_length
 from .sieve import select_nested_generating
 
 DEFAULT_RADIUS = 6
 DEFAULT_WORD_BOUND = 2
-AUDIT_ORDER_BOUND = 100  # the audit looks for g^k = 1 with 1 <= k <= this
 
 
 class EndsError(ValueError):
@@ -217,28 +216,41 @@ class SplittingReport:
         return out
 
 
-def _finite_order(oracle, g, bound=AUDIT_ORDER_BOUND):
-    """The least k <= bound with g^k = 1, or None when there is none."""
-    e = oracle.identity()
-    x = g
-    for k in range(1, bound + 1):
-        if x == e:
-            return k
-        x = oracle.multiply(x, g)
+def _fixes_no_vertex(tree, vm):
+    """How the defined images of the vertex map vm show that it fixes no
+    vertex of the tree without inverting an edge (see `_audit`), or None
+    when they do not show it."""
+    names = tree.vertices
+    for v, img in enumerate(vm):
+        if img is None or img == v:
+            continue
+        seq = path_vertices(tree, reduced_path(tree, names[v], names[img]))
+        if len(seq) % 2 == 0:
+            return "moves a vertex of the final tree an odd distance"
+        mid = tree.vindex[seq[len(seq) // 2]]
+        if vm[mid] not in (None, mid):
+            return (
+                "moves the midpoint of a vertex of the final tree and its image"
+            )
     return None
 
 
 def _audit(oracle, final):
     """Why a one-edge-orbit final tree cannot be right, or None.
 
-    Rule 1: a generator whose order the oracle finds within
-    AUDIT_ORDER_BOUND must fix a vertex of the final tree wherever its
-    evidence is defined.  It generates a finite group, and a finite group
-    acting on a tree without inversion fixes a vertex (Serre, Trees,
+    Rule 1: a generator of finite order (`GroupOracle.order`) must fix a
+    vertex of the final tree.  It generates a finite group, and a finite
+    group acting on a tree without inversion fixes a vertex (Serre, Trees,
     I.4.3).  A report reads as an amalgam or an HNN extension, which
-    presumes an action without inversion, so a generator that inverts an
-    edge instead fails the rule too.  A generator without any defined
-    image gives no evidence and is not audited.
+    presumes an action without inversion.  The evidence is partial, and a
+    fixed vertex may well have no defined image, so the rule fails a
+    generator only on moves that no vertex-fixing element makes.  If g
+    fixes a vertex, let p be the fixed vertex nearest to v.  The paths
+    from p to v and from p to gv start on different edges (an edge that
+    g fixes would put a fixed vertex nearer to v), so d(v, gv) = 2 d(v, p)
+    is even and the midpoint p of v and gv is fixed.  A move v -> gv at an
+    odd distance, or one whose midpoint has a defined image other than
+    itself, therefore fails the rule.
 
     Rule 2: if every generator fixes a vertex, the final tree needs at
     least two vertex orbits.  A group acting on a tree maps onto the
@@ -251,16 +263,15 @@ def _audit(oracle, final):
     fixing = []
     for (name, g), w in zip(oracle.generators(), final.gen_word_pos):
         vm = final.vertex_images[w]
-        fixes = any(img == v for v, img in enumerate(vm))
-        fixing.append(fixes)
-        order = _finite_order(oracle, g)
-        if order is not None and not fixes and vm.count(None) < len(vm):
+        fixing.append(any(img == v for v, img in enumerate(vm)))
+        order = oracle.order(g)
+        how = _fixes_no_vertex(final.graph, vm) if order is not None else None
+        if how is not None:
             return (
-                "the split fails its audit: generator %s has order %d, found "
-                "within %d powers, but fixes no vertex of the final tree, "
-                "and a finite group acting on a tree without inversion fixes "
-                "a vertex (Serre, Trees, I.4.3)"
-                % (name, order, AUDIT_ORDER_BOUND)
+                "the split fails its audit: generator %s has order %d but %s, "
+                "so it fixes no vertex, and a finite group acting on a tree "
+                "without inversion fixes a vertex (Serre, Trees, I.4.3)"
+                % (name, order, how)
             )
     if all(fixing) and len(final.vertex_orbits()) < 2:
         return (
@@ -286,8 +297,8 @@ def splitting_pipeline(
     collapsed at that stage.  When collapsing the other orbits already
     fixes a vertex, that final tree shows no splitting and the report is
     undetermined, naming the stage.  A final tree that fails `_audit` also
-    ends undetermined, naming the generator and the rule.  One-ended and finite groups are refused
-    by balanced_cut when no cut is supplied."""
+    ends undetermined, naming the generator and the rule.  One-ended and
+    finite groups are refused by balanced_cut when no cut is supplied."""
     if cut is None:
         cut = balanced_cut(oracle, radius)
     bv = cut.universe

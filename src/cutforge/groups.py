@@ -17,17 +17,17 @@ edges as (source, target) vertex index pairs with aligned generator
 indices, the same `index_edges` form a Graph has; the Graph on element
 strings is built only when a caller asks for `BallView.graph`.  Left
 translation of cuts reads the index pairs through a per-element map that
-the ball builds once for each element it translates by (`BallView.left_map`,
-read by `cuts.act_left_cut`).
+`cuts.act_left_cut` builds once for each element it translates by and keeps
+on the ball (`BallView.left_map`).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .graphs import Graph, index_classes
+from .graphs import Graph
 
 DEFAULT_VERTEX_CAP = 200_000
 CAP_ENV_VAR = "CUTFORGE_CAP_VERTICES"
@@ -82,6 +82,18 @@ class GroupOracle:
 
     def el_str(self, a):
         raise NotImplementedError
+
+    def order(self, a):
+        """The order of a, or None when it is infinite.  This default is
+        for the finite kinds, where the powers of a return to the identity;
+        the lazy kinds decide it on normal forms."""
+        if not self.finite_kind:
+            raise NotImplementedError
+        e = self.identity()
+        x, k = a, 1
+        while x != e:
+            x, k = self.multiply(x, a), k + 1
+        return k
 
     def words_up_to(self, max_len):
         """(element, word) pairs of `ball(self, max_len)`, in its order, each
@@ -274,6 +286,9 @@ class ZdOracle(GroupOracle):
     def invert(self, a):
         return tuple(-x for x in a)
 
+    def order(self, a):
+        return None if any(a) else 1  # Z^d is torsion-free
+
     def el_str(self, a):
         return ",".join(str(x) for x in a)
 
@@ -308,6 +323,9 @@ class FreeOracle(GroupOracle):
 
     def invert(self, a):
         return tuple(-x for x in reversed(a))
+
+    def order(self, a):
+        return None if a else 1  # free groups are torsion-free
 
     def el_str(self, a):
         toks = []
@@ -347,6 +365,21 @@ class FreeProductOracle(GroupOracle):
 
     def invert(self, a):
         return tuple((f, self.orders[f] - e) for (f, e) in reversed(a))
+
+    def order(self, a):
+        """Conjugating by the first syllable while the first and last share
+        a factor leaves a cyclically reduced conjugate.  One with two or
+        more syllables has powers of growing length, so infinite order; one
+        syllable (f, e) has order n_f / gcd(n_f, e)."""
+        while len(a) > 1 and a[0][0] == a[-1][0]:
+            s = a[:1]
+            a = self.multiply(self.multiply(self.invert(s), a), s)
+        if len(a) > 1:
+            return None
+        if not a:
+            return 1
+        (f, e), = a
+        return self.orders[f] // math.gcd(self.orders[f], e)
 
     def el_str(self, a):
         toks = []
@@ -444,15 +477,15 @@ class BallView:
             )
         return self._graph
 
-    def left_map(self, g):
-        """The `LeftMap` of left translation by g; built on the first call
-        for g and cached on the ball."""
+    def left_map(self, g, build):
+        """build(self, g), made on the first call for g and cached on the
+        ball (the left-translation map of `cuts.act_left_cut`)."""
         maps = self._left
         if maps is None:
             maps = self._left = {}
         m = maps.get(g)
         if m is None:
-            m = maps[g] = _left_map(self, g)
+            m = maps[g] = build(self, g)
         return m
 
     def sphere_mask(self):
@@ -468,41 +501,6 @@ class BallView:
                 % (self.oracle.el_str(element), self.radius)
             )
         return self.el_to_idx[element]
-
-
-@dataclass(frozen=True)
-class LeftMap:
-    """Left translation by g on a ball, as index data.
-
-    pre[i] is the index of g^-1 x_i, or None when it escapes the ball.
-    mapped holds (s, d, pre[s], pre[d]) for every ball edge s -> d whose two
-    endpoints have preimages in the ball, in edge order.  fringe holds the
-    classes (`graphs.index_classes`, least member first) of the other edges
-    that contain a vertex without a preimage: the fringe classes.  Every
-    vertex without a preimage lies in exactly one of them."""
-
-    pre: tuple
-    mapped: tuple
-    fringe: tuple
-
-
-def _left_map(bv, g):
-    o = bv.oracle
-    ginv = o.invert(g)
-    get = bv.el_to_idx.get
-    pre = tuple([get(o.multiply(ginv, el)) for el in bv.elements])
-    mapped = []
-    other = []
-    for s, d in bv.index_edges:
-        ps, pd = pre[s], pre[d]
-        if ps is None or pd is None:
-            other.append((s, d))
-        else:
-            mapped.append((s, d, ps, pd))
-    fringe = tuple(
-        c for c in index_classes(bv.nv, other) if any(pre[i] is None for i in c)
-    )
-    return LeftMap(pre, tuple(mapped), fringe)
 
 
 def _letters(oracle):

@@ -8,6 +8,7 @@ from cutforge.checks import _random_sphere_clean_bits
 from cutforge.cuts import (
     Cut,
     CutError,
+    _left_map,
     act_left_cut,
     almost_equal,
     boolean_closure,
@@ -354,7 +355,7 @@ def test_a_failed_translate_leaves_the_cached_map_intact():
     assert {w for w in want if isinstance(w, str)} == {
         ESCAPES, NOT_INTERIOR, INCONSISTENT
     }
-    assert bv.left_map(g) == ball(cyclic(8), 3).left_map(g)
+    assert bv._left[g] == _left_map(ball(cyclic(8), 3), g)
 
 
 def test_balls_that_nothing_translates_hold_no_map(monkeypatch):

@@ -108,31 +108,58 @@ def test_split_reports_pass_the_audit(oracle):
 
 
 def path_action(oracle, vertex_images, edge_images):
-    """A partial action of the generators on the path u - v - w."""
-    g = Graph(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "w")])
-    words = [(oracle.identity(), "")] + [(el, n) for n, el in oracle.generators()]
+    """A partial action of the generators on the path v0 - v1 - ..."""
+    n = len(vertex_images[0])
+    g = Graph(
+        ["v%d" % i for i in range(n)],
+        [("e%d" % i, "v%d" % (i - 1), "v%d" % i) for i in range(1, n)],
+    )
+    gens = [(el, name) for name, el in oracle.generators()]
+    words = [(oracle.identity(), "")] + gens
     return PartialAction(
         g,
         words,
         range(1, len(words)),
-        [(0, 1, 2)] + vertex_images,
-        [(0, 1)] + edge_images,
+        [tuple(range(n))] + vertex_images,
+        [tuple(range(n - 1))] + edge_images,
     )
 
 
-def test_audit_finite_order_generator_must_fix_a_vertex():
-    # a (order 2) inverts e1, swapping u and v; b fixes w
+@pytest.mark.parametrize(
+    "vertex_images, edge_images, how",
+    [
+        # a (order 2) inverts e1, swapping v0 and v1; b fixes v2
+        (
+            [(1, 0, None), (None, None, 2)],
+            [(0, None), (None, 1)],
+            "moves a vertex of the final tree an odd distance",
+        ),
+        # a translates the path by two: each move is even, but the midpoint
+        # v1 of v0 and a v0 = v2 goes to v3
+        (
+            [(2, 3, 4, None, None), (None,) * 4 + (4,)],
+            [(2, 3, None, None), (None,) * 3 + (3,)],
+            "moves the midpoint of a vertex of the final tree and its image",
+        ),
+        # a swaps v0 and v2 about v1, which it fixes though the evidence
+        # gives v1 no image, so the audit has nothing against it
+        ([(2, None, 0), (None, None, 2)], [(None, None), (None, 1)], None),
+        # with no defined image, a gives no evidence
+        ([(None,) * 3, (None, None, 2)], [(None,) * 2, (None, 1)], None),
+    ],
+    ids=["inversion", "translation", "unseen-fixed-vertex", "no-evidence"],
+)
+def test_audit_finite_order_generator_must_fix_a_vertex(
+    vertex_images, edge_images, how
+):
     o = FreeProductOracle([2, 2])
-    final = path_action(o, [(1, 0, None), (None, None, 2)], [(0, None), (None, 1)])
+    final = path_action(o, vertex_images, edge_images)
     assert _audit(o, final) == (
-        "the split fails its audit: generator a has order 2, found within "
-        "100 powers, but fixes no vertex of the final tree, and a finite "
-        "group acting on a tree without inversion fixes a vertex (Serre, "
-        "Trees, I.4.3)"
+        how
+        and "the split fails its audit: generator a has order 2 but %s, so "
+        "it fixes no vertex, and a finite group acting on a tree without "
+        "inversion fixes a vertex (Serre, Trees, I.4.3)" % (how,)
     )
-    # with no defined image, a gives no evidence and is not audited
-    blind = path_action(o, [(None,) * 3, (None, None, 2)], [(None,) * 2, (None, 1)])
-    assert _audit(o, blind) is None
 
 
 def test_audit_elliptic_generators_need_two_vertex_orbits():

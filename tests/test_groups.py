@@ -289,3 +289,33 @@ def test_integer_scalar_fields_still_build():
     assert make_oracle({"kind": "zd", "d": 2}).d == 2
     assert make_oracle({"kind": "free", "k": 2}).k == 2
     assert make_oracle({"kind": "perm", "degree": 3, "gens": [[1, 2, 0]]}).degree == 3
+
+
+@pytest.mark.parametrize(
+    "oracle, word, order",
+    [
+        (FreeProductOracle([2, 101]), "b", 101),
+        (FreeProductOracle([3, 4]), "b^2", 2),
+        (FreeProductOracle([3, 4]), "a b a^-1", 4),
+        (FreeProductOracle([3, 4]), "a b^2 a b^-2 a^-1", 3),
+        (FreeProductOracle([3, 4]), "a b a", None),
+        (FreeProductOracle([3, 4]), "a b", None),
+        (FreeProductOracle([3, 4]), "", 1),
+        (ZdOracle(2), "x0", None),
+        (ZdOracle(2), "", 1),
+        (FreeOracle(2), "a b a^-1", None),
+        (FreeOracle(2), "", 1),
+        (s4(), "r", 4),
+        (s4(), "r s", 3),
+        (z6(), "1", 6),
+        (z6(), "1^2", 3),
+    ],
+)
+def test_element_orders(oracle, word, order):
+    a = oracle.element_from_word(word)
+    assert oracle.order(a) == order
+    if order is not None:
+        x = oracle.identity()
+        for k in range(1, order + 1):
+            x = oracle.multiply(x, a)
+            assert (x == oracle.identity()) == (k == order)
