@@ -118,13 +118,15 @@ class Cut:
             name = self.name[1:] if self.name.startswith("~") else "~" + self.name
         return Cut(self.universe, full_mask(self.universe) ^ self.bits, name)
 
-    def coboundary(self):
+    def _coboundary_indices(self):
+        """Indices of the coboundary edges, counted once per cut."""
         if self._cob is None:
-            g = universe_graph(self.universe)
-            self._cob = tuple(
-                g.edges[k][0] for k in coboundary_indices(self.universe, self.bits)
-            )
-        return frozenset(self._cob)
+            self._cob = tuple(coboundary_indices(self.universe, self.bits))
+        return self._cob
+
+    def coboundary(self):
+        edges = universe_graph(self.universe).edges
+        return frozenset(edges[k][0] for k in self._coboundary_indices())
 
     def __eq__(self, other):
         return (
@@ -422,7 +424,8 @@ def act_left_cut(bv, g, cut, name=None):
     sides is the image of a coboundary edge.  Left translation is a
     bijection on Cayley edges, and a mapped edge is the image of a ball
     edge, so the translated coboundary stays in the ball exactly when there
-    are as many such edges as coboundary edges.
+    are as many such edges as coboundary edges (counted once per cut and
+    kept on it).
 
     Every other edge is residual, and each residual component takes one
     side.  A vertex with a preimage takes its preimage's side.  A residual
@@ -449,10 +452,7 @@ def act_left_cut(bv, g, cut, name=None):
     lm = bv.left_map(g, _left_map)
     pre = lm.pre
     side = _sides(cut.bits, bv.nv)
-    n_cob = 0
-    for s, d in bv.index_edges:
-        if side[s] != side[d]:
-            n_cob += 1
+    n_cob = len(cut._coboundary_indices())
     dist = bv.dist
     limit = bv.radius - 1 if not bv.exhausted else bv.radius
     n_img = 0

@@ -13,8 +13,10 @@ set w, where A is the adjacency matrix of the universe or, for odd
 crossings, of its parity-doubled state space.  The kernel steps over the
 darts of the graph in exact big integers, so it costs O(L |darts|) per
 start vector, against O(L |V|^2) for a dense matrix.  The second is a
-literal walk enumeration: it lists every walk, level by level, one entry
-per walk, so its time and memory grow with the number of length-L walks.
+literal walk enumeration: it lists every walk, level by level, one byte per
+walk (the walk's end state within a page of 256 states), and advances a
+level with `bytes.translate`, so its time and memory still grow with the
+number of length-L walks.
 They are kept separate on purpose (the enumeration shares no stepping code
 with the kernel); the test suites require them to agree.
 
@@ -209,14 +211,22 @@ def transfer_counts(universe, spec, L):
 # -- engine 2: walk enumeration -----------------------------------------------
 
 
+_PAGE = 256
+_ALL_LOCAL = bytes(range(_PAGE))
+
+
 def enumeration_counts(universe, spec, L):
     """Same coefficients by literal walk enumeration, the independent oracle
-    for the transfer engine.  `walks` holds one entry per walk, its end
-    state, and grows level by level: each walk is extended along every
-    dart at its end.  c_l counts the length-l walks that end in the end
-    set; odd crossings walk the parity-doubled state space.  Nothing is
-    aggregated per vertex, so memory, like time, grows with the number of
-    length-L walks (exponential in L)."""
+    for the transfer engine.  Each level lists every walk once, as one byte:
+    its end state's index within a page of 256 states, in the `bytes` of
+    that page.  A level becomes the next by one `bytes.translate` per (dart
+    slot j, source page, target page): the table maps each state to its
+    j-th dart's end, and the delete set drops the states whose j-th dart is
+    missing or lands in another page.  c_l counts the length-l walks that
+    end in the end set (the bytes left after deleting every other state);
+    odd crossings walk the parity-doubled state space.  Nothing is
+    aggregated per vertex, so memory (one byte per walk), like time, grows
+    with the number of length-L walks (exponential in L)."""
     if L < 0:
         raise SeriesError("L must be >= 0")
     g = universe_graph(universe)
@@ -231,8 +241,8 @@ def enumeration_counts(universe, spec, L):
             for p in (0, 1)
             for u in range(n)
         ]
-        walks = list(range(n))
-        is_end = [0] * n + [1] * n
+        starts = range(n)
+        ends = range(n, 2 * n)
     else:
         full = full_mask(universe)
         if kind == "measure":
@@ -241,12 +251,37 @@ def enumeration_counts(universe, spec, L):
             cbits, dbits = kind_spec[1], kind_spec[2]
             start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
         nbrs = [[w for (w, _k, _dir) in ds] for ds in g.darts]
-        walks = _members(start_bits, n)
-        is_end = _indicator(end_bits, n)
-    counts = [sum(map(is_end.__getitem__, walks))]
+        starts = _members(start_bits, n)
+        ends = _members(end_bits, n)
+    moves = {}  # (dart slot, source page, target page) -> {source: target}
+    for s, ns in enumerate(nbrs):
+        p, i = divmod(s, _PAGE)
+        for j, w in enumerate(ns):
+            q, t = divmod(w, _PAGE)
+            moves.setdefault((j, p, q), {})[i] = t
+    steps = []  # (source page, target page, table, delete)
+    for (_j, p, q), move in moves.items():
+        table = bytearray(_PAGE)
+        for i, t in move.items():
+            table[i] = t
+        steps.append((p, q, table, _ALL_LOCAL.translate(None, bytes(move))))
+    pages = range(-(-len(nbrs) // _PAGE))
+
+    def local(states, p):
+        return bytes(s - p * _PAGE for s in states if s // _PAGE == p)
+
+    off_end = [_ALL_LOCAL.translate(None, local(ends, p)) for p in pages]
+    level = [local(starts, p) for p in pages]
+    def count(level):
+        return sum(len(w.translate(None, d)) for w, d in zip(level, off_end))
+
+    counts = [count(level)]
     for _ in range(L):
-        walks = [w for u in walks for w in nbrs[u]]
-        counts.append(sum(map(is_end.__getitem__, walks)))
+        parts = [[] for _ in pages]
+        for p, q, table, delete in steps:
+            parts[q].append(level[p].translate(table, delete))
+        level = [b"".join(ps) for ps in parts]
+        counts.append(count(level))
     return TruncatedSeries(tuple(counts), "enumeration", certified)
 
 

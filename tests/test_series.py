@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutforge.cuts import Cut, cut_from_members
@@ -239,8 +241,47 @@ def test_enumeration_counts_a_loop_and_a_parallel_pair_by_hand():
         assert transfer_counts(g, _multi_spec(g, spec), len(want) - 1).coeffs == want
 
 
+def paged(n):
+    """An n-vertex graph whose darts cross the 256-state page boundaries of
+    the enumeration: v0 is isolated, v1..v(n-1) form a cycle with seeded
+    chords, the hub v1 has more darts than any other vertex (so the other
+    vertices leave dart slots empty), and v2 carries a loop and a parallel
+    pair to v3."""
+    rng = random.Random(n)
+    edges = [("c%d" % i, "v%d" % i, "v%d" % (i % (n - 1) + 1)) for i in range(1, n)]
+    edges += [("h%d" % i, "v1", "v%d" % rng.randrange(2, n)) for i in range(6)]
+    edges += [("x%d" % i, "v%d" % rng.randrange(2, n), "v%d" % rng.randrange(2, n))
+              for i in range(n // 16)]
+    edges += [("l", "v2", "v2"), ("p", "v3", "v2")]
+    return Graph(["v%d" % i for i in range(n)], edges)
+
+
+def paged_specs(g):
+    rng = random.Random(g.nv + 1)
+    a = rng.getrandbits(g.nv) | 1  # the isolated v0 starts walks
+    b = rng.getrandbits(g.nv)
+    crossing = ("l", "p", "c1", "h0") + tuple(rng.sample([e[0] for e in g.edges], 40))
+    return (("measure", a), ("corner", a, b), ("odd", crossing))
+
+
+@pytest.mark.parametrize("n", [128, 129, 255, 256, 257])
+def test_enumeration_agrees_across_page_boundaries(n):
+    # measure and corner walk n states, odd crossings 2n: the cases cover
+    # exactly 255, 256, 257 states (one page, full, and one over) and odd
+    # specs over 256 and 258 states
+    g = paged(n)
+    degrees = sorted(len(ds) for ds in g.darts)
+    assert degrees[0] == 0 and degrees[-1] > degrees[-2]
+    for spec in paged_specs(g):
+        want = transfer_counts(g, spec, 4).coeffs
+        assert enumeration_counts(g, spec, 4).coeffs == want, spec[0]
+
+
 def test_enumeration_is_independent_of_the_kernel(monkeypatch):
     import cutforge.series as series_mod
+
+    big = paged(257)
+    big_wants = [(spec, transfer_counts(big, spec, 3).coeffs) for spec in paged_specs(big)]
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle must not use the walk-count kernel")
@@ -250,5 +291,7 @@ def test_enumeration_is_independent_of_the_kernel(monkeypatch):
     g = multi()
     for spec, want in MULTI_HAND_COUNTS:
         assert enumeration_counts(g, _multi_spec(g, spec), len(want) - 1).coeffs == want
+    for spec, want in big_wants:
+        assert enumeration_counts(big, spec, 3).coeffs == want, spec[0]
     with pytest.raises(AssertionError):
         transfer_counts(g, ("measure", 1), 3)
