@@ -272,6 +272,7 @@ def enumeration_counts(universe, spec, L):
 
     off_end = [_ALL_LOCAL.translate(None, local(ends, p)) for p in pages]
     level = [local(starts, p) for p in pages]
+
     def count(level):
         return sum(len(w.translate(None, d)) for w, d in zip(level, off_end))
 
