@@ -24,7 +24,7 @@ from .ends import (
     ends_profile,
     splitting_pipeline,
 )
-from .graphs import graph_from_json_dict, graph_to_json_dict, is_forest
+from .graphs import graph_from_json_dict, graph_to_json_dict, is_forest, str_list
 from .groups import GroupError, ball, make_oracle
 from .series import DEFAULT_BALL_L, certified_length, measure
 from .sieve import classify, full_series
@@ -77,28 +77,38 @@ def _resolve_universe(args, ref=None, base_dir=""):
     if getattr(args, "group", None):
         return ball(_parse_group(args.group), args.radius)
     if ref:
+        if not isinstance(ref, str):
+            raise CutError("a cut file's 'universe' must be a string")
         return _universe_from_ref(ref, base_dir)
     raise CutError("no universe: pass --graph or --group, or put a "
                    "'universe' ref in the cut file")
 
 
+def _cut_object(data):
+    if isinstance(data, dict) and ("members" in data or "members_words" in data):
+        return data
+    raise CutError("a cut must be a JSON object with 'members' or "
+                   "'members_words'")
+
+
 def _cut_from_dict(universe, data, default_name="A"):
-    name = data.get("name", default_name)
+    name = _cut_object(data).get("name", default_name)
+    if type(name) is not str:
+        raise CutError("cut 'name' must be a string")
     if "members_words" in data:
         if not hasattr(universe, "oracle"):
             raise CutError("members_words needs a Cayley-ball universe")
         bits = 0
-        for w in data["members_words"]:
+        for w in str_list(data["members_words"], "cut 'members_words'", CutError):
             bits |= 1 << universe.index_of(universe.oracle.element_from_word(w))
         return Cut(universe, bits, name)
-    if "members" not in data:
-        raise CutError("cut object needs 'members' or 'members_words'")
-    return cut_from_members(universe, data["members"], name)
+    members = str_list(data["members"], "cut 'members'", CutError)
+    return cut_from_members(universe, members, name)
 
 
 def _load_cut_file(path, args):
     with open(path) as fh:
-        data = json.load(fh)
+        data = _cut_object(json.load(fh))
     base = os.path.dirname(os.path.abspath(path))
     universe = _resolve_universe(args, data.get("universe"), base)
     return universe, _cut_from_dict(universe, data)
@@ -113,8 +123,8 @@ def _load_cuts_file(path, args):
     if isinstance(data, dict):
         ref = data.get("universe")
         items = data.get("cuts")
-        if items is None:
-            raise CutError("cuts file needs a 'cuts' list")
+    if not isinstance(items, list):
+        raise CutError("cuts file needs a 'cuts' list")
     universe = _resolve_universe(args, ref, base)
     cuts = [
         _cut_from_dict(universe, d, "c%d" % (i,)) for i, d in enumerate(items)
@@ -263,7 +273,7 @@ def cmd_split(args):
             data = json.load(fh)
         cut = _cut_from_dict(ball(oracle, args.radius), data)
     rep = splitting_pipeline(
-        oracle, cut=cut, words=args.words, radius=args.radius, L=args.L
+        oracle, cut=cut, words=args.words, radius=args.radius
     )
     if args.dot:
         _write_dot(args.dot, trees.tree_dot(rep.stree))
@@ -345,8 +355,8 @@ def build_parser():
     add("ends", cmd_ends, "end counts of a group",
         group="required", rmax=True, json=True)
     add("split", cmd_split, "cut orbit to splitting tree",
-        group="required", cut=True, words=True, radius=True, L=True,
-        dot=True, json=True)
+        group="required", cut=True, words=True, radius=True, dot=True,
+        json=True)
     p = sub.add_parser("check", help="run the property suites")
     p.add_argument("--suite", choices=checks.SUITE_NAMES + ("all",),
                    default="all")

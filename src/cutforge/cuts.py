@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
 
-MAX_CLOSURE_GENERATORS = 12
-MAX_ENUMERATED_ATOMS = 20
-
 
 class CutError(ValueError):
     pass
@@ -171,7 +168,6 @@ CORNER_NAMES = ("A&B", "A&~B", "~A&B", "~A&~B")
 @dataclass(frozen=True)
 class NestedReport:
     corner_sizes: tuple
-    corner_infinite: tuple
     nested: bool
     empty_corners: tuple
 
@@ -180,10 +176,7 @@ class NestedReport:
 
 
 def nested_report(a, b):
-    """Corner census for two cuts.  Nested iff some corner is empty; on ball
-    universes a corner is flagged infinite when its trace meets the sphere
-    (exact for interior-coboundary cuts: every corner is a union of residual
-    components of ball minus the two coboundaries)."""
+    """Corner census for two cuts.  Nested iff some corner is empty."""
     _same_universe(a, b)
     full = full_mask(a.universe)
     corners = (
@@ -193,15 +186,8 @@ def nested_report(a, b):
         (full ^ a.bits) & (full ^ b.bits),
     )
     sizes = tuple(c.bit_count() for c in corners)
-    if isinstance(a.universe, BallView):
-        sm = a.universe.sphere_mask()
-        inf = tuple(bool(c & sm) for c in corners)
-    else:
-        inf = (False, False, False, False)
-    empty = tuple(
-        CORNER_NAMES[i] for i in range(4) if sizes[i] == 0
-    )
-    return NestedReport(sizes, inf, bool(empty), empty)
+    empty = tuple(CORNER_NAMES[i] for i in range(4) if sizes[i] == 0)
+    return NestedReport(sizes, bool(empty), empty)
 
 
 def is_nested_bits(full, abits, bbits):
@@ -252,15 +238,6 @@ class CutAlgebra:
             return None
         return subset
 
-    def all_element_bits(self):
-        if self.n_atoms > MAX_ENUMERATED_ATOMS:
-            raise CutError(
-                "refusing to enumerate 2^%d elements (cap %d atoms)"
-                % (self.n_atoms, MAX_ENUMERATED_ATOMS)
-            )
-        for subset in range(1 << self.n_atoms):
-            yield self.element_bits(subset)
-
 
 def refine(blocks, masks):
     """Split every block by every mask, dropping empty pieces: the atoms of
@@ -279,14 +256,11 @@ def refine(blocks, masks):
 
 
 def boolean_closure(cuts):
+    """The algebra the cuts generate, one `refine` pass over them.  It is
+    cheap at any number of cuts; what costs is the sieve's pass over the
+    2^atoms elements, which `sieve.MAX_SIEVE_ATOMS` guards."""
     if not cuts:
         raise CutError("boolean_closure needs at least one generating cut")
-    if len(cuts) > MAX_CLOSURE_GENERATORS:
-        raise CutError(
-            "Boolean closure: %d generators exceed closure cap "
-            "MAX_CLOSURE_GENERATORS = %d; pass fewer cuts (for split, a "
-            "smaller --words)" % (len(cuts), MAX_CLOSURE_GENERATORS)
-        )
     universe = cuts[0].universe
     for c in cuts[1:]:
         _same_universe(cuts[0], c)
@@ -340,7 +314,7 @@ def crossing_sources(bv, bits, gen_index):
     return out
 
 
-def is_almost_right_stable(bv, cut, probe_radius=None):
+def is_almost_right_stable(bv, cut):
     if not isinstance(bv, BallView):
         raise CutError("right-stability check needs a ball universe")
     if cut.universe is not bv:
@@ -360,7 +334,7 @@ def is_almost_right_stable(bv, cut, probe_radius=None):
             n = checked_flip(bv, cut.bits, gi, g).bit_count()
             per.append((name, n, n))
         return RightStability("exact", bv.radius, bv.radius, tuple(per), None)
-    probe = probe_radius if probe_radius is not None else max(2, bv.radius // 2)
+    probe = max(2, bv.radius // 2)
     if probe >= bv.radius:
         raise CutError("probe radius must be smaller than the ball radius")
     # ball(probe) is a prefix of ball(R), so its bits are the low bits

@@ -166,16 +166,15 @@ class SplittingReport:
     tree_edges: int
     edge_orbit_count: int
     vertex_orbit_count: int
-    # Stabilizer "orders" below are counts within the word ball, not group
-    # orders: the number of distinct elements of length <= W (identity
-    # included) that fix a vertex or edge, maximised over the orbit.  They
-    # grow with W where the true stabilizer is infinite.
-    edge_stabilizer_orders: tuple  # full tree, per edge orbit
     collapse_log: tuple  # per stage, the cut names of the collapsed orbit
     certificate: str
     stree: object
     stage: object = None  # first fixing stage (1-based), or None
-    # the final tree's figures, set on a split report only
+    # the final tree's figures, set on a split report only.  Stabilizer
+    # "orders" are counts within the word ball, not group orders: the number
+    # of distinct elements of length <= W (identity included) that fix a
+    # vertex or edge, maximised over the orbit.  They grow with W where the
+    # true stabilizer is infinite.
     final_edge_orbit_count: object = None
     final_vertex_orbit_count: object = None
     final_vertex_stabilizer_orders: tuple = ()  # per vertex orbit
@@ -288,7 +287,6 @@ def splitting_pipeline(
     cut=None,
     words=DEFAULT_WORD_BOUND,
     radius=DEFAULT_RADIUS,
-    L=None,
 ):
     """Cut orbit -> sieve -> paired tree -> staged orbit collapse.
 
@@ -298,14 +296,15 @@ def splitting_pipeline(
     fixes a vertex, that final tree shows no splitting and the report is
     undetermined, naming the stage.  A final tree that fails `_audit` also
     ends undetermined, naming the generator and the rule.  One-ended and
-    finite groups are refused by balanced_cut when no cut is supplied."""
+    finite groups are refused by balanced_cut when no cut is supplied.  The
+    sieve runs at the certified length L = 4|V| + 1 of the ball, which the
+    certificate names."""
     if cut is None:
         cut = balanced_cut(oracle, radius)
     bv = cut.universe
     if not hasattr(bv, "oracle"):
         raise EndsError("the pipeline needs a cut over a Cayley ball")
-    if L is None:
-        L = certified_length(bv)
+    L = certified_length(bv)
     wlist = bv.oracle.words_up_to(words)
     orb = orbit_cuts(bv, cut, wlist)
     selection = select_nested_generating(orb.cuts, L=L, action=wlist)
@@ -333,9 +332,6 @@ def splitting_pipeline(
         tree_edges=g.ne,
         edge_orbit_count=len(eorbs),
         vertex_orbit_count=len(vorbs),
-        edge_stabilizer_orders=tuple(
-            paction.orbit_max_edge_stabilizer(b) for b in eorbs
-        ),
         certificate=certificate,
         stree=stree,
     )

@@ -287,10 +287,19 @@ def graph_to_json_dict(g):
     }
 
 
+def str_list(value, what, error=GraphError):
+    """A list of strings as a tuple, not a string read one character at a
+    time; anything else raises error."""
+    if not isinstance(value, (list, tuple)) or any(type(x) is not str for x in value):
+        raise error("%s must be a list of strings" % (what,))
+    return tuple(value)
+
+
 def graph_from_json_dict(data):
     try:
-        vertices = list(data["vertices"])
+        vertices = data["vertices"]
         edges = [(e["id"], e["src"], e["dst"]) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphError("malformed graph document: %s" % (exc,))
-    return Graph(vertices, edges)
+    str_list([x for e in edges for x in e], "graph edge ids and ends")
+    return Graph(str_list(vertices, "graph vertices"), edges)

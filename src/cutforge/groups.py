@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from .graphs import Graph
+from .graphs import Graph, str_list
 
 DEFAULT_VERTEX_CAP = 200_000
 CAP_ENV_VAR = "CUTFORGE_CAP_VERTICES"
@@ -133,19 +133,23 @@ class TableOracle(GroupOracle):
     finite_kind = True
 
     def __init__(self, elements, mul, gens):
+        elements = str_list(elements, "table elements", GroupError)
+        gens = str_list(gens, "table gens", GroupError)
         n = len(elements)
         if n == 0:
             raise GroupError("empty multiplication table")
         if len(set(elements)) != n:
             raise GroupError("duplicate element names in table")
+        rows = mul if isinstance(mul, (list, tuple)) else ()
+        mul = tuple(_int_tuple(row, "table row %d" % (i,)) for i, row in enumerate(rows))
         if len(mul) != n or any(len(row) != n for row in mul):
             raise GroupError("multiplication table must be %d x %d" % (n, n))
         for row in mul:
             for x in row:
                 if not (0 <= x < n):
                     raise GroupError("table entry %r out of range" % (x,))
-        self.names = tuple(elements)
-        self.mul = tuple(tuple(row) for row in mul)
+        self.names = elements
+        self.mul = mul
         # identity: two-sided
         ident = None
         for e in range(n):
@@ -221,7 +225,9 @@ class PermOracle(GroupOracle):
     def __init__(self, degree, gens, names=None):
         self.degree = _int(degree, "perm degree")
         ident = tuple(range(self.degree))
-        if names is not None and len(names) != len(gens):
+        if not isinstance(gens, (list, tuple)):
+            raise GroupError("perm gens must be a list of permutations")
+        if names is not None and len(str_list(names, "perm names", GroupError)) != len(gens):
             raise GroupError("perm oracle needs one name per generator")
         gen_list = []
         for i, perm in enumerate(gens):

@@ -41,7 +41,6 @@ from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 from .groups import _letters, ball, search_tree
 
 SUBGROUP_ENUM_CAP = 48
-SEPARATION_SCAN_CAP = 2000
 
 
 class TreeError(ValueError):
@@ -60,10 +59,6 @@ class NestedSystem:
     nested_witness: object
     excludes_empty: bool
     excludes_full: bool
-    finitely_separating: bool  # True: a finite system separates finitely
-    # the most cuts separating two universe vertices; None when the system
-    # has more than SEPARATION_SCAN_CAP distinct membership signatures
-    max_separation: object
     # cut bits -> cut index, for O(1) complement lookups
     bits_index: dict = field(default=None, repr=False, compare=False)
 
@@ -75,13 +70,7 @@ class NestedSystem:
     @property
     def valid(self):
         """Flags required by the paired builder."""
-        return (
-            self.complement_stable
-            and self.nested
-            and self.excludes_empty
-            and self.excludes_full
-            and self.finitely_separating
-        )
+        return not self.failures()
 
     def failures(self):
         out = []
@@ -108,46 +97,10 @@ def _cut_name(system, i):
     return name if name is not None else "cut%d" % (i,)
 
 
-def _max_separation(bits, nv):
-    """Most cuts separating two of the nv universe vertices, or None when
-    there are more than SEPARATION_SCAN_CAP distinct signatures to scan.
-
-    The signature of vertex v has bit k set iff cut k contains v.  Cut k
-    separates v and w iff exactly one of them is in it, i.e. iff bit k of
-    sig(v) ^ sig(w) is set; so sep(v, w) = popcount(sig(v) ^ sig(w)).
-    That depends on the vertices only through their signatures, and two
-    vertices with equal signatures are separated by no cut.  Hence the
-    maximum over vertex pairs is 0 when all signatures agree, and otherwise
-    equals the maximum over pairs of distinct signatures, which is what is
-    scanned.  A nested system has at most len(bits) + 1 signatures, so the
-    cap only bites on large non-nested systems."""
-    sig = [0] * nv
-    for k, b in enumerate(bits):
-        # walk the members on the reversed binary string: O(nv) per cut,
-        # where clearing low bits of a big int would cost O(|cut| * nv)
-        kbit = 1 << k
-        row = bin(b)[:1:-1]
-        v = row.find("1")
-        while v >= 0:
-            sig[v] |= kbit
-            v = row.find("1", v + 1)
-    distinct = list(set(sig))
-    if len(distinct) > SEPARATION_SCAN_CAP:
-        return None
-    return max(
-        (
-            (a ^ b).bit_count()
-            for i, a in enumerate(distinct)
-            for b in distinct[i + 1:]
-        ),
-        default=0,
-    )
-
-
 def verify_system(cuts):
     cuts = tuple(cuts)
     if not cuts:
-        return NestedSystem((), True, True, True, None, True, True, True, 0)
+        return NestedSystem((), True, True, True, None, True, True)
     universe = cuts[0].universe
     for c in cuts:
         if c.universe is not universe:
@@ -179,9 +132,6 @@ def verify_system(cuts):
                 break
         if not nested:
             break
-    # a finite system separates every pair by finitely many cuts; the worst
-    # pair count is exact up to SEPARATION_SCAN_CAP distinct signatures
-    max_sep = _max_separation(bits, full.bit_count())
     return NestedSystem(
         cuts,
         comp_stable,
@@ -190,8 +140,6 @@ def verify_system(cuts):
         witness,
         excludes_empty,
         excludes_full,
-        True,
-        max_sep,
         seen,
     )
 

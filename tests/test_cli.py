@@ -288,7 +288,7 @@ SPLIT_GRID = [
     for words in (1, 2)
 ]
 NAMED_REFUSAL = re.compile(
-    r"^error: (no balanced cut|Boolean closure|measure sieve): "
+    r"^error: (no balanced cut|measure sieve): "
 )
 
 
@@ -391,6 +391,73 @@ def test_malformed_group_file_is_reported(tmp_path, capsys):
     assert main(["ends", "--group", str(spec), "--rmax", "3"]) == 1
     assert capsys.readouterr().err == (
         "error: perm oracle needs one name per generator\n"
+    )
+
+
+CUT_OBJECT = "a cut must be a JSON object with 'members' or 'members_words'"
+# (command, file name, file content, its one error line).  The test writes
+# the chain graph as chain.json and two malformed graphs beside the file.
+MALFORMED_FILES = [
+    ("measure --cut", "cut.json", ["a"], CUT_OBJECT),
+    ("split --group zd:1 --cut", "cut.json", ["a"], CUT_OBJECT),
+    ("sieve --cuts", "cuts.json", {"universe": "chain.json", "cuts": ["a"]},
+     CUT_OBJECT),
+    ("sieve --cuts", "cuts.json", {"universe": "chain.json", "cuts": 5},
+     "cuts file needs a 'cuts' list"),
+    ("measure --cut", "cut.json", {"universe": "chain.json", "members": 5},
+     "cut 'members' must be a list of strings"),
+    ("measure --cut", "cut.json", {"universe": "chain.json", "members": "ab"},
+     "cut 'members' must be a list of strings"),
+    ("measure --cut", "cut.json",
+     {"universe": "zd:1@3", "members_words": "x"},
+     "cut 'members_words' must be a list of strings"),
+    ("measure --cut", "cut.json", {"universe": 5, "members": ["a"]},
+     "a cut file's 'universe' must be a string"),
+    ("measure --cut", "cut.json", {"universe": "chain.json"}, CUT_OBJECT),
+    ("tree --mode U --cuts", "cuts.json",
+     {"universe": "chain.json", "cuts": [{"name": 5, "members": ["a"]}]},
+     "cut 'name' must be a string"),
+    ("measure --cut", "cut.json",
+     {"universe": "abc.json", "members": ["a"]},
+     "graph vertices must be a list of strings"),
+    ("measure --cut", "cut.json",
+     {"universe": "list_id.json", "members": ["a"]},
+     "graph edge ids and ends must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, content, why",
+    MALFORMED_FILES,
+    ids=["measure-list", "split-list", "cuts-item-string", "cuts-number",
+         "members-number", "members-string", "members-words-string",
+         "universe-number", "no-members", "name-number",
+         "graph-vertices-string",
+         "graph-edge-id-list"],
+)
+def test_malformed_cut_or_graph_file_is_one_error_line(
+    tmp_path, capsys, command, name, content, why
+):
+    (tmp_path / "chain.json").write_text(json.dumps(GRAPH))
+    (tmp_path / "abc.json").write_text(
+        json.dumps({"vertices": "abc", "edges": []})
+    )
+    (tmp_path / "list_id.json").write_text(json.dumps(
+        {"vertices": ["a", "b"], "edges": [{"id": ["e"], "src": "a", "dst": "b"}]}
+    ))
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    assert main(command.split() + [str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % (why,))
+
+
+def test_split_free2_is_refused_by_the_sieve_cap(capsys):
+    assert main(["split", "--group", "free:2"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: measure sieve: algebra has 18 atoms; sieve cap "
+        "MAX_SIEVE_ATOMS = 12; pass fewer cuts (for split, a smaller "
+        "--words)\n",
     )
 
 

@@ -21,6 +21,7 @@ from cutforge.cuts import (
     right_flip_bits,
 )
 from cutforge.graphs import Graph, components
+from cutforge.sieve import classify
 from cutforge.groups import (
     FreeOracle,
     FreeProductOracle,
@@ -96,7 +97,8 @@ def test_boolean_closure_crossing_pair():
         [cut_from_members(g, ["v1", "v2"], "A"), cut_from_members(g, ["v2", "v3"], "B")]
     )
     assert algebra.n_atoms == 4
-    assert len(list(algebra.all_element_bits())) == 16
+    elements = {algebra.element_bits(m) for m in range(1 << algebra.n_atoms)}
+    assert len(elements) == 16
     assert algebra.decompose(algebra.atoms[0] | algebra.atoms[2]) is not None
 
 
@@ -183,17 +185,20 @@ def test_orbit_cuts_names_and_dedup():
     assert len({c.bits for c in orb.cuts}) == 3
 
 
-def test_closure_cap_names_stage_limit_and_remedy():
-    g = Graph(["v%d" % i for i in range(14)],
-              [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(13)])
-    cuts = [cut_from_members(g, ["v%d" % i]) for i in range(13)]
-    with pytest.raises(
-        CutError,
-        match=r"^Boolean closure: 13 generators exceed closure cap "
-        r"MAX_CLOSURE_GENERATORS = 12; pass fewer cuts \(for split, a "
-        r"smaller --words\)$",
-    ):
-        boolean_closure(cuts)
+def test_closure_of_many_cuts_over_few_atoms_is_sieved():
+    # 14 generators but 4 atoms: refining is cheap at any number of cuts,
+    # and only the sieve's 2^atoms pass is capped (by atoms)
+    g = Graph(["a", "b", "c", "d"],
+              [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
+    cuts = [
+        Cut(g, bits, "c%d" % (bits,)) for bits in range(1, (1 << g.nv) - 1)
+    ]
+    assert len(cuts) == 14
+    algebra = boolean_closure(cuts)
+    assert algebra.n_atoms == 4
+    report = classify(algebra)
+    assert len(report.irreducible) == 6
+    assert sorted(el.bits for el in report.irreducible) == [1, 3, 7, 8, 12, 14]
 
 
 ESCAPES = "radius too small: translated coboundary escapes the ball"

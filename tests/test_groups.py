@@ -250,6 +250,31 @@ def test_free_product_spec_needs_a_list_of_orders():
         make_oracle({"kind": "free_product", "orders": "23"})
 
 
+def test_table_spec_needs_integer_rows():
+    with pytest.raises(GroupError, match="table row 1 must be a list of integers"):
+        make_oracle(
+            {"kind": "table", "elements": ["e", "s"], "mul": [[0, 1], [1, 0.0]],
+             "gens": ["s"]}
+        )
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "table", "elements": "es", "mul": [[0, 1], [1, 0]],
+          "gens": ["s"]}, "table elements"),
+        ({"kind": "table", "elements": ["e", "s"], "mul": [[0, 1], [1, 0]],
+          "gens": "s"}, "table gens"),
+        ({"kind": "perm", "degree": 3, "gens": [[1, 2, 0], [1, 0, 2]],
+          "names": "rs"}, "perm names"),
+    ],
+    ids=["table-elements", "table-gens", "perm-names"],
+)
+def test_name_fields_must_be_lists_of_strings(spec, field):
+    with pytest.raises(GroupError, match="^%s must be a list of strings$" % field):
+        make_oracle(spec)
+
+
 def test_vertex_cap_limits_only_requested_balls(monkeypatch):
     monkeypatch.setenv("CUTFORGE_CAP_VERTICES", "3")
     assert len(ZdOracle(1).words_up_to(4)) == 9

@@ -8,7 +8,6 @@ from cutforge.ends import balanced_cut
 from cutforge.groups import FreeProductOracle, PermOracle, TableOracle, ZdOracle, ball
 from cutforge.sieve import select_nested_generating
 from cutforge.trees import (
-    SEPARATION_SCAN_CAP,
     NestedSystem,
     PartialAction,
     SizePolynomial,
@@ -62,7 +61,7 @@ def test_verify_system_flags():
     _g, chain = chain3_system()
     assert chain.complement_free and not chain.complement_stable
     assert not chain.valid  # valid is the paired-tree precondition
-    assert chain.nested and chain.max_separation == 3
+    assert chain.nested
 
 
 def test_verify_system_rejections():
@@ -80,16 +79,30 @@ def test_verify_system_rejections():
     assert crossing.excludes_empty and crossing.excludes_full
 
 
-def brute_max_separation(nv, cuts):
-    """Most cuts separating two of the nv vertices, over every vertex pair."""
-    return max(
-        (
-            sum(((c.bits >> v) ^ (c.bits >> w)) & 1 for c in cuts)
-            for v in range(nv)
-            for w in range(v + 1, nv)
+def brute_flags(full, cuts):
+    """verify_system's flags, each read off every cut or pair of cuts."""
+    bits = {c.bits for c in cuts}
+    comps = [full ^ c.bits for c in cuts]
+
+    def some_corner_empty(a, b):
+        return not all((a & b, a & (full ^ b), (full ^ a) & b, full ^ (a | b)))
+
+    return (
+        all(cb in bits for cb in comps),
+        all(cb not in bits for cb in comps),
+        all(
+            some_corner_empty(a.bits, b.bits)
+            for i, a in enumerate(cuts)
+            for b in cuts[i + 1:]
         ),
-        default=0,
+        all(c.bits for c in cuts),
+        all(c.bits != full for c in cuts),
     )
+
+
+def flags(system):
+    return (system.complement_stable, system.complement_free, system.nested,
+            system.excludes_empty, system.excludes_full)
 
 
 def random_tree(rng, n):
@@ -101,43 +114,26 @@ def random_tree(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_max_separation_matches_vertex_pairs(seed):
+def test_verify_system_flags_match_pairwise_checks(seed):
     rng = random.Random(seed)
     t = random_tree(rng, rng.randrange(2, 40))
     one_sided = [
         cut_from_members(t, side, e) for e, side in sorted(edge_cuts(t).items())
     ]
     both_sided = one_sided + [c.complement() for c in one_sided]
+    full = (1 << t.nv) - 1
     for cuts in (both_sided, one_sided):
         system = verify_system(cuts)
         assert system.nested
-        assert system.max_separation == brute_max_separation(t.nv, cuts)
+        assert flags(system) == brute_flags(full, cuts)
+    assert verify_system(both_sided).valid
     g = Graph(["x%d" % i for i in range(rng.randrange(1, 30))], [])
     pool = rng.sample(range(1 << g.nv), min(1 << g.nv, rng.randrange(1, 25)))
     cuts = [Cut(g, bits, "c%d" % k) for k, bits in enumerate(pool)]
     system = verify_system(cuts)
-    assert system.max_separation == brute_max_separation(g.nv, cuts)
-
-
-def test_max_separation_edge_cases():
-    assert verify_system([]).max_separation == 0
-    point = Graph(["x"], [])
-    system = verify_system([Cut(point, 0, "none"), Cut(point, 1, "all")])
-    assert system.max_separation == 0 == brute_max_separation(1, system.cuts)
-
-
-def test_max_separation_is_exact_past_the_scan_cap():
-    n = SEPARATION_SCAN_CAP + 100
-    path = Graph(
-        ["p%d" % i for i in range(n)],
-        [("e%d" % i, "p%d" % i, "p%d" % (i + 1)) for i in range(n - 1)],
-    )
-    cuts = [
-        cut_from_members(path, ["p%d" % i for i in range(k)], "A%d" % k)
-        for k in (10, 1000, 2050)
-    ]
-    system = verify_system(cuts)
-    assert system.nested and system.max_separation == 3
+    stable, free, nested, no_empty, no_full = brute_flags((1 << g.nv) - 1, cuts)
+    assert flags(system) == (stable, free, nested, no_empty, no_full)
+    assert system.valid == (stable and nested and no_empty and no_full)
 
 
 def test_index_of_bits():
@@ -147,9 +143,7 @@ def test_index_of_bits():
     assert system.index_of_bits(a.bits) == 0
     assert system.index_of_bits(0) is None
     # a system built by hand indexes its cuts too
-    by_hand = NestedSystem(
-        system.cuts, True, False, True, None, True, True, True, 2
-    )
+    by_hand = NestedSystem(system.cuts, True, False, True, None, True, True)
     assert by_hand.index_of_bits(na.bits) == 1 and by_hand == system
 
 
