@@ -41,7 +41,6 @@ from .cuts import (
 from .series import (
     TruncatedSeries,
     certified_length,
-    compare,
     corner_series,
     crossing_distance,
     enumeration_counts,
@@ -87,7 +86,7 @@ __all__ = [
     "Cut", "CutAlgebra", "CutError", "act_left_cut", "boolean_closure",
     "cut_from_members", "is_almost_right_stable", "nested_report",
     "orbit_cuts",
-    "TruncatedSeries", "certified_length", "compare", "corner_series",
+    "TruncatedSeries", "certified_length", "corner_series",
     "crossing_distance", "enumeration_counts", "measure",
     "odd_crossing_series", "transfer_counts",
     "SieveReport", "classify", "irreducible_family",

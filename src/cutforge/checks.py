@@ -20,6 +20,7 @@ from .cuts import (
     full_mask,
     is_almost_right_stable,
     nested_report,
+    refine,
     right_flip_bits,
 )
 from .ends import EndsError, ends_profile, splitting_pipeline
@@ -107,7 +108,7 @@ def _random_graph(rng, max_v, max_e, connected=False):
     return Graph(vertices, edges)
 
 
-def _random_tree(rng, max_v, prefix="t"):
+def _random_tree(rng, max_v):
     nv = rng.randint(2, max_v)
     vertices = ["v%d" % (i,) for i in range(nv)]
     edges = []
@@ -115,7 +116,7 @@ def _random_tree(rng, max_v, prefix="t"):
         s, d = "v%d" % (rng.randrange(i),), "v%d" % (i,)
         if rng.random() < 0.5:
             s, d = d, s
-        edges.append(("%s%d" % (prefix, i - 1), s, d))
+        edges.append(("t%d" % (i - 1,), s, d))
     return Graph(vertices, edges)
 
 
@@ -148,9 +149,9 @@ def _random_mask(rng, n, proper=True):
             return bits
 
 
-def _random_edge_subset(rng, g, p=0.4, nonempty=True):
+def _random_edge_subset(rng, g, nonempty=True):
     while True:
-        ids = [e for (e, _s, _d) in g.edges if rng.random() < p]
+        ids = [e for (e, _s, _d) in g.edges if rng.random() < 0.4]
         if ids or not nonempty:
             return ids
 
@@ -158,10 +159,10 @@ def _random_edge_subset(rng, g, p=0.4, nonempty=True):
 # -- graph suite -----------------------------------------------------------------
 
 
-def check_graph_basics(seed, samples=60):
+def check_graph_basics(seed):
     rng = _rng("graph-basics", seed)
     t = _Tally()
-    for i in range(samples):
+    for i in range(60):
         g = _random_graph(rng, 10, 14)
         part = components(g)
         flat = sorted(v for b in part.blocks for v in b)
@@ -234,7 +235,7 @@ def _random_sphere_clean_bits(rng, bv):
             return bits
 
 
-def check_translation_identity(seed, per_family=20):
+def check_translation_identity(seed):
     """A (symdiff) As^-1 equals the crossing sources of the s-edges, computed
     by two unrelated scans."""
     t = _Tally()
@@ -244,7 +245,7 @@ def check_translation_identity(seed, per_family=20):
     ):
         bv = ball(oracle, radius)
         rng = _rng("cuts-translation-%s" % tag, seed)
-        for i in range(per_family):
+        for i in range(20):
             bits = _random_sphere_clean_bits(rng, bv)
             cut = Cut(bv, bits)
             for gi, (gname, gel) in enumerate(oracle.generators()):
@@ -266,10 +267,10 @@ def check_translation_identity(seed, per_family=20):
     return t.n
 
 
-def check_nested_reports(seed, samples=40):
+def check_nested_reports(seed):
     rng = _rng("cuts-nested", seed)
     t = _Tally()
-    for i in range(samples):
+    for i in range(40):
         g = _random_graph(rng, 8, 10)
         a = Cut(g, _random_mask(rng, g.nv, proper=False))
         b = Cut(g, _random_mask(rng, g.nv, proper=False))
@@ -293,10 +294,11 @@ def check_nested_reports(seed, samples=40):
 # -- bergman suite ----------------------------------------------------------------
 
 
-def check_measure_identities(seed, samples=200, L=12):
+def check_measure_identities(seed):
     rng = _rng("bergman-identities", seed)
     t = _Tally()
-    for i in range(samples):
+    L = 12
+    for i in range(200):
         g = _random_graph(rng, 10, 14)
         a = Cut(g, _random_mask(rng, g.nv, proper=False))
         ma = measure(g, a, L)
@@ -320,10 +322,11 @@ def check_measure_identities(seed, samples=200, L=12):
     return t.n
 
 
-def check_engine_agreement(seed, samples=200, L=7):
+def check_engine_agreement(seed):
     rng = _rng("bergman-engines", seed)
     t = _Tally()
-    for i in range(samples):
+    L = 7
+    for i in range(200):
         g = _random_bounded_graph(rng, 8, 12, max_deg=3)
         a = _random_mask(rng, g.nv, proper=False)
         b = _random_mask(rng, g.nv, proper=False)
@@ -342,10 +345,10 @@ def check_engine_agreement(seed, samples=200, L=7):
     return t.n
 
 
-def check_crossing_subadditivity(seed, samples=100):
+def check_crossing_subadditivity(seed):
     rng = _rng("bergman-crossing", seed)
     t = _Tally()
-    for i in range(samples):
+    for i in range(100):
         g = _random_graph(rng, 10, 14, connected=True)
         r = _random_edge_subset(rng, g)
         s = _random_edge_subset(rng, g)
@@ -370,25 +373,12 @@ def check_crossing_subadditivity(seed, samples=100):
 # -- sieve suite ------------------------------------------------------------------
 
 
-def _partition_atoms(full, masks):
-    blocks = [full]
-    for m in masks:
-        nxt = []
-        for b in blocks:
-            if b & m:
-                nxt.append(b & m)
-            if b & ~m:
-                nxt.append(b & ~m)
-        blocks = nxt
-    return sorted(blocks)
-
-
-def sieve_artifacts(seed, samples=100):
+def sieve_artifacts(seed):
     """The sieve runs shared by the soundness, dichotomy, and tree checks:
     (index, graph, algebra, certified report) per seeded instance."""
     rng = _rng("sieve-soundness", seed)
     out = []
-    for i in range(samples):
+    for i in range(100):
         g = _random_graph(rng, 8, 12, connected=True)
         gens = [
             Cut(g, _random_mask(rng, g.nv), name="g%d" % (j,))
@@ -399,9 +389,7 @@ def sieve_artifacts(seed, samples=100):
     return out
 
 
-def check_sieve_soundness(seed, samples=100, artifacts=None):
-    if artifacts is None:
-        artifacts = sieve_artifacts(seed, samples)
+def check_sieve_soundness(artifacts):
     t = _Tally()
     for i, g, algebra, report in artifacts:
         t.hit(
@@ -423,13 +411,13 @@ def check_sieve_soundness(seed, samples=100, artifacts=None):
                     "irreducible pair crosses on sample %d" % i,
                 )
         t.hit(report.nested, "nested flag false on sample %d" % i)
-        regen = _partition_atoms(full, [c.bits for c in irr_cuts])
+        regen = sorted(refine([full], [c.bits for c in irr_cuts]))
         t.hit(
             regen == sorted(algebra.atoms),
             "irreducibles do not regenerate the algebra on sample %d" % i,
         )
         t.hit(report.generates, "generates flag false on sample %d" % i)
-    return t.n, artifacts
+    return t.n
 
 
 def corner_choices(g, L, pairs, P=None):
@@ -513,12 +501,12 @@ def check_tree_invariants(artifacts):
     return t.n
 
 
-def check_double_dual(seed, samples=50):
+def check_double_dual(seed):
     """U of the edge-cut family of a tree reproduces the tree with oriented
     incidences and labels intact."""
     rng = _rng("tree-roundtrip", seed)
     t = _Tally()
-    for i in range(samples):
+    for i in range(50):
         tg = _random_tree(rng, 20)
         side = edge_cuts(tg)
         cuts = []
@@ -727,8 +715,10 @@ def run_suite(name, seed, shared=None):
         )
     elif name == "sieve":
         artifacts = seeded_artifacts()
-        n, _ = check_sieve_soundness(seed, artifacts=artifacts)
-        done("irreducible families certified, nested, generating", n)
+        done(
+            "irreducible families certified, nested, generating",
+            check_sieve_soundness(artifacts),
+        )
         done("corner dichotomy on irreducible pairs", check_corner_dichotomy(artifacts))
     elif name == "tree":
         done("tree metric and vertex embedding over sieve runs", check_tree_invariants(seeded_artifacts()))

@@ -71,7 +71,7 @@ def _universe_from_ref(ref, base_dir):
     return _load_graph(os.path.join(base_dir, ref))
 
 
-def _resolve_universe(args, ref=None, base_dir=""):
+def _resolve_universe(args, ref, base_dir):
     if getattr(args, "graph", None):
         return _load_graph(args.graph)
     if getattr(args, "group", None):

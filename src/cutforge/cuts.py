@@ -66,16 +66,20 @@ def coboundary_indices(universe, bits):
 
 
 def _check_interior(universe, bits):
+    """The coboundary indices of a ball cut, checked to be interior; None on
+    a graph, where there is nothing to check."""
     if not isinstance(universe, BallView):
-        return
+        return None
     limit = universe.radius - 1
     dist = universe.dist
-    for k in coboundary_indices(universe, bits):
+    cob = tuple(coboundary_indices(universe, bits))
+    for k in cob:
         s, d = universe.index_edges[k]
         if dist[s] > limit or dist[d] > limit:
             raise CutError(
                 "interior-coboundary violated: edge %r" % (universe.graph.edges[k][0],)
             )
+    return cob
 
 
 class Cut:
@@ -87,11 +91,10 @@ class Cut:
     def __init__(self, universe, bits, name=None):
         if bits < 0 or bits > full_mask(universe):
             raise CutError("member bits out of range for universe")
-        _check_interior(universe, bits)
+        self._cob = _check_interior(universe, bits)
         self.universe = universe
         self.bits = bits
         self.name = name
-        self._cob = None
 
     @classmethod
     def _checked(cls, universe, bits, name):
@@ -170,9 +173,6 @@ class NestedReport:
     corner_sizes: tuple
     nested: bool
     empty_corners: tuple
-
-    def corners(self):
-        return dict(zip(CORNER_NAMES, self.corner_sizes))
 
 
 def nested_report(a, b):
@@ -280,8 +280,6 @@ class RightStability:
     'rejected' (a generator's difference set grew; witness attached)."""
 
     status: str
-    radius: int
-    probe_radius: int
     per_generator: tuple  # (name, size at probe, size at R)
     witness: object
 
@@ -333,7 +331,7 @@ def is_almost_right_stable(bv, cut):
         for gi, (name, g) in enumerate(gens):
             n = checked_flip(bv, cut.bits, gi, g).bit_count()
             per.append((name, n, n))
-        return RightStability("exact", bv.radius, bv.radius, tuple(per), None)
+        return RightStability("exact", tuple(per), None)
     probe = max(2, bv.radius // 2)
     if probe >= bv.radius:
         raise CutError("probe radius must be smaller than the ball radius")
@@ -349,7 +347,7 @@ def is_almost_right_stable(bv, cut):
         if nb > ns and witness is None:
             witness = (name, ns, nb)
     status = "rejected" if witness is not None else "ball_verified"
-    return RightStability(status, bv.radius, probe, tuple(per), witness)
+    return RightStability(status, tuple(per), witness)
 
 
 @dataclass(frozen=True)

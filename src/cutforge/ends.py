@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import trees
-from .cuts import Cut, full_mask, orbit_cuts
+from .cuts import Cut, CutError, full_mask, orbit_cuts
 from .graphs import index_classes, path_vertices, reduced_path
 from .groups import ball
 from .series import certified_length
@@ -108,7 +108,8 @@ def ends_profile(oracle, rmax=DEFAULT_RADIUS):
 def balanced_cut(oracle, radius=DEFAULT_RADIUS):
     """One infinite side (plus enclosed finite components) of a small central
     edge set: per-generator parallel classes at the identity are tried first,
-    then the edge sets of balls 1 and 2."""
+    then the edge sets of balls 1 and 2, each only when it avoids the
+    sphere, so that the cut's coboundary is interior."""
     bv = ball(oracle, radius)
     if bv.exhausted:
         raise EndsError("no balanced cut: the group is finite")
@@ -116,16 +117,18 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
     dist = bv.dist
     candidates = []
     for _name, gel in oracle.generators():
-        pair = {0, bv.el_to_idx[gel]}  # the identity has index 0
+        # the identity has index 0; at R = 0 the generator is not in the
+        # ball, and the pair {0, None} matches no edge
+        pair = {0, bv.el_to_idx.get(gel)}
         candidates.append({k for k, (s, d) in enumerate(edges) if {s, d} == pair})
     for r in (1, 2):
-        if r > radius - 1:
-            break
         candidates.append(
             {k for k, (s, d) in enumerate(edges) if dist[s] <= r and dist[d] <= r}
         )
     for cls in candidates:
-        if not cls:
+        # the side's coboundary lies in cls: a class reaching the sphere is
+        # not interior
+        if not cls or any(dist[i] >= radius for k in cls for i in edges[k]):
             continue
         blocks = index_classes(bv.nv, [p for k, p in enumerate(edges) if k not in cls])
         flagged = [b for b in blocks if not bv.sphere.isdisjoint(b)]
@@ -306,8 +309,14 @@ def splitting_pipeline(
         raise EndsError("the pipeline needs a cut over a Cayley ball")
     L = certified_length(bv)
     wlist = bv.oracle.words_up_to(words)
-    orb = orbit_cuts(bv, cut, wlist)
-    selection = select_nested_generating(orb.cuts, L=L, action=wlist)
+    try:
+        orb = orbit_cuts(bv, cut, wlist)
+    except CutError as exc:
+        raise EndsError(
+            "cut orbit: %s (R=%d, W=%d); pass a larger --radius or a smaller "
+            "--words" % (exc, bv.radius, words)
+        )
+    selection = select_nested_generating(orb.cuts, action=wlist)
     report = selection.report
     stree = trees.paired_tree(selection.system)
     paction = trees.build_partial_action(stree, wlist, selection.images)

@@ -77,25 +77,6 @@ class TruncatedSeries:
         return [str(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class SeriesOrdering:
-    outcome: str  # "less" | "greater" | "equal_up_to" | "certified_equal"
-    pivot: object  # first differing degree, or None
-    upto: int
-
-
-def compare(s1, s2):
-    if s1.L != s2.L:
-        raise SeriesError("cannot compare series of different truncation")
-    for l in range(s1.L + 1):
-        if s1.coeffs[l] != s2.coeffs[l]:
-            outcome = "less" if s1.coeffs[l] < s2.coeffs[l] else "greater"
-            return SeriesOrdering(outcome, l, s1.L)
-    if s1.certified and s2.certified:
-        return SeriesOrdering("certified_equal", None, s1.L)
-    return SeriesOrdering("equal_up_to", None, s1.L)
-
-
 def _as_bits(universe, spec_set):
     if isinstance(spec_set, Cut):
         if spec_set.universe is not universe:
@@ -346,14 +327,13 @@ def series_scale(s, k):
 # -- crossing distance ---------------------------------------------------------
 
 
-def crossing_distance(universe, r_edges, s_edges, cap=None):
+def crossing_distance(universe, r_edges, s_edges):
     """Minimum length of a walk that crosses both edge sets at least once.
     BFS over (vertex, crossed R?, crossed S?) states."""
     g = universe_graph(universe)
     r_idx = _edge_indices(universe, r_edges)
     s_idx = _edge_indices(universe, s_edges)
-    if cap is None:
-        cap = 2 * g.nv + 2
+    cap = 2 * g.nv + 2
     seen = set()
     frontier = [(v, False, False) for v in range(g.nv)]
     seen.update(frontier)

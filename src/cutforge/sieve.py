@@ -246,17 +246,12 @@ def _paired_cuts(report):
     return tuple(cuts)
 
 
-def irreducible_family(cuts, L=None):
-    """Sieve the closure of a cut family and return (report, irreducible
-    cuts).  The guarantees of the sieve (complement-stable, nested,
-    regenerates the algebra) are verified and enforced, not assumed."""
-    algebra = boolean_closure(list(cuts))
-    report = classify(algebra, L=L)
-    if report.undecided_count:
-        raise SieveError(
-            "%d elements undecided at L=%d; raise L toward %d"
-            % (report.undecided_count, report.L, certified_length(algebra.universe))
-        )
+def irreducible_family(cuts):
+    """Sieve the closure of a cut family at the certified length 4|V| + 1,
+    where no element is undecided, and return (report, irreducible cuts).
+    The guarantees of the sieve (complement-stable, nested, regenerates the
+    algebra) are verified and enforced, not assumed."""
+    report = classify(boolean_closure(list(cuts)))
     if not report.complement_stable:
         raise SieveError("irreducibility is not complement-stable (internal)")
     if not report.nested:
@@ -277,7 +272,7 @@ class Selection:
     images: tuple
 
 
-def select_nested_generating(cuts, L=None, action=None):
+def select_nested_generating(cuts, action=None):
     """Thin the irreducible family down to a nested system that still
     generates every input cut.
 
@@ -291,7 +286,7 @@ def select_nested_generating(cuts, L=None, action=None):
     action, so the image of a kept cut in the family is a kept cut.
     """
     cuts = list(cuts)
-    report, irr = irreducible_family(cuts, L=L)
+    report, irr = irreducible_family(cuts)
     algebra = report.algebra
     universe = algebra.universe
     full = (1 << algebra.n_atoms) - 1

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .cuts import Cut, full_mask, universe_graph
+from .cuts import full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 from .groups import _letters, ball, search_tree
 
@@ -240,15 +240,9 @@ def unpaired_tree(system):
     labels directly."""
     if not isinstance(system, NestedSystem):
         system = verify_system(system)
-    bad = []
+    bad = [f for f in system.failures() if f != "complement_stable"]
     if not system.complement_free:
-        bad.append("complement pair present")
-    if not system.nested:
-        bad.append("nested (witness %r)" % (system.nested_witness,))
-    if not system.excludes_empty:
-        bad.append("excludes_empty")
-    if not system.excludes_full:
-        bad.append("excludes_full")
+        bad.insert(0, "complement pair present")
     if bad:
         raise TreeError("system not usable: " + ", ".join(bad))
     return _build(system, "U")
@@ -302,33 +296,6 @@ def vertex_embed(stree, universe_vertex):
             % (universe_vertex, sorted(loc), sorted(label))
         )
     return stree.label_to_vertex[label]
-
-
-def _as_bits(cut_or_bits):
-    if isinstance(cut_or_bits, Cut):
-        return cut_or_bits.bits
-    return int(cut_or_bits)
-
-
-def interval(system, e, f):
-    """Cuts d of the system with e <= d <= f (as vertex sets)."""
-    ebits = _as_bits(e)
-    fbits = _as_bits(f)
-    return tuple(
-        c
-        for c in system.cuts
-        if _subset(ebits, c.bits) and _subset(c.bits, fbits)
-    )
-
-
-def prec(system, e, f):
-    """e < f with nothing of the system strictly between: [e, f[ = {e}."""
-    ebits = _as_bits(e)
-    fbits = _as_bits(f)
-    if ebits == fbits:
-        return False
-    half_open = [c.bits for c in interval(system, ebits, fbits) if c.bits != fbits]
-    return half_open == [ebits]
 
 
 # -- the vertex-transport rule ---------------------------------------------------
@@ -959,8 +926,8 @@ def _dot_quote(s):
     return '"%s"' % (str(s).replace('"', '\\"'),)
 
 
-def graph_dot(graph, vertex_labels=None, edge_labels=None, name="cutforge"):
-    lines = ["graph %s {" % (name,)]
+def graph_dot(graph, vertex_labels=None, edge_labels=None):
+    lines = ["graph cutforge {"]
     for v in graph.vertices:
         lab = vertex_labels.get(v) if vertex_labels else None
         if lab is None:

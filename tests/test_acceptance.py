@@ -38,24 +38,24 @@ def _timed(fn, *args, **kwargs):
 
 @pytest.fixture(scope="module")
 def sieve_runs():
-    artifacts, dt = _timed(sieve_artifacts, SEED, 100)
+    artifacts, dt = _timed(sieve_artifacts, SEED)
     return artifacts, dt
 
 
 def test_criterion_01_measure_identities():
-    n, dt = _timed(check_measure_identities, SEED, samples=200, L=12)
+    n, dt = _timed(check_measure_identities, SEED)
     assert n == 800
     assert dt < 30.0
 
 
 def test_criterion_02_engine_agreement():
-    n, dt = _timed(check_engine_agreement, SEED, samples=200, L=7)
+    n, dt = _timed(check_engine_agreement, SEED)
     assert n == 800
     assert dt < 60.0
 
 
 def test_criterion_03_crossing_subadditivity():
-    n, dt = _timed(check_crossing_subadditivity, SEED, samples=100)
+    n, dt = _timed(check_crossing_subadditivity, SEED)
     assert n >= 100
     assert dt < 30.0
 
@@ -63,7 +63,7 @@ def test_criterion_03_crossing_subadditivity():
 def test_criterion_04_sieve_soundness(sieve_runs):
     artifacts, build = sieve_runs
     assert len(artifacts) == 100
-    (n, _), dt = _timed(check_sieve_soundness, SEED, artifacts=artifacts)
+    n, dt = _timed(check_sieve_soundness, artifacts)
     assert n >= 100
     assert build + dt < 300.0
 
@@ -79,13 +79,13 @@ def test_criterion_06_tree_invariants(sieve_runs):
 
 
 def test_criterion_07_double_dual():
-    n, dt = _timed(check_double_dual, SEED, samples=50)
+    n, dt = _timed(check_double_dual, SEED)
     assert n >= 50
     assert dt < 10.0
 
 
 def test_criterion_08_translation_identity():
-    assert check_translation_identity(SEED, per_family=20) > 0
+    assert check_translation_identity(SEED) > 0
 
 
 def test_criterion_09_end_counts():

@@ -279,24 +279,35 @@ def test_split_needs_no_string_graph(monkeypatch, capsys):
 
 
 # Every split cell of this grid ends in a report or a named refusal, never in
-# an internal error.
+# an internal error: at the default radius, and at radii too small for a
+# balanced cut (R = 0, 1) or for its translates (R = 2, 3).
 SPLIT_GRID = [
-    (group, words)
+    (group, words, None)
     for group in ("zd:1", "zd:2", "free:1", "free_product:2,2",
                   "free_product:2,3", "free_product:3,3",
                   "free_product:2,2,2", "free:2")
     for words in (1, 2)
+] + [("free_product:2,2", 2, r) for r in (1, 2, 3)] + [
+    ("zd:1", 2, r) for r in (0, 1)
 ]
 NAMED_REFUSAL = re.compile(
-    r"^error: (no balanced cut|measure sieve): "
+    r"^error: (no balanced cut|measure sieve|cut orbit): "
 )
+
+
+def _grid_id(cell):
+    group, words, radius = cell
+    return "%s-W%d" % (group, words) + ("" if radius is None else "-R%d" % radius)
 
 
 @pytest.mark.parametrize(
-    "group, words", SPLIT_GRID, ids=["%s-W%d" % cell for cell in SPLIT_GRID]
+    "group, words, radius", SPLIT_GRID, ids=[_grid_id(c) for c in SPLIT_GRID]
 )
-def test_split_grid_ends_in_a_report_or_a_named_refusal(capsys, group, words):
-    code = main(["split", "--group", group, "--words", str(words)])
+def test_split_grid_ends_in_a_report_or_a_named_refusal(
+    capsys, group, words, radius
+):
+    argv = ["split", "--group", group, "--words", str(words)]
+    code = main(argv + ([] if radius is None else ["--radius", str(radius)]))
     out, err = capsys.readouterr()
     if code == 1:
         assert NAMED_REFUSAL.match(err), err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cutforge.cuts
 import cutforge.ends
 import cutforge.groups
 from cutforge.checks import _random_sphere_clean_bits
@@ -339,6 +340,24 @@ def test_translates_by_one_element_multiply_the_ball_once(monkeypatch):
                 pass
     assert done and len(cuts) > 1
     assert 0 < len(calls) <= bv.nv
+
+
+def test_a_ball_cut_walks_its_coboundary_once(monkeypatch):
+    # the interior check at construction keeps the indices it walked, and
+    # coboundary() and act_left_cut read them
+    bv = z_ball()
+    bits, moved = half_line(bv).bits, half_line(bv, k=1).bits
+    calls = []
+    real = cutforge.cuts.coboundary_indices
+    monkeypatch.setattr(
+        cutforge.cuts,
+        "coboundary_indices",
+        lambda universe, b: calls.append(1) or real(universe, b),
+    )
+    cut = Cut(bv, bits, "A")
+    assert len(cut.coboundary()) == 1
+    assert act_left_cut(bv, (1,), cut).bits == moved
+    assert len(calls) == 1
 
 
 def test_a_failed_translate_leaves_the_cached_map_intact():

@@ -9,7 +9,6 @@ from cutforge.series import (
     SeriesError,
     atom_pair_table,
     certified_length,
-    compare,
     corner_series,
     crossing_distance,
     enumeration_counts,
@@ -122,19 +121,6 @@ def test_certified_length_and_flags():
     assert DEFAULT_BALL_L == 16
     assert measure(g, 1, 9).certified
     assert not measure(g, 1, 8).certified
-
-
-def test_compare_outcomes():
-    g = c4()
-    a = cut_from_members(g, ["v1"])
-    b = cut_from_members(g, ["v1", "v2"])
-    L = certified_length(g)
-    ord1 = compare(measure(g, a, L), measure(g, b, L))
-    assert ord1.outcome == "less" and ord1.pivot == 2
-    assert compare(measure(g, a, L), measure(g, a, L)).outcome == "certified_equal"
-    assert compare(measure(g, a, 5), measure(g, a, 5)).outcome == "equal_up_to"
-    with pytest.raises(SeriesError):
-        compare(measure(g, a, 5), measure(g, a, 6))
 
 
 def test_corner_identity_and_crossing_pair():

@@ -19,10 +19,8 @@ from cutforge.trees import (
     edge_cut,
     edge_cuts,
     induce_action,
-    interval,
     is_compressible,
     paired_tree,
-    prec,
     size_polynomial,
     subgroups,
     substabs,
@@ -225,19 +223,6 @@ def test_vertex_embed_t_mode_only():
     _g2, chain = chain3_system()
     with pytest.raises(TreeError):
         vertex_embed(unpaired_tree(chain), "a")
-
-
-def test_interval_and_prec():
-    g, system = chain3_system()
-    cuts = system.cuts
-    assert tuple(c.name for c in interval(system, cuts[0], cuts[2])) == (
-        "A1",
-        "A2",
-        "A3",
-    )
-    assert prec(system, cuts[0], cuts[1])
-    assert not prec(system, cuts[0], cuts[2])
-    assert not prec(system, cuts[0], cuts[0])
 
 
 def reflection_action():
