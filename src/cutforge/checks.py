@@ -375,7 +375,7 @@ def check_crossing_subadditivity(seed):
 
 def sieve_artifacts(seed):
     """The sieve runs shared by the soundness, dichotomy, and tree checks:
-    (index, graph, algebra, certified report) per seeded instance."""
+    (index, graph, algebra, sieve report) per seeded instance."""
     rng = _rng("sieve-soundness", seed)
     out = []
     for i in range(100):
@@ -392,9 +392,10 @@ def sieve_artifacts(seed):
 def check_sieve_soundness(artifacts):
     t = _Tally()
     for i, g, algebra, report in artifacts:
+        statuses = {el.status for el in report.elements}
         t.hit(
-            report.certified and report.undecided_count == 0,
-            "classification is not certified on sample %d" % i,
+            report.undecided_count == 0 and statuses <= {"reducible", "irreducible"},
+            "classification left an element undecided on sample %d" % i,
         )
         t.hit(report.complement_stable, "irr not complement-stable on sample %d" % i)
         full = full_mask(g)
@@ -420,28 +421,26 @@ def check_sieve_soundness(artifacts):
     return t.n
 
 
-def corner_choices(g, L, pairs, P=None):
+def corner_choices(g, pairs):
     """For each pair (A, B) of vertex bit masks, the complement choice
     (A', B'), A' in {A, ~A} and B' in {B, ~B} in that order, whose meeting
-    corner A' & B' has the least length-L measure; ties keep the first
-    minimal choice.
+    corner A' & B' has the least measure; ties keep the first minimal
+    choice.
 
     The corner measures are computed through `measure`, once per distinct
-    corner, and compared on degrees 0..P, by default P = min(L, |V|).  That
-    picks what the length-L series pick, by the proof in `sieve.classify`
-    for the discrete partition, k = |V|: every corner measure is u^T A^l w
-    for the one adjacency matrix A, so two of them that agree for l < |V|
-    agree for every l, and two that differ do so first at some l < |V|.
+    corner, and compared on degrees 0..|V|.  That picks what the untruncated
+    series pick, by the proof in `sieve.classify` for the discrete
+    partition, k = |V|: every corner measure is u^T A^l w for the one
+    adjacency matrix A, so two of them that agree for l < |V| agree for
+    every l, and two that differ do so first at some l < |V|.
     """
     full = full_mask(g)
-    if P is None:
-        P = min(L, g.nv)
     measured = {}
 
     def corner_measure(choice):
         bits = choice[0] & choice[1]
         if bits not in measured:
-            measured[bits] = measure(g, bits, P).coeffs
+            measured[bits] = measure(g, bits, g.nv).coeffs
         return measured[bits]
 
     return [
@@ -461,7 +460,7 @@ def check_corner_dichotomy(artifacts):
     for i, g, _algebra, report in artifacts:
         full = full_mask(g)
         pairs = combinations([el.bits for el in report.irreducible], 2)
-        for ca, cb in corner_choices(g, report.L, pairs):
+        for ca, cb in corner_choices(g, pairs):
             t.hit(
                 ca & cb == 0 or (full ^ ca) & (full ^ cb) == 0,
                 "corner dichotomy fails on sample %d" % i,

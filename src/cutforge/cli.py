@@ -27,7 +27,7 @@ from .ends import (
 from .graphs import graph_from_json_dict, graph_to_json_dict, is_forest, str_list
 from .groups import GroupError, ball, make_oracle
 from .series import DEFAULT_BALL_L, certified_length, measure
-from .sieve import classify, full_series
+from .sieve import SieveError, classify, full_series
 from .trees import paired_tree, unpaired_tree, verify_system
 
 _PHRASES = {
@@ -186,13 +186,18 @@ def cmd_measure(args):
 def cmd_sieve(args):
     universe, cuts = _load_cuts_file(args.cuts, args)
     algebra = boolean_closure(cuts)
-    report = classify(algebra, _default_L(universe, args.L))
+    report = classify(algebra)
+    # verdicts are exact at every L; L sets only the printed series and label
+    L = _default_L(universe, args.L)
+    if L < 1:
+        raise SieveError("L must be >= 1")
+    certified = L >= certified_length(universe)
     if args.json:
-        series = full_series(report)
+        series = full_series(report, L)
         _emit(json.dumps(
             {
-                "L": report.L,
-                "certified": report.certified,
+                "L": L,
+                "certified": certified,
                 "elements": [
                     {
                         "mask": el.mask,
@@ -213,7 +218,7 @@ def cmd_sieve(args):
     _emit("algebra: %d atoms, %d elements"
           % (len(algebra.atoms), len(report.elements)))
     _emit("classified at L=%d (%s): %d irreducible, %d undecided"
-          % (report.L, "certified" if report.certified else "window",
+          % (L, "certified" if certified else "window",
              len(report.irreducible), report.undecided_count))
     for el in report.irreducible:
         _emit("  irr mask=%d members={%s}"

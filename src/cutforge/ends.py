@@ -145,12 +145,24 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
         if not (cut.bits & sm) or not ((full ^ cut.bits) & sm):
             raise EndsError("candidate side lost its sphere contact (internal)")
         return cut
+    # a candidate inside the radius-r ball (r = 1 for a generator class)
+    # reaches the sphere exactly when r >= R, so the refusal names the others
+    if radius < 2:
+        raise EndsError(
+            "no balanced cut: at radius R=%d, every candidate edge set of "
+            "balanced_cut (the generator edge classes at the identity and the "
+            "edge sets of the radius-1 and radius-2 balls) reaches the sphere, "
+            "so none was tried; pass a larger --radius (at 3 or more, all are "
+            "tried)" % (radius,)
+        )
     raise EndsError(
         "no balanced cut: at radius R=%d, balanced_cut tried the generator "
-        "edge classes at the identity and the edge sets of the radius-1 and "
-        "radius-2 balls inside R, and no candidate left two sides that touch "
-        "the sphere; a one-ended group such as zd:2 has no such cut, and a "
-        "group with more ends may need a larger --radius" % (radius,)
+        "edge classes at the identity and the %s inside R, and no candidate "
+        "left two sides that touch the sphere; a one-ended group such as zd:2 "
+        "has no such cut, and a group with more ends may need a larger "
+        "--radius"
+        % (radius, "edge sets of the radius-1 and radius-2 balls"
+           if radius > 2 else "edge set of the radius-1 ball")
     )
 
 
@@ -300,8 +312,8 @@ def splitting_pipeline(
     undetermined, naming the stage.  A final tree that fails `_audit` also
     ends undetermined, naming the generator and the rule.  One-ended and
     finite groups are refused by balanced_cut when no cut is supplied.  The
-    sieve runs at the certified length L = 4|V| + 1 of the ball, which the
-    certificate names."""
+    certificate names the certified length L = 4|V| + 1 of the ball; the
+    sieve's verdicts are exact and take no length."""
     if cut is None:
         cut = balanced_cut(oracle, radius)
     bv = cut.universe

@@ -52,7 +52,6 @@ def certified_length(universe):
 @dataclass(frozen=True)
 class TruncatedSeries:
     coeffs: tuple
-    provenance: str
     certified: bool
 
     @property
@@ -186,7 +185,7 @@ def transfer_counts(universe, spec, L):
         start = _indicator(start_bits, n)
         end = _members(end_bits, n)
     (coeffs,) = _project(_walk_counts(nbrs, [start], L), [(0, end)])
-    return TruncatedSeries(coeffs, "transfer", certified)
+    return TruncatedSeries(coeffs, certified)
 
 
 # -- engine 2: walk enumeration -----------------------------------------------
@@ -264,7 +263,7 @@ def enumeration_counts(universe, spec, L):
             parts[q].append(level[p].translate(table, delete))
         level = [b"".join(ps) for ps in parts]
         counts.append(count(level))
-    return TruncatedSeries(tuple(counts), "enumeration", certified)
+    return TruncatedSeries(tuple(counts), certified)
 
 
 # -- named series -------------------------------------------------------------
@@ -304,7 +303,7 @@ def corner_series(universe, a, b, L=None):
     )
     certified = L >= certified_length(universe)
     return tuple(
-        TruncatedSeries(coeffs, "transfer", certified)
+        TruncatedSeries(coeffs, certified)
         for coeffs in _project(_walk_counts(_successors(g), starts, L), pairs)
     )
 
@@ -315,13 +314,11 @@ def series_sum(*series):
         if s.L != L:
             raise SeriesError("cannot add series of different truncation")
     coeffs = tuple(sum(s.coeffs[l] for s in series) for l in range(L + 1))
-    return TruncatedSeries(
-        coeffs, "sum", all(s.certified for s in series)
-    )
+    return TruncatedSeries(coeffs, all(s.certified for s in series))
 
 
 def series_scale(s, k):
-    return TruncatedSeries(tuple(k * c for c in s.coeffs), s.provenance, s.certified)
+    return TruncatedSeries(tuple(k * c for c in s.coeffs), s.certified)
 
 
 # -- crossing distance ---------------------------------------------------------
@@ -419,10 +416,10 @@ def atom_pair_table(universe, atoms, L):
     return _atom_table(_quotient(universe, atoms), L)
 
 
-def atom_pair_prefix(universe, atoms, L):
-    """atom_pair_table through degree P = min(L, k), the prefix on which
-    `sieve.classify` decides; k is the number of blocks of the coarsest
-    equitable partition that refines the atoms (the proof is in classify's
-    docstring)."""
+def atom_pair_prefix(universe, atoms):
+    """atom_pair_table through degree k, the number of blocks of the
+    coarsest equitable partition that refines the atoms: the prefix on
+    which `sieve.classify` decides every verdict exactly (the proof is in
+    classify's docstring)."""
     quotient = _quotient(universe, atoms)
-    return _atom_table(quotient, min(L, len(quotient[0])))
+    return _atom_table(quotient, len(quotient[0]))

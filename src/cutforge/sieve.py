@@ -7,17 +7,17 @@ connected universe the irreducible elements form a complement-stable,
 pairwise nested family that still generates the whole algebra; that family
 is what the tree builders consume.
 
-Truncation discipline: a strict series comparison with a pivot <= L is
-exact at any L, so every label handed out below the certified length is
-still sound; "undecided" is reserved for elements whose verdict would flip
-if some truncation-tied element turned out to be strictly smaller.  An
-element's own complement is never such a tie (the measure of a set and its
-complement agree identically), which keeps the undecided band narrow.
+Exactness: `classify` compares the series on degrees 0..k, k the number of
+blocks of the atoms' equitable partition, and two series that agree there
+agree at every degree (the proof is in its docstring).  So every verdict is
+the one of the untruncated series, and no length L enters it; L only sets
+how many coefficients `full_series` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .cuts import (
     Cut,
@@ -29,7 +29,7 @@ from .cuts import (
     refine,
 )
 from .graphs import index_classes
-from .series import atom_pair_prefix, atom_pair_table, certified_length
+from .series import atom_pair_prefix, atom_pair_table
 from . import trees
 
 MAX_SIEVE_ATOMS = 12
@@ -43,19 +43,19 @@ class SieveError(ValueError):
 class SieveElement:
     mask: int  # atom-subset index
     bits: int  # vertex bit mask
-    # measure coefficients 0..P, P = min(L, k): the prefix that decides the
-    # order (see classify); full_series(report) gives all L + 1 of them
+    # measure coefficients 0..k: the prefix that decides the order (see
+    # classify); full_series(report, L) gives coefficients 0..L
     series: tuple
-    status: str  # "reducible" | "irreducible" | "undecided"
+    status: str  # "reducible" | "irreducible"
 
 
 @dataclass(frozen=True)
 class SieveReport:
     algebra: object
-    L: int
-    certified: bool
     elements: tuple  # SieveElement per atom subset, in mask order
     irreducible: tuple  # the irreducible SieveElements, by (series, mask)
+    # always 0, as every verdict is exact; kept because the split and sieve
+    # transcripts print it and the benchmark's classify hook reads it
     undecided_count: int
     complement_stable: bool
     nested: bool
@@ -97,7 +97,7 @@ def _series_by_mask(table, a, L):
     return out
 
 
-def _verdicts(series, a, certified):
+def _verdicts(series, a):
     """Masks in (series, mask) order, and the status of every mask.
 
     Elements are visited by increasing measure, one tie group at a time;
@@ -105,39 +105,24 @@ def _verdicts(series, a, certified):
     group, so a mask is reducible exactly when it is a union of blocks."""
     full = (1 << a) - 1
     order = sorted(range(1 << a), key=lambda m: (series[m], m))
-    groups = []
-    for m in order:
-        if groups and series[groups[-1][0]] == series[m]:
-            groups[-1].append(m)
-        else:
-            groups.append([m])
-
     status = [None] * (1 << a)
     blocks = [full] if full else []
-    for group in groups:
+    for _s, group in groupby(order, key=series.__getitem__):
+        group = list(group)
         for m in group:
-            red_min = _is_union(m, blocks)
-            if certified or red_min:
-                # membership in the strictly-smaller closure is exact at any L
-                status[m] = "reducible" if red_min else "irreducible"
-                continue
-            ties = [d for d in group if d != m and d != (full ^ m)]
-            if ties and _is_union(m, refine(blocks, ties)):
-                status[m] = "undecided"
-            else:
-                status[m] = "irreducible"
+            status[m] = "reducible" if _is_union(m, blocks) else "irreducible"
         blocks = refine(blocks, group)
     return order, status
 
 
-def classify(algebra, L=None):
-    """Sieve every element of the algebra by its measure series at length L.
+def classify(algebra):
+    """Sieve every element of the algebra by its measure series.
 
-    The verdicts are computed from the prefix of degree P = min(L, k), and
-    they are the verdicts of the full length-L series.  Here A is the
-    adjacency matrix of the universe, w_i the atom indicators, and k the
-    number of blocks of the coarsest equitable partition that refines the
-    atoms (`series.atom_pair_prefix`): every vertex of block X has the same
+    The verdicts are computed from the prefix of degree k, and they are the
+    verdicts of the untruncated series.  Here A is the adjacency matrix of
+    the universe, w_i the atom indicators, and k the number of blocks of
+    the coarsest equitable partition that refines the atoms
+    (`series.atom_pair_prefix`): every vertex of block X has the same
     number B[X][Y] of darts into block Y (Godsil and Royle, "Algebraic
     Graph Theory", 2001, section 9.3).  So A 1_Y = sum_X B[X][Y] 1_X: the
     span of the k block indicators is A-invariant, A acts on it by the
@@ -151,16 +136,12 @@ def classify(algebra, L=None):
     A^(l+k) w_i = -(q_(k-1) A^(l+k-1) w_i + ... + q_0 A^l w_i), hence
     D_(l+k) = -(q_(k-1) D_(l+k-1) + ... + q_0 D_l) for every l >= 0.  If
     D_l = 0 for l < k, then D_l = 0 for every l.  Two series that agree
-    through degree P therefore agree through L, and two that differ do so
-    first at a pivot l < k, where the prefix already holds both
+    through degree k therefore agree at every degree, and two that differ
+    do so first at a pivot l < k, where the prefix already holds both
     coefficients.  The lexicographic order, the tie groups and so every
     status, the irreducible order and the class order of
-    `select_nested_generating` are those of the length-L series.
-    `certified` still depends on L alone, so this holds at every L >= k:
-    also for the uncertified band k <= L < 4n + 1 and its `undecided`
-    logic.  For L < k the prefix is the whole series.  `SieveReport.L`
-    stays L; `full_series` rebuilds the length-L series for the callers
-    that print them.
+    `select_nested_generating` are those of the series at any length
+    L >= k; `full_series` builds them for the callers that print them.
     """
     universe = algebra.universe
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
@@ -172,24 +153,16 @@ def classify(algebra, L=None):
             "= %d; pass fewer cuts (for split, a smaller --words)"
             % (a, MAX_SIEVE_ATOMS)
         )
-    lstar = certified_length(universe)
-    if L is None:
-        L = lstar
-    if L < 1:
-        raise SieveError("L must be >= 1")
-    certified = L >= lstar
-    table = atom_pair_prefix(universe, algebra.atoms, L)
-    P = len(table) - 1
-    series = _series_by_mask(table, a, P)
+    table = atom_pair_prefix(universe, algebra.atoms)
+    series = _series_by_mask(table, a, len(table) - 1)
     full = (1 << a) - 1
-    order, status = _verdicts(series, a, certified)
+    order, status = _verdicts(series, a)
 
     elements = tuple(
         SieveElement(m, algebra.element_bits(m), series[m], status[m])
         for m in range(1 << a)
     )
     irr = tuple(elements[m] for m in order if status[m] == "irreducible")
-    undecided = sum(1 for s in status if s == "undecided")
     comp_stable = all(status[m] == status[full ^ m] for m in range(1 << a))
     nested = True
     fullv = full_mask(universe)
@@ -203,25 +176,15 @@ def classify(algebra, L=None):
     generates = all(
         b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True
-    return SieveReport(
-        algebra,
-        L,
-        certified,
-        elements,
-        irr,
-        undecided,
-        comp_stable,
-        nested,
-        generates,
-    )
+    return SieveReport(algebra, elements, irr, 0, comp_stable, nested, generates)
 
 
-def full_series(report):
-    """Measure series of every element at the report's full length L, in
-    mask order; classify keeps only the prefix that decides its verdicts."""
+def full_series(report, L):
+    """Measure series of every element at length L, in mask order; classify
+    keeps only the prefix that decides its verdicts."""
     algebra = report.algebra
-    table = atom_pair_table(algebra.universe, algebra.atoms, report.L)
-    return _series_by_mask(table, algebra.n_atoms, report.L)
+    table = atom_pair_table(algebra.universe, algebra.atoms, L)
+    return _series_by_mask(table, algebra.n_atoms, L)
 
 
 def _paired_cuts(report):
@@ -247,10 +210,9 @@ def _paired_cuts(report):
 
 
 def irreducible_family(cuts):
-    """Sieve the closure of a cut family at the certified length 4|V| + 1,
-    where no element is undecided, and return (report, irreducible cuts).
-    The guarantees of the sieve (complement-stable, nested, regenerates the
-    algebra) are verified and enforced, not assumed."""
+    """Sieve the closure of a cut family and return (report, irreducible
+    cuts).  The guarantees of the sieve (complement-stable, nested,
+    regenerates the algebra) are verified and enforced, not assumed."""
     report = classify(boolean_closure(list(cuts)))
     if not report.complement_stable:
         raise SieveError("irreducibility is not complement-stable (internal)")

@@ -112,6 +112,21 @@ def test_sieve_summary(chain_files, capsys):
     assert "complement-stable: yes  nested: yes  generates: yes" in out
 
 
+def test_sieve_verdicts_do_not_depend_on_L(capsys):
+    """On the 5-vertex path of tests/data/p5.json the certified length is
+    21; every --L from 1 to 21 prints the same eight irreducible elements
+    and no undecided one, since the sieve decides on its exact prefix."""
+    cuts = str(pathlib.Path(__file__).parent / "data" / "p5_cuts.json")
+    want = None
+    for L in range(1, 22):
+        assert main(["sieve", "--cuts", cuts, "--L", str(L)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "classified at L=%d (%s): 8 irreducible, 0 undecided" % (
+            L, "certified" if L == 21 else "window")
+        want = want or lines[2:]
+        assert lines[2:] == want, L
+
+
 C4 = {
     "vertices": ["v1", "v2", "v3", "v4"],
     "edges": [
@@ -287,12 +302,33 @@ SPLIT_GRID = [
                   "free_product:2,3", "free_product:3,3",
                   "free_product:2,2,2", "free:2")
     for words in (1, 2)
-] + [("free_product:2,2", 2, r) for r in (1, 2, 3)] + [
+] + [("free_product:2,2", 2, r) for r in (0, 1, 2, 3)] + [
     ("zd:1", 2, r) for r in (0, 1)
-]
+] + [("zd:2", 2, r) for r in (0, 1, 2)]
 NAMED_REFUSAL = re.compile(
     r"^error: (no balanced cut|measure sieve|cut orbit): "
 )
+# At R <= 2 some of balanced_cut's candidate edge sets reach the sphere; its
+# refusal names only the candidates it tried.
+NO_CANDIDATE = (
+    "error: no balanced cut: at radius R=%d, every candidate edge set of "
+    "balanced_cut (the generator edge classes at the identity and the edge "
+    "sets of the radius-1 and radius-2 balls) reaches the sphere, so none was "
+    "tried; pass a larger --radius (at 3 or more, all are tried)\n"
+)
+BALANCED_CUT_REFUSALS = {
+    ("free_product:2,2", 2, 0): NO_CANDIDATE % 0,
+    ("free_product:2,2", 2, 1): NO_CANDIDATE % 1,
+    ("zd:2", 2, 0): NO_CANDIDATE % 0,
+    ("zd:2", 2, 1): NO_CANDIDATE % 1,
+    ("zd:2", 2, 2): (
+        "error: no balanced cut: at radius R=2, balanced_cut tried the "
+        "generator edge classes at the identity and the edge set of the "
+        "radius-1 ball inside R, and no candidate left two sides that touch "
+        "the sphere; a one-ended group such as zd:2 has no such cut, and a "
+        "group with more ends may need a larger --radius\n"
+    ),
+}
 
 
 def _grid_id(cell):
@@ -311,6 +347,7 @@ def test_split_grid_ends_in_a_report_or_a_named_refusal(
     out, err = capsys.readouterr()
     if code == 1:
         assert NAMED_REFUSAL.match(err), err
+        assert err == BALANCED_CUT_REFUSALS.get((group, words, radius), err)
         return
     assert code == 0
     last = out.splitlines()[-2]

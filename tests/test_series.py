@@ -159,7 +159,6 @@ def test_engines_agree_on_fixed_cases():
             t = transfer_counts(g, spec, 6)
             e = enumeration_counts(g, spec, 6)
             assert t.coeffs == e.coeffs
-            assert t.provenance == "transfer" and e.provenance == "enumeration"
 
 
 def test_atom_pair_table_counts_walks():

@@ -56,7 +56,7 @@ def p4():
 def test_power_set_of_k2():
     g = k2()
     rep = classify(boolean_closure([cut_from_members(g, ["u"], "A")]))
-    assert rep.certified and rep.undecided_count == 0
+    assert rep.undecided_count == 0
     assert sorted(el.bits for el in rep.irreducible) == [0b01, 0b10]
     # the trivial elements are classified reducible
     statuses = {el.bits: el.status for el in rep.elements}
@@ -76,7 +76,7 @@ def test_crossing_pair_on_cycle():
     A = cut_from_members(g, ["v1", "v2"], "A")
     B = cut_from_members(g, ["v2", "v3"], "B")
     rep = classify(boolean_closure([A, B]))
-    assert rep.certified and rep.L == 17
+    assert rep.undecided_count == 0
     assert [el.mask for el in rep.irreducible] == [1, 2, 4, 7, 8, 11, 13, 14]
     irr = [Cut(g, el.bits) for el in rep.irreducible]
     for i in range(len(irr)):
@@ -147,10 +147,16 @@ def test_ball_window_classification():
         bv.graph.vertices[i] for i, el in enumerate(bv.elements) if el[0] <= 0
     ]
     half = cut_from_members(bv, members, "A")
-    rep = classify(boolean_closure([half]), L=16)
-    assert not rep.certified
-    assert rep.undecided_count == 0  # measured: half-spaces decide early
-    assert classify(boolean_closure([half])).certified
+    algebra = boolean_closure([half])
+    rep = classify(algebra)
+    assert rep.undecided_count == 0
+    # the window series that `sieve` prints at L = 16 give the same verdicts
+    # as the certified ones
+    a = algebra.n_atoms
+    window = _verdicts(full_series(rep, 16), a)
+    certified = _verdicts(full_series(rep, certified_length(bv)), a)
+    assert window == certified
+    assert window[1] == [el.status for el in rep.elements]
 
 
 def _random_algebra(rng):
@@ -177,26 +183,27 @@ ORBITS = ({"kind": "zd", "d": 1}, {"kind": "free_product", "orders": [2, 2]})
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_verdicts_equal_full_length_verdicts(seed):
-    """classify sorts on the degree-min(L, k) prefix, k the number of
-    blocks of the atoms' equitable partition; every verdict must be the one
-    the full length-L series give, counted here by a plain per-vertex walk.
-    This is the seeded witness on random multigraphs."""
+    """classify sorts on the degree-k prefix, k the number of blocks of the
+    atoms' equitable partition; every verdict must be the one the full
+    length-L series give, counted here by a plain per-vertex walk, at
+    L = 4|V| + 1, at |V| and at a random L in (|V|, 4|V|], so no length
+    changes a verdict.  This is the seeded witness on random multigraphs."""
     rng = random.Random("sieve-prefix-%d" % seed)
     algebras = [_random_algebra(rng) for _ in range(12)]
     algebras += [_orbit_algebra(spec) for spec in ORBITS]
     for algebra in algebras:
         n = algebra.universe.nv
         a = algebra.n_atoms
+        rep = classify(algebra)
         for L in (certified_length(algebra.universe), n, rng.randrange(n + 1, 4 * n + 1)):
-            rep = classify(algebra, L)
             full = _series_by_mask(_walk_table(algebra, L), a, L)
-            order, status = _verdicts(full, a, rep.certified)
-            assert rep.L == L and full_series(rep) == full
+            order, status = _verdicts(full, a)
+            assert full_series(rep, L) == full
             assert [el.status for el in rep.elements] == status
             assert [el.mask for el in rep.irreducible] == [
                 m for m in order if status[m] == "irreducible"
             ]
-            assert rep.undecided_count == status.count("undecided")
+            assert rep.undecided_count == 0
             prefix = sorted(range(1 << a), key=lambda m: (rep.elements[m].series, m))
             assert prefix == order
 
@@ -300,36 +307,35 @@ def _checked_blocks(algebra):
     return len(profile)
 
 
-def _verdicts_at(algebra, L, P):
+def _verdicts_at(algebra, P):
     """Order and statuses decided on the length-P prefix of the series."""
     a = algebra.n_atoms
     series = _series_by_mask(_walk_table(algebra, P), a, P)
-    return _verdicts(series, a, L >= certified_length(algebra.universe))
+    return _verdicts(series, a)
 
 
 def _assert_verdicts(rep, order, status):
     assert [el.status for el in rep.elements] == status
     assert [el.mask for el in rep.irreducible] == [m for m in order if status[m] == "irreducible"]
-    assert rep.undecided_count == status.count("undecided")
+    assert rep.undecided_count == 0
     assert sorted(range(len(status)), key=lambda m: (rep.elements[m].series, m)) == order
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_prefix_stops_at_the_annihilator_degree(seed):
-    """The walk stops at min(L, k), k the number of blocks of the atoms'
-    equitable partition: the degree of the annihilator that classify's
-    proof takes, the characteristic polynomial of the quotient.  The least
-    annihilator degree d is at most k."""
+    """The walk stops at k, the number of blocks of the atoms' equitable
+    partition: the degree of the annihilator that classify's proof takes,
+    the characteristic polynomial of the quotient.  The least annihilator
+    degree d is at most k."""
     rng = random.Random("sieve-degree-%d" % seed)
     for _ in range(12):
         algebra = _random_algebra(rng)
         u, atoms = algebra.universe, algebra.atoms
         k = _checked_blocks(algebra)
         assert _annihilator_degree(algebra) <= k <= u.nv
-        for L in (1, rng.randint(1, u.nv), u.nv, certified_length(u)):
-            table = atom_pair_prefix(u, atoms, L)
-            assert len(table) - 1 == min(L, k)
-            assert table == _walk_table(algebra, len(table) - 1)
+        table = atom_pair_prefix(u, atoms)
+        assert len(table) - 1 == k
+        assert table == _walk_table(algebra, k)
 
 
 # (group, radius, word bound, k): three split-ladder sieves and the free:2
@@ -365,9 +371,7 @@ WITNESS_ORBITS = [
 @pytest.mark.parametrize("spec, radius, words", WITNESS_ORBITS)
 def test_ball_verdicts_at_the_annihilator_degree_equal_those_at_v(spec, radius, words):
     algebra = _orbit_algebra(spec, radius, words)
-    u = algebra.universe
-    L = certified_length(u)
-    _assert_verdicts(classify(algebra, L), *_verdicts_at(algebra, L, u.nv))
+    _assert_verdicts(classify(algebra), *_verdicts_at(algebra, algebra.universe.nv))
 
 
 def _discrete_partition(nbrs, atoms):
@@ -397,7 +401,7 @@ def test_discrete_partition_falls_back_to_v(monkeypatch, spec, radius, words):
     got = select_nested_generating(cuts, action=wl)
     rep = got.report
     assert all(len(el.series) == bv.nv + 1 for el in rep.elements)
-    _assert_verdicts(rep, *_verdicts_at(rep.algebra, rep.L, bv.nv))
+    _assert_verdicts(rep, *_verdicts_at(rep.algebra, bv.nv))
     assert [el.status for el in rep.elements] == [el.status for el in want.report.elements]
     assert [el.mask for el in rep.irreducible] == [el.mask for el in want.report.irreducible]
     assert got.kept == want.kept and got.removed == want.removed
