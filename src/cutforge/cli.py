@@ -172,14 +172,15 @@ def cmd_cayley(args):
 def cmd_measure(args):
     universe, cut = _load_cut_file(args.cut, args)
     s = measure(universe, cut, _default_L(universe, args.L))
+    certified = s.L >= certified_length(universe)
     if args.json:
         _emit(json.dumps(
-            {"coeffs": s.json_coeffs(), "L": s.L, "certified": s.certified},
+            {"coeffs": s.json_coeffs(), "L": s.L, "certified": certified},
             indent=2,
         ))
         return 0
     _emit("Sigma(%s) = %s" % (cut.name or "A", s))
-    _emit("L=%d %s" % (s.L, "certified" if s.certified else "window"))
+    _emit("L=%d %s" % (s.L, "certified" if certified else "window"))
     return 0
 
 

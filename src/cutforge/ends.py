@@ -310,10 +310,16 @@ def splitting_pipeline(
     collapsed at that stage.  When collapsing the other orbits already
     fixes a vertex, that final tree shows no splitting and the report is
     undetermined, naming the stage.  A final tree that fails `_audit` also
-    ends undetermined, naming the generator and the rule.  One-ended and
-    finite groups are refused by balanced_cut when no cut is supplied.  The
-    certificate names the certified length L = 4|V| + 1 of the ball; the
-    sieve's verdicts are exact and take no length."""
+    ends undetermined, naming the generator and the rule.  A word bound
+    below 1 is refused first; one-ended and finite groups are refused by
+    balanced_cut when no cut is supplied.  The certificate names the
+    certified length L = 4|V| + 1 of the ball; the sieve's verdicts are
+    exact and take no length."""
+    if words < 1:
+        raise EndsError(
+            "word bound: W=%d gives the cut no translates to compare; pass "
+            "--words 1 or more" % (words,)
+        )
     if cut is None:
         cut = balanced_cut(oracle, radius)
     bv = cut.universe
@@ -357,6 +363,7 @@ def splitting_pipeline(
         stree=stree,
     )
 
+    evidence = "(R=%d, W=%d)" % (bv.radius, words)
     stage = None
     acc = []
     for m, block in enumerate(eorbs, start=1):
@@ -366,53 +373,39 @@ def splitting_pipeline(
             stage = m
             break
     if stage is None:
-        return SplittingReport(
-            status="undetermined",
-            collapse_log=tuple(orbit_names(b) for b in eorbs),
-            diagnostics="no vertex is fixed by all generators at any "
-            "collapse stage within the ball evidence (R=%d, W=%d); words that "
-            "gave no evidence (cut images missing or inconsistent on the "
-            "tree): %s"
-            % (bv.radius, words, ", ".join(paction.blind_words()) or "none"),
-            **common,
+        diagnostics = (
+            "no vertex is fixed by all generators at any collapse stage within "
+            "the ball evidence %s; words that gave no evidence (cut images "
+            "missing or inconsistent on the tree): %s"
+            % (evidence, ", ".join(paction.blind_words()) or "none")
         )
-
-    drop = [
-        g.edges[k][0]
-        for i, block in enumerate(eorbs)
-        if i != stage - 1
-        for k in block
-    ]
-    final = paction.collapse(drop)
-    f_eorbs = final.edge_orbits()
-    if len(f_eorbs) != 1:
-        raise EndsError("final tree has %d edge orbits, expected 1" % (len(f_eorbs),))
-    if final.fixed_vertices():
-        return SplittingReport(
-            status="undetermined",
-            collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]),
-            stage=stage,
-            diagnostics="the stage %d orbit {%s} gives no splitting: "
-            "collapsing the other edge orbits already fixes a vertex within "
-            "the ball evidence (R=%d, W=%d)"
-            % (stage, ", ".join(orbit_names(eorbs[stage - 1])), bv.radius, words),
-            **common,
+    else:
+        final = paction.collapse(
+            [g.edges[k][0] for i, b in enumerate(eorbs) if i != stage - 1 for k in b]
         )
-    failed = _audit(bv.oracle, final)
-    if failed is not None:
-        return SplittingReport(
-            status="undetermined",
-            collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]),
-            stage=stage,
-            diagnostics="%s; ball evidence (R=%d, W=%d)"
-            % (failed, bv.radius, words),
-            **common,
-        )
+        f_eorbs = final.edge_orbits()
+        if len(f_eorbs) != 1:
+            raise EndsError("final tree has %d edge orbits, expected 1" % (len(f_eorbs),))
+        if final.fixed_vertices():
+            diagnostics = (
+                "the stage %d orbit {%s} gives no splitting: collapsing the other "
+                "edge orbits already fixes a vertex within the ball evidence %s"
+                % (stage, ", ".join(orbit_names(eorbs[stage - 1])), evidence)
+            )
+        else:
+            failed = _audit(bv.oracle, final)
+            diagnostics = (
+                None if failed is None else "%s; ball evidence %s" % (failed, evidence)
+            )
+    # eorbs[:None] is every orbit: with no fixing stage, the log names them all
+    common.update(
+        collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]), stage=stage
+    )
+    if diagnostics is not None:
+        return SplittingReport(status="undetermined", diagnostics=diagnostics, **common)
     f_vorbs = final.vertex_orbits()
     return SplittingReport(
         status="split",
-        collapse_log=tuple(orbit_names(b) for b in eorbs[:stage]),
-        stage=stage,
         final_edge_orbit_count=1,
         final_vertex_orbit_count=len(f_vorbs),
         final_vertex_stabilizer_orders=tuple(

@@ -52,7 +52,6 @@ def certified_length(universe):
 @dataclass(frozen=True)
 class TruncatedSeries:
     coeffs: tuple
-    certified: bool
 
     @property
     def L(self):
@@ -168,7 +167,6 @@ def transfer_counts(universe, spec, L):
     g = universe_graph(universe)
     n = g.nv
     kind_spec = _normalize_spec(universe, spec)
-    certified = L >= certified_length(universe)
     kind = kind_spec[0]
     if kind == "odd":
         nbrs = _successors(g, kind_spec[1])
@@ -185,7 +183,7 @@ def transfer_counts(universe, spec, L):
         start = _indicator(start_bits, n)
         end = _members(end_bits, n)
     (coeffs,) = _project(_walk_counts(nbrs, [start], L), [(0, end)])
-    return TruncatedSeries(coeffs, certified)
+    return TruncatedSeries(coeffs)
 
 
 # -- engine 2: walk enumeration -----------------------------------------------
@@ -212,7 +210,6 @@ def enumeration_counts(universe, spec, L):
     g = universe_graph(universe)
     n = g.nv
     kind_spec = _normalize_spec(universe, spec)
-    certified = L >= certified_length(universe)
     kind = kind_spec[0]
     if kind == "odd":
         crossing = kind_spec[1]
@@ -263,7 +260,7 @@ def enumeration_counts(universe, spec, L):
             parts[q].append(level[p].translate(table, delete))
         level = [b"".join(ps) for ps in parts]
         counts.append(count(level))
-    return TruncatedSeries(tuple(counts), certified)
+    return TruncatedSeries(tuple(counts))
 
 
 # -- named series -------------------------------------------------------------
@@ -301,9 +298,8 @@ def corner_series(universe, a, b, L=None):
         (1, _members(full ^ abits, n)),
         (1, _members(abits & bbits, n)),
     )
-    certified = L >= certified_length(universe)
     return tuple(
-        TruncatedSeries(coeffs, certified)
+        TruncatedSeries(coeffs)
         for coeffs in _project(_walk_counts(_successors(g), starts, L), pairs)
     )
 
@@ -314,11 +310,11 @@ def series_sum(*series):
         if s.L != L:
             raise SeriesError("cannot add series of different truncation")
     coeffs = tuple(sum(s.coeffs[l] for s in series) for l in range(L + 1))
-    return TruncatedSeries(coeffs, all(s.certified for s in series))
+    return TruncatedSeries(coeffs)
 
 
 def series_scale(s, k):
-    return TruncatedSeries(tuple(k * c for c in s.coeffs), s.certified)
+    return TruncatedSeries(tuple(k * c for c in s.coeffs))
 
 
 # -- crossing distance ---------------------------------------------------------

@@ -19,7 +19,9 @@ left translates that sieve.select_nested_generating made to close its
 classes under the action (`Selection.images`), not new ones.  TreeAction is
 its subclass for a full action of a finite group, verified once when made
 (homomorphism plus incidence); compressible collapse, blow-up and the size
-polynomial take one and read the same queries.
+polynomial take one and read the same queries.  Collapse checks at every
+step that the maximal vertex stabilizers stay the same, which is the
+Dicks-Dunwoody condition that the vertex substabilizers stay the same.
 
 Vertices move by one rule, _agreeing_map: a vertex map is read off (point,
 image) evidence pairs, and a point's image is the one value its pairs name.
@@ -39,8 +41,6 @@ from types import MappingProxyType
 from .cuts import full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 from .groups import _letters, ball, search_tree
-
-SUBGROUP_ENUM_CAP = 48
 
 
 class TreeError(ValueError):
@@ -602,66 +602,39 @@ def is_compressible(action, edge_id):
     return False
 
 
-def _close_subgroup(oracle, seed):
-    out = set(seed)
-    out.add(oracle.identity())
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in tuple(out):
-                for c in (oracle.multiply(a, b), oracle.multiply(b, a)):
-                    if c not in out:
-                        out.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(out)
+def maximal_stabilizers(action):
+    """The vertex stabilizers that no other vertex stabilizer strictly
+    contains, as a frozenset of frozensets.
 
+    A subgroup is a vertex substabilizer (it lies in some vertex stabilizer)
+    exactly when it lies in a maximal one, so two actions have the same
+    substabilizers exactly when they have the same maximal stabilizers.  If
+    the substabilizers agree, each maximal stabilizer of one action lies in
+    a maximal stabilizer of the other, and that one lies in a stabilizer of
+    the first; by maximality all three are equal.
 
-def subgroups(oracle):
-    """All subgroups, by closure growth.  Exhaustive; capped at order 48."""
-    els = tuple(oracle.elements())
-    if len(els) > SUBGROUP_ENUM_CAP:
-        raise TreeError("subgroup enumeration capped at order %d" % (SUBGROUP_ENUM_CAP,))
-    triv = frozenset((oracle.identity(),))
-    found = {triv}
-    queue = [triv]
-    while queue:
-        h = queue.pop()
-        for x in els:
-            if x in h:
-                continue
-            h2 = _close_subgroup(oracle, h | {x})
-            if h2 not in found:
-                found.add(h2)
-                queue.append(h2)
-    return frozenset(found)
-
-
-def substabs(action):
-    """Subgroups that stabilize some vertex."""
-    subs = subgroups(action.oracle)
-    stabs = [action.vertex_stabilizer(v) for v in range(action.graph.nv)]
-    return frozenset(h for h in subs if any(h <= st for st in stabs))
+    On a TreeAction the result is {G}: a finite group acting on a finite
+    tree without inversion fixes a vertex (Serre, Trees, I.4.3)."""
+    stabs = {action.vertex_stabilizer(v) for v in range(action.graph.nv)}
+    return frozenset(h for h in stabs if not any(h < st for st in stabs))
 
 
 def collapse_compressible(action):
     """Collapse compressible edge orbits, smallest edge first, until none
-    remain.  For groups within the enumeration cap, the set of vertex
-    substabilizer subgroups is asserted unchanged at every step."""
+    remain.  The maximal vertex stabilizers, and with them the vertex
+    substabilizers, are asserted unchanged at every step."""
     log = []
     while True:
         g = action.graph
-        comp = [k for k in range(g.ne) if is_compressible(action, g.edges[k][0])]
-        if not comp:
+        comp = (k for k in range(g.ne) if is_compressible(action, g.edges[k][0]))
+        first = next(comp, None)
+        if first is None:
             return action, tuple(log)
-        orbit = next(o for o in action.edge_orbits() if min(comp) in o)
+        orbit = next(o for o in action.edge_orbits() if first in o)
         edge_ids = tuple(g.edges[k][0] for k in orbit)
-        before = None
-        if len(action.words) <= SUBGROUP_ENUM_CAP:
-            before = substabs(action)
+        before = maximal_stabilizers(action)
         action = action.collapse(edge_ids)
-        if before is not None and substabs(action) != before:
+        if maximal_stabilizers(action) != before:
             raise TreeError("collapse changed the vertex substabilizers")
         log.append(edge_ids)
 

@@ -304,9 +304,11 @@ SPLIT_GRID = [
     for words in (1, 2)
 ] + [("free_product:2,2", 2, r) for r in (0, 1, 2, 3)] + [
     ("zd:1", 2, r) for r in (0, 1)
-] + [("zd:2", 2, r) for r in (0, 1, 2)]
+] + [("zd:2", 2, r) for r in (0, 1, 2)] + [
+    ("zd:1", 0, None), ("free_product:2,2", -1, None)
+]
 NAMED_REFUSAL = re.compile(
-    r"^error: (no balanced cut|measure sieve|cut orbit): "
+    r"^error: (word bound|no balanced cut|measure sieve|cut orbit): "
 )
 # At R <= 2 some of balanced_cut's candidate edge sets reach the sphere; its
 # refusal names only the candidates it tried.
@@ -329,6 +331,16 @@ BALANCED_CUT_REFUSALS = {
         "group with more ends may need a larger --radius\n"
     ),
 }
+# A word bound below 1 is refused before any cut is sought.
+WORD_BOUND = (
+    "error: word bound: W=%d gives the cut no translates to compare; pass "
+    "--words 1 or more\n"
+)
+PINNED_REFUSALS = {
+    **BALANCED_CUT_REFUSALS,
+    ("zd:1", 0, None): WORD_BOUND % 0,
+    ("free_product:2,2", -1, None): WORD_BOUND % -1,
+}
 
 
 def _grid_id(cell):
@@ -347,7 +359,7 @@ def test_split_grid_ends_in_a_report_or_a_named_refusal(
     out, err = capsys.readouterr()
     if code == 1:
         assert NAMED_REFUSAL.match(err), err
-        assert err == BALANCED_CUT_REFUSALS.get((group, words, radius), err)
+        assert err == PINNED_REFUSALS.get((group, words, radius), err)
         return
     assert code == 0
     last = out.splitlines()[-2]

@@ -119,8 +119,6 @@ def test_certified_length_and_flags():
     g = k2()
     assert certified_length(g) == 9
     assert DEFAULT_BALL_L == 16
-    assert measure(g, 1, 9).certified
-    assert not measure(g, 1, 8).certified
 
 
 def test_corner_identity_and_crossing_pair():

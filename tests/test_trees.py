@@ -20,10 +20,9 @@ from cutforge.trees import (
     edge_cuts,
     induce_action,
     is_compressible,
+    maximal_stabilizers,
     paired_tree,
     size_polynomial,
-    subgroups,
-    substabs,
     unpaired_tree,
     verify_system,
     vertex_embed,
@@ -282,13 +281,7 @@ def test_compressible_and_collapse():
     assert reduced.graph.nv == 1 and len(log) == 1
     # |G\E| - |G\V| is collapse-invariant; the edge term goes with its orbit
     assert str(size_polynomial(reduced)) == "-1"
-    assert substabs(reduced) == substabs(act)
-
-
-def test_subgroup_enumeration():
-    o = z2()
-    assert sorted(len(h) for h in subgroups(o)) == [1, 2]
-    assert sorted(len(h) for h in substabs(reflection_action())) == [1, 2]
+    assert maximal_stabilizers(reduced) == maximal_stabilizers(act)
 
 
 def test_collapse_needs_closed_set():
@@ -316,15 +309,15 @@ def test_induced_action_from_cut_maps():
     assert len(triv.edge_orbits()) == 2
 
 
-def c4_singleton_tree():
-    """Paired tree of the four singleton cuts of the 4-cycle v0..v3 and
-    their complements: 9 vertices, 8 edges."""
+def cycle_singleton_tree(n):
+    """Paired tree of the n singleton cuts of the n-cycle v0..v(n-1) and
+    their complements: 2n + 1 vertices, 2n edges."""
     g = Graph(
-        ["v0", "v1", "v2", "v3"],
-        [("e%d" % i, "v%d" % i, "v%d" % ((i + 1) % 4)) for i in range(4)],
+        ["v%d" % i for i in range(n)],
+        [("e%d" % i, "v%d" % i, "v%d" % ((i + 1) % n)) for i in range(n)],
     )
     cuts = []
-    for i in range(4):
+    for i in range(n):
         a = Cut(g, 1 << i, "A%d" % i)
         cuts += [a, a.complement()]
     return paired_tree(verify_system(cuts))
@@ -342,7 +335,7 @@ def test_induced_action_of_a_rotation_group():
         ["1"],
     )
     act = induce_action(
-        c4_singleton_tree(), z4, vertex_perms={"1": _vertex_perm((1, 2, 3, 0))}
+        cycle_singleton_tree(4), z4, vertex_perms={"1": _vertex_perm((1, 2, 3, 0))}
     )
     assert act.vertex_orbits() == ((0, 3, 5, 7), (1, 4, 6, 8), (2,))
     assert act.edge_orbits() == ((0, 2, 4, 6), (1, 3, 5, 7))
@@ -352,12 +345,84 @@ def test_induced_action_of_s4():
     r, s = (1, 2, 3, 0), (1, 0, 2, 3)
     o = PermOracle(4, [r, s], ["r", "s"])
     act = induce_action(
-        c4_singleton_tree(),
+        cycle_singleton_tree(4),
         o,
         vertex_perms={"r": _vertex_perm(r), "s": _vertex_perm(s)},
     )
     assert len(act.words) == 24
     assert str(size_polynomial(act)) == "-1 + 2 t^6"
+
+
+def _enumerated_subgroups(oracle):
+    """Every subgroup, grown by closure from the trivial one: the exhaustive
+    reference that maximal_stabilizers replaces."""
+    els = tuple(oracle.elements())
+
+    def close(seed):
+        out = set(seed) | {oracle.identity()}
+        frontier = list(out)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in tuple(out):
+                    for c in (oracle.multiply(a, b), oracle.multiply(b, a)):
+                        if c not in out:
+                            out.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return frozenset(out)
+
+    triv = frozenset((oracle.identity(),))
+    found, queue = {triv}, [triv]
+    while queue:
+        h = queue.pop()
+        for x in els:
+            if x not in h:
+                h2 = close(h | {x})
+                if h2 not in found:
+                    found.add(h2)
+                    queue.append(h2)
+    return found
+
+
+def _cycle_action(degree, gens):
+    o = PermOracle(degree, gens, ["g%d" % i for i in range(len(gens))])
+    perms = {"g%d" % i: _vertex_perm(p) for i, p in enumerate(gens)}
+    return induce_action(cycle_singleton_tree(degree), o, vertex_perms=perms)
+
+
+SMALL_PERM_GROUPS = {
+    "Z2": (3, [(1, 0, 2)]),
+    "Z3": (3, [(1, 2, 0)]),
+    "S3": (3, [(1, 2, 0), (1, 0, 2)]),
+    "Z4": (4, [(1, 2, 3, 0)]),
+    "V4": (4, [(1, 0, 3, 2), (2, 3, 0, 1)]),
+    "D4": (4, [(1, 2, 3, 0), (3, 2, 1, 0)]),
+    "A4": (4, [(1, 2, 0, 3), (1, 0, 3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PERM_GROUPS))
+def test_maximal_stabilizers_give_the_substabilizers(name):
+    act = _cycle_action(*SMALL_PERM_GROUPS[name])
+    subs = _enumerated_subgroups(act.oracle)
+    reduced, log = collapse_compressible(act)
+    assert log and reduced.graph.nv == 1
+    for a in (act, reduced):
+        stabs = [a.vertex_stabilizer(v) for v in range(a.graph.nv)]
+        substabs = {h for h in subs if any(h <= st for st in stabs)}
+        maxes = maximal_stabilizers(a)
+        assert {h for h in subs if any(h <= m for m in maxes)} == substabs
+        # Serre I.4.3: a finite group acting on a finite tree fixes a vertex
+        assert maxes == {frozenset(a.elements())}
+
+
+def test_s5_collapses_with_the_substabilizer_check():
+    act = _cycle_action(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    assert len(act.words) == 120
+    reduced, log = collapse_compressible(act)
+    assert len(log) == 2 and reduced.graph.nv == 1
+    assert maximal_stabilizers(reduced) == {frozenset(act.elements())}
 
 
 def test_cut_maps_must_respect_nesting():
@@ -390,7 +455,7 @@ def test_blow_up_path_fiber():
         {("l", "dst"): "x"},
     )
     assert big.graph.nv == 5 and big.graph.ne == 4
-    assert substabs(big) == substabs(act)
+    assert maximal_stabilizers(big) == maximal_stabilizers(act)
     reduced, log = collapse_compressible(big)
     assert reduced.graph.nv == 1 and len(log) == 2
     assert str(size_polynomial(reduced)) == "-1"
