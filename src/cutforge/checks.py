@@ -543,7 +543,7 @@ def check_double_dual(seed):
 
 def check_action_surgery():
     """Fixed small cases for the verified action layer: reflection on a
-    2-edge path, induced action from a cut swap, blow-up and collapse."""
+    2-edge path, induced action from a vertex swap, blow-up and collapse."""
     t = _Tally()
     z2 = TableOracle(["e", "s"], [[0, 1], [1, 0]], ["s"])
     g = Graph(["a", "m", "b"], [("l", "a", "m"), ("r", "b", "m")])
@@ -581,11 +581,7 @@ def check_action_surgery():
     t.hit(str(size_polynomial(act2)) == "-1 + t", "induced size polynomial wrong")
 
     fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
-    big = blow_up(
-        act,
-        {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})},
-        {("l", "dst"): "x"},
-    )
+    big = blow_up(act, {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})})
     t.hit(big.graph.nv == 5 and big.graph.ne == 4, "blow-up has wrong size")
     same = maximal_stabilizers(big) == maximal_stabilizers(act)
     t.hit(same, "blow-up changed the substabilizers")

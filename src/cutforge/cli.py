@@ -66,8 +66,13 @@ def _load_graph(path):
 def _universe_from_ref(ref, base_dir):
     if "@" in ref:
         gspec, _, rad = ref.rpartition("@")
+        try:
+            radius = int(rad)
+        except ValueError:
+            raise CutError("universe %r: the radius after '@' must be an "
+                           "integer" % (ref,))
         joined = os.path.join(base_dir, gspec)
-        return ball(_parse_group(joined if os.path.exists(joined) else gspec), int(rad))
+        return ball(_parse_group(joined if os.path.exists(joined) else gspec), radius)
     return _load_graph(os.path.join(base_dir, ref))
 
 

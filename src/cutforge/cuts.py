@@ -204,11 +204,10 @@ class CutAlgebra:
     the refinement blocks, ordered by smallest vertex index; every element
     is a union of atoms."""
 
-    __slots__ = ("universe", "generators", "atoms")
+    __slots__ = ("universe", "atoms")
 
-    def __init__(self, universe, generators, atoms):
+    def __init__(self, universe, atoms):
         self.universe = universe
-        self.generators = tuple(generators)
         self.atoms = tuple(atoms)
 
     @property
@@ -269,7 +268,7 @@ def boolean_closure(cuts):
         raise CutError("empty universe has no cut algebra")
     blocks = refine([full], [c.bits for c in cuts])
     blocks.sort(key=lambda b: (b & -b).bit_length())
-    return CutAlgebra(universe, cuts, blocks)
+    return CutAlgebra(universe, blocks)
 
 
 @dataclass(frozen=True)

@@ -311,10 +311,10 @@ def splitting_pipeline(
     fixes a vertex, that final tree shows no splitting and the report is
     undetermined, naming the stage.  A final tree that fails `_audit` also
     ends undetermined, naming the generator and the rule.  A word bound
-    below 1 is refused first; one-ended and finite groups are refused by
-    balanced_cut when no cut is supplied.  The certificate names the
-    certified length L = 4|V| + 1 of the ball; the sieve's verdicts are
-    exact and take no length."""
+    below 1 is refused first, then an empty or whole-ball cut; one-ended
+    and finite groups are refused by balanced_cut when no cut is supplied.
+    The certificate names the certified length L = 4|V| + 1 of the ball;
+    the sieve's verdicts are exact and take no length."""
     if words < 1:
         raise EndsError(
             "word bound: W=%d gives the cut no translates to compare; pass "
@@ -325,6 +325,11 @@ def splitting_pipeline(
     bv = cut.universe
     if not hasattr(bv, "oracle"):
         raise EndsError("the pipeline needs a cut over a Cayley ball")
+    if cut.bits in (0, full_mask(bv)):
+        raise EndsError(
+            "cut: %s is %s (R=%d); pass a cut with vertices on both sides"
+            % (cut.name or "A", "the whole ball" if cut.bits else "empty", bv.radius)
+        )
     L = certified_length(bv)
     wlist = bv.oracle.words_up_to(words)
     try:

@@ -23,14 +23,17 @@ polynomial take one and read the same queries.  Collapse checks at every
 step that the maximal vertex stabilizers stay the same, which is the
 Dicks-Dunwoody condition that the vertex substabilizers stay the same.
 
-Vertices move by one rule, _agreeing_map: a vertex map is read off (point,
-image) evidence pairs, and a point's image is the one value its pairs name.
-The pairs come from edge incidences (an edge with a known image sends its
-source to the image's source and its target to the image's target) and,
-under a collapse, from (block of x, block of the image of x).
-When two pairs disagree the evidence is not a map: a full action raises
-TreeError, while a partial action drops the whole word, whose vertex and
-edge images all become None.
+Wherever edge images are the evidence, vertices move by one rule,
+_agreeing_map: a vertex map is read off (point, image) evidence pairs, and
+a point's image is the one value its pairs name.  The pairs come from edge
+incidences (an edge with a known image sends its source to the image's
+source and its target to the image's target) and, under a collapse, from
+(block of x, block of the image of x).  When two pairs disagree the
+evidence is not a map: a full action raises TreeError, while a partial
+action drops the whole word, whose vertex and edge images all become None.
+blow_up runs the other way: it starts from the fiber vertex actions and
+reads each edge image off the images of its endpoints, since a tree has one
+edge per ordered pair of vertices.
 """
 
 from __future__ import annotations
@@ -225,10 +228,8 @@ def _build(system, mode):
 
 
 def paired_tree(system):
-    """Tree of a complement-stable system; cuts and their complements meet
-    at shared midpoint vertices."""
-    if not isinstance(system, NestedSystem):
-        system = verify_system(system)
+    """Tree of a complement-stable NestedSystem; cuts and their complements
+    meet at shared midpoint vertices."""
     missing = system.failures()
     if missing:
         raise TreeError("system not usable: " + ", ".join(missing))
@@ -236,10 +237,8 @@ def paired_tree(system):
 
 
 def unpaired_tree(system):
-    """Tree of a complement-free system; each cut joins its two one-sided
-    labels directly."""
-    if not isinstance(system, NestedSystem):
-        system = verify_system(system)
+    """Tree of a complement-free NestedSystem; each cut joins its two
+    one-sided labels directly."""
     bad = [f for f in system.failures() if f != "complement_stable"]
     if not system.complement_free:
         bad.insert(0, "complement pair present")
@@ -500,53 +499,39 @@ class TreeAction(PartialAction):
         )
 
 
-def induce_action(stree, oracle, cut_maps=None, vertex_perms=None):
-    """Action of a finite group on a structure tree, from per-generator data:
-    either cut_maps (generator name -> sequence cut index -> cut index) or
-    vertex_perms (generator name -> universe vertex permutation dict, cuts
-    transported as sets).  The family must be closed under the action."""
+def induce_action(stree, oracle, vertex_perms):
+    """Action of a finite group on a structure tree, from vertex_perms
+    (generator name -> universe vertex permutation dict): each generator
+    moves the cuts as sets.  The family must be closed under the action."""
     system = stree.system
     n = len(system.cuts)
-    full = full_mask(system.universe) if system.cuts else 0
     bits_to_idx = system.bits_index
-    comp_idx = [bits_to_idx[full ^ c.bits] for c in system.cuts]
-
-    if (cut_maps is None) == (vertex_perms is None):
-        raise TreeError("provide exactly one of cut_maps / vertex_perms")
-    gen_maps = {}
-    if vertex_perms is not None:
+    if n:  # a system without cuts has no universe to read
         g_univ = universe_graph(system.universe)
-        for name, _el in oracle.generators():
-            if name not in vertex_perms:
-                raise TreeError("missing vertex permutation for generator %r" % (name,))
-            perm = vertex_perms[name]
-            amap = []
-            for i, c in enumerate(system.cuts):
-                img = 0
-                for v in range(g_univ.nv):
-                    if (c.bits >> v) & 1:
-                        img |= 1 << g_univ.vindex[perm[g_univ.vertices[v]]]
-                if img not in bits_to_idx:
-                    raise TreeError(
-                        "family not closed under the action: image of %r escapes"
-                        % (_cut_name(system, i),)
-                    )
-                amap.append(bits_to_idx[img])
-            gen_maps[name] = tuple(amap)
-    else:
-        for name, _el in oracle.generators():
-            if name not in cut_maps:
-                raise TreeError("missing cut map for generator %r" % (name,))
-            amap = tuple(cut_maps[name])
-            if sorted(amap) != list(range(n)):
-                raise TreeError("cut map for %r is not a permutation" % (name,))
-            gen_maps[name] = amap
-    for name, amap in gen_maps.items():
-        for i in range(n):
-            if amap[comp_idx[i]] != comp_idx[amap[i]]:
+        full = full_mask(g_univ)
+        comp_idx = [bits_to_idx[full ^ c.bits] for c in system.cuts]
+    gen_maps = {}
+    for name, _el in oracle.generators():
+        if name not in vertex_perms:
+            raise TreeError("missing vertex permutation for generator %r" % (name,))
+        perm = vertex_perms[name]
+        amap = []
+        for i, c in enumerate(system.cuts):
+            img = 0
+            for v in range(g_univ.nv):
+                if (c.bits >> v) & 1:
+                    img |= 1 << g_univ.vindex[perm[g_univ.vertices[v]]]
+            if img not in bits_to_idx:
                 raise TreeError(
-                    "cut map for %r does not commute with complementation" % (name,)
+                    "family not closed under the action: image of %r escapes"
+                    % (_cut_name(system, i),)
                 )
+            amap.append(bits_to_idx[img])
+        if any(amap[comp_idx[i]] != comp_idx[amap[i]] for i in range(n)):
+            raise TreeError(
+                "cut map for %r does not commute with complementation" % (name,)
+            )
+        gen_maps[name] = tuple(amap)
 
     # compose along the search tree of the whole group; relations are
     # re-verified by the TreeAction constructor
@@ -676,19 +661,19 @@ def _first_transporter(action, images, src, dst):
     raise TreeError("no transporter found (distinct orbits?)")
 
 
-def blow_up(action, fibers, attachments=None):
+def blow_up(action, fibers):
     """Equivariantly replace each vertex by a fiber tree.
 
     fibers: {vertex id of an orbit representative: (fiber Graph,
     {stabilizer element: {fiber vertex: fiber vertex}})}.  Orbits without an
-    entry keep a single-vertex fiber.  attachments: {(edge id of an orbit
-    representative, "src" | "dst"): fiber vertex id}; needed whenever the
-    endpoint fiber has more than one vertex, and the chosen vertex must be
-    fixed by the edge stabilizer.  The result collapses back to the base
-    along the fiber edges (asserted)."""
+    entry keep a single-vertex fiber.  Each side of an orbit-representative
+    edge attaches at the first fiber vertex, in fiber order, that the edge
+    stabilizer fixes, and the rest of the orbit at its translates; a fiber
+    with no such vertex (its action inverts an edge) is refused.  Every
+    edge image is read off the images of its endpoints.  The result
+    collapses back to the base along the fiber edges (asserted)."""
     g = action.graph
     oracle = action.oracle
-    attachments = dict(attachments or {})
     vorbits = action.vertex_orbits()
     rep_of_vertex = {}
     for orb in vorbits:
@@ -754,84 +739,59 @@ def blow_up(action, fibers, attachments=None):
         return v2, fiber_vact[rep][inner][x]
 
     # attachment points per edge, transported from the orbit representatives
-    eorbits = action.edge_orbits()
     attach = {}
-    for orb in eorbits:
+    for orb in action.edge_orbits():
         rep_k = orb[0]
-        rep_id = g.edges[rep_k][0]
-        for side, vi in zip(("src", "dst"), g.index_edges[rep_k]):
-            vid = g.vertices[vi]
-            ftree = fiber_tree[rep_of_vertex[vi]]
-            key = (rep_id, side)
-            if ftree.nv == 1:
-                choice = ftree.vertices[0]
-                attachments.setdefault(key, choice)
-            if key not in attachments:
+        stab = action.edge_stabilizer(rep_k)
+        for side, vi in enumerate(g.index_edges[rep_k]):
+            choice = next(
+                (
+                    x
+                    for x in fiber_tree[rep_of_vertex[vi]].vertices
+                    if all(act_point(a, vi, x)[1] == x for a in stab)
+                ),
+                None,
+            )
+            if choice is None:
                 raise TreeError(
-                    "attachment needed for representative edge %r side %s"
-                    % (rep_id, side)
+                    "no vertex of the fiber of %r is fixed by the stabilizer "
+                    "of edge %r" % (g.vertices[vi], g.edges[rep_k][0])
                 )
-            choice = attachments[key]
-            if choice not in ftree.vindex:
-                raise TreeError(
-                    "attachment %r is not a vertex of the fiber of %r"
-                    % (choice, vid)
-                )
-            # the edge stabilizer must fix the chosen point
-            for a in action.edge_stabilizer(rep_k):
-                _v2, img = act_point(a, vi, choice)
-                if img != choice:
-                    raise TreeError(
-                        "attachment %r on edge %r is not stabilized (element %s)"
-                        % (choice, rep_id, a)
-                    )
             for k in orb:
                 a = _first_transporter(action, action.edge_images, rep_k, k)
-                src_v = vi
-                v2, x2 = act_point(a, src_v, choice)
-                want = g.index_edges[k][0 if side == "src" else 1]
-                if v2 != want:
+                v2, x2 = act_point(a, vi, choice)
+                if v2 != g.index_edges[k][side]:
                     raise TreeError("edge transport mismatch (internal)")
                 attach[(k, side)] = (v2, x2)
 
-    new_vertices = []
-    for v in range(g.nv):
-        ftree = fiber_tree[rep_of_vertex[v]]
-        for x in ftree.vertices:
-            new_vertices.append(fiber_point(v, x))
     # fiber edges come first, then the base edges in base order
-    new_edges = []
-    fiber_edge_ids = []
+    new_vertices, new_edges, fiber_edge_ids = [], [], []
     for v in range(g.nv):
         ftree = fiber_tree[rep_of_vertex[v]]
+        new_vertices.extend(fiber_point(v, x) for x in ftree.vertices)
         for (fe, fs, fd) in ftree.edges:
             eid = "%s|%s" % (g.vertices[v], fe)
             new_edges.append((eid, fiber_point(v, fs), fiber_point(v, fd)))
             fiber_edge_ids.append(eid)
-    nf = len(fiber_edge_ids)
     for k, (e, _s, _d) in enumerate(g.edges):
-        sv, sx = attach[(k, "src")]
-        dv, dx = attach[(k, "dst")]
+        sv, sx = attach[(k, 0)]
+        dv, dx = attach[(k, 1)]
         new_edges.append((e, fiber_point(sv, sx), fiber_point(dv, dx)))
     newg = Graph(new_vertices, new_edges)
-    # fibers are trees, so a fiber edge is the only one on its endpoints
-    fiber_edge_at = {pair: k for k, pair in enumerate(newg.index_edges[:nf])}
+    # a tree has one edge per ordered pair of vertices
+    edge_at = {pair: k for k, pair in enumerate(newg.index_edges)}
 
     vertex_maps = {}
     edge_maps = {}
-    for a, em in zip(action.elements(), action.edge_images):
+    for a in action.elements():
         nvm = []
         for v in range(g.nv):
-            ftree = fiber_tree[rep_of_vertex[v]]
-            for x in ftree.vertices:
+            for x in fiber_tree[rep_of_vertex[v]].vertices:
                 v2, x2 = act_point(a, v, x)
                 nvm.append(newg.vindex[fiber_point(v2, x2)])
         nem = []
         for k, (si, di) in enumerate(newg.index_edges):
-            if k >= nf:
-                nem.append(nf + em[k - nf])
-                continue
-            img = fiber_edge_at.get((nvm[si], nvm[di]))
+            img = edge_at.get((nvm[si], nvm[di]))
             if img is None:
                 raise TreeError(
                     "fiber action is not a tree automorphism at %r"

@@ -416,6 +416,27 @@ def test_split_of_a_refed_kept_cut_is_undetermined(capsys, group, fixture, why):
     assert last == "undetermined: %s (R=6, W=1)" % (why,)
 
 
+# A cut with no vertex, or with every vertex, of the ball has no two sides
+# to split along; the pipeline refuses it before the cut orbit.
+WHOLE_BALL = {"name": "A", "members_words": ["x^%d" % k for k in range(-6, 7)]}
+
+
+@pytest.mark.parametrize("content, why", [
+    (None, "A is empty"),
+    (WHOLE_BALL, "A is the whole ball"),
+], ids=["empty", "whole-ball"])
+def test_split_refuses_a_cut_without_two_sides(tmp_path, capsys, content, why):
+    path = DATA / "zd1_empty_cut.json"
+    if content is not None:
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(content))
+    assert main(["split", "--group", "zd:1", "--cut", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: cut: %s (R=6); pass a cut with vertices on both sides\n" % (why,),
+    )
+
+
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):
     built = []
     real = checks.sieve_artifacts
@@ -473,6 +494,8 @@ MALFORMED_FILES = [
      "cut 'members_words' must be a list of strings"),
     ("measure --cut", "cut.json", {"universe": 5, "members": ["a"]},
      "a cut file's 'universe' must be a string"),
+    ("measure --cut", "cut.json", {"universe": "zd:1@x", "members_words": []},
+     "universe 'zd:1@x': the radius after '@' must be an integer"),
     ("measure --cut", "cut.json", {"universe": "chain.json"}, CUT_OBJECT),
     ("tree --mode U --cuts", "cuts.json",
      {"universe": "chain.json", "cuts": [{"name": 5, "members": ["a"]}]},
@@ -491,7 +514,7 @@ MALFORMED_FILES = [
     MALFORMED_FILES,
     ids=["measure-list", "split-list", "cuts-item-string", "cuts-number",
          "members-number", "members-string", "members-words-string",
-         "universe-number", "no-members", "name-number",
+         "universe-number", "universe-radius", "no-members", "name-number",
          "graph-vertices-string",
          "graph-edge-id-list"],
 )

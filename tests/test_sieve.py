@@ -66,7 +66,7 @@ def test_power_set_of_k2():
 
 def test_trivial_algebra_has_no_irreducibles():
     g = k2()
-    rep = classify(CutAlgebra(g, (), (full_mask(g),)))
+    rep = classify(CutAlgebra(g, (full_mask(g),)))
     assert rep.irreducible == ()
     assert len(rep.elements) == 2
 

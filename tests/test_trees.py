@@ -302,10 +302,12 @@ def test_induced_action_from_vertex_permutation():
 def test_induced_action_from_cut_maps():
     _g, system = k2_pair()
     t = paired_tree(system)
-    act = induce_action(t, z2(), cut_maps={"s": (1, 0)})
+    act = induce_action(t, z2(), vertex_perms={"s": {"u": "w", "w": "u"}})
+    assert act.edge_images[1] == (1, 0)  # the swap induces the cut swap
     assert len(act.edge_orbits()) == 1
     # mapping s to the identity permutation is the (legal) trivial action
-    triv = induce_action(t, z2(), cut_maps={"s": (0, 1)})
+    triv = induce_action(t, z2(), vertex_perms={"s": {"u": "u", "w": "w"}})
+    assert triv.edge_images[1] == (0, 1)
     assert len(triv.edge_orbits()) == 2
 
 
@@ -425,23 +427,9 @@ def test_s5_collapses_with_the_substabilizer_check():
     assert maximal_stabilizers(reduced) == {frozenset(act.elements())}
 
 
-def test_cut_maps_must_respect_nesting():
-    g = Graph(
-        ["a", "b", "c", "d"],
-        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
-    )
-    a1 = cut_from_members(g, ["a"], "A1")
-    a2 = cut_from_members(g, ["a", "b"], "A2")
-    system = verify_system([a1, a1.complement(), a2, a2.complement()])
-    t = paired_tree(system)
-    with pytest.raises(TreeError):
-        # swapping A1 with A2 reverses a strict containment
-        induce_action(t, z2(), cut_maps={"s": (2, 3, 0, 1)})
-
-
 def test_induced_action_on_an_edgeless_tree_fixes_its_vertex():
     t = paired_tree(verify_system([]))
-    act = induce_action(t, z2(), cut_maps={"s": ()})
+    act = induce_action(t, z2(), vertex_perms={"s": {}})
     assert act.vertex_maps == {0: (0,), 1: (0,)}
     assert act.vertex_orbits() == ((0,),)
 
@@ -449,16 +437,44 @@ def test_induced_action_on_an_edgeless_tree_fixes_its_vertex():
 def test_blow_up_path_fiber():
     act = reflection_action()
     fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
-    big = blow_up(
-        act,
-        {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})},
-        {("l", "dst"): "x"},
-    )
+    big = blow_up(act, {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})})
     assert big.graph.nv == 5 and big.graph.ne == 4
+    # each representative side attaches at the first fiber vertex, x
+    assert big.graph.edges == (
+        ("m|f1", "m|x", "m|c"),
+        ("m|f2", "m|y", "m|c"),
+        ("l", "a|*", "m|x"),
+        ("r", "b|*", "m|y"),
+    )
     assert maximal_stabilizers(big) == maximal_stabilizers(act)
     reduced, log = collapse_compressible(big)
     assert reduced.graph.nv == 1 and len(log) == 2
     assert str(size_polynomial(reduced)) == "-1"
+
+
+def _fixed_edge_action():
+    """Z/2 acting trivially on the edge l: a -> m."""
+    g = Graph(["a", "m"], [("l", "a", "m")])
+    return TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (0,)})
+
+
+def test_blow_up_attaches_at_a_vertex_the_edge_stabilizer_fixes():
+    fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
+    big = blow_up(
+        _fixed_edge_action(), {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})}
+    )
+    # s swaps x and y, so the first fiber vertex that s fixes is c
+    assert big.graph.edges[-1] == ("l", "a|*", "m|c")
+    assert big.vertex_maps[1] == (0, 3, 2, 1)
+
+
+def test_blow_up_refuses_a_fiber_whose_action_inverts_an_edge():
+    fiber = Graph(["x", "y"], [("f", "x", "y")])
+    with pytest.raises(TreeError) as exc:
+        blow_up(_fixed_edge_action(), {"m": (fiber, {1: {"x": "y", "y": "x"}})})
+    assert str(exc.value) == (
+        "no vertex of the fiber of 'm' is fixed by the stabilizer of edge 'l'"
+    )
 
 
 def test_size_polynomial_str():
