@@ -31,7 +31,8 @@ class Graph:
     """
 
     __slots__ = (
-        "vertices", "edges", "vindex", "eindex", "index_edges", "darts", "_tree"
+        "vertices", "edges", "vindex", "eindex", "index_edges", "darts", "_tree",
+        "_walk_plan",
     )
 
     def __init__(self, vertices, edges):
@@ -64,6 +65,7 @@ class Graph:
             darts[di].append((si, k, INVERSE))
         self.darts = tuple(tuple(ds) for ds in darts)
         self._tree = None  # is_tree's answer, once asked
+        self._walk_plan = None  # series' walk plan of the vertex walk, once made
 
     @property
     def nv(self):

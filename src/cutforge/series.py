@@ -12,7 +12,12 @@ walk-count kernel: every series is u^T A^l w for a start set u and an end
 set w, where A is the adjacency matrix of the universe or, for odd
 crossings, of its parity-doubled state space.  The kernel steps over the
 darts of the graph in exact big integers, so it costs O(L |darts|) per
-start vector, against O(L |V|^2) for a dense matrix.  The second is a
+start vector, against O(L |V|^2) for a dense matrix.  A step is a few
+degree-bucketed gathers (`_walk_plan`): the states are cut into buckets of
+near-equal degree, and a bucket adds its rows' j-th dart ends lane by lane
+with `map(add, ...)`, so the interpreter runs O(buckets * degree) calls and
+the at most 2 |darts| big-integer additions run in C.  The vertex walk's
+plan is made once per Graph and kept on it.  The second is a
 literal walk enumeration: it lists every walk, level by level, one byte per
 walk (the walk's end state within a page of 256 states), and advances a
 level with `bytes.translate`, so its time and memory still grow with the
@@ -35,10 +40,16 @@ proof is in `sieve.classify`'s docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat, zip_longest
+from operator import add, itemgetter
 
 from .cuts import bits_of_members, full_mask, universe_graph, Cut
 
 DEFAULT_BALL_L = 16
+
+# Chained maps nest one C call per gather; `_walk_plan` folds longer runs
+# into listed gathers, so a vertex of huge degree cannot overflow the C stack.
+_MAX_CHAIN = 256
 
 
 class SeriesError(ValueError):
@@ -130,14 +141,87 @@ def _successors(g, crossing=None):
     return even + odd
 
 
-def _walk_counts(nbrs, starts, L):
-    """Yield, for l = 0..L, the list of vectors A^l v over the start vectors
-    v.  One step costs O(|darts|) per vector."""
-    vecs = starts
-    yield vecs
-    for _ in range(L):
-        vecs = [[sum(map(v.__getitem__, ns)) for ns in nbrs] for v in vecs]
-        yield vecs
+def _walk_plan(nbrs):
+    """The walk matrix A as degree-bucketed gathers: (buckets, back).
+
+    From the top degree down, a bucket takes the next lower degree while its
+    rows, padded to its top degree D, hold at most twice its darts.  A bucket
+    is its state count s and D gathers; gather j reads the j-th dart end of
+    every row, or index n, where the vector carries a zero.  Each bucket has
+    s * D <= 2 * (its darts): its top degree alone holds exactly its darts,
+    and a degree joins only while the bound holds.  So a step reads at most
+    2 |darts| slots, with O(buckets * D) interpreter calls, and adds in C.
+    When n * max degree <= 2 |darts| the rule takes every degree into one
+    bucket (degrees join in decreasing order, so the darts-to-slots ratio
+    only falls), so the sort is skipped and the states stay in state order,
+    as on the Z^2 balls.  Otherwise `back` gathers a step's output (its
+    padding zero at n) back from degree order into state order."""
+    n = len(nbrs)
+    degs = [len(ns) for ns in nbrs]
+    if n * max(degs, default=0) <= 2 * sum(degs):
+        order, sizes, back = range(n), [n] if n else [], None
+    else:
+        order = sorted(range(n), key=degs.__getitem__, reverse=True)
+        sizes, top, held = [], 0, 0  # held: the darts of the last bucket
+        for d in sorted(set(degs), reverse=True):
+            c = degs.count(d)
+            if sizes and (sizes[-1] + c) * top <= 2 * (held + c * d):
+                sizes[-1], held = sizes[-1] + c, held + c * d
+            else:
+                sizes.append(c)
+                top, held = d, c * d
+        back = itemgetter(*sorted(range(n), key=order.__getitem__), n)
+    buckets, lo = [], 0
+    for size in sizes:
+        rows = [nbrs[u] for u in order[lo:lo + size]]
+        lo += size
+        gathers = tuple(
+            itemgetter(*slot) if size > 1 else itemgetter(slice(slot[0], slot[0] + 1))
+            for slot in zip_longest(*rows, fillvalue=n)
+        )
+        while len(gathers) > _MAX_CHAIN:  # each run becomes one listed gather
+            gathers = tuple(
+                lambda v, run=gathers[i:i + _MAX_CHAIN]: list(_chain(run, v))
+                for i in range(0, len(gathers), _MAX_CHAIN)
+            )
+        buckets.append((size, gathers))
+    return buckets, back
+
+
+def _chain(gathers, v):
+    """Lane sums of the gathers' reads of v, as chained maps."""
+    acc = gathers[0](v)
+    for gj in gathers[1:]:
+        acc = map(add, acc, gj(v))
+    return acc
+
+
+def _plain_plan(g):
+    """The walk plan of the vertex walk, made once per Graph and kept on it."""
+    if g._walk_plan is None:
+        g._walk_plan = _walk_plan(_successors(g))
+    return g._walk_plan
+
+
+def _walk_counts(plan, starts, pairs, L):
+    """One coefficient tuple per (start position, end index list) pair:
+    coefficient l sums that start's vector A^l v over the end set."""
+    buckets, back = plan
+    coeffs = [[] for _ in pairs]
+    for s, start in enumerate(starts):
+        n = len(start)
+        ends = [(c, itemgetter(*e, n, n)) for c, (t, e) in zip(coeffs, pairs) if t == s]
+        v = [*start, 0]
+        for l in range(L + 1):
+            if l:
+                w = []
+                for size, gathers in buckets:
+                    w += _chain(gathers, v) if gathers else repeat(0, size)
+                w.append(0)
+                v = back(w) if back else w
+            for out, get in ends:
+                out.append(sum(get(v)))
+    return [tuple(c) for c in coeffs]
 
 
 def _indicator(bits, n):
@@ -146,16 +230,6 @@ def _indicator(bits, n):
 
 def _members(bits, n):
     return [i for i in range(n) if (bits >> i) & 1]
-
-
-def _project(levels, pairs):
-    """One coefficient tuple per (start position, end index list) pair:
-    coefficient l sums that start's vector at level l over the end set."""
-    coeffs = [[] for _ in pairs]
-    for vecs in levels:
-        for out, (s, end) in zip(coeffs, pairs):
-            out.append(sum(map(vecs[s].__getitem__, end)))
-    return [tuple(c) for c in coeffs]
 
 
 def transfer_counts(universe, spec, L):
@@ -169,7 +243,7 @@ def transfer_counts(universe, spec, L):
     kind_spec = _normalize_spec(universe, spec)
     kind = kind_spec[0]
     if kind == "odd":
-        nbrs = _successors(g, kind_spec[1])
+        plan = _walk_plan(_successors(g, kind_spec[1]))
         start = [1] * n + [0] * n
         end = range(n, 2 * n)
     else:
@@ -179,10 +253,10 @@ def transfer_counts(universe, spec, L):
         else:
             cbits, dbits = kind_spec[1], kind_spec[2]
             start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
-        nbrs = _successors(g)
+        plan = _plain_plan(g)
         start = _indicator(start_bits, n)
         end = _members(end_bits, n)
-    (coeffs,) = _project(_walk_counts(nbrs, [start], L), [(0, end)])
+    (coeffs,) = _walk_counts(plan, [start], [(0, end)], L)
     return TruncatedSeries(coeffs)
 
 
@@ -300,7 +374,7 @@ def corner_series(universe, a, b, L=None):
     )
     return tuple(
         TruncatedSeries(coeffs)
-        for coeffs in _project(_walk_counts(_successors(g), starts, L), pairs)
+        for coeffs in _walk_counts(_plain_plan(g), starts, pairs, L)
     )
 
 
@@ -398,10 +472,11 @@ def _quotient(universe, atoms):
 
 def _atom_table(quotient, L):
     rows, starts, ends = quotient
-    return tuple(
-        tuple(tuple([sum(map(vec.__getitem__, end)) for end in ends]) for vec in vecs)
-        for vecs in _walk_counts(rows, starts, L)
-    )
+    pairs = [(i, end) for i in range(len(starts)) for end in ends]
+    counts = iter(_walk_counts(_walk_plan(rows), starts, pairs, L))
+    # by_start[i][l][j]: the series of atom i into atom j, read level-major
+    by_start = [tuple(zip(*islice(counts, len(ends)))) for _ in starts]
+    return tuple(tuple(b[l] for b in by_start) for l in range(L + 1))
 
 
 def atom_pair_table(universe, atoms, L):

@@ -515,6 +515,11 @@ def induce_action(stree, oracle, vertex_perms):
         if name not in vertex_perms:
             raise TreeError("missing vertex permutation for generator %r" % (name,))
         perm = vertex_perms[name]
+        if n and not perm.keys() == set(perm.values()) == g_univ.vindex.keys():
+            raise TreeError(
+                "vertex permutation for generator %r is not a bijection of the "
+                "universe vertices" % (name,)
+            )
         amap = []
         for i, c in enumerate(system.cuts):
             img = 0

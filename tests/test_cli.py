@@ -293,6 +293,24 @@ def test_split_needs_no_string_graph(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPLIT_LADDER_SHA256[args]
 
 
+# sha256 of `measure` on the Z^2 ball of radius 10 (|V| = 221, L = 885) through
+# the half-plane cut of tests/data/z2_r10_cut.json: a kernel cell whose
+# coefficients reach hundreds of digits.  Update it only together with a
+# CHANGES.md entry that says why the series moved.
+Z2_R10_MEASURE_SHA256 = "2b1aa7a34c91ba5e13fbc27d64ba7f42a568990d4d7d400bfbcc2e9d157b51e2"
+
+
+def test_measure_of_the_z2_radius_10_cut_is_pinned(tmp_path, capsys):
+    graph = tmp_path / "z2_r10.json"
+    assert main(["cayley", "--group", "zd:2", "--radius", "10", "--json"]) == 0
+    graph.write_text(capsys.readouterr().out)
+    cut = str(DATA / "z2_r10_cut.json")
+    assert main(["measure", "--graph", str(graph), "--cut", cut]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "L=885 certified"
+    assert hashlib.sha256(out.encode()).hexdigest() == Z2_R10_MEASURE_SHA256
+
+
 # Every split cell of this grid ends in a report or a named refusal, never in
 # an internal error: at the default radius, and at radii too small for a
 # balanced cut (R = 0, 1) or for its translates (R = 2, 3).

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cutforge.cuts import Cut, cut_from_members
+from cutforge.cuts import Cut, cut_from_members, full_mask
 from cutforge.graphs import Graph
 from cutforge.series import (
     DEFAULT_BALL_L,
@@ -269,7 +269,7 @@ def test_enumeration_is_independent_of_the_kernel(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle must not use the walk-count kernel")
 
-    for name in ("_walk_counts", "_successors", "_project"):
+    for name in ("_walk_counts", "_walk_plan", "_successors"):
         monkeypatch.setattr(series_mod, name, refuse)
     g = multi()
     for spec, want in MULTI_HAND_COUNTS:
@@ -278,3 +278,152 @@ def test_enumeration_is_independent_of_the_kernel(monkeypatch):
         assert enumeration_counts(big, spec, 3).coeffs == want, spec[0]
     with pytest.raises(AssertionError):
         transfer_counts(g, ("measure", 1), 3)
+
+
+# -- the bucketed kernel against a plain per-state walk --------------------------
+
+
+def star(rng):
+    """A hub with many leaves, some joined twice: one high-degree state."""
+    k = rng.randrange(6, 11)
+    edges = [("s%d" % i, "h", "l%d" % i) for i in range(k)]
+    edges += [("t%d" % i, "l%d" % i, "h") for i in range(0, k, 3)]
+    return Graph(["h"] + ["l%d" % i for i in range(k)], edges)
+
+
+def lollipop(rng):
+    """A complete graph with a long path hanging off it: two degree tiers."""
+    m, t = rng.randrange(6, 8), rng.randrange(13, 17)
+    edges = [("k%d_%d" % (i, j), "c%d" % i, "c%d" % j)
+             for i in range(m) for j in range(i + 1, m)]
+    ends = ["c0"] + ["p%d" % i for i in range(t)]
+    edges += [("q%d" % i, ends[i], ends[i + 1]) for i in range(t)]
+    return Graph(["c%d" % i for i in range(m)] + ends[1:], edges)
+
+
+def loopy(rng):
+    """A path whose first vertex carries many loops, the others at most one."""
+    n = rng.randrange(4, 8)
+    edges = [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]
+    edges += [("l%d_%d" % (i, j), "v%d" % i, "v%d" % i)
+              for i in range(n) for j in range(rng.randrange(4, 7) if i == 0 else rng.randrange(2))]
+    return Graph(["v%d" % i for i in range(n)], edges)
+
+
+def with_isolated(rng):
+    """A random multigraph on some vertices, the rest isolated."""
+    n = rng.randrange(5, 10)
+    edges = [("r%d" % i, "v%d" % rng.randrange(n - 2), "v%d" % rng.randrange(n - 2))
+             for i in range(2 * n)]
+    return Graph(["v%d" % i for i in range(n)], edges)
+
+
+KERNEL_GRAPHS = [
+    make(random.Random(seed))
+    for make in (star, lollipop, loopy, with_isolated)
+    for seed in range(3)
+]
+
+
+def plain_walks(g, start_bits, end_bits, L, crossing=None):
+    """c_l = length-l walks from the start set into the end set, pushing one
+    count per state through every dart; with a crossing set, from parity 0
+    into parity 1 of the parity-doubled states."""
+    n = g.nv
+    if crossing is None:
+        rows = [[w for (w, _k, _dir) in ds] for ds in g.darts]
+        start = [(start_bits >> u) & 1 for u in range(n)]
+        end = [u for u in range(n) if (end_bits >> u) & 1]
+    else:
+        rows = [[w + n * (p ^ (k in crossing)) for (w, k, _dir) in g.darts[u]]
+                for p in (0, 1) for u in range(n)]
+        start, end = [1] * n + [0] * n, range(n, 2 * n)
+    vec, out = start, []
+    for l in range(L + 1):
+        if l:
+            vec = [sum(vec[w] for w in row) for row in rows]
+        out.append(sum(vec[u] for u in end))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_GRAPHS)))
+def test_kernel_matches_a_plain_per_state_walk(index):
+    g = KERNEL_GRAPHS[index]
+    rng = random.Random(100 + index)
+    n, full, L = g.nv, full_mask(g), certified_length(g)
+    a, b = rng.getrandbits(n), rng.getrandbits(n)
+    crossing = [e for (e, _s, _d) in g.edges if rng.random() < 0.5]
+    assert measure(g, a, L).coeffs == plain_walks(g, a, full ^ a, L)
+    assert transfer_counts(g, ("measure", a), L).coeffs == plain_walks(g, a, full ^ a, L)
+    odd = {g.eindex[e] for e in crossing}
+    assert transfer_counts(g, ("odd", crossing), L).coeffs == plain_walks(g, 0, 0, L, odd)
+    cd = (a & ~b & full, ~a & b & full)
+    assert transfer_counts(g, ("corner", a, b), L).coeffs == plain_walks(g, *cd, L)
+    want = (
+        plain_walks(g, a & b, ~a & b & full, L),
+        plain_walks(g, a & b, ~a & ~b & full, L),
+        plain_walks(g, a & ~b & full, ~a & full, L),
+        plain_walks(g, a & ~b & full, a & b, L),
+    )
+    assert tuple(s.coeffs for s in corner_series(g, a, b, L)) == want
+    atoms = [x for x in (a & b, a & ~b & full, ~a & full) if x]
+    table = atom_pair_table(g, atoms, L)
+    for i, ai in enumerate(atoms):
+        for j, aj in enumerate(atoms):
+            assert tuple(table[l][i][j] for l in range(L + 1)) == plain_walks(g, ai, aj, L)
+
+
+def test_every_walk_plan_reads_at_most_twice_the_darts():
+    from cutforge.groups import ball, make_oracle
+    from cutforge.series import _quotient, _successors, _walk_plan
+
+    rows_list = []
+    for g in KERNEL_GRAPHS:
+        rows_list.append(_successors(g))
+        rows_list.append(_successors(g, set(range(0, g.ne, 2))))
+        rows_list.append(_quotient(g, [1, full_mask(g) ^ 1])[0])
+    sorted_plans = 0
+    for rows in rows_list:
+        buckets, back = _walk_plan(rows)
+        darts = sum(map(len, rows))
+        assert sum(size for size, _g in buckets) == len(rows)
+        assert sum(size * len(gathers) for size, gathers in buckets) <= 2 * darts
+        assert (back is None) == (len(buckets) <= 1)
+        sorted_plans += len(buckets) > 1
+    assert 0 < sorted_plans < len(rows_list)  # both paths are taken
+    # a Z^2 ball takes the one-bucket path: state order, no sort, no back gather
+    buckets, back = _walk_plan(_successors(ball(make_oracle({"kind": "zd", "d": 2}), 4)))
+    assert len(buckets) == 1 and back is None
+
+
+def test_measure_reuses_the_plan_kept_on_the_graph(monkeypatch):
+    import cutforge.series as series_mod
+
+    g = KERNEL_GRAPHS[0]
+    first = measure(g, 1)
+    plan = g._walk_plan
+    assert plan is not None
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the plan of a Graph is made once")
+
+    monkeypatch.setattr(series_mod, "_walk_plan", refuse)
+    assert measure(g, 1) == first
+    corner_series(g, 1, 3)
+    assert g._walk_plan is plan
+
+
+def test_a_vertex_of_huge_degree_folds_its_gathers():
+    from cutforge.series import _MAX_CHAIN, _successors, _walk_plan
+
+    # the hub has 2 * 300 loop darts and 700 leaf darts: 1300 gathers would
+    # nest 1300 maps deep, so the plan folds them into runs of _MAX_CHAIN
+    leaves = ["l%d" % i for i in range(700)]
+    edges = [("o%d" % i, "h", "h") for i in range(300)]
+    edges += [("e%d" % i, "h", leaf) for i, leaf in enumerate(leaves)]
+    g = Graph(["h"] + leaves, edges)
+    buckets, _back = _walk_plan(_successors(g))
+    assert [size for size, _g in buckets] == [1, 700]
+    assert 1 < len(buckets[0][1]) <= _MAX_CHAIN
+    a = 0b1011
+    assert measure(g, a, 6).coeffs == plain_walks(g, a, full_mask(g) ^ a, 6)

@@ -311,6 +311,21 @@ def test_induced_action_from_cut_maps():
     assert len(triv.edge_orbits()) == 2
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [{"u": "w"}, {"u": "x", "w": "u"}, {"u": "u", "w": "u"}],
+    ids=["misses-a-vertex", "leaves-the-universe", "not-injective"],
+)
+def test_induce_action_refuses_a_vertex_map_that_is_no_bijection(perm):
+    _g, system = k2_pair()
+    with pytest.raises(TreeError) as err:
+        induce_action(paired_tree(system), z2(), vertex_perms={"s": perm})
+    assert str(err.value) == (
+        "vertex permutation for generator 's' is not a bijection of the "
+        "universe vertices"
+    )
+
+
 def cycle_singleton_tree(n):
     """Paired tree of the n singleton cuts of the n-cycle v0..v(n-1) and
     their complements: 2n + 1 vertices, 2n edges."""
