@@ -34,14 +34,17 @@ agree everywhere.  That length stays the reported contract.  The sieve
 decides on less: `atom_pair_prefix` walks the k blocks of the coarsest
 equitable partition that refines the atoms instead of the |V| vertices, and
 two of its series that agree below degree k agree at every degree (the
-proof is in `sieve.classify`'s docstring).
+proof is in `sieve.classify`'s docstring).  All atoms share that walk: their
+start vectors are packed into disjoint bit lanes of one vector, wide enough
+that no count carries into the next lane (`_atom_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat, zip_longest
-from operator import add, itemgetter
+from collections import Counter
+from itertools import chain, repeat, zip_longest
+from operator import add, itemgetter, lshift
 
 from .cuts import bits_of_members, full_mask, universe_graph, Cut
 
@@ -471,12 +474,37 @@ def _quotient(universe, atoms):
 
 
 def _atom_table(quotient, L):
+    """P[l][i][j] from one packed walk: lane i of the start vector holds
+    atom i's start vector at bit i * b, one `_walk_counts` call sums the
+    packed vector over each atom's end blocks, and lane i of end j's sum,
+    read by shift and mask, is the series of atom i into atom j.
+
+    The lanes stay apart because every count fits in b bits, for
+    b = (|V| * max(D, 1)^L).bit_length() and D the largest vertex degree.
+    Proof: let v_l be atom i's vector at level l (entry X counts the
+    length-l walks from atom i that end in block X) and t_l = sum_X v_l[X]
+    the number of length-l walks from atom i.  A step gives
+    v_(l+1)[Y] = sum of v_l over row Y, so t_(l+1) = sum_X d_X v_l[X] <=
+    D t_l, where d_X, the number of times block X occurs in the rows, is
+    the degree of every vertex of X.  So t_l <= |atom i| D^l <= |V|
+    max(D, 1)^L < 2^b for l <= L (D = 0 leaves walks of length 0 only),
+    and every entry v_l[X] and end sum P[l][i][j] lies in [0, t_l].  The
+    kernel only adds, so entry X of the packed vector at level l is
+    sum_i v_l[X] 2^(i b) and end j's sum is sum_i P[l][i][j] 2^(i b): a
+    number whose base-2^b digits are the counts, read off exactly."""
     rows, starts, ends = quotient
-    pairs = [(i, end) for i in range(len(starts)) for end in ends]
-    counts = iter(_walk_counts(_walk_plan(rows), starts, pairs, L))
-    # by_start[i][l][j]: the series of atom i into atom j, read level-major
-    by_start = [tuple(zip(*islice(counts, len(ends)))) for _ in starts]
-    return tuple(tuple(b[l] for b in by_start) for l in range(L + 1))
+    degree = max(Counter(chain.from_iterable(rows)).values(), default=0)
+    b = (sum(map(sum, starts)) * max(degree, 1) ** L).bit_length()
+    shifts = [i * b for i in range(len(starts))]
+    start = [sum(map(lshift, col, shifts)) for col in zip(*starts)]
+    counts = _walk_counts(_walk_plan(rows), [start], [(0, end) for end in ends], L)
+    mask = (1 << b) - 1
+    # level l holds, per atom i, lane i of every end's sum; without atoms,
+    # the L + 1 levels are empty
+    return tuple(
+        tuple([tuple([(x >> s) & mask for x in sums]) for s in shifts])
+        for sums in zip(*counts)
+    ) or ((),) * (L + 1)
 
 
 def atom_pair_table(universe, atoms, L):
@@ -484,6 +512,8 @@ def atom_pair_table(universe, atoms, L):
     atoms that partition the vertices, walked on the atoms' equitable
     quotient.  Lets callers assemble the series of every union of atoms by
     addition."""
+    if L < 0:
+        raise SeriesError("L must be >= 0")
     return _atom_table(_quotient(universe, atoms), L)
 
 

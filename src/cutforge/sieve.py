@@ -17,7 +17,8 @@ how many coefficients `full_series` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
+from operator import add, sub
 
 from .cuts import (
     Cut,
@@ -71,29 +72,39 @@ def _is_union(m, blocks):
 
 
 def _series_by_mask(table, a, L):
-    """Series of every atom union, assembled incrementally: adding atom k to
-    a set gains the walks k -> outside and loses the walks inside -> k."""
-    out = [None] * (1 << a)
-    out[0] = (0,) * (L + 1)
-    for m in range(1, 1 << a):
-        k = (m & -m).bit_length() - 1
-        prev = m ^ (1 << k)
-        base = out[prev]
-        coeffs = []
-        for l in range(L + 1):
-            row = table[l][k]
-            gain = 0
-            for j in range(a):
-                if not (m >> j) & 1:
-                    gain += row[j]
-            loss = 0
-            pm = prev
-            while pm:
-                i = (pm & -pm).bit_length() - 1
-                loss += table[l][i][k]
-                pm &= pm - 1
-            coeffs.append(base[l] + gain - loss)
-        out[m] = tuple(coeffs)
+    """Series of every atom union, one lane operation per mask.
+
+    Write T_ij for the lane (table[0][i][j], ..., table[L][i][j]) of walks
+    from atom i into atom j, add and subtract lanes degree by degree, and
+    let c(m) = sum over i in m, j not in m of T_ij, the series of the union
+    of the atoms in mask m.  Let k be the lowest atom of m and p = m - {k},
+    so p holds only atoms above k.  Then
+        c(m) = c(p) + F_k(p),  F_k(p) = (R_k - T_kk) - D_k(p),
+    with R_k = sum over every j of T_kj and D_k(p) = sum over i in p of
+    (T_ki + T_ik).  Proof: split the sum of c(m) at i = k.  The atoms
+    outside m are those outside p less k, so the part with i in p is c(p)
+    less the walks from p into k, sum over i in p of T_ik; and the part
+    with i = k is the walks from k to every atom but k and those of p,
+    R_k - T_kk - sum over i in p of T_ki.  No symmetry of T is used.
+    F_k is a subset sum over the atoms above k, built by the same rule:
+    F_k(empty) = R_k - T_kk, and F_k(q) = F_k(q - {i}) - (T_ki + T_ik) for
+    any atom i of q (the build takes the highest, so F_k stays in mask
+    order).  Atom k runs from a - 1 down to 0, so c(p) is known when the
+    masks with lowest atom k need it: p is empty, with c = 0, or has a
+    higher lowest atom.  A mask costs two `map` passes over its L + 1
+    lanes, and F_k lives only while atom k is built."""
+    zero = (0,) * (L + 1)
+    lanes = list(zip(*map(chain.from_iterable, table)))  # lanes[i*a + j] = T_ij
+    out = [zero] * (1 << a)
+    for k in reversed(range(a)):
+        row = lanes[k * a:(k + 1) * a]
+        # f[q]: F_k of the atoms k + 1 + t for the bits t of q
+        f = [tuple(map(sum, zip(zero, *row[:k], *row[k + 1:])))]
+        for i in range(k + 1, a):
+            s = tuple(map(add, row[i], lanes[i * a + k]))
+            f += [tuple(map(sub, x, s)) for x in f]
+        # the masks with lowest atom k, 2^k + q 2^(k+1), from p = q 2^(k+1)
+        out[1 << k::2 << k] = [tuple(map(add, c, x)) for c, x in zip(out[::2 << k], f)]
     return out
 
 

@@ -311,6 +311,21 @@ def test_measure_of_the_z2_radius_10_cut_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == Z2_R10_MEASURE_SHA256
 
 
+# sha256 of `sieve --json` on the 5-vertex path of tests/data/p5_cuts.json: the
+# full series of every element at the certified length L = 21, where the packed
+# atom walk's lanes are widest.  Update it only together with a CHANGES.md entry
+# that says why the series moved.
+SIEVE_P5_JSON_SHA256 = "71378f206268e2e63afbb06ecce0461e5cb9661533de5a1aff9bf6b4b5c8227b"
+
+
+def test_sieve_json_of_the_p5_cuts_is_pinned(capsys):
+    assert main(["sieve", "--cuts", str(DATA / "p5_cuts.json"), "--json"]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert (data["L"], data["certified"]) == (21, True)
+    assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_P5_JSON_SHA256
+
+
 # Every split cell of this grid ends in a report or a named refusal, never in
 # an internal error: at the default radius, and at radii too small for a
 # balanced cut (R = 0, 1) or for its translates (R = 2, 3).

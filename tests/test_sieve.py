@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -262,6 +263,91 @@ def test_atom_pair_table_equals_the_vertex_walk(seed):
         n = algebra.universe.nv
         for L in (0, 1, n, certified_length(algebra.universe)):
             assert atom_pair_table(algebra.universe, algebra.atoms, L) == _walk_table(algebra, L)
+
+
+def _lane_width_cells():
+    """(name, algebra) cells that push the lane width of the packed atom walk
+    (|V| times the largest degree to the L, in bits): a hub with loops and
+    parallel edges, a one-vertex atom beside a large atom, one atom, twelve
+    atoms, and regular multigraphs whose walk counts reach the bound."""
+    hub = Graph(
+        ["h"] + ["x%d" % i for i in range(5)],
+        [("l%d" % i, "h", "h") for i in range(6)]
+        + [("p%d_%d" % (i, r), "h", "x%d" % i) for i in range(5) for r in range(3)]
+        + [("q", "x0", "x1")],
+    )
+    path = Graph(["v%d" % i for i in range(20)],
+                 [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(19)]
+                 + [("s", "v0", "v0")])
+    # a 20-cycle with a loop at every vertex: 4-regular, so the walks of
+    # length l from a set S number exactly |S| 4^l; from the 19-vertex atom
+    # about 18 4^l end in it, as many bits as the bound 20 4^l takes
+    ring = Graph(["r%d" % i for i in range(20)],
+                 [("c%d" % i, "r%d" % i, "r%d" % ((i + 1) % 20)) for i in range(20)]
+                 + [("o%d" % i, "r%d" % i, "r%d" % i) for i in range(20)])
+    rng = random.Random("sieve-lanes")
+    names = ["w%d" % i for i in range(14)]
+    dense = Graph(names,
+                  [("t%d" % i, names[rng.randrange(i)], names[i]) for i in range(1, 14)]
+                  + [("y%d" % i, rng.choice(names), rng.choice(names)) for i in range(20)])
+    twelve = [1 << i for i in range(10)] + [0b11 << 10, 0b11 << 12]
+    return [
+        ("hub", CutAlgebra(hub, [1, full_mask(hub) ^ 1])),
+        ("hub-leaves", CutAlgebra(hub, [0b1, 0b110, 0b111000])),
+        ("one-vertex-atom", CutAlgebra(path, [1, full_mask(path) ^ 1])),
+        ("one-atom-hub", CutAlgebra(hub, [full_mask(hub)])),
+        ("one-atom-ring", CutAlgebra(ring, [full_mask(ring)])),
+        ("ring-1-19", CutAlgebra(ring, [1, full_mask(ring) ^ 1])),
+        ("twelve-atoms", CutAlgebra(dense, twelve)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _lane_width_cells()])
+def test_packed_atom_walk_equals_the_vertex_walk_at_the_certified_length(name):
+    """atom_pair_table packs every atom's walk into one vector, lane i at
+    bit i * b; at the certified length the counts are at their widest, and
+    every lane must read what the plain per-vertex walk counts."""
+    algebra = dict(_lane_width_cells())[name]
+    L = certified_length(algebra.universe)
+    table = atom_pair_table(algebra.universe, algebra.atoms, L)
+    assert table == _walk_table(algebra, L)
+    if name == "one-atom-ring":  # the bound is met
+        assert table[L] == ((20 * 4 ** L,),)
+    if name == "ring-1-19":  # one lane of two fills its width
+        assert table[L][1][1].bit_length() == (20 * 4 ** L).bit_length()
+
+
+def test_series_by_mask_equals_a_plain_union_sum():
+    """On seeded integer tables that are not symmetric (nor nonnegative),
+    the series of every mask is the plain sum of T[l][i][j] over i in the
+    mask and j outside it, for 0 to 9 atoms and L from 0 to 6."""
+    rng = random.Random("sieve-masks")
+    for a, L in itertools.product(range(10), range(7)):
+        table = [
+            [[rng.randrange(-9, 1000) for _j in range(a)] for _i in range(a)]
+            for _l in range(L + 1)
+        ]
+        got = _series_by_mask(table, a, L)
+        assert len(got) == 1 << a
+        for m in range(1 << a):
+            inside = [i for i in range(a) if (m >> i) & 1]
+            outside = [j for j in range(a) if not (m >> j) & 1]
+            want = tuple(
+                sum(table[l][i][j] for i in inside for j in outside) for l in range(L + 1)
+            )
+            assert got[m] == want, (a, L, m)
+
+
+def test_a_negative_length_is_refused_like_transfer_counts():
+    g = p4()
+    algebra = boolean_closure([cut_from_members(g, ["a", "b"])])
+    for call in (
+        lambda: atom_pair_table(g, algebra.atoms, -1),
+        lambda: full_series(classify(algebra), -1),
+        lambda: series_mod.transfer_counts(g, ("measure", 0b11), -1),
+    ):
+        with pytest.raises(series_mod.SeriesError, match=r"^L must be >= 0$"):
+            call()
 
 
 def _annihilator_degree(algebra):
