@@ -547,12 +547,7 @@ def check_action_surgery():
     t = _Tally()
     z2 = TableOracle(["e", "s"], [[0, 1], [1, 0]], ["s"])
     g = Graph(["a", "m", "b"], [("l", "a", "m"), ("r", "b", "m")])
-    act = TreeAction(
-        g,
-        z2,
-        {0: (0, 1, 2), 1: (2, 1, 0)},
-        {0: (0, 1), 1: (1, 0)},
-    )
+    act = TreeAction(g, z2, {0: (0, 1, 2), 1: (2, 1, 0)})
     t.hit(act.vertex_orbits() == ((0, 2), (1,)), "reflection vertex orbits wrong")
     t.hit(act.edge_orbits() == ((0, 1),), "reflection edge orbits wrong")
     t.hit(

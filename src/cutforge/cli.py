@@ -43,17 +43,18 @@ def _parse_group(spec):
     """kind:args shorthand (zd:1, free:2, free_product:2,2) or a JSON path."""
     if ":" in spec and not os.path.exists(spec):
         kind, _, rest = spec.partition(":")
+        field = {"zd": "d", "free": "k", "free_product": "orders"}.get(kind)
+        if field is None:
+            raise GroupError("unknown group shorthand %r" % (spec,))
         try:
-            if kind == "zd":
-                return make_oracle({"kind": "zd", "d": int(rest)})
-            if kind == "free":
-                return make_oracle({"kind": "free", "k": int(rest)})
-            if kind == "free_product":
-                orders = [int(x) for x in rest.split(",") if x]
-                return make_oracle({"kind": "free_product", "orders": orders})
+            if field == "orders":
+                value = [int(x) for x in rest.split(",") if x]
+            else:
+                value = int(rest)
         except ValueError:
             raise GroupError("bad group shorthand %r" % (spec,))
-        raise GroupError("unknown group shorthand %r" % (spec,))
+        # only the parse is wrapped: make_oracle's own refusals name the rule
+        return make_oracle({"kind": kind, field: value})
     with open(spec) as fh:
         return make_oracle(json.load(fh))
 

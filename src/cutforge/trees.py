@@ -17,23 +17,25 @@ query on them: orbits as reachability classes, stabilizers, fixed vertices
 Over a Cayley ball it is word-bounded evidence; its edge images are the
 left translates that sieve.select_nested_generating made to close its
 classes under the action (`Selection.images`), not new ones.  TreeAction is
-its subclass for a full action of a finite group, verified once when made
-(homomorphism plus incidence); compressible collapse, blow-up and the size
-polynomial take one and read the same queries.  Collapse checks at every
-step that the maximal vertex stabilizers stay the same, which is the
-Dicks-Dunwoody condition that the vertex substabilizers stay the same.
+its subclass for a full action of a finite group, made from vertex maps
+alone and verified once (bijections, trivial identity, homomorphism);
+compressible collapse, blow-up and the size polynomial take one and read
+the same queries.  Collapse checks at every step that the maximal vertex
+stabilizers stay the same, which is the Dicks-Dunwoody condition that the
+vertex substabilizers stay the same.
 
-Wherever edge images are the evidence, vertices move by one rule,
-_agreeing_map: a vertex map is read off (point, image) evidence pairs, and
-a point's image is the one value its pairs name.  The pairs come from edge
-incidences (an edge with a known image sends its source to the image's
-source and its target to the image's target) and, under a collapse, from
-(block of x, block of the image of x).  When two pairs disagree the
-evidence is not a map: a full action raises TreeError, while a partial
-action drops the whole word, whose vertex and edge images all become None.
-blow_up runs the other way: it starts from the fiber vertex actions and
-reads each edge image off the images of its endpoints, since a tree has one
-edge per ordered pair of vertices.
+The vertex/edge relation lives in two places, one per direction.  Where
+edge images are the evidence (partial actions, collapse, the generators of
+induce_action), vertices move by _agreeing_map: a vertex map is read off
+(point, image) evidence pairs, and a point's image is the one value its
+pairs name.  The pairs come from edge incidences (an edge with a known
+image sends its source to the image's source and its target to the image's
+target) and, under a collapse, from (block of x, block of the image of x).
+When two pairs disagree the evidence is not a map: a full action raises
+TreeError, while a partial action drops the whole word, whose vertex and
+edge images all become None.  A full action runs the other way: TreeAction
+reads each edge image off the images of its endpoints, since a tree has
+one edge per ordered pair of vertices.
 """
 
 from __future__ import annotations
@@ -437,79 +439,82 @@ class PartialAction:
 
 
 class TreeAction(PartialAction):
-    """Full action of a finite group on a tree, verified once, when made:
-    every element permutes the vertices and the edges, commuting with
-    incidences, and the maps compose as the group multiplies.  Its words are
-    the group elements in oracle order, written by el_str; vertex_maps is a
-    read-only view {element: vertex map}."""
+    """Full action of a finite group on a tree, given by its vertex maps and
+    verified once, when made: every element permutes the vertices, the
+    identity fixes them all, and the maps compose as the group multiplies.
+    A tree has one edge per ordered pair of vertices, so the image of the
+    edge (s, d) is read off as the edge at (image of s, image of d); a map
+    that sends an edge to no edge is no automorphism and is refused.  Its
+    words are the group elements in oracle order, written by el_str;
+    vertex_maps is a read-only view {element: vertex map}."""
 
     __slots__ = ("oracle", "vertex_maps")
 
-    def __init__(self, graph, oracle, vertex_maps, edge_maps):
+    def __init__(self, graph, oracle, vertex_maps):
         if not oracle.finite_kind:
             raise TreeError("tree actions need a finite group oracle")
         if not is_tree(graph):
             raise TreeError("tree actions need a tree")
         els = tuple(oracle.elements())
-        if set(vertex_maps) != set(els) or set(edge_maps) != set(els):
+        if set(vertex_maps) != set(els):
             raise TreeError("action must map every group element")
+        vms = [tuple(vertex_maps[a]) for a in els]
         at = {a: i for i, a in enumerate(els)}
+        vs = tuple(range(graph.nv))
+        if vms[at[oracle.identity()]] != vs:
+            raise TreeError("identity does not act trivially on vertices")
+        edge_at = {pair: k for k, pair in enumerate(graph.index_edges)}
+        ems = []
+        for a, vm in zip(els, vms):
+            if tuple(sorted(vm)) != vs:
+                raise TreeError("element %s does not act bijectively" % (a,))
+            em = [edge_at.get((vm[s], vm[d])) for s, d in graph.index_edges]
+            if None in em:
+                raise TreeError(
+                    "element %s is not a tree automorphism at %r"
+                    % (a, graph.edges[em.index(None)][0])
+                )
+            ems.append(em)
+        for a, va in zip(els, vms):
+            for b, vb in zip(els, vms):
+                if vms[at[oracle.multiply(a, b)]] != tuple(va[y] for y in vb):
+                    raise TreeError("vertex maps are not a homomorphism")
         super().__init__(
             graph,
             [(a, oracle.el_str(a)) for a in els],
             [at[gel] for _name, gel in oracle.generators()],
-            [vertex_maps[a] for a in els],
-            [edge_maps[a] for a in els],
+            vms,
+            ems,
         )
         self.oracle = oracle
         self.vertex_maps = MappingProxyType(dict(zip(els, self.vertex_images)))
-        vms, ems = self.vertex_images, self.edge_images
-        vs, es = range(graph.nv), range(graph.ne)
-        ident = at[oracle.identity()]
-        if vms[ident] != tuple(vs):
-            raise TreeError("identity does not act trivially on vertices")
-        if ems[ident] != tuple(es):
-            raise TreeError("identity does not act trivially on edges")
-        for a, vm, em in zip(els, vms, ems):
-            if sorted(vm) != list(vs) or sorted(em) != list(es):
-                raise TreeError("element %s does not act bijectively" % (a,))
-            if any(vm[x] != y for x, y in _incidence_pairs(graph, em)):
-                raise TreeError("incidence broken: element %s" % (a,))
-        for a, va, ea in zip(els, vms, ems):
-            for b, vb, eb in zip(els, vms, ems):
-                ab = at[oracle.multiply(a, b)]
-                if vms[ab] != tuple(va[y] for y in vb):
-                    raise TreeError("vertex maps are not a homomorphism")
-                if ems[ab] != tuple(ea[j] for j in eb):
-                    raise TreeError("edge maps are not a homomorphism")
 
     def elements(self):
         return tuple(el for el, _w in self.words)
 
     def collapse(self, edge_ids):
         """Collapse an action-closed edge set; returns the induced action."""
-        newg, vmaps, emaps = _collapse(
+        newg, vmaps, _emaps = _collapse(
             self.graph, edge_ids, self.vertex_images, self.edge_images
         )
         if None in vmaps:
             raise TreeError("collapse produced an inconsistent action")
-        els = self.elements()
-        return TreeAction(
-            newg, self.oracle, dict(zip(els, vmaps)), dict(zip(els, emaps))
-        )
+        return TreeAction(newg, self.oracle, dict(zip(self.elements(), vmaps)))
 
 
 def induce_action(stree, oracle, vertex_perms):
     """Action of a finite group on a structure tree, from vertex_perms
     (generator name -> universe vertex permutation dict): each generator
-    moves the cuts as sets.  The family must be closed under the action."""
+    moves the cuts as sets, and its tree vertex map is read off that cut map
+    by _agreeing_map.  The family must be closed under the action.  The
+    vertex maps of the other elements are composed along the search tree of
+    the group, and TreeAction derives the edge images back from them."""
     system = stree.system
     n = len(system.cuts)
     bits_to_idx = system.bits_index
     if n:  # a system without cuts has no universe to read
         g_univ = universe_graph(system.universe)
-        full = full_mask(g_univ)
-        comp_idx = [bits_to_idx[full ^ c.bits] for c in system.cuts]
+    g = stree.graph
     gen_maps = {}
     for name, _el in oracle.generators():
         if name not in vertex_perms:
@@ -532,11 +537,14 @@ def induce_action(stree, oracle, vertex_perms):
                     % (_cut_name(system, i),)
                 )
             amap.append(bits_to_idx[img])
-        if any(amap[comp_idx[i]] != comp_idx[amap[i]] for i in range(n)):
+        # a tree with edges has every vertex on one; a tree without has one
+        vm = _agreeing_map(g.nv, _incidence_pairs(g, amap)) if g.ne else (0,)
+        if vm is None:
             raise TreeError(
-                "cut map for %r does not commute with complementation" % (name,)
+                "cut maps do not move the tree (they do not preserve the "
+                "nesting order)"
             )
-        gen_maps[name] = tuple(amap)
+        gen_maps[name] = vm
 
     # compose along the search tree of the whole group; relations are
     # re-verified by the TreeAction constructor
@@ -544,29 +552,16 @@ def induce_action(stree, oracle, vertex_perms):
     for name, _el, gj in _letters(oracle):
         if gj is None:  # the inverse permutation of the letter before it
             prev = letter_maps[-1]
-            letter_maps.append(tuple(sorted(range(n), key=prev.__getitem__)))
+            letter_maps.append(tuple(sorted(range(g.nv), key=prev.__getitem__)))
         else:
             letter_maps.append(gen_maps[name])
     order = len(oracle.elements())
     bv = ball(oracle, order, cap=order)
-    maps = [tuple(range(n))]
+    maps = [tuple(range(g.nv))]
     for parent, letter in search_tree(bv)[1:]:
         base = maps[parent]
         maps.append(tuple(base[i] for i in letter_maps[letter]))
-    cut_action = dict(zip(bv.elements, maps))
-
-    # a tree with edges has every vertex on one; a tree without has one vertex
-    g = stree.graph
-    vertex_maps = {}
-    for el, amap in cut_action.items():
-        vm = _agreeing_map(g.nv, _incidence_pairs(g, amap)) if g.ne else (0,)
-        if vm is None:
-            raise TreeError(
-                "cut maps do not move the tree (they do not preserve the "
-                "nesting order)"
-            )
-        vertex_maps[el] = vm
-    return TreeAction(g, oracle, vertex_maps, cut_action)
+    return TreeAction(g, oracle, dict(zip(bv.elements, maps)))
 
 
 def is_compressible(action, edge_id):
@@ -674,9 +669,10 @@ def blow_up(action, fibers):
     entry keep a single-vertex fiber.  Each side of an orbit-representative
     edge attaches at the first fiber vertex, in fiber order, that the edge
     stabilizer fixes, and the rest of the orbit at its translates; a fiber
-    with no such vertex (its action inverts an edge) is refused.  Every
-    edge image is read off the images of its endpoints.  The result
-    collapses back to the base along the fiber edges (asserted)."""
+    with no such vertex (its action inverts an edge) is refused.  The
+    result is made from its vertex maps alone, so TreeAction refuses a
+    fiber action that is no tree automorphism.  It collapses back to the
+    base along the fiber edges (asserted)."""
     g = action.graph
     oracle = action.oracle
     vorbits = action.vertex_orbits()
@@ -685,6 +681,8 @@ def blow_up(action, fibers):
         for v in orb:
             rep_of_vertex[v] = orb[0]
     for vid in fibers:
+        if vid not in g.vindex:
+            raise TreeError("fiber given for %r, which is not a tree vertex" % (vid,))
         vi = g.vindex[vid]
         if rep_of_vertex[vi] != vi:
             raise TreeError(
@@ -783,29 +781,14 @@ def blow_up(action, fibers):
         dv, dx = attach[(k, 1)]
         new_edges.append((e, fiber_point(sv, sx), fiber_point(dv, dx)))
     newg = Graph(new_vertices, new_edges)
-    # a tree has one edge per ordered pair of vertices
-    edge_at = {pair: k for k, pair in enumerate(newg.index_edges)}
-
-    vertex_maps = {}
-    edge_maps = {}
-    for a in action.elements():
-        nvm = []
-        for v in range(g.nv):
-            for x in fiber_tree[rep_of_vertex[v]].vertices:
-                v2, x2 = act_point(a, v, x)
-                nvm.append(newg.vindex[fiber_point(v2, x2)])
-        nem = []
-        for k, (si, di) in enumerate(newg.index_edges):
-            img = edge_at.get((nvm[si], nvm[di]))
-            if img is None:
-                raise TreeError(
-                    "fiber action is not a tree automorphism at %r"
-                    % (newg.edges[k][0],)
-                )
-            nem.append(img)
-        vertex_maps[a] = tuple(nvm)
-        edge_maps[a] = tuple(nem)
-    out = TreeAction(newg, oracle, vertex_maps, edge_maps)
+    points = [
+        (v, x) for v in range(g.nv) for x in fiber_tree[rep_of_vertex[v]].vertices
+    ]
+    vertex_maps = {
+        a: tuple(newg.vindex[fiber_point(*act_point(a, v, x))] for v, x in points)
+        for a in action.elements()
+    }
+    out = TreeAction(newg, oracle, vertex_maps)
 
     # collapsing the fibers must give back the base
     collapsed, vmap = collapse_blocks(newg, fiber_edge_ids)

@@ -508,6 +508,20 @@ def test_malformed_group_file_is_reported(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "spec, why",
+    [
+        ("zd:0", "zd needs d >= 1"),
+        ("free:0", "free needs k >= 1"),
+        ("free_product:1", "free_product needs cyclic orders >= 2"),
+        ("zd:x", "bad group shorthand 'zd:x'"),
+    ],
+)
+def test_group_shorthand_refusal_names_its_rule(capsys, spec, why):
+    assert main(["cayley", "--group", spec, "--radius", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % (why,))
+
+
 CUT_OBJECT = "a cut must be a JSON object with 'members' or 'members_words'"
 # (command, file name, file content, its one error line).  The test writes
 # the chain graph as chain.json and two malformed graphs beside the file.

@@ -224,18 +224,18 @@ def test_vertex_embed_t_mode_only():
         vertex_embed(unpaired_tree(chain), "a")
 
 
+def path3():
+    return Graph(["a", "m", "b"], [("l", "a", "m"), ("r", "b", "m")])
+
+
 def reflection_action():
-    g = Graph(["a", "m", "b"], [("l", "a", "m"), ("r", "b", "m")])
-    return TreeAction(
-        g,
-        z2(),
-        {0: (0, 1, 2), 1: (2, 1, 0)},
-        {0: (0, 1), 1: (1, 0)},
-    )
+    return TreeAction(path3(), z2(), {0: (0, 1, 2), 1: (2, 1, 0)})
 
 
 def test_tree_action_orbits_and_stabilizers():
     act = reflection_action()
+    # each edge image is the edge at the images of its endpoints
+    assert act.edge_images == ((0, 1), (1, 0))
     assert act.vertex_orbits() == ((0, 2), (1,))
     assert act.edge_orbits() == ((0, 1),)
     assert act.vertex_stabilizer(1) == frozenset([0, 1])
@@ -262,15 +262,35 @@ def test_tree_action_is_the_partial_action_queries():
 
 def test_action_with_inversion_rejected():
     g = Graph(["u", "w"], [("uw", "u", "w")])
-    with pytest.raises(TreeError):
-        TreeAction(g, z2(), {0: (0, 1), 1: (1, 0)}, {0: (0,), 1: (0,)})
+    with pytest.raises(TreeError) as err:
+        TreeAction(g, z2(), {0: (0, 1), 1: (1, 0)})
+    assert str(err.value) == "element 1 is not a tree automorphism at 'uw'"
 
 
 def test_action_homomorphism_verified():
-    g = Graph(["a", "m", "b"], [("l", "a", "m"), ("r", "b", "m")])
-    with pytest.raises(TreeError):
-        # s mapped to a non-involution permutation cannot be a homomorphism
-        TreeAction(g, z2(), {0: (0, 1, 2), 1: (1, 2, 0)}, {0: (0, 1), 1: (1, 0)})
+    g = Graph(
+        ["c", "x", "y", "z"], [("ex", "x", "c"), ("ey", "y", "c"), ("ez", "z", "c")]
+    )
+    # the rotation of the three-leaf star is an automorphism, but s is an
+    # involution and the rotation is not
+    with pytest.raises(TreeError) as err:
+        TreeAction(g, z2(), {0: (0, 1, 2, 3), 1: (0, 2, 3, 1)})
+    assert str(err.value) == "vertex maps are not a homomorphism"
+
+
+@pytest.mark.parametrize(
+    "vertex_maps, why",
+    [
+        ({0: (0, 1, 2)}, "action must map every group element"),
+        ({0: (0, 1, 2), 1: (2, 2, 0)}, "element 1 does not act bijectively"),
+        ({0: (2, 1, 0), 1: (0, 1, 2)}, "identity does not act trivially on vertices"),
+    ],
+    ids=["missing-element", "not-bijective", "identity-moves"],
+)
+def test_tree_action_refusals(vertex_maps, why):
+    with pytest.raises(TreeError) as err:
+        TreeAction(path3(), z2(), vertex_maps)
+    assert str(err.value) == why
 
 
 def test_compressible_and_collapse():
@@ -303,7 +323,7 @@ def test_induced_action_from_cut_maps():
     _g, system = k2_pair()
     t = paired_tree(system)
     act = induce_action(t, z2(), vertex_perms={"s": {"u": "w", "w": "u"}})
-    assert act.edge_images[1] == (1, 0)  # the swap induces the cut swap
+    assert act.edge_images == ((0, 1), (1, 0))  # the swap induces the cut swap
     assert len(act.edge_orbits()) == 1
     # mapping s to the identity permutation is the (legal) trivial action
     triv = induce_action(t, z2(), vertex_perms={"s": {"u": "u", "w": "w"}})
@@ -324,6 +344,31 @@ def test_induce_action_refuses_a_vertex_map_that_is_no_bijection(perm):
         "vertex permutation for generator 's' is not a bijection of the "
         "universe vertices"
     )
+
+
+def test_induce_action_refusals():
+    _g, system = k2_pair()
+    with pytest.raises(TreeError) as err:
+        induce_action(paired_tree(system), z2(), vertex_perms={})
+    assert str(err.value) == "missing vertex permutation for generator 's'"
+    g = Graph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
+    a = cut_from_members(g, ["a"], "A")
+    tree = paired_tree(verify_system([a, a.complement()]))
+    with pytest.raises(TreeError) as err:
+        induce_action(tree, z2(), vertex_perms={"s": {"a": "c", "b": "b", "c": "a"}})
+    assert str(err.value) == "family not closed under the action: image of 'A' escapes"
+
+
+def test_induced_action_on_an_unpaired_tree():
+    g = Graph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
+    system = verify_system(
+        [cut_from_members(g, ["a"], "A"), cut_from_members(g, ["c"], "C")]
+    )
+    act = induce_action(
+        unpaired_tree(system), z2(), vertex_perms={"s": {"a": "c", "b": "b", "c": "a"}}
+    )
+    assert act.vertex_maps == {0: (0, 1, 2), 1: (2, 1, 0)}
+    assert act.edge_images == ((0, 1), (1, 0))
 
 
 def cycle_singleton_tree(n):
@@ -470,7 +515,7 @@ def test_blow_up_path_fiber():
 def _fixed_edge_action():
     """Z/2 acting trivially on the edge l: a -> m."""
     g = Graph(["a", "m"], [("l", "a", "m")])
-    return TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (0,)})
+    return TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)})
 
 
 def test_blow_up_attaches_at_a_vertex_the_edge_stabilizer_fixes():
@@ -490,6 +535,46 @@ def test_blow_up_refuses_a_fiber_whose_action_inverts_an_edge():
     assert str(exc.value) == (
         "no vertex of the fiber of 'm' is fixed by the stabilizer of edge 'l'"
     )
+
+
+PATH_FIBER = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
+
+
+@pytest.mark.parametrize(
+    "fibers, why",
+    [
+        ({"q": (PATH_FIBER, {})}, "fiber given for 'q', which is not a tree vertex"),
+        (
+            {"b": (PATH_FIBER, {})},
+            "fiber must be assigned to the orbit representative 'a'",
+        ),
+        ({"m": (Graph(["x", "y"], []), {})}, "fiber of 'm' is not a tree"),
+        (
+            {"m": (PATH_FIBER, {})},
+            "fiber action of 'm' is missing stabilizer element 1",
+        ),
+        (
+            {"m": (PATH_FIBER, {1: {"x": "x", "y": "x", "c": "c"}})},
+            "fiber action of 'm' is not a permutation",
+        ),
+        (
+            {"m": (PATH_FIBER, {1: {"x": "c", "c": "x", "y": "y"}})},
+            "element 1 is not a tree automorphism at 'm|f1'",
+        ),
+    ],
+    ids=[
+        "unknown-vertex",
+        "not-a-representative",
+        "not-a-tree",
+        "missing-element",
+        "not-a-permutation",
+        "not-an-automorphism",
+    ],
+)
+def test_blow_up_refuses_a_bad_fiber(fibers, why):
+    with pytest.raises(TreeError) as err:
+        blow_up(reflection_action(), fibers)
+    assert str(err.value) == why
 
 
 def test_size_polynomial_str():
