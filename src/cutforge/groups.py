@@ -42,9 +42,15 @@ def _vertex_cap(explicit=None):
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise GroupError("%s must be a positive integer, not %r" % (CAP_ENV_VAR, env))
+    return cap
 
 
 def _int(value, what):

@@ -30,12 +30,16 @@ induce_action), vertices move by _agreeing_map: a vertex map is read off
 (point, image) evidence pairs, and a point's image is the one value its
 pairs name.  The pairs come from edge incidences (an edge with a known
 image sends its source to the image's source and its target to the image's
-target) and, under a collapse, from (block of x, block of the image of x).
-When two pairs disagree the evidence is not a map: a full action raises
-TreeError, while a partial action drops the whole word, whose vertex and
-edge images all become None.  A full action runs the other way: TreeAction
-reads each edge image off the images of its endpoints, since a tree has
-one edge per ordered pair of vertices.
+target) and, under a collapse, from (block of x, block of the image of x);
+a full action's collapse pushes its vertex maps alone.  When two pairs
+disagree the evidence is not a map: a full action raises TreeError, while
+a partial action drops the whole word, whose vertex and edge images all
+become None.  A full action runs the other way: TreeAction reads each edge
+image off the images of its endpoints, since a tree has one edge per
+ordered pair of vertices.  blow_up hands it vertex maps on index points:
+a point is a (base vertex index, fiber vertex) pair, each map is a tuple
+of point indices, and the transporters that move fibers are found in one
+pass over the elements; the "v|x" ids only name the result's vertices.
 """
 
 from __future__ import annotations
@@ -334,9 +338,10 @@ def _image_pairs(maps):
 
 def _collapse(g, edge_ids, vertex_maps, edge_maps):
     """Contract the named edges of g, which the edge maps must send into
-    themselves, and push each (vertex map, edge map) pair through to the
-    quotient.  A pushed vertex map is read off the pairs (block of x, block
-    of the image of x); where those disagree it comes back as None."""
+    themselves, and push each vertex map, and each edge map if any are
+    given, through to the quotient.  A pushed vertex map is read off the
+    pairs (block of x, block of the image of x); where those disagree it
+    comes back as None."""
     idxs = set()
     for e in edge_ids:
         if e not in g.eindex:
@@ -493,12 +498,15 @@ class TreeAction(PartialAction):
         return tuple(el for el, _w in self.words)
 
     def collapse(self, edge_ids):
-        """Collapse an action-closed edge set; returns the induced action."""
-        newg, vmaps, _emaps = _collapse(
-            self.graph, edge_ids, self.vertex_images, self.edge_images
-        )
+        """Collapse an action-closed edge set; returns the induced action.
+        Only the vertex maps are pushed.  If an element sends a collapsed
+        edge onto a kept one, the collapsed edge's ends lie in one block
+        while the kept edge's ends lie in two (on a tree, a path of
+        collapsed edges between them would close a cycle), so the pushed
+        vertex map comes back None, and the set is refused."""
+        newg, vmaps, _ = _collapse(self.graph, edge_ids, self.vertex_images, ())
         if None in vmaps:
-            raise TreeError("collapse produced an inconsistent action")
+            raise TreeError("collapsed edge set is not closed under the action")
         return TreeAction(newg, self.oracle, dict(zip(self.elements(), vmaps)))
 
 
@@ -652,31 +660,30 @@ def size_polynomial(action):
 # -- blow-up --------------------------------------------------------------------
 
 
-def _first_transporter(action, images, src, dst):
-    """The first element whose map (vertex_images or edge_images of the
-    action) sends src to dst."""
-    for (a, _w), m in zip(action.words, images):
-        if m[src] == dst:
-            return a
-    raise TreeError("no transporter found (distinct orbits?)")
-
-
 def blow_up(action, fibers):
     """Equivariantly replace each vertex by a fiber tree.
 
     fibers: {vertex id of an orbit representative: (fiber Graph,
     {stabilizer element: {fiber vertex: fiber vertex}})}.  Orbits without an
-    entry keep a single-vertex fiber.  Each side of an orbit-representative
-    edge attaches at the first fiber vertex, in fiber order, that the edge
-    stabilizer fixes, and the rest of the orbit at its translates; a fiber
-    with no such vertex (its action inverts an edge) is refused.  The
-    result is made from its vertex maps alone, so TreeAction refuses a
-    fiber action that is no tree automorphism.  It collapses back to the
-    base along the fiber edges (asserted)."""
+    entry keep a single-vertex fiber.  The result's vertices are the points
+    (v, x), v a base vertex index and x a vertex of v's fiber, named "v|x";
+    its vertex maps are tuples of point indices.  Each transporter table
+    takes one pass over the elements in word order: t(v) is the first that
+    sends the representative of v's orbit to v, and a sends (v, x) to
+    (a v, t(a v)^-1 a t(v) x).  Each side of an orbit-representative edge
+    attaches at the first fiber vertex, in fiber order, that the edge
+    stabilizer fixes; a fiber with no such vertex (its action inverts an
+    edge) is refused.  Every other edge of the orbit attaches at the image
+    of that point under the first element that sends the representative
+    edge to it, which lies over the edge's own endpoint because TreeAction
+    reads an edge image off its endpoint images.  The result is made from
+    its vertex maps alone, so TreeAction refuses a fiber action that is no
+    tree automorphism.  It collapses back to the base along the fiber edges
+    (asserted on point indices)."""
     g = action.graph
     oracle = action.oracle
     vorbits = action.vertex_orbits()
-    rep_of_vertex = {}
+    rep_of_vertex = [None] * g.nv
     for orb in vorbits:
         for v in orb:
             rep_of_vertex[v] = orb[0]
@@ -695,18 +702,12 @@ def blow_up(action, fibers):
     fiber_vact = {}
     for orb in vorbits:
         rep = orb[0]
-        spec = fibers.get(g.vertices[rep])
-        if spec is None:
-            fiber_tree[rep] = single
-            fiber_vact[rep] = {a: {"*": "*"} for a in action.vertex_stabilizer(rep)}
-            continue
-        ftree, fact = spec
+        ftree, fact = fibers.get(g.vertices[rep], (single, None))
         if not is_tree(ftree):
             raise TreeError("fiber of %r is not a tree" % (g.vertices[rep],))
-        stab = action.vertex_stabilizer(rep)
         vact = {}
-        for a in stab:
-            if a == oracle.identity():
+        for a in action.vertex_stabilizer(rep):
+            if fact is None or a == oracle.identity():
                 vact[a] = {x: x for x in ftree.vertices}
                 continue
             if a not in fact:
@@ -715,89 +716,80 @@ def blow_up(action, fibers):
                     % (g.vertices[rep], a)
                 )
             vact[a] = dict(fact[a])
-            if sorted(vact[a]) != sorted(ftree.vertices) or sorted(
-                vact[a].values()
-            ) != sorted(ftree.vertices):
+            if not vact[a].keys() == set(vact[a].values()) == set(ftree.vertices):
                 raise TreeError("fiber action of %r is not a permutation" % (g.vertices[rep],))
         fiber_tree[rep] = ftree
         fiber_vact[rep] = vact
 
-    transporter = {}
-    for orb in vorbits:
-        for v in orb:
-            transporter[v] = _first_transporter(
-                action, action.vertex_images, orb[0], v
-            )
-
-    def fiber_point(v, x):
-        return "%s|%s" % (g.vertices[v], x)
+    els = action.elements()
+    eorbits = action.edge_orbits()
+    transporter, edge_transporter = {}, {}
+    for a, vm, em in zip(els, action.vertex_images, action.edge_images):
+        for orb in vorbits:
+            transporter.setdefault(vm[orb[0]], a)
+        for orb in eorbits:
+            edge_transporter.setdefault(em[orb[0]], a)
 
     def act_point(a, v, x):
-        """Image of the fiber point (v, x) under a."""
+        """Image of the point (v, x) under a."""
         v2 = action.vertex_maps[a][v]
-        rep = rep_of_vertex[v]
         inner = oracle.multiply(
             oracle.invert(transporter[v2]), oracle.multiply(a, transporter[v])
         )
-        return v2, fiber_vact[rep][inner][x]
+        return v2, fiber_vact[rep_of_vertex[v]][inner][x]
 
-    # attachment points per edge, transported from the orbit representatives
+    points = [
+        (v, x) for v in range(g.nv) for x in fiber_tree[rep_of_vertex[v]].vertices
+    ]
+    point_index = {p: i for i, p in enumerate(points)}
+    names = ["%s|%s" % (g.vertices[v], x) for v, x in points]
+
+    # attachment points per edge side, transported from the orbit representatives
     attach = {}
-    for orb in action.edge_orbits():
+    for orb in eorbits:
         rep_k = orb[0]
         stab = action.edge_stabilizer(rep_k)
         for side, vi in enumerate(g.index_edges[rep_k]):
-            choice = next(
-                (
-                    x
-                    for x in fiber_tree[rep_of_vertex[vi]].vertices
-                    if all(act_point(a, vi, x)[1] == x for a in stab)
-                ),
-                None,
+            fixed = (
+                x
+                for x in fiber_tree[rep_of_vertex[vi]].vertices
+                if all(act_point(a, vi, x)[1] == x for a in stab)
             )
+            choice = next(fixed, None)
             if choice is None:
                 raise TreeError(
                     "no vertex of the fiber of %r is fixed by the stabilizer "
                     "of edge %r" % (g.vertices[vi], g.edges[rep_k][0])
                 )
             for k in orb:
-                a = _first_transporter(action, action.edge_images, rep_k, k)
-                v2, x2 = act_point(a, vi, choice)
-                if v2 != g.index_edges[k][side]:
-                    raise TreeError("edge transport mismatch (internal)")
-                attach[(k, side)] = (v2, x2)
+                a = edge_transporter[k]
+                attach[k, side] = point_index[act_point(a, vi, choice)]
 
     # fiber edges come first, then the base edges in base order
-    new_vertices, new_edges, fiber_edge_ids = [], [], []
+    fiber_edges = []
     for v in range(g.nv):
-        ftree = fiber_tree[rep_of_vertex[v]]
-        new_vertices.extend(fiber_point(v, x) for x in ftree.vertices)
-        for (fe, fs, fd) in ftree.edges:
-            eid = "%s|%s" % (g.vertices[v], fe)
-            new_edges.append((eid, fiber_point(v, fs), fiber_point(v, fd)))
-            fiber_edge_ids.append(eid)
-    for k, (e, _s, _d) in enumerate(g.edges):
-        sv, sx = attach[(k, 0)]
-        dv, dx = attach[(k, 1)]
-        new_edges.append((e, fiber_point(sv, sx), fiber_point(dv, dx)))
-    newg = Graph(new_vertices, new_edges)
-    points = [
-        (v, x) for v in range(g.nv) for x in fiber_tree[rep_of_vertex[v]].vertices
+        for fe, fs, fd in fiber_tree[rep_of_vertex[v]].edges:
+            s, d = point_index[v, fs], point_index[v, fd]
+            fiber_edges.append(("%s|%s" % (g.vertices[v], fe), names[s], names[d]))
+    base_edges = [
+        (e, names[attach[k, 0]], names[attach[k, 1]])
+        for k, (e, _s, _d) in enumerate(g.edges)
     ]
+    newg = Graph(names, fiber_edges + base_edges)
     vertex_maps = {
-        a: tuple(newg.vindex[fiber_point(*act_point(a, v, x))] for v, x in points)
-        for a in action.elements()
+        a: tuple(point_index[act_point(a, v, x)] for v, x in points)
+        for a in els
     }
     out = TreeAction(newg, oracle, vertex_maps)
 
-    # collapsing the fibers must give back the base
-    collapsed, vmap = collapse_blocks(newg, fiber_edge_ids)
-    if collapsed.nv != g.nv or collapsed.ne != g.ne:
+    # collapsing the fibers must give back the base: one block per base
+    # vertex, in base order, joined as the base edges join them
+    collapsed, _rep = collapse_blocks(newg, [e for e, _s, _d in fiber_edges])
+    block_base = [points[newg.vindex[b]][0] for b in collapsed.vertices]
+    if block_base != list(range(g.nv)) or g.index_edges != tuple(
+        (block_base[s], block_base[d]) for s, d in collapsed.index_edges
+    ):
         raise TreeError("fiber collapse does not recover the base (internal)")
-    for (e, s, d) in collapsed.edges:
-        be = g.edges[g.eindex[e]]
-        if s.split("|", 1)[0] != str(be[1]) or d.split("|", 1)[0] != str(be[2]):
-            raise TreeError("fiber collapse does not recover the base (internal)")
     return out
 
 

@@ -190,6 +190,16 @@ def test_vertex_cap(monkeypatch):
         ball(FreeOracle(2), 3)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+def test_vertex_cap_refuses_a_bad_environment_value(monkeypatch, value):
+    monkeypatch.setenv("CUTFORGE_CAP_VERTICES", value)
+    with pytest.raises(GroupError) as err:
+        ball(ZdOracle(1), 1)
+    assert str(err.value) == (
+        "CUTFORGE_CAP_VERTICES must be a positive integer, not %r" % (value,)
+    )
+
+
 @pytest.mark.parametrize("max_len", range(5))
 @pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
 def test_words_follow_the_reference_search(name, max_len):

@@ -306,8 +306,9 @@ def test_compressible_and_collapse():
 
 def test_collapse_needs_closed_set():
     act = reflection_action()
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError) as err:
         act.collapse(["l"])  # orbit mate r stays behind
+    assert str(err.value) == "collapsed edge set is not closed under the action"
 
 
 def test_induced_action_from_vertex_permutation():
@@ -479,8 +480,11 @@ def test_maximal_stabilizers_give_the_substabilizers(name):
         assert maxes == {frozenset(a.elements())}
 
 
+S5 = (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+
+
 def test_s5_collapses_with_the_substabilizer_check():
-    act = _cycle_action(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    act = _cycle_action(*S5)
     assert len(act.words) == 120
     reduced, log = collapse_compressible(act)
     assert len(log) == 2 and reduced.graph.nv == 1
@@ -510,6 +514,43 @@ def test_blow_up_path_fiber():
     reduced, log = collapse_compressible(big)
     assert reduced.graph.nv == 1 and len(log) == 2
     assert str(size_polynomial(reduced)) == "-1"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PERM_GROUPS) + ["S5"])
+def test_blow_up_without_fibers_keeps_the_vertex_maps(name):
+    act = _cycle_action(*(S5 if name == "S5" else SMALL_PERM_GROUPS[name]))
+    once = blow_up(act, {})
+    # a blown-up action blows up again: ids are only names, never parsed
+    assert once.vertex_maps == blow_up(once, {}).vertex_maps == act.vertex_maps
+
+
+def test_blow_up_of_a_blow_up():
+    act = reflection_action()
+    fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
+    big = blow_up(act, {"m": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})})
+    again = blow_up(big, {})
+    assert again.graph.vertices == ("a|*|*", "m|x|*", "m|c|*", "m|y|*", "b|*|*")
+    assert again.graph.edges == (
+        ("m|f1", "m|x|*", "m|c|*"),
+        ("m|f2", "m|y|*", "m|c|*"),
+        ("l", "a|*|*", "m|x|*"),
+        ("r", "b|*|*", "m|y|*"),
+    )
+    assert again.vertex_maps == big.vertex_maps
+
+
+def test_blow_up_of_a_base_with_bars_in_its_ids():
+    g = Graph(["a|0", "m|0", "b|0"], [("l", "a|0", "m|0"), ("r", "b|0", "m|0")])
+    act = TreeAction(g, z2(), {0: (0, 1, 2), 1: (2, 1, 0)})
+    fiber = Graph(["x", "c", "y"], [("f1", "x", "c"), ("f2", "y", "c")])
+    big = blow_up(act, {"m|0": (fiber, {1: {"x": "y", "y": "x", "c": "c"}})})
+    assert big.graph.edges == (
+        ("m|0|f1", "m|0|x", "m|0|c"),
+        ("m|0|f2", "m|0|y", "m|0|c"),
+        ("l", "a|0|*", "m|0|x"),
+        ("r", "b|0|*", "m|0|y"),
+    )
+    assert maximal_stabilizers(big) == maximal_stabilizers(act)
 
 
 def _fixed_edge_action():
