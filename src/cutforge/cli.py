@@ -7,11 +7,17 @@ a path to a graph JSON file (relative to the cut file) or "<group>@<radius>".
 Exit codes: 0 for success, including a pipeline that honestly reports
 undetermined; 1 for the first assertion or library failure, with its witness;
 2 for usage errors.
+
+main(argv) may be called repeatedly in one process and reuses one parser,
+built on the first call, not at import: parse_args makes a new Namespace
+each time and leaves the parser as it was, and help (with the terminal
+width) is formatted only when printed.  build_parser() returns a new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -377,8 +383,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -516,7 +516,11 @@ def induce_action(stree, oracle, vertex_perms):
     moves the cuts as sets, and its tree vertex map is read off that cut map
     by _agreeing_map.  The family must be closed under the action.  The
     vertex maps of the other elements are composed along the search tree of
-    the group, and TreeAction derives the edge images back from them."""
+    the group, and TreeAction derives the edge images back from them.
+    The incidence pairs always agree: a bijection p of the universe keeps
+    inclusion and complements, so on a closed family it permutes the cuts
+    and sends the label of each set S to the label of p(S); each end of an
+    edge goes to the vertex with the image of its own label."""
     system = stree.system
     n = len(system.cuts)
     bits_to_idx = system.bits_index
@@ -547,11 +551,6 @@ def induce_action(stree, oracle, vertex_perms):
             amap.append(bits_to_idx[img])
         # a tree with edges has every vertex on one; a tree without has one
         vm = _agreeing_map(g.nv, _incidence_pairs(g, amap)) if g.ne else (0,)
-        if vm is None:
-            raise TreeError(
-                "cut maps do not move the tree (they do not preserve the "
-                "nesting order)"
-            )
         gen_maps[name] = vm
 
     # compose along the search tree of the whole group; relations are
@@ -679,7 +678,7 @@ def blow_up(action, fibers):
     reads an edge image off its endpoint images.  The result is made from
     its vertex maps alone, so TreeAction refuses a fiber action that is no
     tree automorphism.  It collapses back to the base along the fiber edges
-    (asserted on point indices)."""
+    (asserted on point indices).  Two points with one id are refused."""
     g = action.graph
     oracle = action.oracle
     vorbits = action.vertex_orbits()
@@ -743,6 +742,15 @@ def blow_up(action, fibers):
     ]
     point_index = {p: i for i, p in enumerate(points)}
     names = ["%s|%s" % (g.vertices[v], x) for v, x in points]
+    first_point = {}
+    for p, name in zip(points, names):
+        q = first_point.setdefault(name, p)
+        if q != p:
+            raise TreeError(
+                "blown-up vertex id %r names two points: fiber vertex %r of "
+                "%r and fiber vertex %r of %r"
+                % (name, q[1], g.vertices[q[0]], p[1], g.vertices[p[0]])
+            )
 
     # attachment points per edge side, transported from the orbit representatives
     attach = {}

@@ -6,7 +6,7 @@ import re
 import pytest
 
 import cutforge.groups
-from cutforge import checks, series
+from cutforge import checks, cli, series
 from cutforge.cli import main
 from cutforge.cuts import boolean_closure, cut_from_members
 from cutforge.graphs import Graph
@@ -600,3 +600,42 @@ def test_group_file_in_tests_data(capsys):
         "ball of radius 3: 6 vertices, 12 edges, sphere 0",
         "exhausted: the ball is the whole Cayley graph",
     ]
+
+
+REUSE_SEQUENCE = [
+    ["split"],  # usage: --group is required
+    ["no-such-command"],  # usage: invalid choice
+    ["--words", "x"],  # usage: no command
+    ["split", "--group", "zd:1", "--words", "x"],  # usage: not an int
+    ["--help"],
+    ["split", "--help"],
+    ["split", "--group", "zd:1", "--words", "0"],  # refusal
+    ["split", "--group", "zd:1"],
+    ["split", "--group", "zd:1"],
+    ["check", "--suite", "graph", "--seed", "1"],
+]
+
+
+def _transcript(capsys, sequence):
+    out = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out.append((code,) + tuple(capsys.readouterr()))
+    return out
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    reused = _transcript(capsys, REUSE_SEQUENCE)
+    assert cli._parser() is cli._parser()
+    assert [code for code, _out, _err in reused] == [2, 2, 2, 2, 0, 0, 1, 0, 0, 0]
+    assert reused[0][2].endswith(
+        "error: the following arguments are required: --group\n"
+    )
+    assert reused[7] == reused[8]
+    # the same argv through a fresh build_parser() on every call
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == _transcript(capsys, REUSE_SEQUENCE)

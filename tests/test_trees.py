@@ -360,6 +360,68 @@ def test_induce_action_refusals():
     assert str(err.value) == "family not closed under the action: image of 'A' escapes"
 
 
+def _nested_pair_families(n):
+    """Member bits of every non-empty complement-stable nested family of
+    cuts of an n-point universe."""
+    full = (1 << n) - 1
+    sides = [b for b in range(1, full) if b < full ^ b]
+
+    def nested(a, b):
+        return not (a & b and a & (full ^ b) and b & (full ^ a) and full ^ (a | b))
+
+    families = []
+
+    def grow(start, chosen):
+        for i in range(start, len(sides)):
+            if all(nested(sides[i], c) for c in chosen):
+                fam = chosen + [sides[i]]
+                families.append([b for c in fam for b in (c, full ^ c)])
+                grow(i + 1, fam)
+
+    grow(0, [])
+    return families
+
+
+def _involutions(n):
+    found = [()]
+    for i in range(n):
+        found = [p + (j,) for p in found for j in range(n) if j not in p]
+    return [p for p in found if all(p[p[i]] == i for i in range(n))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cut_maps_of_a_bijection_always_move_the_tree(seed):
+    """induce_action needs no refusal for disagreeing incidence pairs: on
+    every closed complement-stable nested family, under every involution,
+    the pairs agree and send each vertex to the vertex of its image label."""
+    from cutforge.trees import _agreeing_map, _incidence_pairs
+
+    rng = random.Random(seed)
+    n = 4 + seed % 2
+    g = Graph(["p%d" % i for i in range(n)], [])
+    cases = 0
+    for fam in _nested_pair_families(n):
+        rng.shuffle(fam)  # the cut order sets the edge order of the tree
+        system = verify_system([Cut(g, b, "c%d" % b) for b in fam])
+        t = paired_tree(system)
+        for inv in _involutions(n):
+
+            def image(bits):
+                return sum(1 << inv[i] for i in range(n) if bits >> i & 1)
+
+            if any(image(b) not in system.bits_index for b in fam):
+                continue
+            amap = [system.bits_index[image(b)] for b in fam]
+            expected = tuple(
+                t.graph.vindex[t.label_to_vertex[frozenset(amap[d] for d in lab)]]
+                for lab in t.labels
+            )
+            pairs = _incidence_pairs(t.graph, amap)
+            assert _agreeing_map(t.graph.nv, pairs) == expected
+            cases += 1
+    assert cases == {4: 198, 5: 2806}[n]  # closed cases; 630 and 11796 in all
+
+
 def test_induced_action_on_an_unpaired_tree():
     g = Graph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
     system = verify_system(
@@ -575,6 +637,21 @@ def test_blow_up_refuses_a_fiber_whose_action_inverts_an_edge():
         blow_up(_fixed_edge_action(), {"m": (fiber, {1: {"x": "y", "y": "x"}})})
     assert str(exc.value) == (
         "no vertex of the fiber of 'm' is fixed by the stabilizer of edge 'l'"
+    )
+
+
+def test_blow_up_refuses_two_points_with_one_id():
+    g = Graph(["a", "a|b"], [("l", "a", "a|b")])
+    act = TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)})
+    fibers = {
+        "a": (Graph(["b|c"], []), {1: {"b|c": "b|c"}}),
+        "a|b": (Graph(["c"], []), {1: {"c": "c"}}),
+    }
+    with pytest.raises(TreeError) as exc:
+        blow_up(act, fibers)
+    assert str(exc.value) == (
+        "blown-up vertex id 'a|b|c' names two points: fiber vertex 'b|c' of "
+        "'a' and fiber vertex 'c' of 'a|b'"
     )
 
 
