@@ -8,10 +8,8 @@ Exit codes: 0 for success, including a pipeline that honestly reports
 undetermined; 1 for the first assertion or library failure, with its witness;
 2 for usage errors.
 
-main(argv) may be called repeatedly in one process and reuses one parser,
-built on the first call, not at import: parse_args makes a new Namespace
-each time and leaves the parser as it was, and help (with the terminal
-width) is formatted only when printed.  build_parser() returns a new one.
+main(argv) may be called repeatedly in one process: it reuses one parser,
+built on the first call, since parse_args leaves the parser as it was.
 """
 
 from __future__ import annotations

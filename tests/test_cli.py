@@ -620,7 +620,7 @@ def _transcript(capsys, sequence):
     out = []
     for argv in sequence:
         try:
-            code = main(list(argv))
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
         out.append((code,) + tuple(capsys.readouterr()))

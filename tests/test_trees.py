@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -382,13 +383,6 @@ def _nested_pair_families(n):
     return families
 
 
-def _involutions(n):
-    found = [()]
-    for i in range(n):
-        found = [p + (j,) for p in found for j in range(n) if j not in p]
-    return [p for p in found if all(p[p[i]] == i for i in range(n))]
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_cut_maps_of_a_bijection_always_move_the_tree(seed):
     """induce_action needs no refusal for disagreeing incidence pairs: on
@@ -404,7 +398,9 @@ def test_cut_maps_of_a_bijection_always_move_the_tree(seed):
         rng.shuffle(fam)  # the cut order sets the edge order of the tree
         system = verify_system([Cut(g, b, "c%d" % b) for b in fam])
         t = paired_tree(system)
-        for inv in _involutions(n):
+        for inv in itertools.permutations(range(n)):
+            if any(inv[inv[i]] != i for i in range(n)):
+                continue
 
             def image(bits):
                 return sum(1 << inv[i] for i in range(n) if bits >> i & 1)
@@ -419,7 +415,7 @@ def test_cut_maps_of_a_bijection_always_move_the_tree(seed):
             pairs = _incidence_pairs(t.graph, amap)
             assert _agreeing_map(t.graph.nv, pairs) == expected
             cases += 1
-    assert cases == {4: 198, 5: 2806}[n]  # closed cases; 630 and 11796 in all
+    assert cases == {4: 198, 5: 2806}[n]  # the closed ones of 630 and 21606
 
 
 def test_induced_action_on_an_unpaired_tree():
