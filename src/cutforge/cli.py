@@ -9,7 +9,8 @@ undetermined; 1 for the first assertion or library failure, with its witness;
 2 for usage errors.
 
 main(argv) may be called repeatedly in one process: it reuses one parser,
-built on the first call, since parse_args leaves the parser as it was.
+built on the first call, since parse_args leaves the parser as it was.  Only
+such in-process callers save the build; a one-shot run builds it once.
 """
 
 from __future__ import annotations

@@ -635,6 +635,8 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert reused[0][2].endswith(
         "error: the following arguments are required: --group\n"
     )
+    for command in ("cayley", "measure", "sieve", "tree", "ends", "split", "check"):
+        assert re.search(r"^ +%s( |$)" % command, reused[4][1], re.MULTILINE)
     assert reused[7] == reused[8]
     # the same argv through a fresh build_parser() on every call
     monkeypatch.setattr(cli, "_parser", cli.build_parser)

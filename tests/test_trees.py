@@ -361,9 +361,11 @@ def test_induce_action_refusals():
     assert str(err.value) == "family not closed under the action: image of 'A' escapes"
 
 
-def _nested_pair_families(n):
-    """Member bits of every non-empty complement-stable nested family of
-    cuts of an n-point universe."""
+def _nested_families(n, mode, rng=None):
+    """Member bits of every non-empty nested family of cuts of an n-point
+    universe: complement-stable ones for mode "T"; for mode "U",
+    complement-free ones, one side of each pair, in every orientation or,
+    given rng, in one drawn orientation per family of pairs."""
     full = (1 << n) - 1
     sides = [b for b in range(1, full) if b < full ^ b]
 
@@ -376,46 +378,61 @@ def _nested_pair_families(n):
         for i in range(start, len(sides)):
             if all(nested(sides[i], c) for c in chosen):
                 fam = chosen + [sides[i]]
-                families.append([b for c in fam for b in (c, full ^ c)])
+                pairs = [(c, full ^ c) for c in fam]
+                if mode == "T":
+                    families.append([b for pair in pairs for b in pair])
+                elif rng is None:
+                    families.extend(list(f) for f in itertools.product(*pairs))
+                else:
+                    families.append([rng.choice(pair) for pair in pairs])
                 grow(i + 1, fam)
 
     grow(0, [])
     return families
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_cut_maps_of_a_bijection_always_move_the_tree(seed):
+@pytest.mark.parametrize(
+    "mode, n, sample, closed, tried",
+    [
+        ("T", 4, False, 240, 1512),
+        ("T", 5, False, 3480, 99720),
+        ("U", 4, False, 1200, 13584),
+        ("U", 5, True, 2397, 99720),  # every orientation would be 2361840 tries
+    ],
+    ids=["paired-4", "paired-5", "unpaired-4", "unpaired-5-sampled"],
+)
+def test_cut_maps_of_a_bijection_always_move_the_tree(mode, n, sample, closed, tried):
     """induce_action needs no refusal for disagreeing incidence pairs: on
-    every closed complement-stable nested family, under every involution,
-    the pairs agree and send each vertex to the vertex of its image label."""
+    every nested family, paired or unpaired, under every permutation of the
+    universe that keeps it closed, the pairs agree and send each vertex to
+    the vertex of its image label."""
     from cutforge.trees import _agreeing_map, _incidence_pairs
 
-    rng = random.Random(seed)
-    n = 4 + seed % 2
+    rng = random.Random(0)
     g = Graph(["p%d" % i for i in range(n)], [])
-    cases = 0
-    for fam in _nested_pair_families(n):
+    perms = [
+        [sum(1 << p[i] for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
+        for p in itertools.permutations(range(n))
+    ]
+    build = paired_tree if mode == "T" else unpaired_tree
+    counts = [0, 0]
+    for fam in _nested_families(n, mode, rng if sample else None):
         rng.shuffle(fam)  # the cut order sets the edge order of the tree
         system = verify_system([Cut(g, b, "c%d" % b) for b in fam])
-        t = paired_tree(system)
-        for inv in itertools.permutations(range(n)):
-            if any(inv[inv[i]] != i for i in range(n)):
+        t = build(system)
+        for image in perms:
+            counts[1] += 1
+            if any(image[b] not in system.bits_index for b in fam):
                 continue
-
-            def image(bits):
-                return sum(1 << inv[i] for i in range(n) if bits >> i & 1)
-
-            if any(image(b) not in system.bits_index for b in fam):
-                continue
-            amap = [system.bits_index[image(b)] for b in fam]
+            amap = [system.bits_index[image[b]] for b in fam]
             expected = tuple(
                 t.graph.vindex[t.label_to_vertex[frozenset(amap[d] for d in lab)]]
                 for lab in t.labels
             )
             pairs = _incidence_pairs(t.graph, amap)
             assert _agreeing_map(t.graph.nv, pairs) == expected
-            cases += 1
-    assert cases == {4: 198, 5: 2806}[n]  # the closed ones of 630 and 21606
+            counts[0] += 1
+    assert counts == [closed, tried]
 
 
 def test_induced_action_on_an_unpaired_tree():
