@@ -6,9 +6,14 @@ vertex labeled {d | d contains e or d strictly contains the complement of
 e} to the midpoint labeled {e, complement}; complementary cuts meet at the
 midpoint, so each complement pair is a length-2 segment.  In unpaired mode
 (no complement pairs in E) the cut runs between the two one-sided labels,
-with no midpoints.  Vertex labels are materialized as explicit cut-index
-sets: the tree metric equals the symmetric-difference size of labels, and
-that identity is what the test suites check.
+with no midpoints.  Vertex labels are frozensets of cut indices, read off
+the atoms of the system: one transpose of the cut bit rows gives each
+universe vertex its signature (the cuts containing it), the distinct
+signatures are the atoms, and ANDs of atom signatures give every label, at
+O(cuts·|V|) bit work plus O(cuts·atoms) ANDs.  The tree metric equals the
+symmetric-difference size of labels, and that identity is what the test
+suites check; vertex_embed reads the built tree's label and checks it
+against the cuts that contain the vertex.
 
 The action layer is one class.  PartialAction holds per-word vertex and
 edge maps, None marking an image the evidence cannot determine, and every
@@ -45,6 +50,9 @@ pass over the elements; the "v|x" ids only name the result's vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, count
+from operator import and_
 from types import MappingProxyType
 
 from .cuts import full_mask, universe_graph
@@ -155,25 +163,69 @@ def verify_system(cuts):
 
 # -- labels --------------------------------------------------------------------
 
-
-def _subset(a, b):
-    return a & ~b == 0
-
-
-def _label(system, bits):
-    """{d | d contains the set, or d strictly contains its complement}."""
-    cbits = full_mask(system.universe) ^ bits
-    return frozenset(
-        d
-        for d, c in enumerate(system.cuts)
-        if _subset(bits, c.bits) or (_subset(cbits, c.bits) and c.bits != cbits)
-    )
+# '0'/'1' digits <-> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
+# through C-level bytes operations
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _pair_label(system, i):
+def _index_set(mask):
+    """The bit positions of mask, as a frozenset."""
+    return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_TO_FLAGS)))
+
+
+def _containment(system):
+    """Per cut d, the masks over cut indices A(d) = {e | d ⊆ e} and
+    B(d) = {e | ~d ⊆ e}, read off the atoms of the system.
+
+    The signature of a universe vertex has bit e set when the vertex lies in
+    cut e; it is a column of the cut bit matrix, so one transpose gives them
+    all.  Vertices with one signature form an atom, and every cut is a union
+    of atoms (at most cuts + 1 of them when the system is nested).  Hence d
+    ⊆ e exactly when e contains every atom inside d, so A(d) is the AND of
+    the signatures of the atoms inside d, and likewise B(d) over the atoms
+    outside d; an empty AND is every cut.  The matrices are bytes of 0/1
+    flags, one row after another, so a column is a strided slice.  The cost
+    is O(cuts·|V|) bit work for the transpose plus O(cuts·atoms) ANDs of
+    cuts-bit integers, all in C-level loops."""
+    n = len(system.cuts)
+    width = system.universe.nv
+    spec = "0%db" % (width,)
+    # row e: cut e's flags, vertices in reverse index order (any order does)
+    cut_rows = "".join([format(c.bits, spec) for c in system.cuts])
+    cut_rows = cut_rows.encode().translate(_TO_FLAGS)
+    atoms = list(dict.fromkeys([cut_rows[v::width] for v in range(width)]))
+    sigs = [int(a.translate(_TO_DIGITS)[::-1], 2) for a in atoms]
+    in_rows = b"".join(atoms)  # atom-major, so row d is in_rows[d::n]
+    out_rows = in_rows.translate(_FLIP)
+    every = (1 << n) - 1
+    inside = [reduce(and_, compress(sigs, in_rows[d::n]), every) for d in range(n)]
+    outside = [reduce(and_, compress(sigs, out_rows[d::n]), every) for d in range(n)]
+    return inside, outside
+
+
+def _labels(system, mode):
+    """Head and tail labels of each cut's edge, where the label of a set S
+    is {d | S ⊆ d, or ~S ⊊ d}.  With A and B from _containment, the head
+    label of cut d is A(d) ∪ (B(d) − {~d}) and, in U mode, the tail label is
+    the label of ~d, B(d) ∪ (A(d) − {d}): verify_system refuses duplicate
+    cuts, so d is the one cut equal to d, and ~d is the one cut equal to ~d
+    in a complement-stable system and none in a complement-free one, where
+    the head is A(d) ∪ B(d).  A T-mode tail is the midpoint {d, ~d}."""
+    inside, outside = _containment(system)
     full = full_mask(system.universe)
-    j = system.index_of_bits(full ^ system.cuts[i].bits)
-    return frozenset((i, j))
+    heads, tails = [], []
+    for d, c in enumerate(system.cuts):
+        a, b = inside[d], outside[d]
+        if mode == "T":
+            j = system.index_of_bits(full ^ c.bits)
+            heads.append(_index_set(a | (b & ~(1 << j))))
+            tails.append(frozenset((d, j)))
+        else:
+            heads.append(_index_set(a | b))
+            tails.append(_index_set(b | (a & ~(1 << d))))
+    return heads, tails
 
 
 class StructureTree:
@@ -212,12 +264,7 @@ def _build(system, mode):
     if n == 0:
         g = Graph(["n0"], [])
         return StructureTree(g, mode, system, [frozenset()])
-    heads = [_label(system, c.bits) for c in system.cuts]
-    if mode == "T":
-        tails = [_pair_label(system, i) for i in range(n)]
-    else:
-        full = full_mask(system.universe)
-        tails = [_label(system, full ^ c.bits) for c in system.cuts]
+    heads, tails = _labels(system, mode)
     names = {}
     order = []
     for lab in [l for pair in zip(heads, tails) for l in pair]:
@@ -269,16 +316,15 @@ def edge_cuts(t):
 
 
 def vertex_embed(stree, universe_vertex):
-    """Tree vertex of a universe vertex: the label of a minimal cut
-    containing it.  Verifies the label identity (the cuts containing the
-    vertex are exactly that label) rather than trusting it."""
+    """Tree vertex of a universe vertex: the head of the edge of a minimal
+    cut containing it.  Verifies the label identity (the cuts containing
+    the vertex are exactly that head's label) rather than trusting it."""
     if stree.mode != "T":
         raise TreeError("vertex embedding is defined on paired trees")
     system = stree.system
-    g_univ = system.cuts[0].universe if system.cuts else None
     if not system.cuts:
         return stree.graph.vertices[0]
-    vi = universe_graph(g_univ).vindex[universe_vertex]
+    vi = universe_graph(system.universe).vindex[universe_vertex]
     loc = [i for i, c in enumerate(system.cuts) if (c.bits >> vi) & 1]
     if not loc:
         raise TreeError(
@@ -286,21 +332,20 @@ def vertex_embed(stree, universe_vertex):
             % (universe_vertex,)
         )
     # any minimal cut containing the vertex does; nestedness makes the
-    # running-minimum scan sound
-    best = None
+    # running-minimum scan sound, and with no duplicate cuts a cut inside
+    # another is strictly inside it
+    best = loc[0]
     for i in loc:
-        if best is None or (
-            _subset(system.cuts[i].bits, system.cuts[best].bits)
-            and system.cuts[i].bits != system.cuts[best].bits
-        ):
+        if system.cuts[i].bits & ~system.cuts[best].bits == 0:
             best = i
-    label = _label(system, system.cuts[best].bits)
+    head = stree.graph.index_edges[best][0]
+    label = stree.labels[head]
     if frozenset(loc) != label:
         raise TreeError(
             "label identity fails at %r: cuts containing it are %r, label %r"
             % (universe_vertex, sorted(loc), sorted(label))
         )
-    return stree.label_to_vertex[label]
+    return stree.graph.vertices[head]
 
 
 # -- the vertex-transport rule ---------------------------------------------------
@@ -659,6 +704,12 @@ def size_polynomial(action):
 # -- blow-up --------------------------------------------------------------------
 
 
+def _edge_owner(edge, base_vertex):
+    if base_vertex is None:
+        return "base edge %r" % (edge,)
+    return "fiber edge %r of %r" % (edge, base_vertex)
+
+
 def blow_up(action, fibers):
     """Equivariantly replace each vertex by a fiber tree.
 
@@ -678,7 +729,8 @@ def blow_up(action, fibers):
     reads an edge image off its endpoint images.  The result is made from
     its vertex maps alone, so TreeAction refuses a fiber action that is no
     tree automorphism.  It collapses back to the base along the fiber edges
-    (asserted on point indices).  Two points with one id are refused."""
+    (asserted on point indices).  Two points with one id, or two edges with
+    one id, are refused."""
     g = action.graph
     oracle = action.oracle
     vorbits = action.vertex_orbits()
@@ -773,16 +825,27 @@ def blow_up(action, fibers):
                 a = edge_transporter[k]
                 attach[k, side] = point_index[act_point(a, vi, choice)]
 
-    # fiber edges come first, then the base edges in base order
-    fiber_edges = []
+    # fiber edges come first, then the base edges in base order; an owner is
+    # (fiber edge, base vertex) or (base edge, None)
+    fiber_edges, owners = [], []
     for v in range(g.nv):
         for fe, fs, fd in fiber_tree[rep_of_vertex[v]].edges:
             s, d = point_index[v, fs], point_index[v, fd]
             fiber_edges.append(("%s|%s" % (g.vertices[v], fe), names[s], names[d]))
+            owners.append((fe, g.vertices[v]))
     base_edges = [
         (e, names[attach[k, 0]], names[attach[k, 1]])
         for k, (e, _s, _d) in enumerate(g.edges)
     ]
+    owners.extend((e, None) for e, _s, _d in g.edges)
+    first_owner = {}
+    for (eid, _s, _d), own in zip(fiber_edges + base_edges, owners):
+        prev = first_owner.setdefault(eid, own)
+        if prev != own:
+            raise TreeError(
+                "blown-up edge id %r names two edges: %s and %s"
+                % (eid, _edge_owner(*prev), _edge_owner(*own))
+            )
     newg = Graph(names, fiber_edges + base_edges)
     vertex_maps = {
         a: tuple(point_index[act_point(a, v, x)] for v, x in points)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import re
 
 import pytest
@@ -183,6 +184,62 @@ def test_tree_text_json_dot(chain_files, tmp_path, capsys):
                  "--dot", str(dot)]) == 0
     text = dot.read_text()
     assert text.count(" -- ") == 3
+
+
+def random_tree_files(tmp_path, n, seed):
+    """A seeded random recursive tree on v0..v{n-1} (v_i hangs off a random
+    earlier vertex, each edge randomly oriented) and its edge-cut files:
+    T.json holds each edge's lower side and its complement, U.json the lower
+    sides alone."""
+    rng = random.Random(seed)
+    parent = [None] + [rng.randrange(i) for i in range(1, n)]
+    edges = []
+    for i in range(1, n):
+        ends = ["v%d" % parent[i], "v%d" % i]
+        rng.shuffle(ends)
+        edges.append({"id": "e%d" % i, "src": ends[0], "dst": ends[1]})
+    below = [{i} for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        below[parent[i]] |= below[i]
+    names = ["v%d" % i for i in range(n)]
+    (tmp_path / "tree.json").write_text(json.dumps({"vertices": names, "edges": edges}))
+    cuts = {"T": [], "U": []}
+    for i in range(1, n):
+        side = [v for j, v in enumerate(names) if j in below[i]]
+        rest = [v for j, v in enumerate(names) if j not in below[i]]
+        cuts["U"].append({"name": "c%d" % i, "members": side})
+        cuts["T"] += [{"name": "c%d" % i, "members": side},
+                      {"name": "~c%d" % i, "members": rest}]
+    for mode, family in cuts.items():
+        (tmp_path / ("%s.json" % mode)).write_text(
+            json.dumps({"universe": "tree.json", "cuts": family})
+        )
+
+
+# sha256 of `tree` on the edge cuts of a seeded 127-vertex random recursive
+# tree (random_tree_files(tmp_path, 127, 27)), in both modes, as text and as
+# JSON: every vertex label of a 253-vertex T-tree and a 127-vertex U-tree.
+# Update them only together with a CHANGES.md entry that says why the
+# transcript moved.
+TREE_127_SHA256 = {
+    ("T", False):
+        "7cf9e1bc5e4b1f1aa56b61fcc5a290ac7aa45395b6c9d87b4f0a5ec3b92c81b4",
+    ("T", True):
+        "b183e1a1eaa41ced0eda216ee42d40be9c408a54207f538f8970a56b2690452c",
+    ("U", False):
+        "2030e704107373226075e63a5bc953cdfd6d4acc5bcda276e046692755b77af1",
+    ("U", True):
+        "e7346563c24f22a394def63491573ba9df53e9eef1560f23180d91f01acd2067",
+}
+
+
+def test_tree_transcripts_of_a_127_vertex_tree_are_pinned(tmp_path, capsys):
+    random_tree_files(tmp_path, 127, 27)
+    for (mode, as_json), want in TREE_127_SHA256.items():
+        argv = ["tree", "--cuts", str(tmp_path / ("%s.json" % mode)), "--mode", mode]
+        assert main(argv + ["--json"] * as_json) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (mode, as_json)
 
 
 def test_tree_rejects_unusable_system(tmp_path, capsys):

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from cutforge.cuts import Cut, cut_from_members, orbit_cuts
+from cutforge.cuts import Cut, cut_from_members, orbit_cuts, universe_graph
 from cutforge.graphs import Graph, is_tree, tree_distance
-from cutforge.ends import balanced_cut
+from cutforge.ends import balanced_cut, splitting_pipeline
 from cutforge.groups import FreeProductOracle, PermOracle, TableOracle, ZdOracle, ball
-from cutforge.sieve import select_nested_generating
+from cutforge.sieve import irreducible_family, select_nested_generating
 from cutforge.trees import (
     NestedSystem,
     PartialAction,
@@ -111,14 +111,19 @@ def random_tree(rng, n):
     )
 
 
+def edge_cut_families(t):
+    """(complement-stable, complement-free) families of a tree's edge cuts."""
+    one_sided = [
+        cut_from_members(t, side, e) for e, side in sorted(edge_cuts(t).items())
+    ]
+    return one_sided + [c.complement() for c in one_sided], one_sided
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_verify_system_flags_match_pairwise_checks(seed):
     rng = random.Random(seed)
     t = random_tree(rng, rng.randrange(2, 40))
-    one_sided = [
-        cut_from_members(t, side, e) for e, side in sorted(edge_cuts(t).items())
-    ]
-    both_sided = one_sided + [c.complement() for c in one_sided]
+    both_sided, one_sided = edge_cut_families(t)
     full = (1 << t.nv) - 1
     for cuts in (both_sided, one_sided):
         system = verify_system(cuts)
@@ -213,6 +218,83 @@ def test_edge_cut_refuses_a_non_tree():
     with pytest.raises(TreeError):
         edge_cuts(Graph(["a", "b", "c"], [("e", "a", "b")]))
     assert edge_cuts(t.graph)["e1"] == frozenset(["n2"])
+
+
+def literal_label(vertex_sets, everything, side):
+    """{d | S ⊆ d, or ~S ⊊ d} for S = side, on sets of universe vertices."""
+    rest = everything - side
+    return frozenset(
+        k for k, d in enumerate(vertex_sets) if side <= d or (rest <= d and rest != d)
+    )
+
+
+def assert_literal_labels(stree):
+    """Every label of the tree is the literal label of its set: the head of
+    cut k's edge is the label of cut k; in U mode the tail is the label of
+    its complement, in T mode the midpoint {k, index of the complement}."""
+    system = stree.system
+    if not system.cuts:
+        assert stree.labels == (frozenset(),)
+        return
+    g = universe_graph(system.universe)
+    every = frozenset(g.vertices)
+    sets = [
+        frozenset(v for i, v in enumerate(g.vertices) if (c.bits >> i) & 1)
+        for c in system.cuts
+    ]
+    seen = set()
+    for k, (head, tail) in enumerate(stree.graph.index_edges):
+        assert stree.labels[head] == literal_label(sets, every, sets[k]), k
+        if stree.mode == "T":
+            want = frozenset((k, sets.index(every - sets[k])))
+        else:
+            want = literal_label(sets, every, every - sets[k])
+        assert stree.labels[tail] == want, k
+        seen.update((head, tail))
+    assert seen == set(range(stree.graph.nv))
+
+
+def random_multigraph(rng):
+    nv = rng.randint(2, 9)
+    names = ["v%d" % i for i in range(nv)]
+    edges = [("t%d" % i, names[rng.randrange(i)], names[i]) for i in range(1, nv)]
+    edges += [
+        ("x%d" % i, rng.choice(names), rng.choice(names))
+        for i in range(rng.randint(0, nv))
+    ]
+    return Graph(names, edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_labels_are_the_literal_labels(seed):
+    """The labels come from atom signatures; each is checked here against
+    {d | S ⊆ d, or ~S ⊊ d} written out on vertex sets: edge cuts of random
+    trees in both modes, and the paired sieve irreducibles of random graphs."""
+    rng = random.Random("labels-%d" % seed)
+    for n in [2, 3] + [rng.randrange(4, 61) for _ in range(6)]:
+        both_sided, one_sided = edge_cut_families(random_tree(rng, n))
+        rng.shuffle(both_sided)
+        rng.shuffle(one_sided)
+        assert_literal_labels(paired_tree(verify_system(both_sided)))
+        assert_literal_labels(unpaired_tree(verify_system(one_sided)))
+    for _ in range(12):
+        g = random_multigraph(rng)
+        cuts = [Cut(g, rng.getrandbits(g.nv)) for _ in range(rng.randint(1, 3))]
+        _report, paired = irreducible_family(cuts)
+        assert_literal_labels(paired_tree(verify_system(paired)))
+
+
+def test_labels_of_a_cayley_ball_system_are_the_literal_labels():
+    """A ball system has far fewer atoms than vertices: the labels read off
+    the atoms must still be the literal ones."""
+    rep = splitting_pipeline(FreeProductOracle([2, 3]))
+    system = rep.stree.system
+    n_atoms = len({
+        tuple((c.bits >> i) & 1 for c in system.cuts)
+        for i in range(system.universe.nv)
+    })
+    assert n_atoms * 4 < system.universe.nv
+    assert_literal_labels(rep.stree)
 
 
 def test_vertex_embed_t_mode_only():
@@ -665,6 +747,34 @@ def test_blow_up_refuses_two_points_with_one_id():
     assert str(exc.value) == (
         "blown-up vertex id 'a|b|c' names two points: fiber vertex 'b|c' of "
         "'a' and fiber vertex 'c' of 'a|b'"
+    )
+
+
+def test_blow_up_refuses_two_fiber_edges_with_one_id():
+    g = Graph(["a", "a|b"], [("l", "a", "a|b")])
+    act = TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)})
+    fixed = {1: {"x": "x", "y": "y"}}
+    fibers = {
+        "a": (Graph(["x", "y"], [("b|f", "x", "y")]), fixed),
+        "a|b": (Graph(["x", "y"], [("f", "x", "y")]), fixed),
+    }
+    with pytest.raises(TreeError) as exc:
+        blow_up(act, fibers)
+    assert str(exc.value) == (
+        "blown-up edge id 'a|b|f' names two edges: fiber edge 'b|f' of 'a' "
+        "and fiber edge 'f' of 'a|b'"
+    )
+
+
+def test_blow_up_refuses_a_base_edge_and_a_fiber_edge_with_one_id():
+    g = Graph(["a", "b"], [("a|f", "a", "b")])
+    act = TreeAction(g, z2(), {0: (0, 1), 1: (0, 1)})
+    fibers = {"a": (Graph(["x", "y"], [("f", "x", "y")]), {1: {"x": "x", "y": "y"}})}
+    with pytest.raises(TreeError) as exc:
+        blow_up(act, fibers)
+    assert str(exc.value) == (
+        "blown-up edge id 'a|f' names two edges: fiber edge 'f' of 'a' and "
+        "base edge 'a|f'"
     )
 
 
