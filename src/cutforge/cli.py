@@ -257,8 +257,8 @@ def cmd_tree(args):
     _emit("%s-tree: %d vertices, %d edges" % (stree.mode, g.nv, g.ne))
     for vid, lab in zip(g.vertices, stree.labels):
         _emit("  %s {%s}" % (vid, ", ".join(stree.label_names(lab))))
-    for k, (e, s, d) in enumerate(g.edges):
-        _emit("  %s: %s -- %s  cut %s" % (e, s, d, trees._cut_name(system, k)))
+    for (e, s, d), name in zip(g.edges, stree.cut_names):
+        _emit("  %s: %s -- %s  cut %s" % (e, s, d, name))
     return 0
 
 

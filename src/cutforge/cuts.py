@@ -15,7 +15,8 @@ graph only where they are printed or parsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
@@ -353,35 +354,47 @@ def is_almost_right_stable(bv, cut):
 class LeftMap:
     """Left translation by g on a ball, as index data.
 
-    pre[i] is the index of g^-1 x_i, or None when it escapes the ball.
-    mapped holds (s, d, pre[s], pre[d]) for every ball edge s -> d whose two
-    endpoints have preimages in the ball, in edge order.  fringe holds the
-    classes (`graphs.index_classes`, least member first) of the other edges
-    that contain a vertex without a preimage: the fringe classes.  Every
-    vertex without a preimage lies in exactly one of them."""
+    pre[i] is the index of g^-1 x_i and img[i] the index of g x_i, or None
+    when that element escapes the ball; the two are inverse partial maps.
+    fringe holds one (lost, seen) mask pair per fringe class: a class
+    (`graphs.index_classes`, least member first) of the edges that have an
+    endpoint without a preimage, kept when it holds such a vertex.  lost
+    has the bits of its vertices without a preimage, seen the bits of the
+    preimages of its other vertices.  Every vertex without a preimage lies
+    in exactly one fringe class.  gather reads a cut's translate off its
+    side string (see `act_left_cut`)."""
 
     pre: tuple
-    mapped: tuple
+    img: tuple
     fringe: tuple
+    gather: itemgetter = field(compare=False, repr=False)
 
 
 def _left_map(bv, g):
     o = bv.oracle
     ginv = o.invert(g)
     get = bv.el_to_idx.get
+    n = bv.nv
     pre = tuple([get(o.multiply(ginv, el)) for el in bv.elements])
-    mapped = []
-    other = []
-    for s, d in bv.index_edges:
-        ps, pd = pre[s], pre[d]
-        if ps is None or pd is None:
-            other.append((s, d))
-        else:
-            mapped.append((s, d, ps, pd))
-    fringe = tuple(
-        c for c in index_classes(bv.nv, other) if any(pre[i] is None for i in c)
-    )
-    return LeftMap(pre, tuple(mapped), fringe)
+    inverse = dict(zip(pre, range(n)))  # its None key is never looked up
+    img = tuple(map(inverse.get, range(n)))
+    other = [(s, d) for s, d in bv.index_edges if pre[s] is None or pre[d] is None]
+    fringe = []
+    for block in index_classes(n, other):
+        lost = seen = 0
+        for i in block:
+            if pre[i] is None:
+                lost |= 1 << i
+            else:
+                seen |= 1 << pre[i]
+        if lost:
+            fringe.append((lost, seen))
+    # A side string format(bits, "0{n+1}b") holds bit i at n - i and a
+    # sentinel '0' at 0 (bits < 2^n), which a vertex without a preimage
+    # reads.  The leading sentinel keeps the gather a tuple on a 1-vertex
+    # ball and only adds a leading zero to the translate's binary string.
+    gather = itemgetter(0, *[0 if p is None else n - p for p in reversed(pre)])
+    return LeftMap(pre, img, tuple(fringe), gather)
 
 
 def act_left_cut(bv, g, cut, name=None):
@@ -389,64 +402,61 @@ def act_left_cut(bv, g, cut, name=None):
     ball.  The translated coboundary must stay interior; membership on the
     fringe (where g^-1 x escapes) is filled in per residual component.
 
-    Reads the `LeftMap` of g, built once and kept on the ball: pre[i] the
-    index of g^-1 x_i (None when it escapes), the mapped edges (both
-    preimages in the ball) and the fringe classes.  A mapped edge whose preimages lie on opposite
-    sides is the image of a coboundary edge.  Left translation is a
-    bijection on Cayley edges, and a mapped edge is the image of a ball
-    edge, so the translated coboundary stays in the ball exactly when there
-    are as many such edges as coboundary edges (counted once per cut and
-    kept on it).
+    Reads the `LeftMap` of g, built once and kept on the ball, and the
+    cut's coboundary, counted once and kept on the cut.  Left translation
+    is a bijection on Cayley edges, sending the edge x -> xs to gx -> gxs,
+    and the ball holds every Cayley edge between two of its vertices.  So
+    the image of a coboundary edge (s, d) lies in the ball exactly when
+    img[s] and img[d] are both indices, and the translated coboundary, the
+    image of the coboundary, escapes exactly when some coboundary edge has
+    an endpoint whose image is None.  It is interior exactly when, besides,
+    no image endpoint lies beyond radius - 1.  The check costs
+    O(|coboundary|) steps, and an escape is reported before an exposure.
 
-    Every other edge is residual, and each residual component takes one
-    side.  A vertex with a preimage takes its preimage's side.  A residual
-    edge whose two preimages are in the ball joins two vertices on the same
-    side, and every other residual edge lies in a fringe class, so a
-    residual component is a union of fringe classes and of vertices with
-    preimages, held together by same-side edges.  So it is mixed, or has no
-    vertex with a preimage, exactly when one of its fringe classes is.  The
-    fringe classes therefore decide the fill and both checks: each one
-    gives its vertices without preimages the one side of the rest.  The
-    two failures never meet, so no order between them is lost: a class
-    with no preimage at all is closed under every ball edge, hence the
-    whole (connected) ball.
+    Every other ball edge is residual, and each residual component takes
+    one side.  A vertex with a preimage takes its preimage's side: one
+    gather of the side string.  A residual edge whose two endpoints have
+    preimages is the image of the ball edge between them, which is not a
+    coboundary edge, so it joins two vertices on the same side; every
+    other residual edge lies in a fringe class.  So a residual component
+    is a union of fringe classes and of vertices with preimages, held
+    together by same-side edges, and it is mixed, or has no vertex with a
+    preimage, exactly when one of its fringe classes is.  The fringe
+    classes therefore decide the fill and both checks: with
+    inside = bits & seen, a class is undecidable when seen is 0,
+    inconsistent when 0 < inside < seen, and gives its lost vertices side
+    1 when inside == seen.  The two failures never meet, so no order
+    between them is lost: a class with no preimage at all is closed under
+    every ball edge, hence the whole (connected) ball.
 
     The identity translate is the cut itself.  Every other result is built
     without a second interior check: its coboundary is exactly the image
-    edges (each residual component takes one side), and the pass has just
-    checked those against radius - 1.  (On an exhausted ball the limit
+    edges (each residual component takes one side), and the check above
+    has just held those to radius - 1.  (On an exhausted ball the limit
     reads radius, but no vertex lies beyond radius - 1 there.)"""
     if cut.universe is not bv:
         raise CutError("cut does not live on this ball")
     if g == bv.oracle.identity():
         return Cut._checked(bv, cut.bits, name)
     lm = bv.left_map(g, _left_map)
-    pre = lm.pre
-    side = _sides(cut.bits, bv.nv)
-    n_cob = len(cut._coboundary_indices())
-    dist = bv.dist
-    limit = bv.radius - 1 if not bv.exhausted else bv.radius
-    n_img = 0
-    exposed = False
-    for s, d, ps, pd in lm.mapped:
-        if side[ps] != side[pd]:
-            n_img += 1
-            exposed = exposed or dist[s] > limit or dist[d] > limit
-    if n_img != n_cob:
+    img, edges = lm.img, bv.index_edges
+    ends = [img[x] for k in cut._coboundary_indices() for x in edges[k]]
+    if None in ends:
         raise CutError("radius too small: translated coboundary escapes the ball")
-    if exposed:
+    limit = bv.radius - 1 if not bv.exhausted else bv.radius
+    if ends and max(map(bv.dist.__getitem__, ends)) > limit:
         raise CutError("radius too small: translated coboundary not interior")
-    out = ["0" if p is None else side[p] for p in pre]
-    for block in lm.fringe:
-        sides = {side[pre[i]] for i in block if pre[i] is not None}
-        if not sides:
+    bits = cut.bits
+    out = int("".join(lm.gather(format(bits, "0%db" % (bv.nv + 1)))), 2)
+    for lost, seen in lm.fringe:
+        if not seen:
             raise CutError("radius too small: a fringe component is undecidable")
-        if len(sides) > 1:
-            raise CutError("translated cut is inconsistent on a component")
-        if "1" in sides:
-            for i in block:
-                out[i] = "1"
-    return Cut._checked(bv, int("".join(reversed(out)), 2), name)
+        inside = bits & seen
+        if inside:
+            if inside != seen:
+                raise CutError("translated cut is inconsistent on a component")
+            out |= lost
+    return Cut._checked(bv, out, name)
 
 
 @dataclass(frozen=True)

@@ -348,7 +348,7 @@ def splitting_pipeline(
     g = stree.graph
 
     def orbit_names(block):
-        return tuple(trees._cut_name(stree.system, k) for k in block)
+        return tuple(map(stree.cut_names.__getitem__, block))
 
     certificate = "ball-verified(R=%d, W=%d, L=%d)" % (bv.radius, words, L)
     common = dict(

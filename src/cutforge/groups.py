@@ -16,9 +16,15 @@ breadth-first layering that certifies those distances.  The ball keeps its
 edges as (source, target) vertex index pairs with aligned generator
 indices, the same `index_edges` form a Graph has; the Graph on element
 strings is built only when a caller asks for `BallView.graph`.  Left
-translation of cuts reads the index pairs through a per-element map that
-`cuts.act_left_cut` builds once for each element it translates by and keeps
-on the ball (`BallView.left_map`).
+translation of cuts reads a per-element map that `cuts.act_left_cut`
+builds once for each element g it translates by and keeps on the ball
+(`BallView.left_map`): the indices of g^-1 x and gx for every element x
+of the ball, and its fringe classes.  A translate then reads only the
+index pairs of the cut's coboundary.
+
+Free and free-product elements are normal forms, and `multiply` reads
+only the junction where two of them meet: letters cancel, and syllables
+merge, there and nowhere else.
 """
 
 from __future__ import annotations
@@ -325,13 +331,16 @@ class FreeOracle(GroupOracle):
         return ()
 
     def multiply(self, a, b):
-        out = list(a)
-        for x in b:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        """The reduced word of ab.  a and b are reduced, so a letter pair
+        can cancel only where they meet, and once a pair fails to cancel
+        the words join there: only the junction is read, and the untouched
+        parts are joined by slicing."""
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
+        i, j = len(a) - 1, 1
+        while i and j < len(b) and a[i - 1] == -b[j]:
+            i, j = i - 1, j + 1
+        return a[:i] + b[j:]
 
     def invert(self, a):
         return tuple(-x for x in reversed(a))
@@ -364,16 +373,22 @@ class FreeProductOracle(GroupOracle):
         return ()
 
     def multiply(self, a, b):
-        out = list(a)
-        for (f, e) in b:
-            if out and out[-1][0] == f:
-                e2 = (out[-1][1] + e) % self.orders[f]
-                out.pop()
-                if e2:
-                    out.append((f, e2))
-            else:
-                out.append((f, e))
-        return tuple(out)
+        """The normal form of ab.  a and b alternate factors, so only their
+        meeting syllables can share a factor.  Those merge; a nonzero sum
+        ends the merging (its neighbours lie in other factors), while a
+        zero sum cancels both and brings the next pair to the junction.
+        The untouched parts are joined by slicing."""
+        if not a or not b or a[-1][0] != b[0][0]:
+            return a + b
+        i, j = len(a), 0
+        while True:
+            f, e = a[i - 1]
+            e = (e + b[j][1]) % self.orders[f]
+            i, j = i - 1, j + 1
+            if e:
+                return a[:i] + ((f, e),) + b[j:]
+            if not i or j == len(b) or a[i - 1][0] != b[j][0]:
+                return a[:i] + b[j:]
 
     def invert(self, a):
         return tuple((f, self.orders[f] - e) for (f, e) in reversed(a))

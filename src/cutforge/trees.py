@@ -230,7 +230,8 @@ def _labels(system, mode):
 
 class StructureTree:
     """Tree whose edge k realizes cut k of the system; vertex labels are
-    frozensets of cut indices."""
+    frozensets of cut indices.  cut_names[k] is the printed name of cut k,
+    read once per tree, so printing a label costs one lookup per member."""
 
     __slots__ = (
         "graph",
@@ -238,6 +239,7 @@ class StructureTree:
         "system",
         "labels",
         "label_to_vertex",
+        "cut_names",
     )
 
     def __init__(self, graph, mode, system, labels):
@@ -245,6 +247,7 @@ class StructureTree:
         self.mode = mode
         self.system = system
         self.labels = tuple(labels)
+        self.cut_names = tuple(_cut_name(system, k) for k in range(len(system.cuts)))
         self.label_to_vertex = {}
         for vid, lab in zip(graph.vertices, self.labels):
             self.label_to_vertex[lab] = vid
@@ -253,7 +256,7 @@ class StructureTree:
         return self.labels[self.graph.vindex[vertex_id]]
 
     def label_names(self, label):
-        return tuple(_cut_name(self.system, i) for i in sorted(label))
+        return tuple(map(self.cut_names.__getitem__, sorted(label)))
 
     def __repr__(self):
         return "StructureTree(mode=%s, %d cuts)" % (self.mode, len(self.system.cuts))
@@ -933,8 +936,7 @@ def tree_dot(stree):
         for vid, lab in zip(stree.graph.vertices, stree.labels)
     }
     elabels = {
-        e: _cut_name(stree.system, k)
-        for k, (e, _s, _d) in enumerate(stree.graph.edges)
+        e: name for (e, _s, _d), name in zip(stree.graph.edges, stree.cut_names)
     }
     return graph_dot(stree.graph, vlabels, elabels)
 
@@ -949,10 +951,10 @@ def tree_json_dict(stree):
         "edges": [
             {
                 "id": e,
-                "cut": _cut_name(stree.system, k),
+                "cut": name,
                 "src": s,
                 "dst": d,
             }
-            for k, (e, s, d) in enumerate(stree.graph.edges)
+            for (e, s, d), name in zip(stree.graph.edges, stree.cut_names)
         ],
     }

@@ -300,6 +300,10 @@ def test_act_left_cut_matches_string_graph_reference():
         # a path that misses 4, so a translate can wrap around it
         ball(cyclic(8), 3),
         ball(FreeOracle(2), 0),  # every nontrivial translate is blind
+        # larger balls, whose fringes split into many classes
+        ball(FreeOracle(2), 4),
+        ball(FreeProductOracle([3, 3]), 5),
+        ball(FreeProductOracle([3, 4]), 4),
     ]
     messages = set()
     translated = 0
@@ -318,6 +322,10 @@ def test_act_left_cut_matches_string_graph_reference():
                     messages.add(want)
                 else:
                     translated += 1
+        for lm in (bv._left or {}).values():
+            # img and pre are inverse partial maps
+            assert all(lm.img[p] == i for i, p in enumerate(lm.pre) if p is not None)
+            assert all(lm.pre[j] == i for i, j in enumerate(lm.img) if j is not None)
     assert messages == {ESCAPES, NOT_INTERIOR, UNDECIDABLE, INCONSISTENT}
     assert translated
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cutforge.graphs import Graph
@@ -354,3 +356,83 @@ def test_element_orders(oracle, word, order):
         for k in range(1, order + 1):
             x = oracle.multiply(x, a)
             assert (x == oracle.identity()) == (k == order)
+
+
+def reference_free_multiply(a, b):
+    """Free reduction on a stack: push each letter of b, popping the top
+    instead when the two cancel."""
+    out = list(a)
+    for x in b:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_free_product_multiply(orders, a, b):
+    """Normal form on a stack: push each syllable of b, merging it into the
+    top instead when the two share a factor, and dropping a zero sum."""
+    out = list(a)
+    for (f, e) in b:
+        if out and out[-1][0] == f:
+            e2 = (out[-1][1] + e) % orders[f]
+            out.pop()
+            if e2:
+                out.append((f, e2))
+        else:
+            out.append((f, e))
+    return tuple(out)
+
+
+def reference_multiply(o, a, b):
+    if isinstance(o, FreeOracle):
+        return reference_free_multiply(a, b)
+    return reference_free_product_multiply(o.orders, a, b)
+
+
+# per oracle, explicit pairs: the identity, a full cancellation, and (in
+# Z/5) a partial syllable merge, alone and after a cancellation
+PRODUCT_CASES = {
+    "free:2": (lambda: FreeOracle(2), [
+        ((), ()),
+        ((), (1, -2)),
+        ((1, -2), ()),
+        ((1, 2, -1), (1, -2, -1)),
+        ((1, 2), (-2, 1)),
+    ]),
+    "free:3": (lambda: FreeOracle(3), [((3, -1), (1, -3)), ((2, 3), (-3, -2, 1))]),
+    "free_product:3,3": (lambda: FreeProductOracle([3, 3]), [
+        (((0, 1), (1, 2)), ((1, 1), (0, 2))),
+        (((0, 1), (1, 2)), ((1, 2), (0, 1))),
+    ]),
+    "free_product:2,2,2": (lambda: FreeProductOracle([2, 2, 2]), [
+        (((0, 1), (2, 1)), ((2, 1), (0, 1), (1, 1))),
+    ]),
+    "free_product:3,4,5": (lambda: FreeProductOracle([3, 4, 5]), [
+        ((), ((2, 2),)),
+        (((2, 2),), ((2, 1),)),
+        (((0, 1), (2, 2)), ((2, 3), (0, 1))),
+        (((1, 3), (0, 1), (2, 2)), ((2, 3), (0, 2), (1, 3))),
+        (((1, 1), (2, 4)), ((2, 4), (1, 2))),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_multiply_matches_the_stack_reduction(name):
+    make, explicit = PRODUCT_CASES[name]
+    o = make()
+    rng = random.Random(name)
+    els = [el for el, _word in o.words_up_to(5)]
+    pairs = list(explicit)
+    pairs += [(rng.choice(els), rng.choice(els)) for _ in range(400)]
+    for a in rng.sample(els, min(len(els), 100)):
+        # a times the inverse of a suffix of a, then a random element:
+        # cancellation that runs k letters or syllables deep
+        k = rng.randrange(len(a) + 1)
+        tail = reference_multiply(o, o.invert(a[k:]), rng.choice(els))
+        pairs += [(a, o.invert(a)), (a, tail), (o.invert(tail), o.invert(a))]
+    for a, b in pairs:
+        assert o.multiply(a, b) == reference_multiply(o, a, b), (a, b)
+    assert any(o.multiply(a, b) == () != a for a, b in pairs)
