@@ -16,7 +16,9 @@ graph only where they are printed or parsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import reduce
+from itertools import compress
+from operator import and_, itemgetter, or_
 
 from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
@@ -148,19 +150,6 @@ def cut_from_members(universe, members, name=None):
     return Cut(universe, bits_of_members(universe, members), name)
 
 
-def almost_equal(a, b):
-    """(almost equal?, symmetric difference).  Exact on finite graphs; on a
-    ball the answer is certified only when the difference avoids the sphere
-    (otherwise it may keep growing outside the window)."""
-    _same_universe(a, b)
-    diff = a.bits ^ b.bits
-    if isinstance(a.universe, BallView):
-        ok = (diff & a.universe.sphere_mask()) == 0
-    else:
-        ok = True
-    return ok, frozenset(members_of_bits(a.universe, diff))
-
-
 def _same_universe(a, b):
     if a.universe is not b.universe:
         raise CutError("cuts live over different universes")
@@ -191,13 +180,59 @@ def nested_report(a, b):
     return NestedReport(sizes, bool(empty), empty)
 
 
-def is_nested_bits(full, abits, bbits):
-    return (
-        abits & bbits == 0
-        or abits & (full ^ bbits) == 0
-        or (full ^ abits) & bbits == 0
-        or (full ^ abits) & (full ^ bbits) == 0
-    )
+# '0'/'1' digits -> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
+# through C-level bytes operations
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def containment(masks, width):
+    """Containment and crossing of a family of vertex bit masks over a
+    universe of `width` vertices.  Returns three lists of masks over the
+    family's indices: per member d,
+        A(d) = {e | d ⊆ e},  B(d) = {e | ~d ⊆ e},  X(d) = {e | e crosses d}.
+
+    The signature of a universe vertex has bit e set when the vertex lies in
+    e; it is a column of the bit matrix of the family, so one transpose
+    gives them all.  Vertices with one signature form an atom, and every
+    member is a union of atoms (at most members + 1 of them when the family
+    is nested).  Hence d ⊆ e exactly when e contains every atom inside d,
+    so A(d) is the AND of the signatures of the atoms inside d, and B(d)
+    the AND of those outside d; an empty AND is every member.  Likewise
+    OR_in(d) and OR_out(d), the ORs of the same signatures, hold the e that
+    meet d and ~d.  X(d) = OR_in(d) & ~A(d) & OR_out(d) & ~B(d).  Proof: e
+    crosses d exactly when the four corners d∩e, d∩~e, ~d∩e and ~d∩~e all
+    hold a vertex, hence an atom, and the four terms say in turn that an atom
+    inside d lies in e, one inside d lies outside e, one outside d lies in
+    e, and one outside d lies outside e.
+
+    The matrices are strings of binary digits, one row after another, so a
+    column is a strided slice; the atom-major one becomes bytes of 0/1 flags
+    for `compress`.  The cost is O(members·width) bit work for the
+    transpose plus O(members·atoms) ANDs and ORs of members-bit integers,
+    all in C-level loops.  An empty family gives three empty lists."""
+    n = len(masks)
+    if not n:
+        return [], [], []
+    spec = "0%db" % (width,)
+    # row e: member e's digits, vertices in reverse index order (any order does)
+    rows = "".join([format(m, spec) for m in masks])
+    atoms = list(dict.fromkeys([rows[v::width] for v in range(width)]))
+    sigs = [int(a[::-1], 2) for a in atoms]
+    # atom-major, so row d is in_rows[d::n]
+    in_rows = "".join(atoms).encode().translate(_TO_FLAGS)
+    out_rows = in_rows.translate(_FLIP)
+    every = (1 << n) - 1
+    inside, outside, crossing = [], [], []
+    for d in range(n):
+        sig_in = list(compress(sigs, in_rows[d::n]))
+        sig_out = list(compress(sigs, out_rows[d::n]))
+        a = reduce(and_, sig_in, every)
+        b = reduce(and_, sig_out, every)
+        inside.append(a)
+        outside.append(b)
+        crossing.append(reduce(or_, sig_in, 0) & reduce(or_, sig_out, 0) & ~(a | b))
+    return inside, outside, crossing
 
 
 class CutAlgebra:

@@ -25,8 +25,7 @@ from .cuts import (
     CutError,
     act_left_cut,
     boolean_closure,
-    full_mask,
-    is_nested_bits,
+    containment,
     refine,
 )
 from .graphs import index_classes
@@ -153,6 +152,12 @@ def classify(algebra):
     status, the irreducible order and the class order of
     `select_nested_generating` are those of the series at any length
     L >= k; `full_series` builds them for the callers that print them.
+
+    The report's flags are computed, not assumed: `complement_stable`
+    compares every status with its complement's, `nested` holds when
+    `cuts.containment` over the irreducible bits finds no crossing pair
+    (the same atom pass that `trees.verify_system` makes), and `generates`
+    refines the atoms by the irreducible masks.
     """
     universe = algebra.universe
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
@@ -175,15 +180,8 @@ def classify(algebra):
     )
     irr = tuple(elements[m] for m in order if status[m] == "irreducible")
     comp_stable = all(status[m] == status[full ^ m] for m in range(1 << a))
-    nested = True
-    fullv = full_mask(universe)
-    for i in range(len(irr)):
-        for j in range(i + 1, len(irr)):
-            if not is_nested_bits(fullv, irr[i].bits, irr[j].bits):
-                nested = False
-                break
-        if not nested:
-            break
+    _, _, crossing = containment([e.bits for e in irr], universe.nv)
+    nested = not any(crossing)
     generates = all(
         b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True

@@ -6,14 +6,18 @@ vertex labeled {d | d contains e or d strictly contains the complement of
 e} to the midpoint labeled {e, complement}; complementary cuts meet at the
 midpoint, so each complement pair is a length-2 segment.  In unpaired mode
 (no complement pairs in E) the cut runs between the two one-sided labels,
-with no midpoints.  Vertex labels are frozensets of cut indices, read off
-the atoms of the system: one transpose of the cut bit rows gives each
-universe vertex its signature (the cuts containing it), the distinct
-signatures are the atoms, and ANDs of atom signatures give every label, at
-O(cuts·|V|) bit work plus O(cuts·atoms) ANDs.  The tree metric equals the
-symmetric-difference size of labels, and that identity is what the test
-suites check; vertex_embed reads the built tree's label and checks it
-against the cuts that contain the vertex.
+with no midpoints.  Nestedness and the vertex labels (frozensets of cut
+indices) come from one pass over the atoms of the system,
+`cuts.containment`: one transpose of the cut bit rows gives each universe
+vertex its signature (the cuts containing it), the distinct signatures are
+the atoms, and ANDs and ORs of atom signatures give, per cut d, the cuts
+that contain d, those that contain ~d and those that cross d, at
+O(cuts·|V|) bit work plus O(cuts·atoms) big-integer operations.
+verify_system reads nestedness and its witness off the crossing masks and
+keeps the other two on the system, and the builders read every label off
+them.  The tree metric equals the symmetric-difference size of labels, and
+that identity is what the test suites check; vertex_embed reads the built
+tree's label and checks it against the cuts that contain the vertex.
 
 The action layer is one class.  PartialAction holds per-word vertex and
 edge maps, None marking an image the evidence cannot determine, and every
@@ -50,12 +54,10 @@ pass over the elements; the "v|x" ids only name the result's vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import compress, count
-from operator import and_
 from types import MappingProxyType
 
-from .cuts import full_mask, universe_graph
+from .cuts import _TO_FLAGS, containment, full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 from .groups import _letters, ball, search_tree
 
@@ -78,11 +80,18 @@ class NestedSystem:
     excludes_full: bool
     # cut bits -> cut index, for O(1) complement lookups
     bits_index: dict = field(default=None, repr=False, compare=False)
+    # (A, B) of cuts.containment: per cut d, the masks of the cuts e with
+    # d ⊆ e and with ~d ⊆ e; the tree labels are read off them
+    containment: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bits_index is None:
             index = {c.bits: i for i, c in enumerate(self.cuts)}
             object.__setattr__(self, "bits_index", index)
+        if self.containment is None:
+            width = self.universe.nv if self.cuts else 0
+            inside, outside, _ = containment([c.bits for c in self.cuts], width)
+            object.__setattr__(self, "containment", (inside, outside))
 
     @property
     def valid(self):
@@ -137,37 +146,29 @@ def verify_system(cuts):
     excludes_full = all(b != full for b in bits)
     comp_stable = all(cb in seen for cb in comps)
     comp_free = all(cb not in seen for cb in comps)
-    nested = True
+    inside, outside, crossing = containment(bits, universe.nv)
+    # the least i crossed by a later cut, with the least such cut: the
+    # lexicographically first crossing pair
     witness = None
-    for i in range(len(cuts)):
-        a, ac = bits[i], comps[i]
-        for j in range(i + 1, len(cuts)):
-            b, bc = bits[j], comps[j]
-            if a & b and a & bc and ac & b and ac & bc:
-                nested = False
-                witness = (cuts[i].name, cuts[j].name)
-                break
-        if not nested:
+    for i, x in enumerate(crossing):
+        later = x >> (i + 1)
+        if later:
+            witness = (cuts[i].name, cuts[i + (later & -later).bit_length()].name)
             break
     return NestedSystem(
         cuts,
         comp_stable,
         comp_free,
-        nested,
+        witness is None,
         witness,
         excludes_empty,
         excludes_full,
         seen,
+        (inside, outside),
     )
 
 
 # -- labels --------------------------------------------------------------------
-
-# '0'/'1' digits <-> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
-# through C-level bytes operations
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _index_set(mask):
@@ -175,45 +176,15 @@ def _index_set(mask):
     return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_TO_FLAGS)))
 
 
-def _containment(system):
-    """Per cut d, the masks over cut indices A(d) = {e | d ⊆ e} and
-    B(d) = {e | ~d ⊆ e}, read off the atoms of the system.
-
-    The signature of a universe vertex has bit e set when the vertex lies in
-    cut e; it is a column of the cut bit matrix, so one transpose gives them
-    all.  Vertices with one signature form an atom, and every cut is a union
-    of atoms (at most cuts + 1 of them when the system is nested).  Hence d
-    ⊆ e exactly when e contains every atom inside d, so A(d) is the AND of
-    the signatures of the atoms inside d, and likewise B(d) over the atoms
-    outside d; an empty AND is every cut.  The matrices are bytes of 0/1
-    flags, one row after another, so a column is a strided slice.  The cost
-    is O(cuts·|V|) bit work for the transpose plus O(cuts·atoms) ANDs of
-    cuts-bit integers, all in C-level loops."""
-    n = len(system.cuts)
-    width = system.universe.nv
-    spec = "0%db" % (width,)
-    # row e: cut e's flags, vertices in reverse index order (any order does)
-    cut_rows = "".join([format(c.bits, spec) for c in system.cuts])
-    cut_rows = cut_rows.encode().translate(_TO_FLAGS)
-    atoms = list(dict.fromkeys([cut_rows[v::width] for v in range(width)]))
-    sigs = [int(a.translate(_TO_DIGITS)[::-1], 2) for a in atoms]
-    in_rows = b"".join(atoms)  # atom-major, so row d is in_rows[d::n]
-    out_rows = in_rows.translate(_FLIP)
-    every = (1 << n) - 1
-    inside = [reduce(and_, compress(sigs, in_rows[d::n]), every) for d in range(n)]
-    outside = [reduce(and_, compress(sigs, out_rows[d::n]), every) for d in range(n)]
-    return inside, outside
-
-
 def _labels(system, mode):
     """Head and tail labels of each cut's edge, where the label of a set S
-    is {d | S ⊆ d, or ~S ⊊ d}.  With A and B from _containment, the head
+    is {d | S ⊆ d, or ~S ⊊ d}.  With (A, B) = system.containment, the head
     label of cut d is A(d) ∪ (B(d) − {~d}) and, in U mode, the tail label is
     the label of ~d, B(d) ∪ (A(d) − {d}): verify_system refuses duplicate
     cuts, so d is the one cut equal to d, and ~d is the one cut equal to ~d
     in a complement-stable system and none in a complement-free one, where
     the head is A(d) ∪ B(d).  A T-mode tail is the midpoint {d, ~d}."""
-    inside, outside = _containment(system)
+    inside, outside = system.containment
     full = full_mask(system.universe)
     heads, tails = [], []
     for d, c in enumerate(system.cuts):
@@ -238,7 +209,6 @@ class StructureTree:
         "mode",
         "system",
         "labels",
-        "label_to_vertex",
         "cut_names",
     )
 
@@ -248,9 +218,6 @@ class StructureTree:
         self.system = system
         self.labels = tuple(labels)
         self.cut_names = tuple(_cut_name(system, k) for k in range(len(system.cuts)))
-        self.label_to_vertex = {}
-        for vid, lab in zip(graph.vertices, self.labels):
-            self.label_to_vertex[lab] = vid
 
     def label_of(self, vertex_id):
         return self.labels[self.graph.vindex[vertex_id]]

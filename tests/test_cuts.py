@@ -11,9 +11,9 @@ from cutforge.cuts import (
     CutError,
     _left_map,
     act_left_cut,
-    almost_equal,
     boolean_closure,
     coboundary_indices,
+    containment,
     crossing_sources,
     cut_from_members,
     is_almost_right_stable,
@@ -74,8 +74,6 @@ def test_symdiff_cardinality_identity():
     d = a.bits ^ b.bits
     na, nb = a.bits.bit_count(), b.bits.bit_count()
     assert d.bit_count() == na + nb - 2 * (a.bits & b.bits).bit_count()
-    ok, diff = almost_equal(a, a)
-    assert ok and not diff
 
 
 def test_nested_report_corners():
@@ -90,6 +88,27 @@ def test_nested_report_corners():
     # complement invariance of the 4-corner test
     assert nested_report(a.complement(), b).nested == rep.nested
     assert nested_report(a, b.complement()).nested == rep.nested
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_containment_matches_subset_tests(seed):
+    """A, B and X of `containment` against plain subset tests and the
+    corner census of `nested_report`, pair by pair."""
+    assert containment([], 5) == ([], [], [])
+    rng = random.Random(seed)
+    width = rng.randrange(1, 9)
+    g = Graph(["x%d" % i for i in range(width)], [])
+    full = (1 << width) - 1
+    masks = [0, full] + [rng.randrange(full + 1) for _ in range(rng.randrange(12))]
+    rng.shuffle(masks)
+    cuts = [Cut(g, m) for m in masks]
+    inside, outside, crossing = containment(masks, width)
+    assert len(inside) == len(outside) == len(crossing) == len(masks)
+    for d, md in enumerate(masks):
+        for e, me in enumerate(masks):
+            assert (inside[d] >> e) & 1 == (md & ~me == 0)
+            assert (outside[d] >> e) & 1 == ((full ^ md) & ~me == 0)
+            assert (crossing[d] >> e) & 1 == (not nested_report(cuts[d], cuts[e]).nested)
 
 
 def test_boolean_closure_crossing_pair():

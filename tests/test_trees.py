@@ -78,29 +78,33 @@ def test_verify_system_rejections():
 
 
 def brute_flags(full, cuts):
-    """verify_system's flags, each read off every cut or pair of cuts."""
+    """verify_system's flags, each read off every cut or pair of cuts, and
+    the lexicographically first crossing pair of names (None if nested)."""
     bits = {c.bits for c in cuts}
     comps = [full ^ c.bits for c in cuts]
 
     def some_corner_empty(a, b):
         return not all((a & b, a & (full ^ b), (full ^ a) & b, full ^ (a | b)))
 
+    crossing = [
+        (a.name, b.name)
+        for i, a in enumerate(cuts)
+        for b in cuts[i + 1:]
+        if not some_corner_empty(a.bits, b.bits)
+    ]
     return (
         all(cb in bits for cb in comps),
         all(cb not in bits for cb in comps),
-        all(
-            some_corner_empty(a.bits, b.bits)
-            for i, a in enumerate(cuts)
-            for b in cuts[i + 1:]
-        ),
+        not crossing,
         all(c.bits for c in cuts),
         all(c.bits != full for c in cuts),
+        crossing[0] if crossing else None,
     )
 
 
 def flags(system):
     return (system.complement_stable, system.complement_free, system.nested,
-            system.excludes_empty, system.excludes_full)
+            system.excludes_empty, system.excludes_full, system.nested_witness)
 
 
 def random_tree(rng, n):
@@ -134,8 +138,9 @@ def test_verify_system_flags_match_pairwise_checks(seed):
     pool = rng.sample(range(1 << g.nv), min(1 << g.nv, rng.randrange(1, 25)))
     cuts = [Cut(g, bits, "c%d" % k) for k, bits in enumerate(pool)]
     system = verify_system(cuts)
-    stable, free, nested, no_empty, no_full = brute_flags((1 << g.nv) - 1, cuts)
-    assert flags(system) == (stable, free, nested, no_empty, no_full)
+    expected = brute_flags((1 << g.nv) - 1, cuts)
+    assert flags(system) == expected
+    stable, _free, nested, no_empty, no_full, _witness = expected
     assert system.valid == (stable and nested and no_empty and no_full)
 
 
@@ -148,6 +153,8 @@ def test_index_of_bits():
     # a system built by hand indexes its cuts too
     by_hand = NestedSystem(system.cuts, True, False, True, None, True, True)
     assert by_hand.index_of_bits(na.bits) == 1 and by_hand == system
+    # ... and fills in the containment masks the tree labels are read off
+    assert by_hand.containment == system.containment == ([0b01, 0b10], [0b10, 0b01])
 
 
 def test_crossing_witness():
@@ -502,14 +509,14 @@ def test_cut_maps_of_a_bijection_always_move_the_tree(mode, n, sample, closed, t
         rng.shuffle(fam)  # the cut order sets the edge order of the tree
         system = verify_system([Cut(g, b, "c%d" % b) for b in fam])
         t = build(system)
+        vertex_of = {lab: v for v, lab in enumerate(t.labels)}
         for image in perms:
             counts[1] += 1
             if any(image[b] not in system.bits_index for b in fam):
                 continue
             amap = [system.bits_index[image[b]] for b in fam]
             expected = tuple(
-                t.graph.vindex[t.label_to_vertex[frozenset(amap[d] for d in lab)]]
-                for lab in t.labels
+                vertex_of[frozenset(amap[d] for d in lab)] for lab in t.labels
             )
             pairs = _incidence_pairs(t.graph, amap)
             assert _agreeing_map(t.graph.nv, pairs) == expected
