@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
-from operator import and_, itemgetter, or_
+from itertools import chain, compress, repeat
+from operator import and_, is_, itemgetter, or_
 
 from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
@@ -54,12 +54,25 @@ def bits_of_members(universe, members):
 
 def members_of_bits(universe, bits):
     g = universe_graph(universe)
-    return tuple(g.vertices[i] for i in range(g.nv) if (bits >> i) & 1)
+    return tuple(compress(g.vertices, bit_flags(bits)))
 
 
 def _sides(bits, n):
     """Per-vertex membership characters '0' / '1' of a bit set."""
     return format(bits, "0%db" % n)[::-1]
+
+
+# '0'/'1' digits -> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
+# through C-level bytes operations
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def bit_flags(bits):
+    """Membership bytes 0 / 1 of vertices 0, 1, ... in a bit set, through
+    its highest member, read off one digit string: linear in the mask's
+    length, where shifting the mask once per vertex is quadratic."""
+    return bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
 
 
 def coboundary_indices(universe, bits):
@@ -180,12 +193,6 @@ def nested_report(a, b):
     return NestedReport(sizes, bool(empty), empty)
 
 
-# '0'/'1' digits -> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
-# through C-level bytes operations
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
 def containment(masks, width):
     """Containment and crossing of a family of vertex bit masks over a
     universe of `width` vertices.  Returns three lists of masks over the
@@ -292,8 +299,9 @@ def refine(blocks, masks):
 
 def boolean_closure(cuts):
     """The algebra the cuts generate, one `refine` pass over them.  It is
-    cheap at any number of cuts; what costs is the sieve's pass over the
-    2^atoms elements, which `sieve.MAX_SIEVE_ATOMS` guards."""
+    cheap at any number of cuts, and so is `sieve.classify`, which visits
+    the 2^atoms elements lazily; only a pass that lists all of them is
+    capped, at `sieve.MAX_LISTED_ATOMS`."""
     if not cuts:
         raise CutError("boolean_closure needs at least one generating cut")
     universe = cuts[0].universe
@@ -414,16 +422,21 @@ def _left_map(bv, g):
     inverse = dict(zip(pre, range(n)))  # its None key is never looked up
     img = tuple(map(inverse.get, range(n)))
     other = [(s, d) for s, d in bv.index_edges if pre[s] is None or pre[d] is None]
+    # Only the vertices without a preimage and the ends of their edges lie in
+    # a fringe class, and every class among them holds such a vertex, so the
+    # classes are read off those vertices alone.
+    touched = sorted({*compress(range(n), map(is_, pre, repeat(None))),
+                      *chain.from_iterable(other)})
     fringe = []
-    for block in index_classes(n, other):
+    for block in index_classes(n, other, touched):
         lost = seen = 0
         for i in block:
-            if pre[i] is None:
+            p = pre[i]
+            if p is None:
                 lost |= 1 << i
             else:
-                seen |= 1 << pre[i]
-        if lost:
-            fringe.append((lost, seen))
+                seen |= 1 << p
+        fringe.append((lost, seen))
     # A side string format(bits, "0{n+1}b") holds bit i at n - i and a
     # sentinel '0' at 0 (bits < 2^n), which a vertex without a preimage
     # reads.  The leading sentinel keeps the gather a tuple on a 1-vertex

@@ -98,11 +98,13 @@ class ComponentPartition:
         raise GraphError("vertex %r not in partition" % (vid,))
 
 
-def index_classes(n, pairs):
+def index_classes(n, pairs, members=None):
     """Classes of range(n) under the equivalence the (i, j) pairs generate,
     least member first, each sorted.  A union hangs the larger root under
     the smaller, so every parent index is below its child's and one
-    ascending pass reads off the classes."""
+    ascending pass reads off the classes.  members, ascending and holding
+    both ends of every pair, limits that pass to the classes among them:
+    each of those lies inside members, so every parent it reads is one."""
     parent = list(range(n))
     for i, j in pairs:
         while parent[i] != i:
@@ -114,7 +116,8 @@ def index_classes(n, pairs):
         elif j < i:
             parent[i] = j
     classes = []
-    for i, p in enumerate(parent):
+    for i in range(n) if members is None else members:
+        p = parent[i]
         if p == i:
             parent[i] = len(classes)
             classes.append([i])

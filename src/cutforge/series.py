@@ -43,10 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from itertools import chain, repeat, zip_longest
+from itertools import chain, compress, repeat, zip_longest
 from operator import add, itemgetter, lshift
 
-from .cuts import bits_of_members, full_mask, universe_graph, Cut
+from .cuts import bit_flags, bits_of_members, full_mask, universe_graph, Cut
 
 DEFAULT_BALL_L = 16
 
@@ -228,11 +228,11 @@ def _walk_counts(plan, starts, pairs, L):
 
 
 def _indicator(bits, n):
-    return [(bits >> i) & 1 for i in range(n)]
+    return list(bit_flags(bits).ljust(n, b"\0")[:n])
 
 
 def _members(bits, n):
-    return [i for i in range(n) if (bits >> i) & 1]
+    return list(compress(range(n), bit_flags(bits)))
 
 
 def transfer_counts(universe, spec, L):

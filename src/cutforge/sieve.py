@@ -12,13 +12,23 @@ blocks of the atoms' equitable partition, and two series that agree there
 agree at every degree (the proof is in its docstring).  So every verdict is
 the one of the untruncated series, and no length L enters it; L only sets
 how many coefficients `full_series` prints.
+
+Laziness: `classify` visits the atom unions by increasing c_1, their cut
+weight in the atom quotient, which is the first coefficient the
+lexicographic order reads (c_0 is always 0), and stops once the elements
+seen so far generate every atom: all later elements are reducible.  So it
+lists no table over the 2^atoms elements, and the proofs of both steps are
+in its docstring.  Only a pass over every element (`SieveReport.elements`,
+`full_series`, `sieve --json`) lists them, up to MAX_LISTED_ATOMS atoms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, groupby
-from operator import add, sub
+from operator import add, index, itemgetter, sub
 
 from .cuts import (
     Cut,
@@ -32,7 +42,8 @@ from .graphs import index_classes
 from .series import atom_pair_prefix, atom_pair_table
 from . import trees
 
-MAX_SIEVE_ATOMS = 12
+# the most atoms whose 2^atoms elements a full pass lists
+MAX_LISTED_ATOMS = 12
 
 
 class SieveError(ValueError):
@@ -52,7 +63,8 @@ class SieveElement:
 @dataclass(frozen=True)
 class SieveReport:
     algebra: object
-    elements: tuple  # SieveElement per atom subset, in mask order
+    # SieveElement per atom subset, in mask order, made on demand (_Elements)
+    elements: Sequence
     irreducible: tuple  # the irreducible SieveElements, by (series, mask)
     # always 0, as every verdict is exact; kept because the split and sieve
     # transcripts print it and the benchmark's classify hook reads it
@@ -68,6 +80,11 @@ def _is_union(m, blocks):
         if x and x != b:
             return False
     return True
+
+
+def _lanes(table):
+    """lanes[i*a + j] = T_ij = (table[0][i][j], ..., table[L][i][j])."""
+    return list(zip(*map(chain.from_iterable, table)))
 
 
 def _series_by_mask(table, a, L):
@@ -93,7 +110,7 @@ def _series_by_mask(table, a, L):
     higher lowest atom.  A mask costs two `map` passes over its L + 1
     lanes, and F_k lives only while atom k is built."""
     zero = (0,) * (L + 1)
-    lanes = list(zip(*map(chain.from_iterable, table)))  # lanes[i*a + j] = T_ij
+    lanes = _lanes(table)
     out = [zero] * (1 << a)
     for k in reversed(range(a)):
         row = lanes[k * a:(k + 1) * a]
@@ -107,32 +124,136 @@ def _series_by_mask(table, a, L):
     return out
 
 
-def _verdicts(series, a):
-    """Masks in (series, mask) order, and the status of every mask.
+def _cut_weight_buckets(weights):
+    """Every atom union, in buckets of equal cut weight, lightest first.
 
-    Elements are visited by increasing measure, one tie group at a time;
-    `blocks` is the atom partition generated by every strictly smaller
-    group, so a mask is reducible exactly when it is a union of blocks."""
+    The cut weight of mask m is w(m) = sum over i in m, j not in m of
+    weights[i][j], for a symmetric table (the diagonal is never read), so
+    w(m) = w(~m).  A best-first search over partial assignments lists the
+    masks without sorting all 2^a of them.  Atoms are decided in BFS order
+    of the quotient from atom 0, and the first one always goes inside, so a
+    complete assignment m stands for the pair m, ~m, which its bucket lists
+    side by side.  A state that has decided the atoms before position d
+    has the key
+        cut + sum over undecided v of min(in_v, out_v),
+    where cut is the weight between its decided inside and outside atoms,
+    and in_v, out_v are the weights from v to them.  Every completion of the
+    state pays at least that: each undecided atom goes to one side and pays
+    its weight to the decided atoms of the other.  Deciding one more atom
+    never lowers the key: its own term becomes its weight to the other side,
+    at least the minimum, and the others' weights only grow.  A complete
+    state's key is w(m).  So states leave the heap by nondecreasing key, a
+    complete one leaves it after every lighter mask, and once no state in
+    the heap has a key as low as w, the bucket of weight w is complete.
+    Each bucket is yielded as soon as it is; the caller stops the search
+    when it has seen enough, so the search only expands the states lighter
+    than the last bucket it asks for."""
+    a = len(weights)
     full = (1 << a) - 1
-    order = sorted(range(1 << a), key=lambda m: (series[m], m))
-    status = [None] * (1 << a)
-    blocks = [full] if full else []
-    for _s, group in groupby(order, key=series.__getitem__):
-        group = list(group)
-        for m in group:
-            status[m] = "reducible" if _is_union(m, blocks) else "irreducible"
-        blocks = refine(blocks, group)
-    return order, status
+    order = [0]
+    seen = {0}
+    for i in order:
+        for j in range(a):
+            if weights[i][j] and j not in seen:
+                seen.add(j)
+                order.append(j)
+    order += [j for j in range(a) if j not in seen]
+    # rows[d]: the weights from the atom at position d to the later ones
+    rows = [tuple(weights[order[d]][j] for j in order[d + 1:]) for d in range(a)]
+    # (key, -depth, cut, mask, in_v, out_v): keys tie deepest first, and
+    # (depth, mask) names a state, so the weight tuples are never compared
+    heap = [(0, -1, 0, 1 << order[0], rows[0], (0,) * (a - 1))]
+    bucket, weight = [], 0
+    while heap:
+        if bucket and heap[0][0] > weight:
+            yield bucket
+            bucket = []
+        key, neg_d, cut, mask, ins, outs = heappop(heap)
+        d = -neg_d
+        if d == a:
+            bucket += (mask, full ^ mask)
+            weight = key
+            continue
+        row, bit = rows[d], 1 << order[d]
+        rest_in, rest_out = ins[1:], outs[1:]
+        grown = tuple(map(add, rest_in, row))
+        c = cut + outs[0]
+        heappush(heap, (c + sum(map(min, grown, rest_out)), -d - 1, c, mask | bit,
+                        grown, rest_out))
+        grown = tuple(map(add, rest_out, row))
+        c = cut + ins[0]
+        heappush(heap, (c + sum(map(min, rest_in, grown)), -d - 1, c, mask,
+                        rest_in, grown))
+    yield bucket  # the search ends on a complete state
+
+
+def _union_series(lanes, a, m, zero):
+    """Series of the union of the atoms in mask m, summed from its
+    |m| (a - |m|) lanes T_ij, i in m and j not (see `_series_by_mask`)."""
+    ins = [i * a for i in range(a) if (m >> i) & 1]
+    outs = [j for j in range(a) if not (m >> j) & 1]
+    return tuple(map(sum, zip(zero, *[lanes[i + j] for i in ins for j in outs])))
+
+
+def _refuse_listing(a):
+    if a > MAX_LISTED_ATOMS:
+        raise SieveError(
+            "measure sieve: algebra has %d atoms; listing all 2^%d elements "
+            "is capped at MAX_LISTED_ATOMS = %d; pass fewer cuts (for sieve, "
+            "drop --json)" % (a, a, MAX_LISTED_ATOMS)
+        )
+
+
+class _Elements(Sequence):
+    """The SieveElement of every atom union, in mask order, made on demand.
+
+    A mask that `classify` visited keeps its element; every other mask is
+    reducible (see classify), and reading it sums its series from the
+    atom-pair lanes.  A full pass builds the series of every mask at once
+    with `_series_by_mask`, and refuses above MAX_LISTED_ATOMS."""
+
+    __slots__ = ("_algebra", "_table", "_visited")
+
+    def __init__(self, algebra, table, visited):
+        self._algebra = algebra
+        self._table = table
+        self._visited = visited
+
+    def __len__(self):
+        return 1 << self._algebra.n_atoms
+
+    def _element(self, m, series):
+        return SieveElement(m, self._algebra.element_bits(m), series, "reducible")
+
+    def __getitem__(self, m):
+        n = len(self)
+        m = index(m)
+        if m < 0:
+            m += n
+        if not 0 <= m < n:
+            raise IndexError("sieve element index out of range")
+        el = self._visited.get(m)
+        if el is None:
+            table, a = self._table, self._algebra.n_atoms
+            el = self._element(m, _union_series(_lanes(table), a, m, (0,) * len(table)))
+        return el
+
+    def __iter__(self):
+        a = self._algebra.n_atoms
+        _refuse_listing(a)
+        visited = self._visited
+        for m, series in enumerate(_series_by_mask(self._table, a, len(self._table) - 1)):
+            yield visited.get(m) or self._element(m, series)
 
 
 def classify(algebra):
     """Sieve every element of the algebra by its measure series.
 
-    The verdicts are computed from the prefix of degree k, and they are the
-    verdicts of the untruncated series.  Here A is the adjacency matrix of
-    the universe, w_i the atom indicators, and k the number of blocks of
-    the coarsest equitable partition that refines the atoms
-    (`series.atom_pair_prefix`): every vertex of block X has the same
+    Exactness.  The verdicts are computed from the prefix of degree k, and
+    they are the verdicts of the untruncated series.  Here A is the
+    adjacency matrix of the universe, w_i the atom indicators, and k the
+    number of blocks of the coarsest equitable partition that refines the
+    atoms (`series.atom_pair_prefix`): every vertex of block X has the same
     number B[X][Y] of darts into block Y (Godsil and Royle, "Algebraic
     Graph Theory", 2001, section 9.3).  So A 1_Y = sum_X B[X][Y] 1_X: the
     span of the k block indicators is A-invariant, A acts on it by the
@@ -153,45 +274,81 @@ def classify(algebra):
     `select_nested_generating` are those of the series at any length
     L >= k; `full_series` builds them for the callers that print them.
 
-    The report's flags are computed, not assumed: `complement_stable`
-    compares every status with its complement's, `nested` holds when
-    `cuts.containment` over the irreducible bits finds no crossing pair
-    (the same atom pass that `trees.verify_system` makes), and `generates`
-    refines the atoms by the irreducible masks.
+    Order.  The sieve visits the elements by increasing measure, one tie
+    group at a time, and `blocks` is the atom partition that every strictly
+    smaller group generates, so an element is reducible exactly when it is
+    a union of blocks.  Every series starts c_0 = 0 (a walk of length 0
+    stays in its set), and c_1 is the cut weight of the union in the atom
+    quotient, table[1][i][j] summed over i in the union and j outside it.
+    So the lexicographic (series, mask) order of all 2^a masks is the
+    order of (c_1, series, mask): the c_1 buckets, lightest first, each
+    sorted by (series, mask), and a tie group never spans two buckets.
+    `_cut_weight_buckets` lists the buckets without listing the masks.  It
+    needs table[1] symmetric, and every level is: a walk from atom i to
+    atom j, reversed, is one from j to i.  So a union and its complement
+    have the same series, and each complement pair is summed once.
+
+    Stopping.  Once the blocks are the atoms, every mask is a union of
+    blocks, so every later mask is reducible, and refining by it changes
+    nothing.  The visit stops at the end of that bucket, and every mask it
+    did not visit is reducible.  It does stop: refining by every mask ends
+    at the atoms.  On the split ladder that is after about 2a masks.
+    `SieveReport.elements` gives a visited mask its element and any other
+    mask a reducible one.
+
+    The report's flags are computed, not assumed: `complement_stable` holds
+    when the irreducible set is closed under complement, which is the same
+    as every status equalling its complement's, since the complement map is
+    an involution and the reducible masks, visited or not, are the rest;
+    `nested` holds when `cuts.containment` over the irreducible bits finds
+    no crossing pair (the same atom pass that `trees.verify_system` makes),
+    and `generates` refines the atoms by the irreducible masks.
     """
     universe = algebra.universe
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
         raise SieveError("measure sieve needs a connected universe")
     a = algebra.n_atoms
-    if a > MAX_SIEVE_ATOMS:
-        raise SieveError(
-            "measure sieve: algebra has %d atoms; sieve cap MAX_SIEVE_ATOMS "
-            "= %d; pass fewer cuts (for split, a smaller --words)"
-            % (a, MAX_SIEVE_ATOMS)
-        )
     table = atom_pair_prefix(universe, algebra.atoms)
-    series = _series_by_mask(table, a, len(table) - 1)
+    lanes = _lanes(table)
+    zero = (0,) * len(table)
     full = (1 << a) - 1
-    order, status = _verdicts(series, a)
-
-    elements = tuple(
-        SieveElement(m, algebra.element_bits(m), series[m], status[m])
-        for m in range(1 << a)
-    )
-    irr = tuple(elements[m] for m in order if status[m] == "irreducible")
-    comp_stable = all(status[m] == status[full ^ m] for m in range(1 << a))
+    blocks = [full] if full else []
+    visited = {}
+    irr = []
+    if len(blocks) < a:
+        for bucket in _cut_weight_buckets(table[1]):
+            ranked = []
+            for m in bucket[::2]:  # a bucket lists complement pairs m, ~m
+                series = _union_series(lanes, a, m, zero)
+                ranked += ((series, m), (series, full ^ m))
+            ranked.sort()
+            for series, group in groupby(ranked, key=itemgetter(0)):
+                group = [m for _s, m in group]
+                for m in group:
+                    status = "reducible" if _is_union(m, blocks) else "irreducible"
+                    el = SieveElement(m, algebra.element_bits(m), series, status)
+                    visited[m] = el
+                    if status == "irreducible":
+                        irr.append(el)
+                blocks = refine(blocks, group)
+            if len(blocks) == a:
+                break
+    irr_masks = {e.mask for e in irr}
+    comp_stable = all(full ^ m in irr_masks for m in irr_masks)
     _, _, crossing = containment([e.bits for e in irr], universe.nv)
     nested = not any(crossing)
     generates = all(
         b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True
-    return SieveReport(algebra, elements, irr, 0, comp_stable, nested, generates)
+    elements = _Elements(algebra, table, visited)
+    return SieveReport(algebra, elements, tuple(irr), 0, comp_stable, nested, generates)
 
 
 def full_series(report, L):
     """Measure series of every element at length L, in mask order; classify
     keeps only the prefix that decides its verdicts."""
     algebra = report.algebra
+    _refuse_listing(algebra.n_atoms)
     table = atom_pair_table(algebra.universe, algebra.atoms, L)
     return _series_by_mask(table, algebra.n_atoms, L)
 

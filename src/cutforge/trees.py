@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
 
-from .cuts import _TO_FLAGS, containment, full_mask, universe_graph
+from .cuts import bit_flags, containment, full_mask, universe_graph
 from .graphs import Graph, collapse_blocks, components, index_classes, is_tree
 from .groups import _letters, ball, search_tree
 
@@ -173,7 +173,7 @@ def verify_system(cuts):
 
 def _index_set(mask):
     """The bit positions of mask, as a frozenset."""
-    return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_TO_FLAGS)))
+    return frozenset(compress(count(), bit_flags(mask)))
 
 
 def _labels(system, mode):
@@ -282,7 +282,36 @@ def edge_cut(t, edge_id):
 
 
 def edge_cuts(t):
-    return {e: edge_cut(t, e) for (e, _s, _d) in t.edges}
+    """e** of every tree edge, in one pass: rooted at vertex 0, an edge's
+    side away from the root is the subtree below it, so the source side is
+    that subtree when the source lies below the edge, and the rest when it
+    does not.  The subtrees are bit masks ORed up in reverse BFS order."""
+    if not t.edges:
+        return {}
+    if not is_tree(t):
+        raise TreeError("edge_cut requires a tree")
+    n = t.nv
+    nbrs = [[] for _ in range(n)]
+    for k, (s, d) in enumerate(t.index_edges):
+        nbrs[s].append((d, k))
+        nbrs[d].append((s, k))
+    up = [None] * n  # up[v]: the index of the edge from v towards the root
+    order = [0]
+    for v in order:
+        for w, k in nbrs[v]:
+            if k != up[v]:
+                up[w] = k
+                order.append(w)
+    below = [1 << v for v in range(n)]
+    for v in reversed(order[1:]):
+        s, d = t.index_edges[up[v]]
+        below[s if d == v else d] |= below[v]
+    full = (1 << n) - 1
+    out = {}
+    for k, ((e, _s, _d), (s, d)) in enumerate(zip(t.edges, t.index_edges)):
+        side = below[s] if up[s] == k else full ^ below[d]
+        out[e] = frozenset(compress(t.vertices, bit_flags(side)))
+    return out
 
 
 def vertex_embed(stree, universe_vertex):

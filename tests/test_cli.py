@@ -7,7 +7,7 @@ import re
 import pytest
 
 import cutforge.groups
-from cutforge import checks, cli, series
+from cutforge import checks, cli, series, sieve
 from cutforge.cli import main
 from cutforge.cuts import boolean_closure, cut_from_members
 from cutforge.graphs import Graph
@@ -638,13 +638,62 @@ def test_malformed_cut_or_graph_file_is_one_error_line(
     assert capsys.readouterr() == ("", "error: %s\n" % (why,))
 
 
-def test_split_free2_is_refused_by_the_sieve_cap(capsys):
-    assert main(["split", "--group", "free:2"]) == 1
+# sha256 of `split --group free:2` at the default --words 2: 18 atoms, whose
+# 2^18 elements the lazy sieve never lists; the eager sieve prints the same
+FREE2_SPLIT_SHA256 = "78daefc62923a0d5d9edcf252417551c7c319462393bb2adc6b3b7a800ecb839"
+
+
+def test_split_free2_at_the_default_word_bound_is_pinned(capsys):
+    assert main(["split", "--group", "free:2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1] == "sieve: 262144 algebra elements, 34 irreducible, 0 undecided"
+    assert lines[-2:] == [
+        "final tree: 1 edge orbit, 1 vertex orbits, vertex stabilizers [5], "
+        "edge stabilizer 1",
+        "ball-verified(R=6, W=2, L=5829)",
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE2_SPLIT_SHA256
+
+
+def test_split_free2_lists_no_series_of_every_mask(monkeypatch, capsys):
+    """The split path reads only the masks the sieve visits: with the full
+    pass over all 2^18 masks made to fail, the transcript is unchanged."""
+    def refuse(*args):
+        raise AssertionError("a full pass over every mask")
+
+    monkeypatch.setattr(sieve, "_series_by_mask", refuse)
+    assert main(["split", "--group", "free:2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE2_SPLIT_SHA256
+
+
+def test_sieve_json_above_the_listing_cap_is_refused(tmp_path, capsys):
+    """Twelve singleton cuts of a 14-vertex path leave 13 atoms: `sieve`
+    classifies them, and `sieve --json`, which lists all 2^13 elements,
+    refuses with the cap's name and the remedy."""
+    names = ["v%d" % i for i in range(14)]
+    (tmp_path / "g.json").write_text(json.dumps({
+        "vertices": names,
+        "edges": [{"id": "e%d" % i, "src": names[i], "dst": names[i + 1]}
+                  for i in range(13)],
+    }))
+    cpath = tmp_path / "cuts.json"
+    cpath.write_text(json.dumps({
+        "universe": "g.json",
+        "cuts": [{"name": "C%d" % i, "members": [names[i]]} for i in range(12)],
+    }))
+    assert main(["sieve", "--cuts", str(cpath)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "algebra: 13 atoms, 8192 elements"
+    assert out[-1] == "complement-stable: yes  nested: yes  generates: yes"
+    assert main(["sieve", "--cuts", str(cpath), "--json"]) == 1
     assert capsys.readouterr() == (
         "",
-        "error: measure sieve: algebra has 18 atoms; sieve cap "
-        "MAX_SIEVE_ATOMS = 12; pass fewer cuts (for split, a smaller "
-        "--words)\n",
+        "error: measure sieve: algebra has 13 atoms; listing all 2^13 elements "
+        "is capped at MAX_LISTED_ATOMS = 12; pass fewer cuts (for sieve, drop "
+        "--json)\n",
     )
 
 

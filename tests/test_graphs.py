@@ -10,6 +10,7 @@ from cutforge.graphs import (
     enumerate_reduced_paths,
     graph_from_json_dict,
     graph_to_json_dict,
+    index_classes,
     is_forest,
     is_reduced,
     is_tree,
@@ -160,3 +161,18 @@ def test_components_match_depth_first_reference(seed):
         blocks, flags = reference_components(g, removed, set(boundary))
         assert part.blocks == blocks
         assert part.touches_boundary == flags
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_classes_of_members_are_the_classes_they_hold(seed):
+    """With members, ascending and holding both ends of every pair, the
+    classes are those of range(n) that lie among the members, in the same
+    least-member-first order."""
+    rng = random.Random("index-classes-%d" % seed)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        ends = {x for pair in pairs for x in pair}
+        members = sorted(ends | {v for v in range(n) if rng.random() < 0.2})
+        want = tuple(c for c in index_classes(n, pairs) if c[0] in members)
+        assert index_classes(n, pairs, members) == want

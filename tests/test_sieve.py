@@ -14,6 +14,7 @@ from cutforge.cuts import (
     full_mask,
     nested_report,
     orbit_cuts,
+    refine,
 )
 from cutforge.ends import balanced_cut
 from cutforge.graphs import Graph
@@ -21,14 +22,35 @@ from cutforge.groups import ZdOracle, ball, make_oracle
 import cutforge.series as series_mod
 from cutforge.series import atom_pair_prefix, atom_pair_table, certified_length
 from cutforge.sieve import (
+    MAX_LISTED_ATOMS,
     SieveError,
+    _cut_weight_buckets,
+    _is_union,
     _series_by_mask,
-    _verdicts,
     classify,
     full_series,
     irreducible_family,
     select_nested_generating,
 )
+
+
+def _verdicts(series, a):
+    """The eager sieve: masks in (series, mask) order, and the status of
+    every mask.  Elements are visited by increasing measure, one tie group
+    at a time; `blocks` is the atom partition generated by every strictly
+    smaller group, so a mask is reducible exactly when it is a union of
+    blocks.  The reference for classify, which visits only the masks up to
+    the point where the blocks are atoms."""
+    full = (1 << a) - 1
+    order = sorted(range(1 << a), key=lambda m: (series[m], m))
+    status = [None] * (1 << a)
+    blocks = [full] if full else []
+    for _s, group in itertools.groupby(order, key=series.__getitem__):
+        group = list(group)
+        for m in group:
+            status[m] = "reducible" if _is_union(m, blocks) else "irreducible"
+        blocks = refine(blocks, group)
+    return order, status
 
 
 def k2():
@@ -209,19 +231,134 @@ def test_prefix_verdicts_equal_full_length_verdicts(seed):
             assert prefix == order
 
 
-def test_sieve_cap_names_stage_limit_and_remedy():
-    # twelve singleton cuts of a 14-vertex path leave 13 atoms
-    g = Graph(["v%d" % i for i in range(14)],
-              [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(13)])
-    algebra = boolean_closure([cut_from_members(g, ["v%d" % i]) for i in range(12)])
-    assert algebra.n_atoms == 13
-    with pytest.raises(
-        SieveError,
-        match=r"^measure sieve: algebra has 13 atoms; sieve cap "
-        r"MAX_SIEVE_ATOMS = 12; pass fewer cuts \(for split, a smaller "
-        r"--words\)$",
-    ):
-        classify(algebra)
+def _path_algebra(n_atoms):
+    """Singleton cuts of all but the last two vertices of a path on
+    n_atoms + 1 vertices: n_atoms atoms."""
+    g = Graph(["v%d" % i for i in range(n_atoms + 1)],
+              [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(n_atoms)])
+    return boolean_closure([cut_from_members(g, ["v%d" % i]) for i in range(n_atoms - 1)])
+
+
+def _assert_like_the_eager_sieve(algebra, rep=None):
+    """Every status, the irreducible order and the three flags of classify
+    equal those of the eager sieve over all 2^a masks of the prefix series;
+    the elements are read one index at a time, so no cap applies."""
+    rep = rep or classify(algebra)
+    a = algebra.n_atoms
+    table = atom_pair_prefix(algebra.universe, algebra.atoms)
+    series = _series_by_mask(table, a, len(table) - 1)
+    order, status = _verdicts(series, a)
+    full = (1 << a) - 1
+    assert len(rep.elements) == 1 << a
+    els = [rep.elements[m] for m in range(1 << a)]
+    assert [el.mask for el in els] == list(range(1 << a))
+    assert [el.bits for el in els] == [algebra.element_bits(m) for m in range(1 << a)]
+    assert [el.series for el in els] == series
+    assert [el.status for el in els] == status
+    irr = [m for m in order if status[m] == "irreducible"]
+    assert [el.mask for el in rep.irreducible] == irr
+    assert rep.irreducible == tuple(els[m] for m in irr)
+    assert rep.undecided_count == 0
+    assert rep.complement_stable == all(status[m] == status[full ^ m] for m in range(1 << a))
+    cuts = [Cut(algebra.universe, algebra.element_bits(m)) for m in irr]
+    assert rep.nested == all(nested_report(x, y).nested for x, y in itertools.combinations(cuts, 2))
+    assert rep.generates == all(b.bit_count() == 1 for b in refine([full], irr) if full)
+    return rep
+
+
+def test_a_13_atom_path_algebra_is_classified_like_the_eager_sieve():
+    algebra = _path_algebra(13)
+    assert algebra.n_atoms == 13 > MAX_LISTED_ATOMS
+    rep = _assert_like_the_eager_sieve(algebra)
+    assert rep.complement_stable and rep.nested and rep.generates
+    # the twelve prefixes of the path that the algebra holds, and their
+    # complements: one crossing edge each, so all in the c_1 = 1 bucket
+    assert len(rep.irreducible) == 24
+    assert {el.series[1] for el in rep.irreducible} == {1}
+
+
+def test_listing_every_element_above_the_cap_is_refused():
+    """A pass over every element, and full_series, list 2^a series: above
+    MAX_LISTED_ATOMS they refuse, naming the stage, the cap and the
+    remedy.  At the cap both still list."""
+    message = (
+        r"^measure sieve: algebra has 13 atoms; listing all 2\^13 elements is "
+        r"capped at MAX_LISTED_ATOMS = 12; pass fewer cuts \(for sieve, drop "
+        r"--json\)$"
+    )
+    rep = classify(_path_algebra(13))
+    for call in (lambda: list(rep.elements), lambda: full_series(rep, 3)):
+        with pytest.raises(SieveError, match=message):
+            call()
+    rep = classify(_path_algebra(12))
+    assert [el.series for el in rep.elements] == full_series(rep, len(rep.elements[0].series) - 1)
+
+
+def _symmetric_algebras():
+    """Tie-heavy algebras: graphs with large automorphism groups cut into
+    singleton atoms, or into a few orbit-shaped cuts, so that many unions
+    share one series."""
+    def graph(n, pairs):
+        return Graph(["v%d" % i for i in range(n)],
+                     [("e%d" % k, "v%d" % s, "v%d" % d) for k, (s, d) in enumerate(pairs)])
+
+    cycle = graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    k5 = graph(5, list(itertools.combinations(range(5), 2)))
+    cube = graph(8, [(i, i ^ (1 << b)) for i in range(8) for b in range(3) if i < i ^ (1 << b)])
+    star = graph(7, [(0, i) for i in range(1, 7)])
+    grid = graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+                 + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
+    out = []
+    for g in (cycle, k5, cube, star, grid):
+        out.append(CutAlgebra(g, [1 << v for v in range(g.nv)]))
+    out.append(boolean_closure([Cut(cycle, 0b00001111), Cut(cycle, 0b00111100),
+                                Cut(cycle, 0b11110000)]))
+    out.append(boolean_closure([Cut(cube, 0b00001111), Cut(cube, 0b00110011),
+                                Cut(cube, 0b01010101)]))
+    out.append(boolean_closure([Cut(grid, 0b000010000), Cut(grid, 0b101000101)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_sieve_equals_the_eager_sieve(seed):
+    """classify visits masks by c_1 bucket and stops once the blocks are
+    atoms; the eager sieve sorts all 2^a masks.  Every status, the
+    irreducible order and the flags agree, on seeded random multigraphs,
+    on tie-heavy symmetric algebras and on ball orbits."""
+    rng = random.Random("sieve-lazy-%d" % seed)
+    algebras = [_random_algebra(rng) for _ in range(20)]
+    algebras += _symmetric_algebras()[seed::6]
+    algebras += [_orbit_algebra(spec) for spec in ORBITS]
+    for algebra in algebras:
+        _assert_like_the_eager_sieve(algebra)
+
+
+def _cut_weight(weights, m):
+    a = len(weights)
+    return sum(weights[i][j] for i in range(a) for j in range(a)
+               if (m >> i) & 1 and not (m >> j) & 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cut_weight_buckets_come_lightest_first(seed):
+    """On random symmetric weight tables (zeros, so some quotients are
+    disconnected, and a diagonal that must not count) the buckets hold every
+    mask once, each bucket is exactly the masks of one cut weight, and the
+    weights strictly increase: the brute-force grouping of all 2^a masks
+    sorted by weight."""
+    rng = random.Random("sieve-buckets-%d" % seed)
+    for _ in range(15):
+        a = rng.randint(1, 9)
+        weights = [[0] * a for _ in range(a)]
+        for i in range(a):
+            weights[i][i] = rng.randrange(5)
+            for j in range(i):
+                weights[i][j] = weights[j][i] = rng.choice((0, 0, 1, 1, 2, 3, 7))
+        got = [sorted(bucket) for bucket in _cut_weight_buckets(weights)]
+        by_weight = {}
+        for m in range(1 << a):
+            by_weight.setdefault(_cut_weight(weights, m), []).append(m)
+        assert got == [by_weight[w] for w in sorted(by_weight)]
 
 
 def _fp(*orders):

@@ -227,6 +227,26 @@ def test_edge_cut_refuses_a_non_tree():
     assert edge_cuts(t.graph)["e1"] == frozenset(["n2"])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_cuts_equal_the_per_edge_cuts(seed):
+    """edge_cuts takes one pass of subtree masks; on seeded random trees with
+    shuffled vertex and edge lists and random orientations it gives the
+    frozensets, and the edge order, of one edge_cut per edge."""
+    rng = random.Random("edge-cuts-%d" % seed)
+    for _ in range(25):
+        n = rng.randint(1, 30)
+        names = ["v%d" % i for i in rng.sample(range(100), n)]
+        edges = []
+        for i in range(1, n):
+            ends = [names[i], names[rng.randrange(i)]]
+            rng.shuffle(ends)
+            edges.append(("e%d" % i, *ends))
+        rng.shuffle(edges)
+        t = Graph(names, edges)
+        got = edge_cuts(t)
+        assert list(got.items()) == [(e, edge_cut(t, e)) for e, _s, _d in t.edges]
+
+
 def literal_label(vertex_sets, everything, side):
     """{d | S ⊆ d, or ~S ⊊ d} for S = side, on sets of universe vertices."""
     rest = everything - side
