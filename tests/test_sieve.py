@@ -239,11 +239,11 @@ def _path_algebra(n_atoms):
     return boolean_closure([cut_from_members(g, ["v%d" % i]) for i in range(n_atoms - 1)])
 
 
-def _assert_like_the_eager_sieve(algebra, rep=None):
+def _assert_like_the_eager_sieve(algebra):
     """Every status, the irreducible order and the three flags of classify
     equal those of the eager sieve over all 2^a masks of the prefix series;
     the elements are read one index at a time, so no cap applies."""
-    rep = rep or classify(algebra)
+    rep = classify(algebra)
     a = algebra.n_atoms
     table = atom_pair_prefix(algebra.universe, algebra.atoms)
     series = _series_by_mask(table, a, len(table) - 1)
