@@ -206,17 +206,19 @@ def cmd_sieve(args):
     certified = L >= certified_length(universe)
     if args.json:
         series = full_series(report, L)
+        # every irreducible mask is in report.irreducible; the rest are reducible
+        irr = {el.mask for el in report.irreducible}
         _emit(json.dumps(
             {
                 "L": L,
                 "certified": certified,
                 "elements": [
                     {
-                        "mask": el.mask,
-                        "status": el.status,
-                        "series": [str(c) for c in series[el.mask]],
+                        "mask": m,
+                        "status": "irreducible" if m in irr else "reducible",
+                        "series": [str(c) for c in s],
                     }
-                    for el in report.elements
+                    for m, s in enumerate(series)
                 ],
                 "irreducible": [el.mask for el in report.irreducible],
                 "undecided": report.undecided_count,
@@ -228,7 +230,7 @@ def cmd_sieve(args):
         ))
         return 0
     _emit("algebra: %d atoms, %d elements"
-          % (len(algebra.atoms), len(report.elements)))
+          % (len(algebra.atoms), report.element_count))
     _emit("classified at L=%d (%s): %d irreducible, %d undecided"
           % (L, "certified" if certified else "window",
              len(report.irreducible), report.undecided_count))

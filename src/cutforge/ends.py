@@ -69,8 +69,9 @@ def ends_profile(oracle, rmax=DEFAULT_RADIUS):
     bv = ball(oracle, rmax)
     dist = bv.dist
     shells = [[] for _ in range(rmax + 1)]
-    for s, d in bv.index_edges:
-        shells[max(dist[s], dist[d])].append((s, d))
+    for edge in bv.index_edges:
+        s, d = edge
+        shells[max(dist[s], dist[d])].append(edge)
     parent = list(range(bv.nv))
     flagged = [False] * bv.nv
     for i in bv.sphere:
@@ -355,7 +356,7 @@ def splitting_pipeline(
         cut_name=cut.name or "A",
         cut_size=cut.bits.bit_count(),
         orbit_words=orb.words,
-        sieve_elements=len(report.elements),
+        sieve_elements=report.element_count,
         sieve_irreducible=len(report.irreducible),
         sieve_undecided=report.undecided_count,
         kept=selection.kept,

@@ -8,7 +8,10 @@ through balls of finite radius.
 
 `ball` is the one search over a group, so ball(r).elements is a prefix of
 ball(R).elements for r <= R.  Word lists, a permutation group's elements, a
-table's generation check and `trees.induce_action` all read a ball.
+table's generation check and `trees.induce_action` all read a ball.  The
+search keeps its own tree, the parent and letter that first reached each
+element, and reads an element's product back to its parent off that
+record instead of forming it; `search_tree` returns the record.
 
 Cayley edges are pairs (g, s) with s a generator, drawn g -> gs.  A ball of
 radius R carries every edge with both endpoints at distance <= R, plus the
@@ -446,6 +449,9 @@ class BallView:
     index_edges[k] = (source index, target index) and edge_gen[k] = the
     generator index, in (source, generator) order.  These are the
     index_edges of `graph`, so cuts read a ball and a Graph alike.
+    The search tree is kept as two int tuples: tree_parent[j] and
+    tree_letter[j] are the indices of the element and of the `_letters`
+    letter that first reached element j (-1 for the identity).
 
     The Graph on element strings (`graph`) is built on first access, so
     balls that only count ends or translate cuts never name their elements.
@@ -466,12 +472,14 @@ class BallView:
         "exhausted",
         "index_edges",
         "edge_gen",
+        "tree_parent",
+        "tree_letter",
         "_graph",
         "_left",
     )
 
     def __init__(self, oracle, radius, elements, el_to_idx, dist, sphere,
-                 exhausted, index_edges, edge_gen):
+                 exhausted, index_edges, edge_gen, tree_parent, tree_letter):
         self.oracle = oracle
         self.radius = radius
         self.elements = elements
@@ -481,6 +489,8 @@ class BallView:
         self.exhausted = exhausted
         self.index_edges = index_edges  # per edge: (src_vertex_idx, dst_vertex_idx)
         self.edge_gen = edge_gen  # per edge: gen_idx
+        self.tree_parent = tree_parent
+        self.tree_letter = tree_letter
         self._graph = None  # see graph
         self._left = None  # see left_map
 
@@ -548,7 +558,19 @@ def ball(oracle, radius, cap=None):
     smaller ball is a prefix of a larger one.  An element inside the
     sphere has every product with a letter formed by the search, and those
     products lie in the ball, so its edges are recorded there; only the
-    sphere is multiplied again, in a final pass."""
+    sphere is multiplied again, in a final pass.
+
+    The search records its tree: an element x that it first reaches as
+    p t, from the element p by the letter t, keeps the indices of p and t
+    (`BallView.tree_parent`, `BallView.tree_letter`).  In every group
+    x t^-1 = (p t) t^-1 = p, so the product of x by the letter of t^-1 is
+    p, read off the record with no multiply and no lookup.  That letter is
+    t itself for an involution, and in the sphere pass, which multiplies
+    only by generators, it counts when it is a generator.  Every other
+    product is looked up with one `setdefault`, so a new element is hashed
+    once.  The first discovery of x is by its least parent index, and from
+    that parent by its least letter: the least (parent, letter) pair one
+    step nearer the identity."""
     if radius < 0:
         raise GroupError("radius must be >= 0")
     cap = _vertex_cap(cap)
@@ -556,49 +578,71 @@ def ball(oracle, radius, cap=None):
     idx = {e: 0}
     order = [e]
     dist = [0]
-    frontier = [e]
-    # (letter, generator index); an inverse letter has no edge of its own
-    letters = [(g, gj) for _name, g, gj in _letters(oracle)]
-    gens = [g for _name, g in oracle.generators()]
+    parent = [-1]  # the search tree: parent index and letter index
+    via = [-1]
+    letters = _letters(oracle)
+    inverse = []  # inverse[t]: the letter of t^-1
+    for t, (_name, _g, gj) in enumerate(letters):
+        if gj is None:
+            inverse[-1] = t
+            inverse.append(t - 1)
+        else:
+            inverse.append(t)
+    # plans[t]: (letter, generator index or None, letter index) in search
+    # order for an element that letter t reached, with the letter back to
+    # its parent as None; plans[-1], read at the identity's via -1, skips none
+    plans = [
+        [(None if k == inverse[t] else g, gj, k) for k, (_n, g, gj) in enumerate(letters)]
+        for t in range(len(letters))
+    ]
+    plans.append([(g, gj, k) for k, (_n, g, gj) in enumerate(letters)])
+    multiply = oracle.multiply
+    insert = idx.setdefault
     index_edges = []
     edge_gen = []
     exhausted = False
-    src = 0
+    lo, n = 0, 1
     for r in range(1, radius + 1):
-        nxt = []
-        for el in frontier:
-            for g, gj in letters:
-                img = oracle.multiply(el, g)
-                j = idx.get(img)
-                if j is None:
-                    j = idx[img] = len(order)
-                    order.append(img)
-                    dist.append(r)
-                    nxt.append(img)
-                    if len(order) > cap:
-                        raise GroupError(
-                            "ball of radius %d exceeds vertex cap %d" % (radius, cap)
-                        )
+        hi = n
+        for src in range(lo, hi):
+            el, p = order[src], parent[src]
+            for g, gj, k in plans[via[src]]:
+                if g is None:
+                    j = p
+                else:
+                    img = multiply(el, g)
+                    j = insert(img, n)
+                    if j == n:
+                        n += 1
+                        if n > cap:
+                            raise GroupError(
+                                "ball of radius %d exceeds vertex cap %d" % (radius, cap)
+                            )
+                        order.append(img)
+                        parent.append(src)
+                        via.append(k)
                 if gj is not None:
                     index_edges.append((src, j))
                     edge_gen.append(gj)
-            src += 1
-        frontier = nxt
-        if not frontier:
+        dist += [r] * (n - hi)
+        lo = hi
+        if n == hi:
             exhausted = True
             break
     # breadth-first order: the last frontier is the sphere, a suffix of order
     if exhausted:
         sphere = frozenset()
     else:
-        sphere = frozenset(range(src, len(order)))
-        for el in frontier:
-            for gj, g in enumerate(gens):
-                j = idx.get(oracle.multiply(el, g))
+        sphere = frozenset(range(lo, n))
+        for src in range(lo, n):
+            el, p = order[src], parent[src]
+            for g, gj, _k in plans[via[src]]:
+                if gj is None:
+                    continue
+                j = p if g is None else idx.get(multiply(el, g))
                 if j is not None:
                     index_edges.append((src, j))
                     edge_gen.append(gj)
-            src += 1
     return BallView(
         oracle,
         radius,
@@ -609,27 +653,12 @@ def ball(oracle, radius, cap=None):
         exhausted,
         tuple(index_edges),
         tuple(edge_gen),
+        tuple(parent),
+        tuple(via),
     )
 
 
 def search_tree(bv):
     """Per element, the (parent index, letter index) that first reached it
-    in `ball`'s search (None for the identity): the least such pair one step
-    nearer the identity.  An edge i -> j of generator s is letter s from i
-    and letter s^-1 from j; an involution has the edge j -> i of its own."""
-    fwd, back = [], []
-    for k, (_name, _g, gj) in enumerate(_letters(bv.oracle)):
-        if gj is None:
-            back[-1] = k
-        else:
-            fwd.append(k)
-            back.append(None)
-    dist = bv.dist
-    tree = [None] * bv.nv
-    for (i, j), s in zip(bv.index_edges, bv.edge_gen):
-        for parent, child, letter in ((i, j, fwd[s]), (j, i, back[s])):
-            if letter is None or dist[child] != dist[parent] + 1:
-                continue
-            if tree[child] is None or (parent, letter) < tree[child]:
-                tree[child] = (parent, letter)
-    return tuple(tree)
+    in `ball`'s search (None for the identity), as the search recorded it."""
+    return (None,) + tuple(zip(bv.tree_parent[1:], bv.tree_letter[1:]))

@@ -65,6 +65,8 @@ class SieveReport:
     algebra: object
     # SieveElement per atom subset, in mask order, made on demand (_Elements)
     elements: Sequence
+    # 1 << atoms, the number of elements; len(elements) overflows at 63 atoms
+    element_count: int
     irreducible: tuple  # the irreducible SieveElements, by (series, mask)
     # always 0, as every verdict is exact; kept because the split and sieve
     # transcripts print it and the benchmark's classify hook reads it
@@ -220,13 +222,13 @@ class _Elements(Sequence):
         self._visited = visited
 
     def __len__(self):
-        return 1 << self._algebra.n_atoms
+        return 1 << self._algebra.n_atoms  # len() refuses it from 63 atoms
 
     def _element(self, m, series):
         return SieveElement(m, self._algebra.element_bits(m), series, "reducible")
 
     def __getitem__(self, m):
-        n = len(self)
+        n = 1 << self._algebra.n_atoms
         m = index(m)
         if m < 0:
             m += n
@@ -341,7 +343,8 @@ def classify(algebra):
         b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True
     elements = _Elements(algebra, table, visited)
-    return SieveReport(algebra, elements, tuple(irr), 0, comp_stable, nested, generates)
+    return SieveReport(algebra, elements, 1 << a, tuple(irr), 0, comp_stable, nested,
+                       generates)
 
 
 def full_series(report, L):

@@ -128,6 +128,33 @@ def test_sieve_verdicts_do_not_depend_on_L(capsys):
         assert lines[2:] == want, L
 
 
+@pytest.mark.parametrize("n_cuts", [61, 62, 63])
+def test_sieve_counts_elements_past_the_index_range(tmp_path, capsys, n_cuts):
+    """The prefix cuts of a 64-vertex path make n_cuts + 1 atoms; from 63
+    atoms the element count no longer fits len(), and the text prints it."""
+    names = ["v%d" % i for i in range(64)]
+    (tmp_path / "path.json").write_text(json.dumps(
+        {"vertices": names,
+         "edges": [{"id": "e%d" % i, "src": names[i], "dst": names[i + 1]}
+                   for i in range(63)]}
+    ))
+    cpath = tmp_path / "cuts.json"
+    cpath.write_text(json.dumps(
+        {"universe": "path.json",
+         "cuts": [{"name": "P%d" % i, "members": names[:i + 1]}
+                  for i in range(n_cuts)]}
+    ))
+    assert main(["sieve", "--cuts", str(cpath)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    a = n_cuts + 1
+    assert lines[:2] == [
+        "algebra: %d atoms, %d elements" % (a, 1 << a),
+        "classified at L=257 (certified): %d irreducible, 0 undecided" % (2 * n_cuts),
+    ]
+    assert len(lines) == 3 + 2 * n_cuts
+    assert lines[-1] == "complement-stable: yes  nested: yes  generates: yes"
+
+
 C4 = {
     "vertices": ["v1", "v2", "v3", "v4"],
     "edges": [

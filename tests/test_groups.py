@@ -60,13 +60,16 @@ SEARCH_ORACLES = {
     "zd:1": lambda: ZdOracle(1),
     "zd:2": lambda: ZdOracle(2),
     "zd:3": lambda: ZdOracle(3),
+    "free:1": lambda: FreeOracle(1),
     "free:2": lambda: FreeOracle(2),
     "free:3": lambda: FreeOracle(3),
     "fp(2,3)": lambda: FreeProductOracle([2, 3]),
+    "fp(3,3)": lambda: FreeProductOracle([3, 3]),
     "fp(3,4)": lambda: FreeProductOracle([3, 4]),
     "fp(2,2,2)": lambda: FreeProductOracle([2, 2, 2]),
     "Z/6<1>": z6,
-    "Z/6<2,3>": lambda: z6(("2", "3")),
+    "Z/6<2,3>": lambda: z6(("2", "3")),  # 3 is an involution
+    "Z/6<1,5>": lambda: z6(("1", "5")),  # 5 is the inverse of 1
     "S4": s4,
     "S5": s5,
 }
@@ -241,6 +244,125 @@ def test_search_tree_steps_one_letter_inward(name):
         parent, letter = tree[j]
         assert bv.dist[parent] == bv.dist[j] - 1
         assert o.multiply(bv.elements[parent], letters[letter]) == bv.elements[j]
+
+
+def reference_letters(o):
+    """Each generator, then its inverse when that differs, as (element,
+    generator index or None)."""
+    out = []
+    for gj, (_name, g) in enumerate(o.generators()):
+        out.append((g, gj))
+        if o.invert(g) != g:
+            out.append((o.invert(g), None))
+    return out
+
+
+def reference_ball(o, radius, cap):
+    """The search `ball` used to run: every frontier element times every
+    letter, each product looked up, then the sphere times every generator.
+    Returns (elements, el_to_idx, dist, sphere, exhausted, index_edges,
+    edge_gen)."""
+    e = o.identity()
+    idx = {e: 0}
+    order, dist, frontier = [e], [0], [e]
+    letters = reference_letters(o)
+    index_edges, edge_gen = [], []
+    exhausted = False
+    src = 0
+    for r in range(1, radius + 1):
+        nxt = []
+        for el in frontier:
+            for g, gj in letters:
+                img = o.multiply(el, g)
+                j = idx.get(img)
+                if j is None:
+                    j = idx[img] = len(order)
+                    order.append(img)
+                    dist.append(r)
+                    nxt.append(img)
+                    if len(order) > cap:
+                        raise GroupError(
+                            "ball of radius %d exceeds vertex cap %d" % (radius, cap)
+                        )
+                if gj is not None:
+                    index_edges.append((src, j))
+                    edge_gen.append(gj)
+            src += 1
+        frontier = nxt
+        if not frontier:
+            exhausted = True
+            break
+    sphere = frozenset()
+    if not exhausted:
+        sphere = frozenset(range(src, len(order)))
+        for el in frontier:
+            for gj, (_name, g) in enumerate(o.generators()):
+                j = idx.get(o.multiply(el, g))
+                if j is not None:
+                    index_edges.append((src, j))
+                    edge_gen.append(gj)
+            src += 1
+    return (tuple(order), idx, tuple(dist), sphere, exhausted,
+            tuple(index_edges), tuple(edge_gen))
+
+
+def reference_search_tree(o, dist, index_edges, edge_gen):
+    """The search tree read off the edges, as `search_tree` used to: per
+    element the least (parent, letter) one step nearer the identity, where
+    an edge i -> j of generator s is letter s from i and letter s^-1 from j
+    (an involution has the edge j -> i of its own)."""
+    fwd, back = [], []
+    for k, (_g, gj) in enumerate(reference_letters(o)):
+        if gj is None:
+            back[-1] = k
+        else:
+            fwd.append(k)
+            back.append(None)
+    tree = [None] * len(dist)
+    for (i, j), s in zip(index_edges, edge_gen):
+        for parent, child, letter in ((i, j, fwd[s]), (j, i, back[s])):
+            if letter is None or dist[child] != dist[parent] + 1:
+                continue
+            if tree[child] is None or (parent, letter) < tree[child]:
+                tree[child] = (parent, letter)
+    return tuple(tree)
+
+
+@pytest.mark.parametrize("radius", range(6))
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_ball_equals_the_reference_search(name, radius):
+    o = SEARCH_ORACLES[name]()
+    bv = ball(o, radius)
+    elements, idx, dist, sphere, exhausted, edges, gens = reference_ball(o, radius, 10**9)
+    assert bv.elements == elements
+    assert list(bv.el_to_idx.items()) == list(idx.items())
+    assert bv.dist == dist
+    assert bv.sphere == sphere
+    assert bv.exhausted is exhausted
+    assert bv.index_edges == edges
+    assert bv.edge_gen == gens
+    tree = reference_search_tree(o, dist, edges, gens)
+    assert search_tree(bv) == tree
+    assert bv.tree_parent == (-1,) + tuple(p for p, _t in tree[1:])
+    assert bv.tree_letter == (-1,) + tuple(t for _p, t in tree[1:])
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_cap_refusal_fires_at_the_reference_vertex_count(name):
+    """The cap admits a ball of exactly cap vertices and refuses one more,
+    with the message of the reference search."""
+    o = SEARCH_ORACLES[name]()
+    nv = ball(o, 4).nv
+    assert ball(o, 4, cap=nv).nv == nv
+    if nv == 1:
+        return
+    with pytest.raises(GroupError) as want:
+        reference_ball(o, 4, nv - 1)
+    with pytest.raises(GroupError) as got:
+        ball(o, 4, cap=nv - 1)
+    assert str(got.value) == str(want.value) == (
+        "ball of radius 4 exceeds vertex cap %d" % (nv - 1,)
+    )
 
 
 def test_perm_spec_needs_a_name_per_generator():

@@ -294,6 +294,26 @@ def test_listing_every_element_above_the_cap_is_refused():
     assert [el.series for el in rep.elements] == full_series(rep, len(rep.elements[0].series) - 1)
 
 
+@pytest.mark.parametrize("a", [62, 63, 64])
+def test_element_count_and_lookups_need_no_len_from_63_atoms(a):
+    """len() must fit a Py_ssize_t, so it refuses 2^63 and more.  The report
+    counts its elements as an int, and a mask lookup checks its bounds
+    against that count."""
+    rep = classify(_path_algebra(a))
+    assert rep.element_count == 1 << a
+    top = (1 << a) - 1
+    el = rep.elements[top]
+    assert (el.mask, el.bits, el.status) == (top, rep.algebra.element_bits(top), "reducible")
+    assert set(el.series) == {0}
+    assert rep.elements[-1] == el
+    first = rep.irreducible[0]
+    assert rep.elements[first.mask] is first
+    with pytest.raises(IndexError):
+        rep.elements[1 << a]
+    with pytest.raises(IndexError):
+        rep.elements[-2 - top]
+
+
 def _symmetric_algebras():
     """Tie-heavy algebras: graphs with large automorphism groups cut into
     singleton atoms, or into a few orbit-shaped cuts, so that many unions
