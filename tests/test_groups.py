@@ -29,6 +29,17 @@ def s5():
     return PermOracle(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], ["r", "s"])
 
 
+def reference_letters(o):
+    """Each generator, then its inverse when that differs, as (name,
+    element, generator index or None)."""
+    out = []
+    for gj, (name, g) in enumerate(o.generators()):
+        out.append((name, g, gj))
+        if o.invert(g) != g:
+            out.append((name + "^-1", o.invert(g), None))
+    return out
+
+
 def reference_words(o, max_len):
     """The breadth-first word search each oracle used to run itself: every
     frontier element times every generator, then its inverse when that
@@ -37,16 +48,11 @@ def reference_words(o, max_len):
     seen = {e: ""}
     order = [e]
     frontier = [e]
-    letters = []
-    for name, g in o.generators():
-        letters.append((name, g))
-        gi = o.invert(g)
-        if gi != g:
-            letters.append((name + "^-1", gi))
+    letters = reference_letters(o)
     for _ in range(max_len):
         nxt = []
         for el in frontier:
-            for name, g in letters:
+            for name, g, _gj in letters:
                 img = o.multiply(el, g)
                 if img not in seen:
                     seen[img] = (seen[el] + " " + name).strip()
@@ -246,17 +252,6 @@ def test_search_tree_steps_one_letter_inward(name):
         assert o.multiply(bv.elements[parent], letters[letter]) == bv.elements[j]
 
 
-def reference_letters(o):
-    """Each generator, then its inverse when that differs, as (element,
-    generator index or None)."""
-    out = []
-    for gj, (_name, g) in enumerate(o.generators()):
-        out.append((g, gj))
-        if o.invert(g) != g:
-            out.append((o.invert(g), None))
-    return out
-
-
 def reference_ball(o, radius, cap):
     """The search `ball` used to run: every frontier element times every
     letter, each product looked up, then the sphere times every generator.
@@ -265,7 +260,7 @@ def reference_ball(o, radius, cap):
     e = o.identity()
     idx = {e: 0}
     order, dist, frontier = [e], [0], [e]
-    letters = reference_letters(o)
+    letters = [(g, gj) for _name, g, gj in reference_letters(o)]
     index_edges, edge_gen = [], []
     exhausted = False
     src = 0
@@ -312,7 +307,7 @@ def reference_search_tree(o, dist, index_edges, edge_gen):
     an edge i -> j of generator s is letter s from i and letter s^-1 from j
     (an involution has the edge j -> i of its own)."""
     fwd, back = [], []
-    for k, (_g, gj) in enumerate(reference_letters(o)):
+    for k, (_name, _g, gj) in enumerate(reference_letters(o)):
         if gj is None:
             back[-1] = k
         else:
