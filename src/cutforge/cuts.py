@@ -477,6 +477,13 @@ def act_left_cut(bv, g, cut, name=None):
     between them is lost: a class with no preimage at all is closed under
     every ball edge, hence the whole (connected) ball.
 
+    Complements: g·~c = ~(g·c), or both raise the same CutError.  The two
+    cuts share one coboundary, so the escape and exposure checks agree.
+    The gather flips the side of every vertex with a preimage, and each
+    fringe class reads inside' = seen ^ inside, so the undecidable and
+    inconsistent tests coincide class by class, and exactly one of the two
+    translates fills lost.
+
     The identity translate is the cut itself.  Every other result is built
     without a second interior check: its coboundary is exactly the image
     edges (each residual component takes one side), and the check above

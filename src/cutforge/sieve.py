@@ -209,17 +209,18 @@ def _refuse_listing(a):
 class _Elements(Sequence):
     """The SieveElement of every atom union, in mask order, made on demand.
 
-    A mask that `classify` visited keeps its element; every other mask is
-    reducible (see classify), and reading it sums its series from the
-    atom-pair lanes.  A full pass builds the series of every mask at once
-    with `_series_by_mask`, and refuses above MAX_LISTED_ATOMS."""
+    An irreducible mask keeps its element; every other mask is reducible
+    (see classify), and reading it sums its series from the atom-pair
+    lanes.  A full pass builds the series of every mask at once with
+    `_series_by_mask`, and refuses above MAX_LISTED_ATOMS."""
 
-    __slots__ = ("_algebra", "_table", "_visited")
+    __slots__ = ("_algebra", "_table", "_lanes", "_irreducible")
 
-    def __init__(self, algebra, table, visited):
+    def __init__(self, algebra, table, lanes, irreducible):
         self._algebra = algebra
         self._table = table
-        self._visited = visited
+        self._lanes = lanes
+        self._irreducible = {el.mask: el for el in irreducible}
 
     def __len__(self):
         return 1 << self._algebra.n_atoms  # len() refuses it from 63 atoms
@@ -228,24 +229,21 @@ class _Elements(Sequence):
         return SieveElement(m, self._algebra.element_bits(m), series, "reducible")
 
     def __getitem__(self, m):
-        n = 1 << self._algebra.n_atoms
+        a = self._algebra.n_atoms
         m = index(m)
         if m < 0:
-            m += n
-        if not 0 <= m < n:
+            m += 1 << a
+        if not 0 <= m < 1 << a:
             raise IndexError("sieve element index out of range")
-        el = self._visited.get(m)
-        if el is None:
-            table, a = self._table, self._algebra.n_atoms
-            el = self._element(m, _union_series(_lanes(table), a, m, (0,) * len(table)))
-        return el
+        return self._irreducible.get(m) or self._element(
+            m, _union_series(self._lanes, a, m, (0,) * len(self._table)))
 
     def __iter__(self):
         a = self._algebra.n_atoms
         _refuse_listing(a)
-        visited = self._visited
+        irreducible = self._irreducible
         for m, series in enumerate(_series_by_mask(self._table, a, len(self._table) - 1)):
-            yield visited.get(m) or self._element(m, series)
+            yield irreducible.get(m) or self._element(m, series)
 
 
 def classify(algebra):
@@ -294,9 +292,9 @@ def classify(algebra):
     blocks, so every later mask is reducible, and refining by it changes
     nothing.  The visit stops at the end of that bucket, and every mask it
     did not visit is reducible.  It does stop: refining by every mask ends
-    at the atoms.  On the split ladder that is after about 2a masks.
-    `SieveReport.elements` gives a visited mask its element and any other
-    mask a reducible one.
+    at the atoms.  On the split ladder that is after about 2a masks.  Only
+    the irreducible elements are kept: `SieveReport.elements` gives one of
+    them its element and any other mask a reducible one.
 
     The report's flags are computed, not assumed: `complement_stable` holds
     when the irreducible set is closed under complement, which is the same
@@ -315,7 +313,6 @@ def classify(algebra):
     zero = (0,) * len(table)
     full = (1 << a) - 1
     blocks = [full] if full else []
-    visited = {}
     irr = []
     if len(blocks) < a:
         for bucket in _cut_weight_buckets(table[1]):
@@ -326,12 +323,8 @@ def classify(algebra):
             ranked.sort()
             for series, group in groupby(ranked, key=itemgetter(0)):
                 group = [m for _s, m in group]
-                for m in group:
-                    status = "reducible" if _is_union(m, blocks) else "irreducible"
-                    el = SieveElement(m, algebra.element_bits(m), series, status)
-                    visited[m] = el
-                    if status == "irreducible":
-                        irr.append(el)
+                irr += [SieveElement(m, algebra.element_bits(m), series, "irreducible")
+                        for m in group if not _is_union(m, blocks)]
                 blocks = refine(blocks, group)
             if len(blocks) == a:
                 break
@@ -342,7 +335,7 @@ def classify(algebra):
     generates = all(
         b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
     ) if full else True
-    elements = _Elements(algebra, table, visited)
+    elements = _Elements(algebra, table, lanes, irr)
     return SieveReport(algebra, elements, 1 << a, tuple(irr), 0, comp_stable, nested,
                        generates)
 
@@ -358,23 +351,19 @@ def full_series(report, L):
 
 def _paired_cuts(report):
     """Irreducible elements as named Cuts: complement pairs c0/~c0, c1/~c1,
-    ... in (series, mask) order, the smaller atom mask of a pair unmarked."""
-    algebra = report.algebra
-    universe = algebra.universe
-    full = (1 << algebra.n_atoms) - 1
-    seen = {}
+    ... in (series, mask) order, the smaller atom mask of a pair unmarked,
+    so cuts 2t and 2t + 1 are complements.  A mask and its complement have
+    one series, and each is a union of blocks when the other is, so the
+    irreducible set holds both."""
+    universe = report.algebra.universe
+    full = (1 << report.algebra.n_atoms) - 1
+    by_mask = {el.mask: el for el in report.irreducible}
     cuts = []
     for el in report.irreducible:
-        if el.mask in seen:
-            continue
-        label = "c%d" % (len(seen) // 2,)
-        rep, other = el.mask, full ^ el.mask
-        if other < rep:
-            rep, other = other, rep
-        seen[rep] = label
-        seen[other] = "~" + label
-        for m in (rep, other):
-            cuts.append(Cut(universe, algebra.element_bits(m), seen[m]))
+        if el.mask in by_mask:  # else its pair is named already
+            label = "c%d" % (len(cuts) // 2,)
+            for name, m in zip((label, "~" + label), sorted((el.mask, full ^ el.mask))):
+                cuts.append(Cut(universe, by_mask.pop(m).bits, name))
     return tuple(cuts)
 
 
@@ -424,25 +413,28 @@ def select_nested_generating(cuts, action=None):
     masks = [algebra.decompose(c.bits) for c in irr]
     pos = {m: i for i, m in enumerate(masks)}
 
-    # complement pairs, then representable translates in the family
-    pairs = [(i, pos[full ^ m]) for i, m in enumerate(masks)]
+    # complement pairs 2t, 2t + 1 (`_paired_cuts`), then representable
+    # translates in the family.  As g·~c = ~(g·c) (`act_left_cut`), only cut
+    # 2t is translated: when it goes to cut j, cut 2t + 1 goes to j ^ 1.
+    pairs = [(i, i ^ 1) for i in range(len(irr))]
     rows = []  # per word, per irreducible cut: the index of its translate
     if action:
         if not hasattr(universe, "oracle"):
             raise SieveError("action data needs a ball universe")
         for el, _word in action:
             row = []
-            for i, c in enumerate(irr):
+            for i in range(0, len(irr), 2):
                 try:
-                    j = pos.get(algebra.decompose(act_left_cut(universe, el, c).bits))
+                    j = pos.get(algebra.decompose(act_left_cut(universe, el, irr[i]).bits))
                 except CutError:
                     j = None
                 if j is not None:
                     pairs.append((i, j))
-                row.append(j)
+                row += (j, None if j is None else j ^ 1)
             rows.append(row)
     classes = index_classes(len(irr), pairs)
     targets = [algebra.decompose(c.bits) for c in cuts]
+    series = {el.mask: el.series for el in report.irreducible}
 
     def covers(kept_indices):
         blocks = refine([full], [masks[i] for i in kept_indices])
@@ -451,7 +443,7 @@ def select_nested_generating(cuts, action=None):
     order = sorted(
         classes,
         key=lambda idxs: (
-            tuple(-c for c in max(report.elements[masks[i]].series for i in idxs)),
+            tuple(-c for c in max(series[masks[i]] for i in idxs)),
             min(idxs),
         ),
     )

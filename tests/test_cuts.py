@@ -349,6 +349,40 @@ def test_act_left_cut_matches_string_graph_reference():
     assert translated
 
 
+def test_the_translate_of_a_complement_is_the_complement_of_the_translate():
+    """g·~c = ~(g·c), or both refuse with the same CutError: the rule that
+    lets the selection translate one cut of each complement pair.  The last
+    two balls reach the fringe tests, the first four only escape and
+    exposure."""
+    rng = random.Random("complement-rule")
+    balls = [
+        ball(ZdOracle(1), 7),
+        ball(FreeOracle(2), 4),
+        ball(FreeProductOracle([2, 3]), 6),
+        ball(FreeProductOracle([3, 3]), 5),
+        ball(cyclic(8), 3),  # inconsistent fringe classes
+        ball(FreeOracle(2), 0),  # undecidable fringe classes
+    ]
+    outcomes = set()
+    for bv in balls:
+        full = (1 << bv.nv) - 1
+        words = bv.oracle.words_up_to(2)
+        for bits in sample_bits(rng, bv):
+            cut, comp = Cut(bv, bits), Cut(bv, full ^ bits)
+            for el, _word in words:
+                try:
+                    want = full ^ act_left_cut(bv, el, cut).bits
+                except CutError as exc:
+                    want = str(exc)
+                try:
+                    got = act_left_cut(bv, el, comp).bits
+                except CutError as exc:
+                    got = str(exc)
+                assert got == want, (bv.oracle.kind, bv.radius, bits, el)
+                outcomes.add(want if isinstance(want, str) else "translated")
+    assert outcomes == {"translated", ESCAPES, NOT_INTERIOR, UNDECIDABLE, INCONSISTENT}
+
+
 def test_translates_by_one_element_multiply_the_ball_once(monkeypatch):
     bv = ball(FreeProductOracle([2, 3]), 5)
     o = bv.oracle

@@ -20,6 +20,7 @@ from cutforge.ends import balanced_cut
 from cutforge.graphs import Graph
 from cutforge.groups import ZdOracle, ball, make_oracle
 import cutforge.series as series_mod
+import cutforge.sieve as sieve_mod
 from cutforge.series import atom_pair_prefix, atom_pair_table, certified_length
 from cutforge.sieve import (
     MAX_LISTED_ATOMS,
@@ -651,12 +652,13 @@ def test_discrete_partition_falls_back_to_v(monkeypatch, spec, radius, words):
     assert got.images == want.images
 
 
-# (group, word bound): W = 1 and 2 on groups that split, and fp(3,3) and
-# fp(3,4) at W = 1, where words go blind
+# (group, word bound): W = 1 and 2 on groups that split, fp(3,3) and fp(3,4)
+# at W = 1, where words go blind, and free:2 and fp(3,3) at W = 2 (18 and 19
+# atoms)
 IMAGE_CELLS = [
     (spec, w) for spec in ({"kind": "zd", "d": 1}, _fp(2, 2), _fp(2, 3), _fp(2, 2, 2))
     for w in (1, 2)
-] + [(_fp(3, 3), 1), (_fp(3, 4), 1)]
+] + [(_fp(3, 3), 1), (_fp(3, 4), 1), ({"kind": "free", "k": 2}, 2), (_fp(3, 3), 2)]
 
 
 @pytest.mark.parametrize("spec, words", IMAGE_CELLS)
@@ -681,6 +683,24 @@ def test_selection_images_are_the_translates_of_the_kept_cuts(spec, words):
     assert sel.images[0] == tuple(range(len(sel.kept)))  # the identity
     # a kept cut far from the identity translates out of the ball
     assert any(None in row for row in sel.images)
+
+
+@pytest.mark.parametrize("spec, words", [(_fp(2, 3), 2), (_fp(3, 3), 2)])
+def test_selection_translates_one_cut_of_each_complement_pair(monkeypatch, spec, words):
+    """g·~c = ~(g·c), so the selection translates only the first cut of each
+    pair: words x irreducible cuts / 2 translates."""
+    cut = balanced_cut(make_oracle(spec), 6)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(words)
+    cuts = orbit_cuts(bv, cut, wl).cuts
+    calls = []
+    monkeypatch.setattr(sieve_mod, "act_left_cut",
+                        lambda *args: calls.append(args[2]) or act_left_cut(*args))
+    sel = select_nested_generating(cuts, action=wl)
+    n = len(sel.report.irreducible)
+    assert n and n % 2 == 0
+    assert len(calls) == len(wl) * n // 2
+    assert {c.name for c in calls} == {"c%d" % t for t in range(n // 2)}
 
 
 def test_selection_without_action_has_no_images():
