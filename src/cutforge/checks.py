@@ -392,10 +392,13 @@ def sieve_artifacts(seed):
 def check_sieve_soundness(artifacts):
     t = _Tally()
     for i, g, algebra, report in artifacts:
-        statuses = {el.status for el in report.elements}
+        elements = report.elements
         t.hit(
-            report.undecided_count == 0 and statuses <= {"reducible", "irreducible"},
-            "classification left an element undecided on sample %d" % i,
+            report.undecided_count == 0
+            and report.element_count == 1 << algebra.n_atoms
+            and all(elements[el.mask] == el and el.status == "irreducible"
+                    for el in report.irreducible),
+            "the element record disagrees with the irreducible list on sample %d" % i,
         )
         t.hit(report.complement_stable, "irr not complement-stable on sample %d" % i)
         full = full_mask(g)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, repeat
-from operator import and_, is_, itemgetter, or_
+from itertools import compress, repeat
+from operator import and_, eq, is_, itemgetter, or_
 
 from .graphs import Graph, index_classes
 from .groups import BallView, ball as make_ball
@@ -399,6 +399,7 @@ class LeftMap:
 
     pre[i] is the index of g^-1 x_i and img[i] the index of g x_i, or None
     when that element escapes the ball; the two are inverse partial maps.
+    Both are filled along the ball's search tree (see `_left_map`).
     fringe holds one (lost, seen) mask pair per fringe class: a class
     (`graphs.index_classes`, least member first) of the edges that have an
     endpoint without a preimage, kept when it holds such a vertex.  lost
@@ -414,19 +415,46 @@ class LeftMap:
 
 
 def _left_map(bv, g):
+    """The `LeftMap` of g on the ball, filled along its search tree.
+
+    Write x_i = x_p t, with p = tree_parent[i] < i and t the letter
+    tree_letter[i].  Then g^-1 x_i = (g^-1 x_p) t.  So when g^-1 x_p is the
+    ball element of index pre[p], pre[i] = right[t][pre[p]]: the index of
+    that element times t, or None when the product leaves the ball, which
+    `BallView.right` reads exactly off the edges.  Only where pre[p] is
+    None has the tree left the ball, and there g^-1 x_i is formed by one
+    multiply and looked up.  One pass in index order meets every parent
+    before its children.  img inverts pre by a scatter: left
+    multiplication is injective, so img[pre[i]] = i, and every other entry
+    is None.
+
+    Only the vertices without a preimage and the ends of their edges lie in
+    a fringe class, and every class among them holds such a vertex, so the
+    classes are read off those vertices and their neighbours in the table
+    alone: every edge at a vertex x joins it to x t for some letter t."""
     o = bv.oracle
     ginv = o.invert(g)
     get = bv.el_to_idx.get
+    multiply = o.multiply
+    right = bv.right
     n = bv.nv
-    pre = tuple([get(o.multiply(ginv, el)) for el in bv.elements])
-    inverse = dict(zip(pre, range(n)))  # its None key is never looked up
+    pre = [get(ginv)]
+    for el, p, t in zip(bv.elements[1:], bv.tree_parent[1:], bv.tree_letter[1:]):
+        q = pre[p]
+        pre.append(get(multiply(ginv, el)) if q is None else right[t][q])
+    pre = tuple(pre)
+    # el_to_idx's values are the indices 0, 1, ..., n - 1 in order, so every
+    # map shares their int objects; the None key is never looked up
+    inverse = dict(zip(pre, bv.el_to_idx.values()))
     img = tuple(map(inverse.get, range(n)))
-    other = [(s, d) for s, d in bv.index_edges if pre[s] is None or pre[d] is None]
-    # Only the vertices without a preimage and the ends of their edges lie in
-    # a fringe class, and every class among them holds such a vertex, so the
-    # classes are read off those vertices alone.
-    touched = sorted({*compress(range(n), map(is_, pre, repeat(None))),
-                      *chain.from_iterable(other)})
+    unmapped = list(compress(range(n), map(is_, pre, repeat(None))))
+    other = [
+        (i, j)
+        for column in right
+        for i, j in zip(unmapped, map(column.__getitem__, unmapped))
+        if j is not None
+    ]
+    touched = sorted({*unmapped, *map(itemgetter(1), other)})
     fringe = []
     for block in index_classes(n, other, touched):
         lost = seen = 0
@@ -445,15 +473,47 @@ def _left_map(bv, g):
     return LeftMap(pre, img, tuple(fringe), gather)
 
 
+def _image_ends(bv, lm, cut):
+    """The image endpoints of the cut's coboundary edges under the map lm,
+    two per edge in edge order, after the escape and exposure tests of
+    `act_left_cut`; raises CutError when one fails."""
+    img, edges = lm.img, bv.index_edges
+    ends = [img[x] for k in cut._coboundary_indices() for x in edges[k]]
+    if None in ends:
+        raise CutError("radius too small: translated coboundary escapes the ball")
+    limit = bv.radius - 1 if not bv.exhausted else bv.radius
+    if ends and max(map(bv.dist.__getitem__, ends)) > limit:
+        raise CutError("radius too small: translated coboundary not interior")
+    return ends
+
+
+def _fringe_fill(lm, bits):
+    """The bits of the vertices without a preimage that the translate of
+    bits by the map lm holds, after the fringe tests of `act_left_cut`;
+    raises CutError when one fails."""
+    fill = 0
+    for lost, seen in lm.fringe:
+        if not seen:
+            raise CutError("radius too small: a fringe component is undecidable")
+        inside = bits & seen
+        if inside:
+            if inside != seen:
+                raise CutError("translated cut is inconsistent on a component")
+            fill |= lost
+    return fill
+
+
 def act_left_cut(bv, g, cut, name=None):
     """Left translate of an interior-coboundary cut, as a cut of the same
     ball.  The translated coboundary must stay interior; membership on the
     fringe (where g^-1 x escapes) is filled in per residual component.
 
     Reads the `LeftMap` of g, built once and kept on the ball, and the
-    cut's coboundary, counted once and kept on the cut.  Left translation
-    is a bijection on Cayley edges, sending the edge x -> xs to gx -> gxs,
-    and the ball holds every Cayley edge between two of its vertices.  So
+    cut's coboundary, counted once and kept on the cut; `_image_ends` and
+    `_fringe_fill` make the tests below, which `act_left_mask` shares.
+    Left translation is a bijection on Cayley edges, sending the edge
+    x -> xs to gx -> gxs, and the ball holds every Cayley edge between two
+    of its vertices.  So
     the image of a coboundary edge (s, d) lies in the ball exactly when
     img[s] and img[d] are both indices, and the translated coboundary, the
     image of the coboundary, escapes exactly when some coboundary edge has
@@ -494,24 +554,88 @@ def act_left_cut(bv, g, cut, name=None):
     if g == bv.oracle.identity():
         return Cut._checked(bv, cut.bits, name)
     lm = bv.left_map(g, _left_map)
-    img, edges = lm.img, bv.index_edges
-    ends = [img[x] for k in cut._coboundary_indices() for x in edges[k]]
-    if None in ends:
-        raise CutError("radius too small: translated coboundary escapes the ball")
-    limit = bv.radius - 1 if not bv.exhausted else bv.radius
-    if ends and max(map(bv.dist.__getitem__, ends)) > limit:
-        raise CutError("radius too small: translated coboundary not interior")
+    _image_ends(bv, lm, cut)
     bits = cut.bits
     out = int("".join(lm.gather(format(bits, "0%db" % (bv.nv + 1)))), 2)
-    for lost, seen in lm.fringe:
-        if not seen:
-            raise CutError("radius too small: a fringe component is undecidable")
-        inside = bits & seen
-        if inside:
-            if inside != seen:
-                raise CutError("translated cut is inconsistent on a component")
-            out |= lost
-    return Cut._checked(bv, out, name)
+    return Cut._checked(bv, out | _fringe_fill(lm, bits), name)
+
+
+class AtomPieces:
+    """The connected pieces of the atoms of a cut algebra over a ball: the
+    classes (`graphs.index_classes`) of the edges that join two vertices
+    of one atom, so each atom is the union of its pieces.  piece[v] is the
+    piece of vertex v; per piece, reps holds its least vertex and atoms
+    the bit of its atom in the algebra's atom masks."""
+
+    __slots__ = ("algebra", "piece", "reps", "atoms")
+
+    def __init__(self, algebra):
+        universe = algebra.universe
+        n = universe.nv
+        atom_of = [0] * n
+        for k, atom in enumerate(algebra.atoms):
+            for v in compress(range(n), bit_flags(atom)):
+                atom_of[v] = k
+        inner = [(s, d) for s, d in universe.index_edges if atom_of[s] == atom_of[d]]
+        classes = index_classes(n, inner)
+        piece = [0] * n
+        for c, block in enumerate(classes):
+            for v in block:
+                piece[v] = c
+        self.algebra = algebra
+        self.piece = tuple(piece)
+        self.reps = tuple(block[0] for block in classes)
+        self.atoms = tuple(1 << atom_of[block[0]] for block in classes)
+
+
+def act_left_mask(pieces, g, cut):
+    """The atom mask of the left translate g·cut in the algebra of
+    `pieces`, or None when `act_left_cut` would raise CutError or its
+    result is not a union of atoms: what `algebra.decompose` of that
+    result gives, read without gathering the side string.
+
+    Proof.  When the translate passes the tests of `act_left_cut`
+    (`_image_ends`, `_fringe_fill`), its coboundary is exactly the image
+    edges.  It is a union of atoms exactly when it is constant on every
+    atom, that is on every piece of it, with the pieces of one atom
+    agreeing.  A piece is connected by the edges that join two of its
+    vertices, and every edge that does so joins two vertices of one atom,
+    so it is one of those edges.  Hence the translate is constant on a
+    piece exactly when no image coboundary edge has both ends in the piece.
+    Its value on a piece is then its value at the piece's representative
+    r: the cut's bit at pre[r], or the fill when r has no preimage, as
+    `act_left_cut` builds it.  The mask is the set of atoms whose pieces
+    read 1, when no atom has pieces on both sides.  Every failure gives
+    None, so the order of the tests is free: the piece test, which reads
+    only the image ends, runs before the fringe tests, which read every
+    fringe class.  The identity translate is the cut itself, decomposed
+    once.
+
+    The cost is O(|coboundary| + pieces) steps, plus the fringe classes
+    when the piece test passes, with no pass over every vertex."""
+    bv = pieces.algebra.universe
+    if cut.universe is not bv:
+        raise CutError("cut does not live on this ball")
+    if g == bv.oracle.identity():
+        return pieces.algebra.decompose(cut.bits)
+    lm = bv.left_map(g, _left_map)
+    bits, at = cut.bits, pieces.piece.__getitem__
+    try:
+        ends = _image_ends(bv, lm, cut)
+        if any(map(eq, map(at, ends[::2]), map(at, ends[1::2]))):
+            return None
+        fill = _fringe_fill(lm, bits)
+    except CutError:
+        return None
+    pre = lm.pre
+    ones = zeros = 0
+    for r, atom in zip(pieces.reps, pieces.atoms):
+        p = pre[r]
+        if (fill >> r if p is None else bits >> p) & 1:
+            ones |= atom
+        else:
+            zeros |= atom
+    return None if ones & zeros else ones
 
 
 @dataclass(frozen=True)

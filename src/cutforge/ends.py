@@ -17,6 +17,7 @@ against two facts about group actions on trees before it is printed
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import trees
@@ -106,6 +107,28 @@ def ends_profile(oracle, rmax=DEFAULT_RADIUS):
     return EndsProfile(radii, counts, cls, witness)
 
 
+def _candidate_edges(bv):
+    """The edge index sets that `balanced_cut` tries, in order: per
+    generator, the class of the edges that join the identity to it, then
+    the edge sets of the balls of radius 1 and 2.  The generator classes
+    come from one pass over the edges: the identity has index 0, so an edge
+    at it has 0 for one endpoint, and its other endpoint names the class."""
+    edges = bv.index_edges
+    dist = bv.dist
+    at_identity = defaultdict(set)
+    for k, (s, d) in enumerate(edges):
+        if not (s and d):
+            at_identity[s or d].add(k)
+    # at R = 0 a generator is not in the ball, and None names no class
+    candidates = [at_identity.get(bv.el_to_idx.get(gel), set())
+                  for _name, gel in bv.oracle.generators()]
+    for r in (1, 2):
+        candidates.append(
+            {k for k, (s, d) in enumerate(edges) if dist[s] <= r and dist[d] <= r}
+        )
+    return candidates
+
+
 def balanced_cut(oracle, radius=DEFAULT_RADIUS):
     """One infinite side (plus enclosed finite components) of a small central
     edge set: per-generator parallel classes at the identity are tried first,
@@ -116,17 +139,7 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
         raise EndsError("no balanced cut: the group is finite")
     edges = bv.index_edges
     dist = bv.dist
-    candidates = []
-    for _name, gel in oracle.generators():
-        # the identity has index 0; at R = 0 the generator is not in the
-        # ball, and the pair {0, None} matches no edge
-        pair = {0, bv.el_to_idx.get(gel)}
-        candidates.append({k for k, (s, d) in enumerate(edges) if {s, d} == pair})
-    for r in (1, 2):
-        candidates.append(
-            {k for k, (s, d) in enumerate(edges) if dist[s] <= r and dist[d] <= r}
-        )
-    for cls in candidates:
+    for cls in _candidate_edges(bv):
         # the side's coboundary lies in cls: a class reaching the sphere is
         # not interior
         if not cls or any(dist[i] >= radius for k in cls for i in edges[k]):

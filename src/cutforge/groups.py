@@ -22,8 +22,11 @@ strings is built only when a caller asks for `BallView.graph`.  Left
 translation of cuts reads a per-element map that `cuts.act_left_cut`
 builds once for each element g it translates by and keeps on the ball
 (`BallView.left_map`): the indices of g^-1 x and gx for every element x
-of the ball, and its fringe classes.  A translate then reads only the
-index pairs of the cut's coboundary.
+of the ball, and its fringe classes.  The map is filled along the search
+tree from the ball's right-neighbour table (`BallView.right`, the index
+of x t for every element x and letter t, read off the edges), so it
+multiplies only where the tree leaves the ball.  A translate then reads
+only the index pairs of the cut's coboundary.
 
 Free and free-product elements are normal forms, and `multiply` reads
 only the junction where two of them meet: letters cancel, and syllables
@@ -456,7 +459,8 @@ class BallView:
     The Graph on element strings (`graph`) is built on first access, so
     balls that only count ends or translate cuts never name their elements.
     Likewise the left-translation map of an element (`left_map`) is built on
-    the first translate by it, so a ball that nothing translates holds none.
+    the first translate by it, and the right-neighbour table (`right`) on
+    the first map, so a ball that nothing translates holds neither.
 
     exhausted is True when the group ran out before radius R (finite group);
     then the ball is the whole Cayley graph and the sphere is empty.
@@ -476,6 +480,7 @@ class BallView:
         "tree_letter",
         "_graph",
         "_left",
+        "_right",
     )
 
     def __init__(self, oracle, radius, elements, el_to_idx, dist, sphere,
@@ -493,6 +498,7 @@ class BallView:
         self.tree_letter = tree_letter
         self._graph = None  # see graph
         self._left = None  # see left_map
+        self._right = None  # see right
 
     @property
     def nv(self):
@@ -513,6 +519,32 @@ class BallView:
                 ],
             )
         return self._graph
+
+    @property
+    def right(self):
+        """right[t][i], the index of x_i t for the letter t (in `_letters`
+        order), or None when x_i t lies outside the ball; built on first
+        access from the edges, with no multiply, and cached.
+
+        It is exact because the ball holds every Cayley edge between two of
+        its vertices: x_i t lies in the ball exactly when an edge joins x_i
+        to it.  A generator's letter reads each of its edges x -> xs forward;
+        its inverse's letter reads it backward, as (xs) s^-1 = x.  An
+        involution has one letter, which reads its edges both ways."""
+        if self._right is None:
+            right, forward, backward = [], [], []
+            for _name, _g, gj in _letters(self.oracle):
+                right.append([None] * self.nv)
+                if gj is None:
+                    backward[-1] = right[-1]
+                else:
+                    forward.append(right[-1])
+                    backward.append(right[-1])
+            for (s, d), gj in zip(self.index_edges, self.edge_gen):
+                forward[gj][s] = d
+                backward[gj][d] = s
+            self._right = tuple(right)
+        return self._right
 
     def left_map(self, g, build):
         """build(self, g), made on the first call for g and cached on the

@@ -31,9 +31,9 @@ from itertools import chain, groupby
 from operator import add, index, itemgetter, sub
 
 from .cuts import (
+    AtomPieces,
     Cut,
-    CutError,
-    act_left_cut,
+    act_left_mask,
     boolean_closure,
     containment,
     refine,
@@ -404,6 +404,12 @@ def select_nested_generating(cuts, action=None):
     The translates made here are returned as `Selection.images`, the edge
     images of `trees.build_partial_action`; a kept class is closed under the
     action, so the image of a kept cut in the family is a kept cut.
+
+    A translate is read only as its atom mask: `cuts.act_left_mask` reads it
+    off the translated coboundary and one representative per connected
+    piece of each atom (`cuts.AtomPieces`, built once here), and gives None
+    exactly where `act_left_cut` refuses or its result is not a union of
+    atoms.  No translate gathers its side string.
     """
     cuts = list(cuts)
     report, irr = irreducible_family(cuts)
@@ -421,13 +427,11 @@ def select_nested_generating(cuts, action=None):
     if action:
         if not hasattr(universe, "oracle"):
             raise SieveError("action data needs a ball universe")
+        pieces = AtomPieces(algebra)
         for el, _word in action:
             row = []
             for i in range(0, len(irr), 2):
-                try:
-                    j = pos.get(algebra.decompose(act_left_cut(universe, el, irr[i]).bits))
-                except CutError:
-                    j = None
+                j = pos.get(act_left_mask(pieces, el, irr[i]))
                 if j is not None:
                     pairs.append((i, j))
                 row += (j, None if j is None else j ^ 1)

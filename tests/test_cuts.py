@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -9,6 +10,7 @@ from cutforge.checks import _random_sphere_clean_bits
 from cutforge.cuts import (
     Cut,
     CutError,
+    LeftMap,
     _left_map,
     act_left_cut,
     boolean_closure,
@@ -21,11 +23,12 @@ from cutforge.cuts import (
     orbit_cuts,
     right_flip_bits,
 )
-from cutforge.graphs import Graph, components
+from cutforge.graphs import Graph, components, index_classes
 from cutforge.sieve import classify
 from cutforge.groups import (
     FreeOracle,
     FreeProductOracle,
+    PermOracle,
     TableOracle,
     ZdOracle,
     ball,
@@ -443,6 +446,75 @@ def test_a_failed_translate_leaves_the_cached_map_intact():
     assert bv._left[g] == _left_map(ball(cyclic(8), 3), g)
 
 
+def reference_left_map(bv, g):
+    """The left map built by multiplication: g^-1 x formed and looked up for
+    every element x, img read off a dict that inverts pre, and the fringe
+    classes read off a scan of every edge."""
+    o = bv.oracle
+    ginv = o.invert(g)
+    n = bv.nv
+    pre = tuple([bv.el_to_idx.get(o.multiply(ginv, el)) for el in bv.elements])
+    inverse = dict(zip(pre, range(n)))
+    img = tuple(map(inverse.get, range(n)))
+    other = [(s, d) for s, d in bv.index_edges if pre[s] is None or pre[d] is None]
+    touched = sorted({i for i in range(n) if pre[i] is None} | {i for e in other for i in e})
+    fringe = []
+    for block in index_classes(n, other, touched):
+        lost = seen = 0
+        for i in block:
+            if pre[i] is None:
+                lost |= 1 << i
+            else:
+                seen |= 1 << pre[i]
+        fringe.append((lost, seen))
+    gather = itemgetter(0, *[0 if p is None else n - p for p in reversed(pre)])
+    return LeftMap(pre, img, tuple(fringe), gather)
+
+
+def z6(gens):
+    mul = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    return TableOracle([str(i) for i in range(6)], mul, list(gens))
+
+
+LEFT_MAP_ORACLES = {
+    "zd:1": lambda: ZdOracle(1),
+    "zd:2": lambda: ZdOracle(2),
+    "zd:3": lambda: ZdOracle(3),
+    "free:1": lambda: FreeOracle(1),
+    "free:2": lambda: FreeOracle(2),
+    "free:3": lambda: FreeOracle(3),
+    "fp(2,3)": lambda: FreeProductOracle([2, 3]),
+    "fp(3,3)": lambda: FreeProductOracle([3, 3]),
+    "fp(3,4)": lambda: FreeProductOracle([3, 4]),
+    "fp(2,2,2)": lambda: FreeProductOracle([2, 2, 2]),
+    "S4": lambda: PermOracle(4, [(1, 2, 3, 0), (1, 0, 2, 3)], ["r", "s"]),
+    "Z/6<1>": lambda: z6(["1"]),
+    "Z/6<2,3>": lambda: z6(["2", "3"]),  # 3 is an involution
+    "Z/6<1,5>": lambda: z6(["1", "5"]),  # 5 is the inverse of 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_MAP_ORACLES))
+def test_left_maps_filled_along_the_search_tree_equal_the_multiplied_ones(name):
+    """pre, img, fringe and the gather of `_left_map`, which multiplies only
+    where the search tree leaves the ball, equal the multiply-built map's,
+    at radii 0-5, and on the whole Cayley graph of a finite group, by every
+    word of length at most 2."""
+    o = LEFT_MAP_ORACLES[name]()
+    rng = random.Random(name)
+    words = o.words_up_to(2)
+    exhausted = False
+    for radius in [*range(6), *([len(o.elements())] if o.finite_kind else [])]:
+        bv = ball(o, radius)
+        exhausted |= bv.exhausted
+        for g, _word in words:
+            got, want = _left_map(bv, g), reference_left_map(bv, g)
+            assert (got.pre, got.img, got.fringe) == (want.pre, want.img, want.fringe)
+            side = format(rng.getrandbits(bv.nv), "0%db" % (bv.nv + 1))
+            assert got.gather(side) == want.gather(side)
+    assert exhausted == o.finite_kind
+
+
 def test_balls_that_nothing_translates_hold_no_map(monkeypatch):
     made = []
     real = cutforge.ends.ball
@@ -453,12 +525,12 @@ def test_balls_that_nothing_translates_hold_no_map(monkeypatch):
 
     monkeypatch.setattr(cutforge.ends, "ball", recording_ball)
     cutforge.ends.ends_profile(FreeOracle(2), 5)
-    assert len(made) == 1 and made[0]._left is None
+    assert len(made) == 1 and made[0]._left is None and made[0]._right is None
     bv = ball(FreeOracle(2), 3)
     act_left_cut(bv, bv.oracle.identity(), Cut(bv, 1))
-    assert bv._left is None
+    assert bv._left is None and bv._right is None
     act_left_cut(bv, (1,), Cut(bv, 1))
-    assert list(bv._left) == [(1,)]
+    assert list(bv._left) == [(1,)] and bv._right is not None
 
 
 def test_translation_reads_index_edges(monkeypatch):

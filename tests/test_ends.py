@@ -6,6 +6,7 @@ from cutforge.cuts import cut_from_members
 from cutforge.ends import (
     EndsError,
     _audit,
+    _candidate_edges,
     balanced_cut,
     ends_profile,
     splitting_pipeline,
@@ -66,6 +67,33 @@ def test_balanced_cut_on_line():
 def test_balanced_cut_on_reflection_line():
     cut = balanced_cut(FreeProductOracle([2, 2]), 6)
     assert len(cut.coboundary()) == 2  # involutions give parallel edges
+
+
+@pytest.mark.parametrize("oracle, radius", [
+    (FreeProductOracle([2, 3]), 8),
+    (FreeProductOracle([2, 4]), 6),
+    (FreeProductOracle([2, 2, 2]), 6),
+    (FreeProductOracle([2, 3]), 6),
+    (ZdOracle(1), 6),
+    (FreeOracle(1), 6),
+    (FreeProductOracle([2, 2]), 6),
+    (FreeOracle(2), 1),
+    (FreeOracle(2), 0),
+    (z6(), 6),
+])
+def test_candidate_edges_equal_the_per_generator_scan(oracle, radius):
+    """The split ladder's balls, and the edge cases R = 0 and a finite
+    group: per generator, the edges whose ends are the identity and the
+    generator, found by one scan of every edge per generator."""
+    bv = ball(oracle, radius)
+    edges, dist = bv.index_edges, bv.dist
+    want = []
+    for _name, gel in oracle.generators():
+        pair = {0, bv.el_to_idx.get(gel)}
+        want.append({k for k, (s, d) in enumerate(edges) if {s, d} == pair})
+    for r in (1, 2):
+        want.append({k for k, (s, d) in enumerate(edges) if dist[s] <= r and dist[d] <= r})
+    assert _candidate_edges(bv) == want
 
 
 def test_balanced_cut_refusals():

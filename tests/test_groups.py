@@ -342,6 +342,23 @@ def test_ball_equals_the_reference_search(name, radius):
     assert bv.tree_letter == (-1,) + tuple(t for _p, t in tree[1:])
 
 
+@pytest.mark.parametrize("radius", range(6))
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
+def test_right_table_is_the_product_by_each_letter(name, radius):
+    """BallView.right, read off the edges, is x t looked up for every
+    element x and letter t: involutions and a generator that is another's
+    inverse included (the Z/6 tables)."""
+    o = SEARCH_ORACLES[name]()
+    bv = ball(o, radius)
+    assert bv._right is None
+    want = tuple(
+        [bv.el_to_idx.get(o.multiply(x, g)) for x in bv.elements]
+        for _name, g, _gj in reference_letters(o)
+    )
+    assert bv.right == want
+    assert bv.right is bv.right
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_ORACLES))
 def test_cap_refusal_fires_at_the_reference_vertex_count(name):
     """The cap admits a ball of exactly cap vertices and refuses one more,

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from cutforge.cuts import (
+    AtomPieces,
     Cut,
     CutAlgebra,
     CutError,
     act_left_cut,
+    act_left_mask,
     boolean_closure,
     cut_from_members,
     full_mask,
@@ -27,6 +29,7 @@ from cutforge.sieve import (
     SieveError,
     _cut_weight_buckets,
     _is_union,
+    _paired_cuts,
     _series_by_mask,
     classify,
     full_series,
@@ -685,17 +688,55 @@ def test_selection_images_are_the_translates_of_the_kept_cuts(spec, words):
     assert any(None in row for row in sel.images)
 
 
+# IMAGE_CELLS, and free:2 and fp(3,3) at W = 3 (54 and 41 atoms)
+MASK_CELLS = IMAGE_CELLS + [({"kind": "free", "k": 2}, 3), (_fp(3, 3), 3)]
+
+
+@pytest.mark.parametrize("spec, words", MASK_CELLS)
+def test_mask_translates_equal_the_decomposed_cut_translates(spec, words):
+    """act_left_mask reads the atom mask of every translate of every
+    irreducible cut by every word off the translated coboundary; the
+    reference translates the cut's bits and decomposes them, None on a
+    CutError.  The selection's rows are those masks' indices, so its images
+    are the reference's."""
+    cut = balanced_cut(make_oracle(spec), 6)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(words)
+    sel = select_nested_generating(orbit_cuts(bv, cut, wl).cuts, action=wl)
+    algebra = sel.report.algebra
+    irr = _paired_cuts(sel.report)
+    pos = {c.bits: i for i, c in enumerate(irr)}
+    pieces = AtomPieces(algebra)
+    rows = []
+    outcomes = set()
+    for el, _word in wl:
+        row = []
+        for c in irr:
+            try:
+                want = algebra.decompose(act_left_cut(bv, el, c).bits)
+            except CutError:
+                want = None
+            assert act_left_mask(pieces, el, c) == want, (el, c.name)
+            outcomes.add(want is None)
+            row.append(None if want is None else pos.get(algebra.element_bits(want)))
+        rows.append(row)
+    assert outcomes == {True, False}
+    kept = [pos[c.bits] for c in sel.kept]
+    kept_pos = {i: p for p, i in enumerate(kept)}
+    assert sel.images == tuple(tuple(kept_pos.get(row[i]) for i in kept) for row in rows)
+
+
 @pytest.mark.parametrize("spec, words", [(_fp(2, 3), 2), (_fp(3, 3), 2)])
 def test_selection_translates_one_cut_of_each_complement_pair(monkeypatch, spec, words):
     """g·~c = ~(g·c), so the selection translates only the first cut of each
-    pair: words x irreducible cuts / 2 translates."""
+    pair: words x irreducible cuts / 2 mask translates."""
     cut = balanced_cut(make_oracle(spec), 6)
     bv = cut.universe
     wl = bv.oracle.words_up_to(words)
     cuts = orbit_cuts(bv, cut, wl).cuts
     calls = []
-    monkeypatch.setattr(sieve_mod, "act_left_cut",
-                        lambda *args: calls.append(args[2]) or act_left_cut(*args))
+    monkeypatch.setattr(sieve_mod, "act_left_mask",
+                        lambda *args: calls.append(args[2]) or act_left_mask(*args))
     sel = select_nested_generating(cuts, action=wl)
     n = len(sel.report.irreducible)
     assert n and n % 2 == 0
