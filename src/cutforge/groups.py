@@ -28,9 +28,10 @@ of x t for every element x and letter t, read off the edges), so it
 multiplies only where the tree leaves the ball.  A translate then reads
 only the index pairs of the cut's coboundary.
 
-Free and free-product elements are normal forms, and `multiply` reads
-only the junction where two of them meet: letters cancel, and syllables
-merge, there and nowhere else.
+Free and free-product elements are normal forms packed into ints, one
+fixed-width field per letter or syllable, so a ball hashes and joins
+machine words.  `multiply` reads only the junction where two of them meet:
+letters cancel, and syllables merge, there and nowhere else.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from operator import add, neg
 
 from .graphs import Graph, str_list
 
@@ -305,10 +307,10 @@ class ZdOracle(GroupOracle):
         return (0,) * self.d
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def invert(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def order(self, a):
         return None if any(a) else 1  # Z^d is torsion-free
@@ -321,8 +323,12 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class FreeOracle(GroupOracle):
-    """Free group of rank k; elements are reduced words as tuples of nonzero
-    ints (+i / -i for the i-th generator and its inverse, 1-based)."""
+    """Free group of rank k <= 26, generated by a to z.  An element is its
+    reduced word packed into a non-negative int: one `width`-bit field per
+    letter, the first letter most significant, and the identity is 0.  The
+    i-th generator (0-based) has code 2i + 2 and its inverse 2i + 3, so the
+    inverse of a code is `code ^ 1`; no code is 0, so a word of n letters
+    fills exactly n fields."""
 
     kind = "free"
 
@@ -330,41 +336,66 @@ class FreeOracle(GroupOracle):
         k = _int(k, "free rank k")
         if k < 1:
             raise GroupError("free needs k >= 1")
+        if k > len(_LETTERS):
+            raise GroupError("free needs k <= 26: generators are named a to z")
         self.k = k
-        self._gens = tuple((_LETTERS[i], (i + 1,)) for i in range(k))
+        self.width = (2 * k + 1).bit_length()
+        self.mask = (1 << self.width) - 1
+        self._gens = tuple((_LETTERS[i], 2 * i + 2) for i in range(k))
 
     def identity(self):
-        return ()
+        return 0
 
     def multiply(self, a, b):
         """The reduced word of ab.  a and b are reduced, so a letter pair
         can cancel only where they meet, and once a pair fails to cancel
-        the words join there: only the junction is read, and the untouched
-        parts are joined by slicing."""
-        if not a or not b or a[-1] != -b[0]:
-            return a + b
-        i, j = len(a) - 1, 1
-        while i and j < len(b) and a[i - 1] == -b[j]:
-            i, j = i - 1, j + 1
-        return a[:i] + b[j:]
+        the words join there: only the junction is read, a's last field
+        against b's first, and the untouched parts are joined by a shift.
+        n is the bit width of what is left of b, so its first field is
+        b >> (n - width)."""
+        if not a or not b:
+            return a | b
+        w, mask = self.width, self.mask
+        n = w if b <= mask else ((b.bit_length() - 1) // w + 1) * w
+        while (a & mask) == (b >> (n - w)) ^ 1:
+            a >>= w
+            n -= w
+            b &= (1 << n) - 1
+            if not a or not n:
+                break
+        return (a << n) | b
 
     def invert(self, a):
-        return tuple(-x for x in reversed(a))
+        w, mask = self.width, self.mask
+        out = 0
+        while a:
+            out = (out << w) | ((a & mask) ^ 1)
+            a >>= w
+        return out
 
     def order(self, a):
         return None if a else 1  # free groups are torsion-free
 
     def el_str(self, a):
+        w, mask = self.width, self.mask
         toks = []
-        for x in a:
-            name = _LETTERS[abs(x) - 1]
-            toks.append(name if x > 0 else name + "^-1")
+        while a:  # last letter first
+            code = a & mask
+            name = _LETTERS[(code >> 1) - 1]
+            toks.append(name + "^-1" if code & 1 else name)
+            a >>= w
+        toks.reverse()
         return " ".join(toks)
 
 
 class FreeProductOracle(GroupOracle):
-    """Free product of finite cyclic groups Z/n_1 * ... * Z/n_m; elements are
-    alternating syllable tuples ((factor, exp), ...) with 1 <= exp < n."""
+    """Free product of m <= 26 finite cyclic groups Z/n_1 * ... * Z/n_m,
+    generated by a to z.  An element is its normal form, alternating
+    syllables (f, e) with 1 <= e < n_f, packed into a non-negative int: one
+    `width`-bit field per syllable, the first most significant, and the
+    identity is 0.  The syllable (f, e) has code f + m e, so f = code % m
+    and e = code // m; no code is 0.  Nothing is indexed by code, so an
+    oracle's size does not grow with the orders."""
 
     kind = "free_product"
 
@@ -372,53 +403,81 @@ class FreeProductOracle(GroupOracle):
         orders = _int_tuple(orders, "free_product orders")
         if not orders or any(n < 2 for n in orders):
             raise GroupError("free_product needs cyclic orders >= 2")
+        if len(orders) > len(_LETTERS):
+            raise GroupError(
+                "free_product needs at most 26 factors: generators are named a to z"
+            )
         self.orders = orders
-        self._gens = tuple((_LETTERS[i], ((i, 1),)) for i in range(len(orders)))
+        m = self.factors = len(orders)
+        self.width = (m * max(orders) - 1).bit_length()
+        self.mask = (1 << self.width) - 1
+        self._gens = tuple((_LETTERS[f], f + m) for f in range(m))
 
     def identity(self):
-        return ()
+        return 0
 
     def multiply(self, a, b):
         """The normal form of ab.  a and b alternate factors, so only their
         meeting syllables can share a factor.  Those merge; a nonzero sum
         ends the merging (its neighbours lie in other factors), while a
         zero sum cancels both and brings the next pair to the junction.
-        The untouched parts are joined by slicing."""
-        if not a or not b or a[-1][0] != b[0][0]:
-            return a + b
-        i, j = len(a), 0
-        while True:
-            f, e = a[i - 1]
-            e = (e + b[j][1]) % self.orders[f]
-            i, j = i - 1, j + 1
+        The untouched parts are joined by a shift.  n is the bit width of
+        what is left of b, so its first field is b >> (n - width)."""
+        if not a or not b:
+            return a | b
+        w, mask, m = self.width, self.mask, self.factors
+        if b <= mask:
+            n, first = w, b
+        else:
+            n = ((b.bit_length() - 1) // w + 1) * w
+            first = b >> (n - w)
+        last = a & mask
+        while not (last - first) % m:
+            f = first % m
+            e = (last // m + first // m) % self.orders[f]
+            a >>= w
+            n -= w
+            b &= (1 << n) - 1
             if e:
-                return a[:i] + ((f, e),) + b[j:]
-            if not i or j == len(b) or a[i - 1][0] != b[j][0]:
-                return a[:i] + b[j:]
+                return (((a << w) | (f + m * e)) << n) | b
+            if not a or not n:
+                break
+            last, first = a & mask, b >> (n - w)
+        return (a << n) | b
 
     def invert(self, a):
-        return tuple((f, self.orders[f] - e) for (f, e) in reversed(a))
+        w, mask, m = self.width, self.mask, self.factors
+        out = 0
+        while a:
+            e, f = divmod(a & mask, m)
+            out = (out << w) | (f + m * (self.orders[f] - e))
+            a >>= w
+        return out
 
     def order(self, a):
         """Conjugating by the first syllable while the first and last share
         a factor leaves a cyclically reduced conjugate.  One with two or
         more syllables has powers of growing length, so infinite order; one
         syllable (f, e) has order n_f / gcd(n_f, e)."""
-        while len(a) > 1 and a[0][0] == a[-1][0]:
-            s = a[:1]
+        w, m = self.width, self.factors
+        while a >> w:
+            s = a >> ((a.bit_length() - 1) // w * w)
+            if (s - (a & self.mask)) % m:
+                return None
             a = self.multiply(self.multiply(self.invert(s), a), s)
-        if len(a) > 1:
-            return None
         if not a:
             return 1
-        (f, e), = a
+        e, f = divmod(a, m)
         return self.orders[f] // math.gcd(self.orders[f], e)
 
     def el_str(self, a):
+        w, mask, m = self.width, self.mask, self.factors
         toks = []
-        for (f, e) in a:
-            name = _LETTERS[f]
-            toks.append(name if e == 1 else "%s^%d" % (name, e))
+        while a:  # last syllable first
+            e, f = divmod(a & mask, m)
+            toks.append(_LETTERS[f] if e == 1 else "%s^%d" % (_LETTERS[f], e))
+            a >>= w
+        toks.reverse()
         return " ".join(toks)
 
 

@@ -599,6 +599,11 @@ def test_malformed_group_file_is_reported(tmp_path, capsys):
         ("free:0", "free needs k >= 1"),
         ("free_product:1", "free_product needs cyclic orders >= 2"),
         ("zd:x", "bad group shorthand 'zd:x'"),
+        ("free:27", "free needs k <= 26: generators are named a to z"),
+        (
+            "free_product:" + ",".join(["2"] * 27),
+            "free_product needs at most 26 factors: generators are named a to z",
+        ),
     ],
 )
 def test_group_shorthand_refusal_names_its_rule(capsys, spec, why):

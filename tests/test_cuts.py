@@ -529,8 +529,9 @@ def test_balls_that_nothing_translates_hold_no_map(monkeypatch):
     bv = ball(FreeOracle(2), 3)
     act_left_cut(bv, bv.oracle.identity(), Cut(bv, 1))
     assert bv._left is None and bv._right is None
-    act_left_cut(bv, (1,), Cut(bv, 1))
-    assert list(bv._left) == [(1,)] and bv._right is not None
+    a = bv.oracle.element_from_word("a")
+    act_left_cut(bv, a, Cut(bv, 1))
+    assert list(bv._left) == [a] and bv._right is not None
 
 
 def test_translation_reads_index_edges(monkeypatch):

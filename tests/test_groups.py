@@ -525,32 +525,63 @@ def reference_multiply(o, a, b):
     return reference_free_product_multiply(o.orders, a, b)
 
 
-# per oracle, explicit pairs: the identity, a full cancellation, and (in
-# Z/5) a partial syllable merge, alone and after a cancellation
+def spell(o, x):
+    """The normal form of x as the sequence the stack references read,
+    decoded from its el_str: +i / -i for the i-th generator of a free
+    group (1-based) and its inverse, (factor, exp) in a free product."""
+    names = [name for name, _g in o.generators()]
+    out = []
+    for tok in o.el_str(x).split():
+        name, _, exp = tok.partition("^")
+        i, e = names.index(name), int(exp or 1)
+        out.append((i + 1) * e if isinstance(o, FreeOracle) else (i, e))
+    return tuple(out)
+
+
+def unspell(o, seq):
+    """The element a letter or syllable sequence spells."""
+    names = [name for name, _g in o.generators()]
+    if isinstance(o, FreeOracle):
+        toks = [names[abs(x) - 1] + ("" if x > 0 else "^-1") for x in seq]
+    else:
+        toks = ["%s^%d" % (names[f], e) for f, e in seq]
+    return o.element_from_word(" ".join(toks))
+
+
+# per oracle, explicit pairs of words: the identity, a full cancellation,
+# and (in Z/5) a partial syllable merge, alone and after a cancellation
 PRODUCT_CASES = {
     "free:2": (lambda: FreeOracle(2), [
-        ((), ()),
-        ((), (1, -2)),
-        ((1, -2), ()),
-        ((1, 2, -1), (1, -2, -1)),
-        ((1, 2), (-2, 1)),
+        ("", ""),
+        ("", "a b^-1"),
+        ("a b^-1", ""),
+        ("a b a^-1", "a b^-1 a^-1"),
+        ("a b", "b^-1 a"),
     ]),
-    "free:3": (lambda: FreeOracle(3), [((3, -1), (1, -3)), ((2, 3), (-3, -2, 1))]),
+    "free:3": (lambda: FreeOracle(3), [("c a^-1", "a c^-1"), ("b c", "c^-1 b^-1 a")]),
     "free_product:3,3": (lambda: FreeProductOracle([3, 3]), [
-        (((0, 1), (1, 2)), ((1, 1), (0, 2))),
-        (((0, 1), (1, 2)), ((1, 2), (0, 1))),
+        ("a b^2", "b a^2"),
+        ("a b^2", "b^2 a"),
     ]),
     "free_product:2,2,2": (lambda: FreeProductOracle([2, 2, 2]), [
-        (((0, 1), (2, 1)), ((2, 1), (0, 1), (1, 1))),
+        ("a c", "c a b"),
     ]),
     "free_product:3,4,5": (lambda: FreeProductOracle([3, 4, 5]), [
-        ((), ((2, 2),)),
-        (((2, 2),), ((2, 1),)),
-        (((0, 1), (2, 2)), ((2, 3), (0, 1))),
-        (((1, 3), (0, 1), (2, 2)), ((2, 3), (0, 2), (1, 3))),
-        (((1, 1), (2, 4)), ((2, 4), (1, 2))),
+        ("", "c^2"),
+        ("c^2", "c"),
+        ("a c^2", "c^3 a"),
+        ("b^3 a c^2", "c^3 a^2 b^3"),
+        ("b c^4", "c^4 b^2"),
     ]),
 }
+
+
+def test_explicit_product_cases_spell_their_words():
+    # the words above are the tuples the stack references read
+    o = FreeProductOracle([3, 4, 5])
+    assert spell(o, o.element_from_word("b^3 a c^2")) == ((1, 3), (0, 1), (2, 2))
+    o = FreeOracle(3)
+    assert spell(o, o.element_from_word("b c^-1 a")) == (2, -3, 1)
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
@@ -559,14 +590,77 @@ def test_multiply_matches_the_stack_reduction(name):
     o = make()
     rng = random.Random(name)
     els = [el for el, _word in o.words_up_to(5)]
-    pairs = list(explicit)
+    pairs = [(o.element_from_word(u), o.element_from_word(v)) for u, v in explicit]
     pairs += [(rng.choice(els), rng.choice(els)) for _ in range(400)]
     for a in rng.sample(els, min(len(els), 100)):
         # a times the inverse of a suffix of a, then a random element:
         # cancellation that runs k letters or syllables deep
-        k = rng.randrange(len(a) + 1)
-        tail = reference_multiply(o, o.invert(a[k:]), rng.choice(els))
+        seq = spell(o, a)
+        k = rng.randrange(len(seq) + 1)
+        tail = unspell(o, reference_multiply(
+            o, spell(o, o.invert(unspell(o, seq[k:]))), spell(o, rng.choice(els))))
         pairs += [(a, o.invert(a)), (a, tail), (o.invert(tail), o.invert(a))]
     for a, b in pairs:
-        assert o.multiply(a, b) == reference_multiply(o, a, b), (a, b)
-    assert any(o.multiply(a, b) == () != a for a, b in pairs)
+        want = reference_multiply(o, spell(o, a), spell(o, b))
+        assert spell(o, o.multiply(a, b)) == want, (o.el_str(a), o.el_str(b))
+        assert o.multiply(a, b) == unspell(o, want)
+    assert any(o.multiply(a, b) == o.identity() != a for a, b in pairs)
+
+
+ROUND_TRIP_ORACLES = {
+    "free:1": lambda: FreeOracle(1),
+    "free:2": lambda: FreeOracle(2),
+    "free:3": lambda: FreeOracle(3),
+    "free_product:2,3": lambda: FreeProductOracle([2, 3]),
+    "free_product:3,3": lambda: FreeProductOracle([3, 3]),
+    "free_product:2,2,2": lambda: FreeProductOracle([2, 2, 2]),
+    "free_product:3,4,5": lambda: FreeProductOracle([3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_ORACLES))
+def test_normal_forms_round_trip(name):
+    o = ROUND_TRIP_ORACLES[name]()
+    e = o.identity()
+    for x in ball(o, 4).elements:
+        assert o.element_from_word(o.el_str(x)) == x
+        assert o.invert(o.invert(x)) == x
+        assert o.multiply(x, o.invert(x)) == e == o.multiply(o.invert(x), x)
+        if len(spell(o, x)) == 1:
+            # no cyclic order here exceeds 5; a free letter never returns
+            y, k = x, 1
+            while y != e and k <= 5:
+                y, k = o.multiply(y, x), k + 1
+            assert o.order(x) == (k if y == e else None)
+
+
+def test_free_product_with_a_large_order():
+    o = FreeProductOracle([2, 2**40])
+    assert ball(o, 3).nv == 22
+    b = o.element_from_word("b")
+    x = b
+    for _ in range(39):
+        x = o.multiply(x, x)
+    assert o.el_str(x) == "b^%d" % (2**39)
+    assert o.order(x) == 2
+    assert o.el_str(o.invert(b)) == "b^%d" % (2**40 - 1)
+    assert o.multiply(o.invert(b), b) == o.identity()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "free", "k": 27}, "free needs k <= 26: generators are named a to z"),
+        (
+            {"kind": "free_product", "orders": [2] * 27},
+            "free_product needs at most 26 factors: generators are named a to z",
+        ),
+    ],
+    ids=["free", "free_product"],
+)
+def test_more_than_26_generators_are_refused_by_name(spec, message):
+    with pytest.raises(GroupError) as info:
+        make_oracle(spec)
+    assert str(info.value) == message
+    spec = dict(spec, k=26) if spec["kind"] == "free" else dict(spec, orders=[2] * 26)
+    assert len(make_oracle(spec).generators()) == 26
