@@ -392,13 +392,15 @@ def sieve_artifacts(seed):
 def check_sieve_soundness(artifacts):
     t = _Tally()
     for i, g, algebra, report in artifacts:
-        elements = report.elements
+        keys = [(el.series, el.mask) for el in report.irreducible]
         t.hit(
             report.undecided_count == 0
             and report.element_count == 1 << algebra.n_atoms
-            and all(elements[el.mask] == el and el.status == "irreducible"
-                    for el in report.irreducible),
-            "the element record disagrees with the irreducible list on sample %d" % i,
+            and all(m in report.elements for _s, m in keys)
+            and len({m for _s, m in keys}) == len(keys)
+            and all(x < y for x, y in zip(keys, keys[1:])),
+            "the irreducible record is not distinct masks of the algebra in "
+            "(series, mask) order on sample %d" % i,
         )
         t.hit(report.complement_stable, "irr not complement-stable on sample %d" % i)
         full = full_mask(g)

@@ -128,7 +128,10 @@ class GroupOracle:
 
     def element_from_word(self, word):
         """Parse a word string: space-separated tokens `name` or `name^k`
-        (k may be negative).  The empty string is the identity."""
+        (k may be negative).  The empty string is the identity.  A power is
+        taken by repeated squaring, its exponent first reduced modulo the
+        generator's order when that is finite, so it costs O(log k)
+        products."""
         gens = dict(self.generators())
         el = self.identity()
         for tok in word.split():
@@ -142,9 +145,18 @@ class GroupOracle:
                 name, k = tok, 1
             if name not in gens:
                 raise GroupError("unknown generator %r in word %r" % (name, word))
-            g = gens[name] if k >= 0 else self.invert(gens[name])
-            for _ in range(abs(k)):
-                el = self.multiply(el, g)
+            g = gens[name]
+            n = self.order(g)
+            if n is not None:
+                k %= n
+            elif k < 0:
+                g, k = self.invert(g), -k
+            while k:
+                if k & 1:
+                    el = self.multiply(el, g)
+                k >>= 1
+                if k:
+                    g = self.multiply(g, g)
         return el
 
 

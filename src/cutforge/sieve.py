@@ -18,17 +18,17 @@ weight in the atom quotient, which is the first coefficient the
 lexicographic order reads (c_0 is always 0), and stops once the elements
 seen so far generate every atom: all later elements are reducible.  So it
 lists no table over the 2^atoms elements, and the proofs of both steps are
-in its docstring.  Only a pass over every element (`SieveReport.elements`,
-`full_series`, `sieve --json`) lists them, up to MAX_LISTED_ATOMS atoms.
+in its docstring.  Its report is a plain record of the irreducible
+elements; only `full_series` (and so `sieve --json`) lists the series of
+every element, up to MAX_LISTED_ATOMS atoms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, groupby
-from operator import add, index, itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .cuts import (
     AtomPieces,
@@ -42,7 +42,7 @@ from .graphs import index_classes
 from .series import atom_pair_prefix, atom_pair_table
 from . import trees
 
-# the most atoms whose 2^atoms elements a full pass lists
+# the most atoms whose 2^atoms element series full_series lists
 MAX_LISTED_ATOMS = 12
 
 
@@ -57,17 +57,20 @@ class SieveElement:
     # measure coefficients 0..k: the prefix that decides the order (see
     # classify); full_series(report, L) gives coefficients 0..L
     series: tuple
-    status: str  # "reducible" | "irreducible"
 
 
 @dataclass(frozen=True)
 class SieveReport:
     algebra: object
-    # SieveElement per atom subset, in mask order, made on demand (_Elements)
-    elements: Sequence
-    # 1 << atoms, the number of elements; len(elements) overflows at 63 atoms
+    # range(1 << atoms), the elements by atom mask; kept because the
+    # benchmark's classify hook reads len(elements), which overflows at 63
+    # atoms
+    elements: range
+    # 1 << atoms, the number of elements, as the transcripts print it
     element_count: int
-    irreducible: tuple  # the irreducible SieveElements, by (series, mask)
+    # the irreducible SieveElements, by (series, mask); every other element
+    # is reducible
+    irreducible: tuple
     # always 0, as every verdict is exact; kept because the split and sieve
     # transcripts print it and the benchmark's classify hook reads it
     undecided_count: int
@@ -197,55 +200,6 @@ def _union_series(lanes, a, m, zero):
     return tuple(map(sum, zip(zero, *[lanes[i + j] for i in ins for j in outs])))
 
 
-def _refuse_listing(a):
-    if a > MAX_LISTED_ATOMS:
-        raise SieveError(
-            "measure sieve: algebra has %d atoms; listing all 2^%d elements "
-            "is capped at MAX_LISTED_ATOMS = %d; pass fewer cuts (for sieve, "
-            "drop --json)" % (a, a, MAX_LISTED_ATOMS)
-        )
-
-
-class _Elements(Sequence):
-    """The SieveElement of every atom union, in mask order, made on demand.
-
-    An irreducible mask keeps its element; every other mask is reducible
-    (see classify), and reading it sums its series from the atom-pair
-    lanes.  A full pass builds the series of every mask at once with
-    `_series_by_mask`, and refuses above MAX_LISTED_ATOMS."""
-
-    __slots__ = ("_algebra", "_table", "_lanes", "_irreducible")
-
-    def __init__(self, algebra, table, lanes, irreducible):
-        self._algebra = algebra
-        self._table = table
-        self._lanes = lanes
-        self._irreducible = {el.mask: el for el in irreducible}
-
-    def __len__(self):
-        return 1 << self._algebra.n_atoms  # len() refuses it from 63 atoms
-
-    def _element(self, m, series):
-        return SieveElement(m, self._algebra.element_bits(m), series, "reducible")
-
-    def __getitem__(self, m):
-        a = self._algebra.n_atoms
-        m = index(m)
-        if m < 0:
-            m += 1 << a
-        if not 0 <= m < 1 << a:
-            raise IndexError("sieve element index out of range")
-        return self._irreducible.get(m) or self._element(
-            m, _union_series(self._lanes, a, m, (0,) * len(self._table)))
-
-    def __iter__(self):
-        a = self._algebra.n_atoms
-        _refuse_listing(a)
-        irreducible = self._irreducible
-        for m, series in enumerate(_series_by_mask(self._table, a, len(self._table) - 1)):
-            yield irreducible.get(m) or self._element(m, series)
-
-
 def classify(algebra):
     """Sieve every element of the algebra by its measure series.
 
@@ -293,16 +247,19 @@ def classify(algebra):
     nothing.  The visit stops at the end of that bucket, and every mask it
     did not visit is reducible.  It does stop: refining by every mask ends
     at the atoms.  On the split ladder that is after about 2a masks.  Only
-    the irreducible elements are kept: `SieveReport.elements` gives one of
-    them its element and any other mask a reducible one.
+    the irreducible elements are kept, in `SieveReport.irreducible`, and
+    every mask not in it is reducible; the report holds no table, so the
+    atom-pair prefix is freed when classify returns.
 
     The report's flags are computed, not assumed: `complement_stable` holds
     when the irreducible set is closed under complement, which is the same
     as every status equalling its complement's, since the complement map is
     an involution and the reducible masks, visited or not, are the rest;
-    `nested` holds when `cuts.containment` over the irreducible bits finds
-    no crossing pair (the same atom pass that `trees.verify_system` makes),
-    and `generates` refines the atoms by the irreducible masks.
+    `nested` holds when `cuts.containment` over the irreducible atom masks,
+    at width a, finds no crossing pair.  Atoms are disjoint and nonempty, so
+    a union of atoms contains, meets or misses another exactly when its
+    mask does, and the masks cross exactly where the vertex bits do.
+    `generates` refines the atoms by the irreducible masks.
     """
     universe = algebra.universe
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
@@ -323,20 +280,19 @@ def classify(algebra):
             ranked.sort()
             for series, group in groupby(ranked, key=itemgetter(0)):
                 group = [m for _s, m in group]
-                irr += [SieveElement(m, algebra.element_bits(m), series, "irreducible")
+                irr += [SieveElement(m, algebra.element_bits(m), series)
                         for m in group if not _is_union(m, blocks)]
                 blocks = refine(blocks, group)
             if len(blocks) == a:
                 break
-    irr_masks = {e.mask for e in irr}
-    comp_stable = all(full ^ m in irr_masks for m in irr_masks)
-    _, _, crossing = containment([e.bits for e in irr], universe.nv)
+    irr_masks = [e.mask for e in irr]
+    comp_stable = {full ^ m for m in irr_masks} == set(irr_masks)
+    _, _, crossing = containment(irr_masks, a)
     nested = not any(crossing)
     generates = all(
-        b.bit_count() == 1 for b in refine([full], [e.mask for e in irr])
+        b.bit_count() == 1 for b in refine([full], irr_masks)
     ) if full else True
-    elements = _Elements(algebra, table, lanes, irr)
-    return SieveReport(algebra, elements, 1 << a, tuple(irr), 0, comp_stable, nested,
+    return SieveReport(algebra, range(1 << a), 1 << a, tuple(irr), 0, comp_stable, nested,
                        generates)
 
 
@@ -344,9 +300,14 @@ def full_series(report, L):
     """Measure series of every element at length L, in mask order; classify
     keeps only the prefix that decides its verdicts."""
     algebra = report.algebra
-    _refuse_listing(algebra.n_atoms)
-    table = atom_pair_table(algebra.universe, algebra.atoms, L)
-    return _series_by_mask(table, algebra.n_atoms, L)
+    a = algebra.n_atoms
+    if a > MAX_LISTED_ATOMS:
+        raise SieveError(
+            "measure sieve: algebra has %d atoms; listing all 2^%d elements "
+            "is capped at MAX_LISTED_ATOMS = %d; pass fewer cuts (for sieve, "
+            "drop --json)" % (a, a, MAX_LISTED_ATOMS)
+        )
+    return _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, L), a, L)
 
 
 def _paired_cuts(report):

@@ -47,9 +47,10 @@ def test_corner_prefix_decides_random_element_pairs(artifacts):
     their corner measures agree on several leading terms; the prefix must
     still pick the choice of the series at the certified length."""
     rng = random.Random(0)
-    for i, g, _algebra, report in artifacts:
+    for i, g, algebra, report in artifacts:
         full = full_mask(g)
-        els = [el.bits for el in report.elements if el.bits not in (0, full)]
+        els = [bits for bits in map(algebra.element_bits, report.elements)
+               if bits not in (0, full)]
         todo = [(rng.choice(els), rng.choice(els)) for _ in range(8)]
         prefix = corner_choices(g, todo)
         assert prefix == full_length_choices(g, todo), i

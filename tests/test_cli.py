@@ -554,6 +554,17 @@ def test_split_refuses_a_cut_without_two_sides(tmp_path, capsys, content, why):
     )
 
 
+@pytest.mark.parametrize("power", [100, 10 ** 10])
+def test_split_refuses_a_member_word_outside_the_ball(tmp_path, capsys, power):
+    """A huge power is read by repeated squaring, so it is refused as fast
+    as a small one, in the same words."""
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"name": "A", "members_words": ["", "x^%d" % power]}))
+    assert main(["split", "--group", "zd:1", "--cut", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: element %d outside ball of radius 6\n" % (power,))
+
+
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):
     built = []
     real = checks.sieve_artifacts

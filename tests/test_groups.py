@@ -110,6 +110,22 @@ def test_element_from_word():
         o.element_from_word("a^x")
 
 
+def test_element_from_word_takes_huge_powers_by_squaring():
+    """An exponent is reduced modulo a finite order and powered by repeated
+    squaring: b^(2^40 - 1), as el_str prints it, reads back, and one more b
+    gives the identity; x^(10^10) in Z costs about 34 squarings."""
+    n = 1 << 40
+    o = FreeProductOracle((2, n))
+    b = o.element_from_word("b^%d" % (n - 1))
+    assert o.el_str(b) == "b^%d" % (n - 1)
+    assert o.element_from_word(o.el_str(b)) == b == o.invert(o.element_from_word("b"))
+    assert o.multiply(b, o.element_from_word("b")) == o.identity()
+    assert o.element_from_word("b^%d a b^-%d" % (n + 1, n - 1)) == o.element_from_word("b a b")
+    z = ZdOracle(1)
+    assert z.element_from_word("x^10000000000 x^-3") == (10 ** 10 - 3,)
+    assert z.element_from_word("x^-10000000000") == (-10 ** 10,)
+
+
 def test_table_oracle_finite():
     o = z6()
     assert o.finite_kind

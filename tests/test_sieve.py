@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ import cutforge.sieve as sieve_mod
 from cutforge.series import atom_pair_prefix, atom_pair_table, certified_length
 from cutforge.sieve import (
     MAX_LISTED_ATOMS,
+    SieveElement,
     SieveError,
     _cut_weight_buckets,
     _is_union,
@@ -57,6 +59,18 @@ def _verdicts(series, a):
     return order, status
 
 
+def _eager(rep):
+    """The report read over every mask: the status of each, from the
+    irreducible record, and each prefix series, summed over all 2^a masks
+    from the atom-pair prefix that classify decides on."""
+    algebra = rep.algebra
+    a = algebra.n_atoms
+    irr = {el.mask for el in rep.irreducible}
+    status = ["irreducible" if m in irr else "reducible" for m in range(1 << a)]
+    table = atom_pair_prefix(algebra.universe, algebra.atoms)
+    return status, _series_by_mask(table, a, len(table) - 1)
+
+
 def k2():
     return Graph(["u", "w"], [("e", "u", "w")])
 
@@ -86,7 +100,9 @@ def test_power_set_of_k2():
     assert rep.undecided_count == 0
     assert sorted(el.bits for el in rep.irreducible) == [0b01, 0b10]
     # the trivial elements are classified reducible
-    statuses = {el.bits: el.status for el in rep.elements}
+    algebra = rep.algebra
+    status, _series = _eager(rep)
+    statuses = {algebra.element_bits(m): s for m, s in zip(rep.elements, status)}
     assert statuses[0] == "reducible"
     assert statuses[full_mask(g)] == "reducible"
 
@@ -183,7 +199,7 @@ def test_ball_window_classification():
     window = _verdicts(full_series(rep, 16), a)
     certified = _verdicts(full_series(rep, certified_length(bv)), a)
     assert window == certified
-    assert window[1] == [el.status for el in rep.elements]
+    assert window[1] == _eager(rep)[0]
 
 
 def _random_algebra(rng):
@@ -222,16 +238,17 @@ def test_prefix_verdicts_equal_full_length_verdicts(seed):
         n = algebra.universe.nv
         a = algebra.n_atoms
         rep = classify(algebra)
+        got_status, got_series = _eager(rep)
         for L in (certified_length(algebra.universe), n, rng.randrange(n + 1, 4 * n + 1)):
             full = _series_by_mask(_walk_table(algebra, L), a, L)
             order, status = _verdicts(full, a)
             assert full_series(rep, L) == full
-            assert [el.status for el in rep.elements] == status
+            assert got_status == status
             assert [el.mask for el in rep.irreducible] == [
                 m for m in order if status[m] == "irreducible"
             ]
             assert rep.undecided_count == 0
-            prefix = sorted(range(1 << a), key=lambda m: (rep.elements[m].series, m))
+            prefix = sorted(range(1 << a), key=lambda m: (got_series[m], m))
             assert prefix == order
 
 
@@ -246,22 +263,18 @@ def _path_algebra(n_atoms):
 def _assert_like_the_eager_sieve(algebra):
     """Every status, the irreducible order and the three flags of classify
     equal those of the eager sieve over all 2^a masks of the prefix series;
-    the elements are read one index at a time, so no cap applies."""
+    the series are summed by `_series_by_mask`, so no listing cap applies."""
     rep = classify(algebra)
     a = algebra.n_atoms
-    table = atom_pair_prefix(algebra.universe, algebra.atoms)
-    series = _series_by_mask(table, a, len(table) - 1)
+    got_status, series = _eager(rep)
     order, status = _verdicts(series, a)
     full = (1 << a) - 1
-    assert len(rep.elements) == 1 << a
-    els = [rep.elements[m] for m in range(1 << a)]
-    assert [el.mask for el in els] == list(range(1 << a))
-    assert [el.bits for el in els] == [algebra.element_bits(m) for m in range(1 << a)]
-    assert [el.series for el in els] == series
-    assert [el.status for el in els] == status
+    assert rep.elements == range(1 << a)
+    assert got_status == status
     irr = [m for m in order if status[m] == "irreducible"]
     assert [el.mask for el in rep.irreducible] == irr
-    assert rep.irreducible == tuple(els[m] for m in irr)
+    assert rep.irreducible == tuple(
+        SieveElement(m, algebra.element_bits(m), series[m]) for m in irr)
     assert rep.undecided_count == 0
     assert rep.complement_stable == all(status[m] == status[full ^ m] for m in range(1 << a))
     cuts = [Cut(algebra.universe, algebra.element_bits(m)) for m in irr]
@@ -282,40 +295,53 @@ def test_a_13_atom_path_algebra_is_classified_like_the_eager_sieve():
 
 
 def test_listing_every_element_above_the_cap_is_refused():
-    """A pass over every element, and full_series, list 2^a series: above
-    MAX_LISTED_ATOMS they refuse, naming the stage, the cap and the
-    remedy.  At the cap both still list."""
+    """full_series lists 2^a series: above MAX_LISTED_ATOMS it refuses,
+    naming the stage, the cap and the remedy.  At the cap it still lists."""
     message = (
         r"^measure sieve: algebra has 13 atoms; listing all 2\^13 elements is "
         r"capped at MAX_LISTED_ATOMS = 12; pass fewer cuts \(for sieve, drop "
         r"--json\)$"
     )
     rep = classify(_path_algebra(13))
-    for call in (lambda: list(rep.elements), lambda: full_series(rep, 3)):
-        with pytest.raises(SieveError, match=message):
-            call()
+    with pytest.raises(SieveError, match=message):
+        full_series(rep, 3)
     rep = classify(_path_algebra(12))
-    assert [el.series for el in rep.elements] == full_series(rep, len(rep.elements[0].series) - 1)
+    series = _eager(rep)[1]
+    assert series == full_series(rep, len(series[0]) - 1)
 
 
 @pytest.mark.parametrize("a", [62, 63, 64])
 def test_element_count_and_lookups_need_no_len_from_63_atoms(a):
     """len() must fit a Py_ssize_t, so it refuses 2^63 and more.  The report
-    counts its elements as an int, and a mask lookup checks its bounds
-    against that count."""
+    counts its elements as an int, and its elements, the range of masks,
+    check their bounds against that count."""
     rep = classify(_path_algebra(a))
     assert rep.element_count == 1 << a
+    assert rep.elements == range(rep.element_count)
+    if a >= 63:
+        with pytest.raises(OverflowError):
+            len(rep.elements)
     top = (1 << a) - 1
-    el = rep.elements[top]
-    assert (el.mask, el.bits, el.status) == (top, rep.algebra.element_bits(top), "reducible")
-    assert set(el.series) == {0}
-    assert rep.elements[-1] == el
-    first = rep.irreducible[0]
-    assert rep.elements[first.mask] is first
+    assert rep.elements[top] == rep.elements[-1] == top
+    assert top not in {el.mask for el in rep.irreducible}  # the whole universe
+    table = atom_pair_prefix(rep.algebra.universe, rep.algebra.atoms)
+    zero = (0,) * len(table)
+    assert sieve_mod._union_series(sieve_mod._lanes(table), a, top, zero) == zero
+    assert rep.irreducible[0].mask in rep.elements
     with pytest.raises(IndexError):
         rep.elements[1 << a]
     with pytest.raises(IndexError):
         rep.elements[-2 - top]
+
+
+def test_the_report_is_a_plain_record():
+    """classify keeps the irreducible elements and nothing lazy: an element
+    is its mask, bits and prefix series, and the report's elements are the
+    range of masks."""
+    assert [f.name for f in dataclasses.fields(SieveElement)] == ["mask", "bits", "series"]
+    rep = classify(_path_algebra(5))
+    assert type(rep.elements) is range
+    assert rep.elements == range(rep.element_count) == range(1 << 5)
 
 
 def _symmetric_algebras():
@@ -562,10 +588,11 @@ def _verdicts_at(algebra, P):
 
 
 def _assert_verdicts(rep, order, status):
-    assert [el.status for el in rep.elements] == status
+    got_status, series = _eager(rep)
+    assert got_status == status
     assert [el.mask for el in rep.irreducible] == [m for m in order if status[m] == "irreducible"]
     assert rep.undecided_count == 0
-    assert sorted(range(len(status)), key=lambda m: (rep.elements[m].series, m)) == order
+    assert sorted(range(len(status)), key=lambda m: (series[m], m)) == order
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -602,7 +629,8 @@ def test_ball_sieves_decide_on_the_annihilator_degree(spec, radius, words, k):
     algebra = _orbit_algebra(spec, radius, words)
     rep = classify(algebra)
     assert _checked_blocks(algebra) == k < algebra.universe.nv
-    assert all(len(el.series) == k + 1 for el in rep.elements)
+    assert all(len(s) == k + 1 for s in _eager(rep)[1])
+    assert all(len(el.series) == k + 1 for el in rep.irreducible)
 
 
 WITNESS_ORBITS = [
@@ -643,13 +671,16 @@ def test_discrete_partition_falls_back_to_v(monkeypatch, spec, radius, words):
     wl = bv.oracle.words_up_to(words)
     cuts = orbit_cuts(bv, cut, wl).cuts
     want = select_nested_generating(cuts, action=wl)
-    assert len(want.report.elements[0].series) - 1 < bv.nv
+    want_status, want_series = _eager(want.report)
+    assert len(want_series[0]) - 1 < bv.nv
     monkeypatch.setattr(series_mod, "_equitable_partition", _discrete_partition)
     got = select_nested_generating(cuts, action=wl)
     rep = got.report
-    assert all(len(el.series) == bv.nv + 1 for el in rep.elements)
+    got_status, got_series = _eager(rep)
+    assert all(len(s) == bv.nv + 1 for s in got_series)
+    assert all(len(el.series) == bv.nv + 1 for el in rep.irreducible)
     _assert_verdicts(rep, *_verdicts_at(rep.algebra, bv.nv))
-    assert [el.status for el in rep.elements] == [el.status for el in want.report.elements]
+    assert got_status == want_status
     assert [el.mask for el in rep.irreducible] == [el.mask for el in want.report.irreducible]
     assert got.kept == want.kept and got.removed == want.removed
     assert got.images == want.images
