@@ -112,13 +112,19 @@ def _edge_indices(universe, edge_ids):
 
 
 def _normalize_spec(universe, spec):
+    """("odd", crossing edge indices) for an odd-crossing spec; otherwise
+    ("walk", start bits, end bits): a measure of A walks from A to its
+    complement, a corner (C, D) from C - D to D - C."""
     kind = spec[0]
-    if kind == "measure":
-        return ("measure", _as_bits(universe, spec[1]))
     if kind == "odd":
         return ("odd", frozenset(_edge_indices(universe, spec[1])))
+    if kind == "measure":
+        a = _as_bits(universe, spec[1])
+        return ("walk", a, full_mask(universe) ^ a)
     if kind == "corner":
-        return ("corner", _as_bits(universe, spec[1]), _as_bits(universe, spec[2]))
+        c, d = _as_bits(universe, spec[1]), _as_bits(universe, spec[2])
+        full = full_mask(universe)
+        return ("walk", c & (full ^ d), (full ^ c) & d)
     raise SeriesError("unknown series spec kind %r" % (kind,))
 
 
@@ -243,19 +249,13 @@ def transfer_counts(universe, spec, L):
         raise SeriesError("L must be >= 0")
     g = universe_graph(universe)
     n = g.nv
-    kind_spec = _normalize_spec(universe, spec)
-    kind = kind_spec[0]
+    kind, *sets = _normalize_spec(universe, spec)
     if kind == "odd":
-        plan = _walk_plan(_successors(g, kind_spec[1]))
+        plan = _walk_plan(_successors(g, sets[0]))
         start = [1] * n + [0] * n
         end = range(n, 2 * n)
     else:
-        full = full_mask(universe)
-        if kind == "measure":
-            start_bits, end_bits = kind_spec[1], full ^ kind_spec[1]
-        else:
-            cbits, dbits = kind_spec[1], kind_spec[2]
-            start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
+        start_bits, end_bits = sets
         plan = _plain_plan(g)
         start = _indicator(start_bits, n)
         end = _members(end_bits, n)
@@ -286,10 +286,9 @@ def enumeration_counts(universe, spec, L):
         raise SeriesError("L must be >= 0")
     g = universe_graph(universe)
     n = g.nv
-    kind_spec = _normalize_spec(universe, spec)
-    kind = kind_spec[0]
+    kind, *sets = _normalize_spec(universe, spec)
     if kind == "odd":
-        crossing = kind_spec[1]
+        (crossing,) = sets
         nbrs = [
             [w + n * (p ^ (k in crossing)) for (w, k, _dir) in g.darts[u]]
             for p in (0, 1)
@@ -298,12 +297,7 @@ def enumeration_counts(universe, spec, L):
         starts = range(n)
         ends = range(n, 2 * n)
     else:
-        full = full_mask(universe)
-        if kind == "measure":
-            start_bits, end_bits = kind_spec[1], full ^ kind_spec[1]
-        else:
-            cbits, dbits = kind_spec[1], kind_spec[2]
-            start_bits, end_bits = cbits & (full ^ dbits), (full ^ cbits) & dbits
+        start_bits, end_bits = sets
         nbrs = [[w for (w, _k, _dir) in ds] for ds in g.darts]
         starts = _members(start_bits, n)
         ends = _members(end_bits, n)

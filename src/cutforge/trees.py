@@ -19,36 +19,37 @@ them.  The tree metric equals the symmetric-difference size of labels, and
 that identity is what the test suites check; vertex_embed reads the built
 tree's label and checks it against the cuts that contain the vertex.
 
-The action layer is one class.  PartialAction holds per-word vertex and
-edge maps, None marking an image the evidence cannot determine, and every
+The action layer is one class.  PartialAction holds per-word vertex maps,
+None marking an image the evidence cannot determine, and reads every edge
+image off them: a tree has one edge per ordered pair of adjacent vertices,
+so the image of the edge (s, d) is the edge at (image of s, image of d),
+and None when an end has no image or the pair is no edge.  It answers every
 query on them: orbits as reachability classes, stabilizers, fixed vertices
 (only when every generator visibly fixes them), blind words and collapse.
-Over a Cayley ball it is word-bounded evidence; its edge images are the
-left translates that sieve.select_nested_generating made to close its
-classes under the action (`Selection.images`), not new ones.  TreeAction is
-its subclass for a full action of a finite group, made from vertex maps
-alone and verified once (bijections, trivial identity, homomorphism);
-compressible collapse, blow-up and the size polynomial take one and read
-the same queries.  Collapse checks at every step that the maximal vertex
-stabilizers stay the same, which is the Dicks-Dunwoody condition that the
-vertex substabilizers stay the same.
+Over a Cayley ball it is word-bounded evidence, read off the left
+translates that sieve.select_nested_generating made to close its classes
+under the action (`Selection.images`), not new ones.  TreeAction is its
+subclass for a full action of a finite group, verified once (bijections,
+automorphisms, trivial identity, homomorphism); compressible collapse,
+blow-up and the size polynomial take one and read the same queries.
+Collapse checks at every step that the maximal vertex stabilizers stay the
+same, which is the Dicks-Dunwoody condition that the vertex substabilizers
+stay the same.
 
-The vertex/edge relation lives in two places, one per direction.  Where
-edge images are the evidence (partial actions, collapse, the generators of
-induce_action), vertices move by _agreeing_map: a vertex map is read off
-(point, image) evidence pairs, and a point's image is the one value its
-pairs name.  The pairs come from edge incidences (an edge with a known
-image sends its source to the image's source and its target to the image's
-target) and, under a collapse, from (block of x, block of the image of x);
-a full action's collapse pushes its vertex maps alone.  When two pairs
-disagree the evidence is not a map: a full action raises TreeError, while
-a partial action drops the whole word, whose vertex and edge images all
-become None.  A full action runs the other way: TreeAction reads each edge
-image off the images of its endpoints, since a tree has one edge per
-ordered pair of vertices.  blow_up hands it vertex maps on index points:
-a point is a (base vertex index, fiber vertex) pair, each map is a tuple
-of point indices, and the transporters that move fibers are found in one
-pass over the elements; the "v|x" ids only name the result's vertices.
+One rule moves vertices, and edges always follow their endpoints.
+_agreeing_map reads a vertex map off (point, image) evidence pairs: a
+point's image is the one value its pairs name.  Edge evidence (the cut
+images of build_partial_action and of induce_action's generators) enters
+once, as incidence pairs: an edge with a known image sends its source to
+the image's source and its target to the image's target.  A collapse
+pushes the vertex maps alone, by the pairs (block of x, block of the image
+of x).  When two pairs disagree the evidence is not a map, and a partial
+action drops the whole word, whose vertex and edge images all become None;
+a full action never disagrees under a collapse that it closes.  blow_up
+hands TreeAction vertex maps on index points: a point is a (base vertex
+index, fiber vertex) pair, each map is a tuple of point indices, and the
+transporters that move fibers are found in one pass over the elements; the
+"v|x" ids only name the result's vertices.
 """
 
 from __future__ import annotations
@@ -380,60 +381,61 @@ def _image_pairs(maps):
     return ((i, y) for m in maps for i, y in enumerate(m) if y is not None)
 
 
-def _collapse(g, edge_ids, vertex_maps, edge_maps):
-    """Contract the named edges of g, which the edge maps must send into
-    themselves, and push each vertex map, and each edge map if any are
-    given, through to the quotient.  A pushed vertex map is read off the
-    pairs (block of x, block of the image of x); where those disagree it
-    comes back as None."""
+def _collapse(action, edge_ids):
+    """Contract the named edges of the action's tree, which its edge images
+    must send into themselves, and push each vertex map through to the
+    quotient; returns (quotient graph, pushed vertex maps).  A pushed map is
+    read off the pairs (block of x, block of the image of x); where those
+    disagree it comes back as None."""
+    g = action.graph
     idxs = set()
     for e in edge_ids:
         if e not in g.eindex:
             raise TreeError("edge %r not in tree" % (e,))
         idxs.add(g.eindex[e])
-    for em in edge_maps:
+    for em in action.edge_images:
         if any(em[k] is not None and em[k] not in idxs for k in idxs):
-            raise TreeError("collapsed edge set is not closed under the maps")
+            raise TreeError("collapsed edge set is not closed under the action")
     newg, rep = collapse_blocks(g, [g.edges[k][0] for k in idxs])
     block = [newg.vindex[rep[v]] for v in g.vertices]
-    kept = [k for k in range(g.ne) if k not in idxs]
-    kept_pos = {k: p for p, k in enumerate(kept)}
     vmaps = [
         _agreeing_map(
             newg.nv,
             ((block[x], block[y]) for x, y in enumerate(vm) if y is not None),
         )
-        for vm in vertex_maps
+        for vm in action.vertex_images
     ]
-    emaps = [tuple(kept_pos.get(em[k]) for k in kept) for em in edge_maps]
-    return newg, vmaps, emaps
+    return newg, vmaps
 
 
 # -- tree actions ---------------------------------------------------------------
 
 
 class PartialAction:
-    """Per-word vertex and edge maps on a tree; None marks an image the
-    evidence cannot determine.  words: (element, word string) pairs, one per
-    element; gen_word_pos: the position in words of each generator.  A word
-    whose vertex map is given as None (its evidence contradicted itself)
-    gives no evidence at all: every one of its vertex and edge images is
-    None.  Orbits are reachability classes of the defined images, a
-    stabilizer is the set of elements whose images visibly fix, and a vertex
-    counts as fixed only when every generator demonstrably fixes it."""
+    """Per-word vertex maps on a tree; None marks an image the evidence
+    cannot determine.  words: (element, word string) pairs, one per element;
+    gen_word_pos: the position in words of each generator.  A word whose
+    vertex map is given as None (its evidence contradicted itself) gives no
+    evidence at all.  The image of the edge (s, d) is the edge at (image of
+    s, image of d), or None.  Orbits are reachability classes of the
+    defined images, a stabilizer is the set of elements whose images
+    visibly fix, and a vertex counts as fixed only when every generator
+    demonstrably fixes it."""
 
     __slots__ = ("graph", "words", "gen_word_pos", "vertex_images", "edge_images")
 
-    def __init__(self, graph, words, gen_word_pos, vertex_images, edge_images):
+    def __init__(self, graph, words, gen_word_pos, vertex_images):
         self.graph = graph
         self.words = tuple(words)
         self.gen_word_pos = tuple(gen_word_pos)
         self.vertex_images = tuple(
             (None,) * graph.nv if vm is None else tuple(vm) for vm in vertex_images
         )
+        ie = graph.index_edges
+        edge_at = {pair: k for k, pair in enumerate(ie)}
         self.edge_images = tuple(
-            (None,) * graph.ne if vm is None else tuple(em)
-            for vm, em in zip(vertex_images, edge_images)
+            tuple(edge_at.get((vm[s], vm[d])) for s, d in ie)
+            for vm in self.vertex_images
         )
 
     def vertex_orbits(self):
@@ -479,22 +481,20 @@ class PartialAction:
         )
 
     def collapse(self, edge_ids):
-        """Collapse an orbit-closed edge set, inducing partial maps on the
-        blocks; a word whose block images disagree gives no evidence."""
-        newg, vmaps, emaps = _collapse(
-            self.graph, edge_ids, self.vertex_images, self.edge_images
-        )
-        return PartialAction(newg, self.words, self.gen_word_pos, vmaps, emaps)
+        """Collapse an edge set that the defined edge images close, inducing
+        partial maps on the blocks; a word whose block images disagree gives
+        no evidence."""
+        newg, vmaps = _collapse(self, edge_ids)
+        return PartialAction(newg, self.words, self.gen_word_pos, vmaps)
 
 
 class TreeAction(PartialAction):
     """Full action of a finite group on a tree, given by its vertex maps and
     verified once, when made: every element permutes the vertices, the
     identity fixes them all, and the maps compose as the group multiplies.
-    A tree has one edge per ordered pair of vertices, so the image of the
-    edge (s, d) is read off as the edge at (image of s, image of d); a map
-    that sends an edge to no edge is no automorphism and is refused.  Its
-    words are the group elements in oracle order, written by el_str;
+    PartialAction reads each edge image off the images of the edge's ends;
+    a map that sends an edge to no edge is no automorphism and is refused.
+    Its words are the group elements in oracle order, written by el_str;
     vertex_maps is a read-only view {element: vertex map}."""
 
     __slots__ = ("oracle", "vertex_maps")
@@ -512,29 +512,25 @@ class TreeAction(PartialAction):
         vs = tuple(range(graph.nv))
         if vms[at[oracle.identity()]] != vs:
             raise TreeError("identity does not act trivially on vertices")
-        edge_at = {pair: k for k, pair in enumerate(graph.index_edges)}
-        ems = []
         for a, vm in zip(els, vms):
             if tuple(sorted(vm)) != vs:
                 raise TreeError("element %s does not act bijectively" % (a,))
-            em = [edge_at.get((vm[s], vm[d])) for s, d in graph.index_edges]
-            if None in em:
-                raise TreeError(
-                    "element %s is not a tree automorphism at %r"
-                    % (a, graph.edges[em.index(None)][0])
-                )
-            ems.append(em)
-        for a, va in zip(els, vms):
-            for b, vb in zip(els, vms):
-                if vms[at[oracle.multiply(a, b)]] != tuple(va[y] for y in vb):
-                    raise TreeError("vertex maps are not a homomorphism")
         super().__init__(
             graph,
             [(a, oracle.el_str(a)) for a in els],
             [at[gel] for _name, gel in oracle.generators()],
             vms,
-            ems,
         )
+        for a, em in zip(els, self.edge_images):
+            if None in em:
+                raise TreeError(
+                    "element %s is not a tree automorphism at %r"
+                    % (a, graph.edges[em.index(None)][0])
+                )
+        for a, va in zip(els, vms):
+            for b, vb in zip(els, vms):
+                if vms[at[oracle.multiply(a, b)]] != tuple(va[y] for y in vb):
+                    raise TreeError("vertex maps are not a homomorphism")
         self.oracle = oracle
         self.vertex_maps = MappingProxyType(dict(zip(els, self.vertex_images)))
 
@@ -543,14 +539,12 @@ class TreeAction(PartialAction):
 
     def collapse(self, edge_ids):
         """Collapse an action-closed edge set; returns the induced action.
-        Only the vertex maps are pushed.  If an element sends a collapsed
-        edge onto a kept one, the collapsed edge's ends lie in one block
-        while the kept edge's ends lie in two (on a tree, a path of
-        collapsed edges between them would close a cycle), so the pushed
-        vertex map comes back None, and the set is refused."""
-        newg, vmaps, _ = _collapse(self.graph, edge_ids, self.vertex_images, ())
-        if None in vmaps:
-            raise TreeError("collapsed edge set is not closed under the action")
+        Every pushed vertex map is total and well defined: a path of
+        collapsed edges joins any two points x, y of one block, and an
+        element a sends it to a path from a x to a y whose edges, by
+        closure, are collapsed too, so a x and a y share a block.
+        TreeAction re-verifies the result."""
+        newg, vmaps = _collapse(self, edge_ids)
         return TreeAction(newg, self.oracle, dict(zip(self.elements(), vmaps)))
 
 
@@ -872,8 +866,10 @@ def build_partial_action(stree, words, edge_images):
     edge_images: per word, per cut of the system (so per tree edge), the
     index of the cut's exact left translate, or None when that translate is
     not representable or not in the system; `Selection.images` is this
-    table.  Vertex images are read off the incident edges; a word whose
-    edges disagree gives no evidence."""
+    table.  This is the one place where ball evidence becomes vertex maps:
+    each word's map is read off the incidence pairs of its edge images, and
+    a word whose edges disagree gives no evidence.  PartialAction reads the
+    edge images back off those maps."""
     system = stree.system
     if not system.cuts:
         raise TreeError("partial actions need a nonempty system")
@@ -899,7 +895,7 @@ def build_partial_action(stree, words, edge_images):
     vertex_images = [
         _agreeing_map(g.nv, _incidence_pairs(g, em)) for em in edge_images
     ]
-    return PartialAction(g, words, gen_word_pos, vertex_images, edge_images)
+    return PartialAction(g, words, gen_word_pos, vertex_images)
 
 
 # -- rendering -------------------------------------------------------------------

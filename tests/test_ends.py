@@ -135,8 +135,9 @@ def test_split_reports_pass_the_audit(oracle):
     assert _audit(oracle, rep.final_partial) is None
 
 
-def path_action(oracle, vertex_images, edge_images):
-    """A partial action of the generators on the path v0 - v1 - ..."""
+def path_action(oracle, vertex_images):
+    """A partial action of the generators on the path v0 - v1 - ...; the
+    edge images follow from the vertex images."""
     n = len(vertex_images[0])
     g = Graph(
         ["v%d" % i for i in range(n)],
@@ -149,39 +150,34 @@ def path_action(oracle, vertex_images, edge_images):
         words,
         range(1, len(words)),
         [tuple(range(n))] + vertex_images,
-        [tuple(range(n - 1))] + edge_images,
     )
 
 
 @pytest.mark.parametrize(
-    "vertex_images, edge_images, how",
+    "vertex_images, how",
     [
         # a (order 2) inverts e1, swapping v0 and v1; b fixes v2
         (
             [(1, 0, None), (None, None, 2)],
-            [(0, None), (None, 1)],
             "moves a vertex of the final tree an odd distance",
         ),
         # a translates the path by two: each move is even, but the midpoint
         # v1 of v0 and a v0 = v2 goes to v3
         (
             [(2, 3, 4, None, None), (None,) * 4 + (4,)],
-            [(2, 3, None, None), (None,) * 3 + (3,)],
             "moves the midpoint of a vertex of the final tree and its image",
         ),
         # a swaps v0 and v2 about v1, which it fixes though the evidence
         # gives v1 no image, so the audit has nothing against it
-        ([(2, None, 0), (None, None, 2)], [(None, None), (None, 1)], None),
+        ([(2, None, 0), (None, None, 2)], None),
         # with no defined image, a gives no evidence
-        ([(None,) * 3, (None, None, 2)], [(None,) * 2, (None, 1)], None),
+        ([(None,) * 3, (None, None, 2)], None),
     ],
     ids=["inversion", "translation", "unseen-fixed-vertex", "no-evidence"],
 )
-def test_audit_finite_order_generator_must_fix_a_vertex(
-    vertex_images, edge_images, how
-):
+def test_audit_finite_order_generator_must_fix_a_vertex(vertex_images, how):
     o = FreeProductOracle([2, 2])
-    final = path_action(o, vertex_images, edge_images)
+    final = path_action(o, vertex_images)
     assert _audit(o, final) == (
         how
         and "the split fails its audit: generator a has order 2 but %s, so "
@@ -191,10 +187,12 @@ def test_audit_finite_order_generator_must_fix_a_vertex(
 
 
 def test_audit_elliptic_generators_need_two_vertex_orbits():
-    # a fixes u and moves v to w, b fixes w and moves v to u: one vertex
-    # orbit and one edge orbit, though every generator fixes a vertex
+    # on the path v0 - ... - v4, a fixes v0 and moves v1, v2, v3 one step
+    # up, b fixes v4 and moves them one step down; the edges e2 and e3
+    # follow their ends, so there is one vertex orbit and one edge orbit,
+    # though every generator fixes a vertex
     o = FreeOracle(2)
-    final = path_action(o, [(0, 2, None), (None, 0, 2)], [(1, None), (None, 0)])
+    final = path_action(o, [(0, 2, 3, 4, None), (None, 0, 1, 2, 4)])
     assert len(final.vertex_orbits()) == 1 and len(final.edge_orbits()) == 1
     assert _audit(o, final) == (
         "the split fails its audit: every generator (a, b) fixes a vertex of "

@@ -1,12 +1,22 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
 
+from cutforge import cli, trees
 from cutforge.cuts import Cut, cut_from_members, orbit_cuts, universe_graph
 from cutforge.graphs import Graph, is_tree, tree_distance
 from cutforge.ends import balanced_cut, splitting_pipeline
-from cutforge.groups import FreeProductOracle, PermOracle, TableOracle, ZdOracle, ball
+from cutforge.groups import (
+    FreeProductOracle,
+    PermOracle,
+    TableOracle,
+    ZdOracle,
+    ball,
+    make_oracle,
+)
 from cutforge.sieve import irreducible_family, select_nested_generating
 from cutforge.trees import (
     NestedSystem,
@@ -28,6 +38,9 @@ from cutforge.trees import (
     verify_system,
     vertex_embed,
 )
+from test_sieve import IMAGE_CELLS
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def z2():
@@ -896,7 +909,6 @@ def test_partial_collapse_drops_a_contradicted_word():
         words,
         (1, 2),
         [(0, 1, 2), (0, 2, 2), (2, None, None)],
-        [(0, 1), (None, 1), (None, None)],
     )
     assert pa.blind_words() == ()
     c = pa.collapse(["e0"])
@@ -940,3 +952,60 @@ def test_partial_action_drops_words_whose_edges_disagree():
         assert set(pa.edge_images[i]) == {None}
     assert pa.vertex_images[0] == tuple(range(g.nv))
     assert pa.edge_images[0] == tuple(range(g.ne))
+
+
+# the selection-image cells, fp(4,4) at W = 2, and the refed kept cuts
+EVIDENCE_CELLS = [(spec, w, None) for spec, w in IMAGE_CELLS] + [
+    ({"kind": "free_product", "orders": [4, 4]}, 2, None),
+    ({"kind": "free_product", "orders": [3, 3]}, 1, "fp33_c2.json"),
+    ({"kind": "free_product", "orders": [3, 4]}, 1, "fp34_c0.json"),
+    ({"kind": "free_product", "orders": [3, 4]}, 1, "fp34_c2.json"),
+]
+
+
+@pytest.mark.parametrize("spec, words, fixture", EVIDENCE_CELLS)
+def test_derived_edge_images_equal_the_evidence(monkeypatch, spec, words, fixture):
+    """A partial action reads its edge images off its vertex maps.  Over
+    the pipeline they equal the evidence: the selection's cut images for
+    every word that is not blind and, at every stage collapse, the parent's
+    edge images pushed through the positions of the kept edges (all None
+    for a word that the collapse blinds)."""
+    built, collapses = [], []
+    build, collapse = trees.build_partial_action, PartialAction.collapse
+
+    def record_build(stree, wl, images):
+        pa = build(stree, wl, images)
+        built.append((wl, images, pa))
+        return pa
+
+    def record_collapse(self, edge_ids):
+        out = collapse(self, edge_ids)
+        collapses.append((self, edge_ids, out))
+        return out
+
+    monkeypatch.setattr(trees, "build_partial_action", record_build)
+    monkeypatch.setattr(PartialAction, "collapse", record_collapse)
+    oracle = make_oracle(spec)
+    cut = None
+    if fixture is not None:
+        data = json.loads((DATA / fixture).read_text())
+        cut = cli._cut_from_dict(ball(oracle, 6), data)
+    splitting_pipeline(oracle, cut=cut, words=words)
+
+    ((wl, images, pa),) = built
+    blind = set(pa.blind_words())
+    assert len(blind) < len(wl)
+    for (_el, w), got, given in zip(wl, pa.edge_images, images):
+        if w not in blind:
+            assert got == tuple(given)
+    assert collapses
+    for parent, edge_ids, out in collapses:
+        g = parent.graph
+        gone = {g.eindex[e] for e in edge_ids}
+        kept = [k for k in range(g.ne) if k not in gone]
+        pos = {k: p for p, k in enumerate(kept)}
+        for em, vm, got in zip(parent.edge_images, out.vertex_images, out.edge_images):
+            if vm.count(None) == len(vm):
+                assert got == (None,) * len(kept)
+            else:
+                assert got == tuple(pos.get(em[k]) for k in kept)
