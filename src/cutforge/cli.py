@@ -111,7 +111,8 @@ def _cut_from_dict(universe, data, default_name="A"):
             raise CutError("members_words needs a Cayley-ball universe")
         bits = 0
         for w in str_list(data["members_words"], "cut 'members_words'", CutError):
-            bits |= 1 << universe.index_of(universe.oracle.element_from_word(w))
+            el = universe.oracle.element_from_word(w, universe.radius)
+            bits |= 1 << universe.index_of(el)
         return Cut(universe, bits, name)
     members = str_list(data["members"], "cut 'members'", CutError)
     return cut_from_members(universe, members, name)
@@ -294,7 +295,8 @@ def cmd_split(args):
     rep = splitting_pipeline(
         oracle, cut=cut, words=args.words, radius=args.radius
     )
-    if args.dot:
+    # a report that stops at the sieve has no tree to draw
+    if args.dot and rep.stree is not None:
         _write_dot(args.dot, trees.tree_dot(rep.stree))
     if args.json:
         _emit(json.dumps(

@@ -25,7 +25,7 @@ from .cuts import Cut, CutError, full_mask, orbit_cuts
 from .graphs import index_classes, path_vertices, reduced_path
 from .groups import ball
 from .series import certified_length
-from .sieve import select_nested_generating
+from .sieve import DepthTieError, select_nested_generating
 
 DEFAULT_RADIUS = 6
 DEFAULT_WORD_BOUND = 2
@@ -189,15 +189,17 @@ class SplittingReport:
     sieve_elements: int
     sieve_irreducible: int
     sieve_undecided: int
-    kept: tuple
-    removed: tuple
-    tree_vertices: int
-    tree_edges: int
-    edge_orbit_count: int
-    vertex_orbit_count: int
-    collapse_log: tuple  # per stage, the cut names of the collapsed orbit
     certificate: str
-    stree: object
+    # the selection and the paired tree; a report that stops at the sieve
+    # (a crossing tie of the depth order) has neither
+    kept: tuple = ()
+    removed: tuple = ()
+    tree_vertices: int = 0
+    tree_edges: int = 0
+    edge_orbit_count: int = 0
+    vertex_orbit_count: int = 0
+    collapse_log: tuple = ()  # per stage, the cut names of the collapsed orbit
+    stree: object = None
     stage: object = None  # first fixing stage (1-based), or None
     # the final tree's figures, set on a split report only.  Stabilizer
     # "orders" are counts within the word ball, not group orders: the number
@@ -217,15 +219,18 @@ class SplittingReport:
             % (self.cut_name, self.cut_size, len(self.orbit_words)),
             "sieve: %d algebra elements, %d irreducible, %d undecided"
             % (self.sieve_elements, self.sieve_irreducible, self.sieve_undecided),
-            "system kept %d cuts (%d dropped)" % (len(self.kept), len(self.removed)),
-            "tree: %d vertices, %d edges, %d edge orbits, %d vertex orbits"
-            % (
-                self.tree_vertices,
-                self.tree_edges,
-                self.edge_orbit_count,
-                self.vertex_orbit_count,
-            ),
         ]
+        if self.stree is not None:
+            out += [
+                "system kept %d cuts (%d dropped)" % (len(self.kept), len(self.removed)),
+                "tree: %d vertices, %d edges, %d edge orbits, %d vertex orbits"
+                % (
+                    self.tree_vertices,
+                    self.tree_edges,
+                    self.edge_orbit_count,
+                    self.vertex_orbit_count,
+                ),
+            ]
         for i, names in enumerate(self.collapse_log, start=1):
             out.append("stage %d: collapse {%s}" % (i, ", ".join(names)))
         if self.status == "split":
@@ -327,8 +332,11 @@ def splitting_pipeline(
     ends undetermined, naming the generator and the rule.  A word bound
     below 1 is refused first, then an empty or whole-ball cut; one-ended
     and finite groups are refused by balanced_cut when no cut is supplied.
-    The certificate names the certified length L = 4|V| + 1 of the ball;
-    the sieve's verdicts are exact and take no length."""
+    The certificate names the certified length L = 4|V| + 1 of the ball.
+    The sieve orders the orbit's algebra by the walk levels 0..D that every
+    translate sees alike (`sieve.invariant_depth`); when those levels tie a
+    crossing pair, the report is undetermined at the sieve and names D and
+    the remedy, a larger radius."""
     if words < 1:
         raise EndsError(
             "word bound: W=%d gives the cut no translates to compare; pass "
@@ -344,7 +352,6 @@ def splitting_pipeline(
             "cut: %s is %s (R=%d); pass a cut with vertices on both sides"
             % (cut.name or "A", "the whole ball" if cut.bits else "empty", bv.radius)
         )
-    L = certified_length(bv)
     wlist = bv.oracle.words_up_to(words)
     try:
         orb = orbit_cuts(bv, cut, wlist)
@@ -353,7 +360,35 @@ def splitting_pipeline(
             "cut orbit: %s (R=%d, W=%d); pass a larger --radius or a smaller "
             "--words" % (exc, bv.radius, words)
         )
-    selection = select_nested_generating(orb.cuts, action=wlist)
+    L = certified_length(bv)
+    certificate = "ball-verified(R=%d, W=%d, L=%d)" % (bv.radius, words, L)
+    evidence = "(R=%d, W=%d)" % (bv.radius, words)
+
+    def sieved(report):
+        return dict(
+            cut_name=cut.name or "A",
+            cut_size=cut.bits.bit_count(),
+            orbit_words=orb.words,
+            sieve_elements=report.element_count,
+            sieve_irreducible=len(report.irreducible),
+            sieve_undecided=report.undecided_count,
+            certificate=certificate,
+        )
+
+    try:
+        selection = select_nested_generating(orb.cuts, action=wlist)
+    except DepthTieError as exc:
+        return SplittingReport(
+            status="undetermined",
+            diagnostics=(
+                "the sieve's order ties a crossing pair of irreducible cuts "
+                "on walk levels 0..D=%d, the levels every translate sees alike "
+                "within the ball evidence %s, so its family is not nested; "
+                "pass --radius %d for more such levels"
+                % (exc.depth, evidence, bv.radius + 1)
+            ),
+            **sieved(exc.report),
+        )
     report = selection.report
     stree = trees.paired_tree(selection.system)
     paction = trees.build_partial_action(stree, wlist, selection.images)
@@ -364,25 +399,17 @@ def splitting_pipeline(
     def orbit_names(block):
         return tuple(map(stree.cut_names.__getitem__, block))
 
-    certificate = "ball-verified(R=%d, W=%d, L=%d)" % (bv.radius, words, L)
     common = dict(
-        cut_name=cut.name or "A",
-        cut_size=cut.bits.bit_count(),
-        orbit_words=orb.words,
-        sieve_elements=report.element_count,
-        sieve_irreducible=len(report.irreducible),
-        sieve_undecided=report.undecided_count,
+        **sieved(report),
         kept=selection.kept,
         removed=selection.removed,
         tree_vertices=g.nv,
         tree_edges=g.ne,
         edge_orbit_count=len(eorbs),
         vertex_orbit_count=len(vorbs),
-        certificate=certificate,
         stree=stree,
     )
 
-    evidence = "(R=%d, W=%d)" % (bv.radius, words)
     stage = None
     acc = []
     for m, block in enumerate(eorbs, start=1):

@@ -126,14 +126,18 @@ class GroupOracle:
             words.append((words[parent] + " " + names[letter]).strip())
         return list(zip(bv.elements, words))
 
-    def element_from_word(self, word):
+    def element_from_word(self, word, radius=None):
         """Parse a word string: space-separated tokens `name` or `name^k`
-        (k may be negative).  The empty string is the identity.  A power is
-        taken by repeated squaring, its exponent first reduced modulo the
-        generator's order when that is finite, so it costs O(log k)
-        products."""
+        (k may be negative).  The empty string is the identity.  Adjacent
+        tokens of one generator merge into one syllable, their exponents
+        added and reduced modulo the generator's order when that is finite,
+        and a syllable of exponent 0 drops out, so its neighbours may merge
+        in turn.  Each syllable's power is taken by repeated squaring, so it
+        costs O(log k) products.  With a radius, a word whose syllables show
+        that its element lies outside the ball of that radius
+        (`_syllable_length`) is refused before any power is formed."""
         gens = dict(self.generators())
-        el = self.identity()
+        syllables = []  # (name, exponent), no two neighbours of one name
         for tok in word.split():
             if "^" in tok:
                 name, _, exp = tok.partition("^")
@@ -145,11 +149,24 @@ class GroupOracle:
                 name, k = tok, 1
             if name not in gens:
                 raise GroupError("unknown generator %r in word %r" % (name, word))
-            g = gens[name]
-            n = self.order(g)
+            if syllables and syllables[-1][0] == name:
+                k += syllables.pop()[1]
+            n = self.order(gens[name])
             if n is not None:
                 k %= n
-            elif k < 0:
+            if k:
+                syllables.append((name, k))
+        if radius is not None:
+            length = self._syllable_length(syllables)
+            if length is not None and length > radius:
+                raise GroupError(
+                    "element %s has length %d, outside ball of radius %d"
+                    % (word.strip(), length, radius)
+                )
+        el = self.identity()
+        for name, k in syllables:
+            g = gens[name]
+            if k < 0:
                 g, k = self.invert(g), -k
             while k:
                 if k & 1:
@@ -158,6 +175,11 @@ class GroupOracle:
                 if k:
                     g = self.multiply(g, g)
         return el
+
+    def _syllable_length(self, syllables):
+        """The word length of the element the merged syllables spell, when
+        the oracle reads it off them without forming a power, else None."""
+        return None
 
 
 class TableOracle(GroupOracle):
@@ -387,6 +409,11 @@ class FreeOracle(GroupOracle):
 
     def order(self, a):
         return None if a else 1  # free groups are torsion-free
+
+    def _syllable_length(self, syllables):
+        """Merged syllables of distinct neighbouring letters spell a reduced
+        word, whose length is the sum of their |exponent|s."""
+        return sum(abs(k) for _name, k in syllables)
 
     def el_str(self, a):
         w, mask = self.width, self.mask

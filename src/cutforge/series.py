@@ -31,12 +31,16 @@ L >= 4|V| + 1, because the parity-augmented transfer system has <= 2|V|
 states, so each coefficient sequence satisfies a linear recurrence of
 order <= 2|V| and two such sequences agreeing on the first 4|V| + 1 terms
 agree everywhere.  That length stays the reported contract.  The sieve
-decides on less: `atom_pair_prefix` walks the k blocks of the coarsest
-equitable partition that refines the atoms instead of the |V| vertices, and
-two of its series that agree below degree k agree at every degree (the
-proof is in `sieve.classify`'s docstring).  All atoms share that walk: their
-start vectors are packed into disjoint bit lanes of one vector, wide enough
-that no count carries into the next lane (`_atom_table`).
+decides on less.  For `sieve` and `check`, `atom_pair_prefix` walks the k
+blocks of the coarsest equitable partition that refines the atoms instead
+of the |V| vertices, and two of its series that agree below degree k agree
+at every degree (the proof is in `sieve.classify`'s docstring).  The split
+path reads only the D + 1 walk levels that every translate shares
+(`sieve.invariant_depth`), from `atom_pair_table` on the vertices
+themselves: D is at most R + 1, too few levels to repay a refinement.  Both
+walks are one kernel, `_atom_table`: all atoms share the walk, their start
+vectors packed into disjoint bit lanes of one vector, wide enough that no
+count carries into the next lane.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 from itertools import chain, compress, repeat, zip_longest
-from operator import add, itemgetter, lshift
+from operator import add, itemgetter
 
 from .cuts import bit_flags, bits_of_members, full_mask, universe_graph, Cut
 
@@ -442,35 +446,45 @@ def _equitable_partition(nbrs, atoms):
         count = len(ids)
 
 
+def _atom_labels(atoms, n):
+    """The index of every vertex's atom, for atoms that partition the n
+    vertices."""
+    label = [0] * n
+    for i, bits in enumerate(atoms):
+        for v in _members(bits, n):
+            label[v] = i
+    return label
+
+
 def _quotient(universe, atoms):
-    """The atoms' walk on the k blocks of `_equitable_partition`.  Entry X
-    of atom i's vector at level l counts the length-l walks from atom i that
-    end in block X.  Every vertex of X has the same number of darts into
-    block Y, so such a walk extends into Y in that many ways: row Y of the
-    quotient lists block X that many times.  Returns the k rows, the atom
-    start vectors (block sizes inside the atom), and per atom its blocks."""
+    """The atoms' walk on the k blocks of `_equitable_partition`: per block
+    Y, row Y of the quotient lists block X once per dart from a vertex of
+    X into Y.  Every vertex of X has the same number of darts into Y, so a
+    walk from atom i that ends in X extends into Y in that many ways.
+    Returns the k rows, and per block its size and its atom."""
     nbrs = _successors(universe)
     block = _equitable_partition(nbrs, atoms)
+    label = _atom_labels(atoms, len(nbrs))
     k = max(block, default=-1) + 1
     rows = [[] for _ in range(k)]
-    starts = [[0] * k for _ in atoms]
-    seen = [False] * k
+    sizes = [0] * k
+    atom_of = [None] * k
     for v, b in enumerate(block):
-        if not seen[b]:
-            seen[b] = True
+        sizes[b] += 1
+        if atom_of[b] is None:
+            atom_of[b] = label[v]
             for w in nbrs[v]:
                 rows[block[w]].append(b)
-    for start, bits in zip(starts, atoms):
-        for v in _members(bits, len(block)):
-            start[block[v]] += 1
-    ends = [[b for b in range(k) if start[b]] for start in starts]
-    return rows, starts, ends
+    return rows, sizes, atom_of
 
 
-def _atom_table(quotient, L):
-    """P[l][i][j] from one packed walk: lane i of the start vector holds
-    atom i's start vector at bit i * b, one `_walk_counts` call sums the
-    packed vector over each atom's end blocks, and lane i of end j's sum,
+def _atom_table(rows, sizes, atom_of, a, L):
+    """P[l][i][j] from one packed walk over the blocks of a partition that
+    refines the a atoms: row Y lists, with multiplicity, the blocks a walk
+    steps from into Y, block X holds sizes[X] vertices of atom atom_of[X],
+    and every vertex of X has the same degree.  Lane i of the start vector
+    holds atom i's start vector at bit i * b, one `_walk_counts` call sums
+    the packed vector over each atom's blocks, and lane i of end j's sum,
     read by shift and mask, is the series of atom i into atom j.
 
     The lanes stay apart because every count fits in b bits, for
@@ -486,11 +500,13 @@ def _atom_table(quotient, L):
     kernel only adds, so entry X of the packed vector at level l is
     sum_i v_l[X] 2^(i b) and end j's sum is sum_i P[l][i][j] 2^(i b): a
     number whose base-2^b digits are the counts, read off exactly."""
-    rows, starts, ends = quotient
     degree = max(Counter(chain.from_iterable(rows)).values(), default=0)
-    b = (sum(map(sum, starts)) * max(degree, 1) ** L).bit_length()
-    shifts = [i * b for i in range(len(starts))]
-    start = [sum(map(lshift, col, shifts)) for col in zip(*starts)]
+    b = (sum(sizes) * max(degree, 1) ** L).bit_length()
+    shifts = [i * b for i in range(a)]
+    start = [s << shifts[i] for s, i in zip(sizes, atom_of)]
+    ends = [[] for _ in range(a)]
+    for x, i in enumerate(atom_of):
+        ends[i].append(x)
     counts = _walk_counts(_walk_plan(rows), [start], [(0, end) for end in ends], L)
     mask = (1 << b) - 1
     # level l holds, per atom i, lane i of every end's sum; without atoms,
@@ -503,18 +519,24 @@ def _atom_table(quotient, L):
 
 def atom_pair_table(universe, atoms, L):
     """P[l][i][j] = number of length-l walks from atom i into atom j, for
-    atoms that partition the vertices, walked on the atoms' equitable
-    quotient.  Lets callers assemble the series of every union of atoms by
-    addition."""
+    atoms that partition the vertices, for l = 0..L.  It walks the
+    universe's own vertices (the discrete partition), with no colour
+    refinement: on a ball the split path asks for D + 1 levels, D the
+    invariant depth of `sieve.invariant_depth`, too few to repay a
+    refinement.  Lets callers assemble the series of every union of atoms
+    by addition."""
     if L < 0:
         raise SeriesError("L must be >= 0")
-    return _atom_table(_quotient(universe, atoms), L)
+    n = universe.nv
+    label = _atom_labels(atoms, n)
+    return _atom_table(_successors(universe), [1] * n, label, len(atoms), L)
 
 
 def atom_pair_prefix(universe, atoms):
-    """atom_pair_table through degree k, the number of blocks of the
-    coarsest equitable partition that refines the atoms: the prefix on
-    which `sieve.classify` decides every verdict exactly (the proof is in
-    classify's docstring)."""
-    quotient = _quotient(universe, atoms)
-    return _atom_table(quotient, len(quotient[0]))
+    """The atom-pair table through degree k, the number of blocks of the
+    coarsest equitable partition that refines the atoms, walked on those k
+    blocks: the prefix on which `sieve.classify` decides every verdict
+    exactly when it is given no depth, as `sieve` and `check` do (the
+    Cayley-Hamilton proof is in classify's docstring)."""
+    rows, sizes, atom_of = _quotient(universe, atoms)
+    return _atom_table(rows, sizes, atom_of, len(atoms), len(rows))

@@ -7,11 +7,19 @@ connected universe the irreducible elements form a complement-stable,
 pairwise nested family that still generates the whole algebra; that family
 is what the tree builders consume.
 
-Exactness: `classify` compares the series on degrees 0..k, k the number of
+Two orders.  `sieve` and `check` classify on degrees 0..k, k the number of
 blocks of the atoms' equitable partition, and two series that agree there
-agree at every degree (the proof is in its docstring).  So every verdict is
-the one of the untruncated series, and no length L enters it; L only sets
-how many coefficients `full_series` prints.
+agree at every degree (the Cayley-Hamilton proof is in `classify`'s
+docstring).  So each of their verdicts is the one of the untruncated
+series, and no length L enters it; L only sets how many coefficients
+`full_series` prints.  The split path, `select_nested_generating` with
+action data, orders a Cayley ball's algebra instead by the walk levels
+0..D, D = R - m + 1 the invariant depth: every length-l walk from an
+element to its complement, l <= D, stays in the ball, so those levels are
+the same from every translate in the algebra (the walk argument is in
+`invariant_depth`'s docstring).  The ball's counts of longer walks depend on
+where the element sits, so the exact k-prefix would order a cut and its
+translates apart; the split path keeps no second order.
 
 Laziness: `classify` visits the atom unions by increasing c_1, their cut
 weight in the atom quotient, which is the first coefficient the
@@ -50,12 +58,29 @@ class SieveError(ValueError):
     pass
 
 
+class DepthTieError(SieveError):
+    """On the depth order (`classify` with a depth), a tie group of walk
+    levels 0..depth held a crossing pair of irreducible elements: the
+    levels the ball sees alike from every translate do not tell them
+    apart.  A larger ball has more such levels."""
+
+    def __init__(self, report, depth):
+        SieveError.__init__(
+            self,
+            "irreducible family is not pairwise nested: walk levels 0..D=%d "
+            "tie a crossing pair" % (depth,),
+        )
+        self.report = report
+        self.depth = depth
+
+
 @dataclass(frozen=True)
 class SieveElement:
     mask: int  # atom-subset index
     bits: int  # vertex bit mask
-    # measure coefficients 0..k: the prefix that decides the order (see
-    # classify); full_series(report, L) gives coefficients 0..L
+    # measure coefficients 0..k, or 0..D on the split path: the prefix that
+    # decides the order (see classify); full_series(report, L) gives
+    # coefficients 0..L
     series: tuple
 
 
@@ -200,12 +225,24 @@ def _union_series(lanes, a, m, zero):
     return tuple(map(sum, zip(zero, *[lanes[i + j] for i in ins for j in outs])))
 
 
-def classify(algebra):
-    """Sieve every element of the algebra by its measure series.
+def classify(algebra, depth=None):
+    """Sieve every element of the algebra by its measure series: through
+    degree k, exactly, when no depth is given (as `sieve` and `check` ask),
+    or through the given depth D >= 1 (as the split path asks, with the
+    invariant depth of `invariant_depth`).
 
-    Exactness.  The verdicts are computed from the prefix of degree k, and
-    they are the verdicts of the untruncated series.  Here A is the
-    adjacency matrix of the universe, w_i the atom indicators, and k the
+    Depth.  With a depth, the series are the walk levels 0..D of the
+    universe, `series.atom_pair_table` walked on its own vertices, and the
+    order, ties and verdicts below are those of that prefix.  The point is
+    equivariance, not exactness: on a ball those levels of an element equal
+    those of each of its translates in the algebra (`invariant_depth`), so
+    the order does not depend on where in the ball a cut sits.  Two elements
+    with different series may tie on the prefix, and a tie group may then
+    hold a crossing pair; the report's `nested` flag says so.
+
+    Exactness (no depth).  The verdicts are computed from the prefix of
+    degree k, and they are the verdicts of the untruncated series.  Here A
+    is the adjacency matrix of the universe, w_i the atom indicators, and k the
     number of blocks of the coarsest equitable partition that refines the
     atoms (`series.atom_pair_prefix`): every vertex of block X has the same
     number B[X][Y] of darts into block Y (Godsil and Royle, "Algebraic
@@ -216,11 +253,11 @@ def classify(algebra):
     Cayley-Hamilton, so q(A) w_i = 0 for every atom.  (The discrete
     partition, k = n = |V|, gives the characteristic polynomial of A.)
     Proof: every series here is a sum of terms u^T A^l w_i for 0/1 vectors
-    u, so is the difference D_l of two element series, D_l = sum_i
+    u, so is the difference e_l of two element series, e_l = sum_i
     u_i^T A^l w_i for fixed u_i.  With q = x^k + q_(k-1) x^(k-1) + ... + q_0,
     A^(l+k) w_i = -(q_(k-1) A^(l+k-1) w_i + ... + q_0 A^l w_i), hence
-    D_(l+k) = -(q_(k-1) D_(l+k-1) + ... + q_0 D_l) for every l >= 0.  If
-    D_l = 0 for l < k, then D_l = 0 for every l.  Two series that agree
+    e_(l+k) = -(q_(k-1) e_(l+k-1) + ... + q_0 e_l) for every l >= 0.  If
+    e_l = 0 for l < k, then e_l = 0 for every l.  Two series that agree
     through degree k therefore agree at every degree, and two that differ
     do so first at a pivot l < k, where the prefix already holds both
     coefficients.  The lexicographic order, the tie groups and so every
@@ -249,7 +286,7 @@ def classify(algebra):
     at the atoms.  On the split ladder that is after about 2a masks.  Only
     the irreducible elements are kept, in `SieveReport.irreducible`, and
     every mask not in it is reducible; the report holds no table, so the
-    atom-pair prefix is freed when classify returns.
+    atom-pair prefix, of either order, is freed when classify returns.
 
     The report's flags are computed, not assumed: `complement_stable` holds
     when the irreducible set is closed under complement, which is the same
@@ -265,7 +302,12 @@ def classify(algebra):
     if len(index_classes(universe.nv, universe.index_edges)) != 1:
         raise SieveError("measure sieve needs a connected universe")
     a = algebra.n_atoms
-    table = atom_pair_prefix(universe, algebra.atoms)
+    if depth is None:
+        table = atom_pair_prefix(universe, algebra.atoms)
+    elif depth < 1:
+        raise SieveError("sieve depth must be >= 1: the order reads c_1")
+    else:
+        table = atom_pair_table(universe, algebra.atoms, depth)
     lanes = _lanes(table)
     zero = (0,) * len(table)
     full = (1 << a) - 1
@@ -328,18 +370,60 @@ def _paired_cuts(report):
     return tuple(cuts)
 
 
-def irreducible_family(cuts):
-    """Sieve the closure of a cut family and return (report, irreducible
-    cuts).  The guarantees of the sieve (complement-stable, nested,
-    regenerates the algebra) are verified and enforced, not assumed."""
-    report = classify(boolean_closure(list(cuts)))
+def invariant_depth(pieces):
+    """D = R - m + 1 for the algebra of `pieces` (`cuts.AtomPieces`) over a
+    ball of radius R, where m is the largest distance from the identity of
+    an endpoint of an edge that joins two atoms: walk levels 0..D of an
+    element of the algebra are those of each of its translates in it.
+
+    Proof.  An element E is a union of atoms, so each edge of its
+    coboundary dE joins two atoms and has both endpoints within m of the
+    identity.  Let o_l(F) count the length-l walks of the Cayley graph that
+    cross the edge set F an odd number of times.  Such a walk crosses F at
+    some step, and each of its vertices is at most l - 1 steps from an
+    endpoint of that edge, so for F = dE it stays within m + l - 1 <= R of
+    the identity when l <= D.  The ball holds every Cayley edge between two
+    of its vertices, so these are ball walks; and a ball walk crosses dE an
+    odd number of times exactly when it joins E to its complement.  Counting
+    each such walk and its reverse, o_l(dE) = 2 c_l(E).  Left translation by
+    g is an automorphism of the Cayley graph, so o_l(g dE) = o_l(dE); and a
+    translate g·E that `act_left_cut` accepts has coboundary g dE exactly.
+    So when g·E lies in the algebra, c_l(g·E) = o_l(g dE) / 2 = c_l(E) for
+    every l <= D.  At l = D + 1 a walk across an edge at distance m reaches
+    distance R + 1, which the ball misses, so the bound cannot be raised in
+    general (the tests show a translate pair that differs there).
+
+    Two pieces of one atom are never joined by an edge (an edge inside an
+    atom joins one piece), so the one pass over the edges reads each
+    endpoint's piece as its atom label."""
+    universe = pieces.algebra.universe
+    piece, dist = pieces.piece, universe.dist
+    m = max((max(dist[s], dist[d]) for s, d in universe.index_edges
+             if piece[s] != piece[d]), default=0)
+    return universe.radius - m + 1
+
+
+def _irreducible(algebra, depth=None):
+    """classify, with the guarantees of the sieve (complement-stable,
+    nested, regenerates the algebra) verified and enforced, not assumed.
+    Without a depth a failure is internal; with one, a crossing tie is a
+    `DepthTieError`."""
+    report = classify(algebra, depth)
     if not report.complement_stable:
         raise SieveError("irreducibility is not complement-stable (internal)")
     if not report.nested:
+        if depth is not None:
+            raise DepthTieError(report, depth)
         raise SieveError("irreducible family is not pairwise nested")
     if not report.generates:
         raise SieveError("irreducible family does not regenerate the algebra")
     return report, _paired_cuts(report)
+
+
+def irreducible_family(cuts):
+    """Sieve the closure of a cut family on the exact k-prefix order and
+    return (report, irreducible cuts)."""
+    return _irreducible(boolean_closure(list(cuts)))
 
 
 @dataclass(frozen=True)
@@ -357,11 +441,15 @@ def select_nested_generating(cuts, action=None):
     """Thin the irreducible family down to a nested system that still
     generates every input cut.
 
-    action: optional (element, word) pairs; removal then only drops whole
-    classes closed under complementation and the partial left action (an
-    image counts when it is representable and lands in the family).  The
-    greedy pass visits classes by descending measure, then first-appearance
-    order, and keeps a class whenever dropping it would lose some input cut.
+    action: optional (element, word) pairs over a Cayley ball.  The sieve
+    then orders the algebra by its walk levels 0..D (`invariant_depth`),
+    which every translate in the algebra shares, and a crossing tie of that
+    order raises `DepthTieError`; without action data it takes the exact
+    k-prefix.  Removal then only drops whole classes closed under
+    complementation and the partial left action (an image counts when it is
+    representable and lands in the family).  The greedy pass visits classes
+    by descending measure, then first-appearance order, and keeps a class
+    whenever dropping it would lose some input cut.
     The translates made here are returned as `Selection.images`, the edge
     images of `trees.build_partial_action`; a kept class is closed under the
     action, so the image of a kept cut in the family is a kept cut.
@@ -373,9 +461,15 @@ def select_nested_generating(cuts, action=None):
     atoms.  No translate gathers its side string.
     """
     cuts = list(cuts)
-    report, irr = irreducible_family(cuts)
-    algebra = report.algebra
+    algebra = boolean_closure(cuts)
     universe = algebra.universe
+    depth = None
+    if action:
+        if not hasattr(universe, "oracle"):
+            raise SieveError("action data needs a ball universe")
+        pieces = AtomPieces(algebra)
+        depth = invariant_depth(pieces)
+    report, irr = _irreducible(algebra, depth)
     full = (1 << algebra.n_atoms) - 1
     masks = [algebra.decompose(c.bits) for c in irr]
     pos = {m: i for i, m in enumerate(masks)}
@@ -386,9 +480,6 @@ def select_nested_generating(cuts, action=None):
     pairs = [(i, i ^ 1) for i in range(len(irr))]
     rows = []  # per word, per irreducible cut: the index of its translate
     if action:
-        if not hasattr(universe, "oracle"):
-            raise SieveError("action data needs a ball universe")
-        pieces = AtomPieces(algebra)
         for el, _word in action:
             row = []
             for i in range(0, len(irr), 2):

@@ -356,13 +356,13 @@ def test_split_ladder_is_pinned(capsys):
 
 
 def test_split_ladder_is_pinned_when_no_recurrence_is_certified(monkeypatch, capsys):
-    """On the discrete partition (k = |V|) the one recurrence the sieve's
-    proof takes is the characteristic polynomial of A, so every sieve
-    decides on degrees 0..|V| as Cayley-Hamilton allows: the transcripts
-    must not move."""
-    monkeypatch.setattr(
-        series, "_equitable_partition", lambda nbrs, atoms: list(range(len(nbrs)))
-    )
+    """The split path orders its sieve by the invariant walk levels 0..D,
+    which need no recurrence: with the equitable partition behind the
+    exact k-prefix made to fail, the transcripts must not move."""
+    def refuse(nbrs, atoms):
+        raise AssertionError("the split path refined an equitable partition")
+
+    monkeypatch.setattr(series, "_equitable_partition", refuse)
     test_split_ladder_is_pinned(capsys)
 
 
@@ -481,42 +481,41 @@ def test_split_grid_ends_in_a_report_or_a_named_refusal(
     assert code == 0
     last = out.splitlines()[-2]
     assert last.startswith(("final tree: ", "undetermined: ")), out
-    if (group, words) == ("free_product:3,3", 1):
-        assert last.startswith("undetermined: ")
-        assert last.endswith(
-            "(R=6, W=1); words that gave no evidence (cut images missing or "
-            "inconsistent on the tree): a, a^-1"
+    if group == "free_product:3,3":
+        # Z/3 * Z/3 splits along its factors: each vertex stabilizer counts
+        # the W-ball of one Z/3, 3 elements at W = 1 and 2
+        assert last == (
+            "final tree: 1 edge orbit, 2 vertex orbits, vertex stabilizers "
+            "[3, 3], edge stabilizer 1"
         )
 
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def no_splitting(orbit):
-    return (
-        "the stage 1 orbit %s gives no splitting: collapsing the other edge "
-        "orbits already fixes a vertex within the ball evidence" % (orbit,)
-    )
-
-
-# Kept cuts of the W=1 systems of Z/3 * Z/3 and Z/3 * Z/4, written as
-# members_words.  Fed back through `split --cut`, the first stage of fp33_c2
-# and fp34_c0 fixes a vertex, but collapsing the other edge orbits fixes one
-# as well, so the final tree shows no splitting.  Through fp34_c2 the final
-# tree has one edge orbit and one vertex orbit, an HNN extension, which
-# Z/3 * Z/4 (finite abelianization) is not; b, of order 4, inverts an edge
-# there, and the audit ends the report undetermined.
+# Kept cuts of the W=1 systems of Z/3 * Z/3 and Z/3 * Z/4 under the k-prefix
+# order, written as members_words.  Fed back through `split --cut`, no
+# collapse stage of fp33_c2 fixes a vertex: the cut images of b and b^-1 are
+# missing or inconsistent on the tree.  Through fp34_c0 and fp34_c2 the
+# final tree has one edge orbit and one vertex orbit, an HNN extension,
+# which Z/3 * Z/4 (finite abelianization) is not; b, of order 4, inverts an
+# edge there, and the audit ends the report undetermined.
+AUDIT_FAILS = (
+    "the split fails its audit: generator b has order 4 but moves a vertex of "
+    "the final tree an odd distance, so it fixes no vertex, and a finite group "
+    "acting on a tree without inversion fixes a vertex (Serre, Trees, I.4.3); "
+    "ball evidence"
+)
 REFED_CUTS = [
-    ("free_product:3,3", "fp33_c2.json", no_splitting("{c0, ~c1, c2, c3}")),
-    ("free_product:3,4", "fp34_c0.json", no_splitting("{c0, ~c1, c2, c3}")),
     (
-        "free_product:3,4",
-        "fp34_c2.json",
-        "the split fails its audit: generator b has order 4 but moves a "
-        "vertex of the final tree an odd distance, so it fixes no vertex, and "
-        "a finite group acting on a tree without inversion fixes a vertex "
-        "(Serre, Trees, I.4.3); ball evidence",
+        "free_product:3,3",
+        "fp33_c2.json",
+        "no vertex is fixed by all generators at any collapse stage within "
+        "the ball evidence (R=6, W=1); words that gave no evidence (cut images "
+        "missing or inconsistent on the tree): b, b^-1",
     ),
+    ("free_product:3,4", "fp34_c0.json", AUDIT_FAILS + " (R=6, W=1)"),
+    ("free_product:3,4", "fp34_c2.json", AUDIT_FAILS + " (R=6, W=1)"),
 ]
 
 
@@ -530,7 +529,7 @@ def test_split_of_a_refed_kept_cut_is_undetermined(capsys, group, fixture, why):
     out, err = capsys.readouterr()
     assert code == 0, err
     last = out.splitlines()[-2]
-    assert last == "undetermined: %s (R=6, W=1)" % (why,)
+    assert last == "undetermined: %s" % (why,)
 
 
 # A cut with no vertex, or with every vertex, of the ball has no two sides
@@ -554,15 +553,35 @@ def test_split_refuses_a_cut_without_two_sides(tmp_path, capsys, content, why):
     )
 
 
-@pytest.mark.parametrize("power", [100, 10 ** 10])
-def test_split_refuses_a_member_word_outside_the_ball(tmp_path, capsys, power):
+@pytest.mark.parametrize("group, word, why", [
+    ("zd:1", "x^100", "element 100 outside ball of radius 6"),
+    ("zd:1", "x^10000000000", "element 10000000000 outside ball of radius 6"),
+    ("free:2", "a^10000000000",
+     "element a^10000000000 has length 10000000000, outside ball of radius 6"),
+], ids=["100", "10000000000", "free:2-10000000000"])
+def test_split_refuses_a_member_word_outside_the_ball(
+    tmp_path, capsys, group, word, why
+):
     """A huge power is read by repeated squaring, so it is refused as fast
-    as a small one, in the same words."""
+    as a small one, in the same words.  A free word's length is read off its
+    merged syllables, so a free power is refused before it is formed."""
     path = tmp_path / "cut.json"
-    path.write_text(json.dumps({"name": "A", "members_words": ["", "x^%d" % power]}))
-    assert main(["split", "--group", "zd:1", "--cut", str(path)]) == 1
-    assert capsys.readouterr() == (
-        "", "error: element %d outside ball of radius 6\n" % (power,))
+    path.write_text(json.dumps({"name": "A", "members_words": ["", word]}))
+    assert main(["split", "--group", group, "--cut", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % (why,))
+
+
+def test_a_member_word_with_huge_powers_inside_the_ball_is_kept(tmp_path, capsys):
+    """Huge powers that cancel to an element of the ball are never refused:
+    the cut is the one of the identity and a."""
+    outs = []
+    for word in ("a", "b^10000000000 b^-10000000000 a^10000000000 a^-9999999999"):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({"name": "A", "members_words": ["", word]}))
+        assert main(["measure", "--group", "free:2", "--radius", "3", "--cut", str(path),
+                     "--L", "1"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] == ("Sigma(A) = 0 + 6 t\nL=1 window\n", "")
 
 
 def test_sieve_and_tree_suites_share_their_artifacts(monkeypatch):
@@ -683,7 +702,7 @@ def test_malformed_cut_or_graph_file_is_one_error_line(
 
 # sha256 of `split --group free:2` at the default --words 2: 18 atoms, whose
 # 2^18 elements the lazy sieve never lists; the eager sieve prints the same
-FREE2_SPLIT_SHA256 = "78daefc62923a0d5d9edcf252417551c7c319462393bb2adc6b3b7a800ecb839"
+FREE2_SPLIT_SHA256 = "0504497b8f3530256b05d954e14ea8804f1dd1e4200958d6bcd18f31d63f77ab"
 
 
 def test_split_free2_at_the_default_word_bound_is_pinned(capsys):
@@ -698,6 +717,32 @@ def test_split_free2_at_the_default_word_bound_is_pinned(capsys):
         "ball-verified(R=6, W=2, L=5829)",
     ]
     assert hashlib.sha256(out.encode()).hexdigest() == FREE2_SPLIT_SHA256
+
+
+def test_split_whose_depth_order_ties_a_crossing_pair_is_undetermined(
+    monkeypatch, tmp_path, capsys
+):
+    """With the invariant depth forced to 1, the split path orders the sieve
+    by the cut weight c_1 alone, and on Z/3 * Z/3 at W=1 a tie group holds a
+    crossing pair.  The report stops at the sieve, undetermined, naming D, R,
+    W and the remedy; it has no tree, so no DOT file is written."""
+    monkeypatch.setattr(sieve, "invariant_depth", lambda pieces: 1)
+    dot = tmp_path / "tree.dot"
+    argv = ["split", "--group", "free_product:3,3", "--words", "1", "--dot", str(dot)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and not dot.exists()
+    assert out.splitlines() == [
+        "cut A (64 vertices), orbit of 5 translates",
+        "sieve: 256 algebra elements, 22 irreducible, 0 undecided",
+        "undetermined: the sieve's order ties a crossing pair of irreducible "
+        "cuts on walk levels 0..D=1, the levels every translate sees alike "
+        "within the ball evidence (R=6, W=1), so its family is not nested; "
+        "pass --radius 7 for more such levels",
+        "ball-verified(R=6, W=1, L=1013)",
+    ]
+    assert main(argv[:-2] + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "undetermined"
 
 
 def test_split_free2_lists_no_series_of_every_mask(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -124,6 +125,26 @@ def test_element_from_word_takes_huge_powers_by_squaring():
     z = ZdOracle(1)
     assert z.element_from_word("x^10000000000 x^-3") == (10 ** 10 - 3,)
     assert z.element_from_word("x^-10000000000") == (-10 ** 10,)
+
+
+def test_a_free_word_outside_the_radius_is_refused_before_its_powers():
+    """A free word's merged syllables spell its reduced word, so its length
+    is read off them: a word longer than the radius is refused without
+    forming a power, and one that cancels into the ball is kept."""
+    o = FreeOracle(2)
+    big = 10 ** 10
+    ab = o.element_from_word("a b")
+    assert o.element_from_word("a^%d a^-%d b" % (big, big - 1), 6) == ab
+    assert o.element_from_word("a b b^-1 a^5", 6) == o.element_from_word("a^6")
+    assert o.element_from_word("b^%d b^-%d" % (big, big), 0) == o.identity()
+    for word, length in (("a^7", 7), ("a^%d b a^-%d" % (big, big), 2 * big + 1),
+                         ("a b a^-1 b^-1 a b a^-1", 7)):
+        why = "element %s has length %d, outside ball of radius 6" % (word, length)
+        with pytest.raises(GroupError, match="^%s$" % (re.escape(why),)):
+            o.element_from_word(word, 6)
+    # without a radius, and in the other kinds, the element is formed
+    assert o.element_from_word("a^7") == o.element_from_word("a a a a a a a")
+    assert ZdOracle(1).element_from_word("x^%d" % big, 6) == (big,)
 
 
 def test_table_oracle_finite():

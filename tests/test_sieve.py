@@ -12,6 +12,7 @@ from cutforge.cuts import (
     CutError,
     act_left_cut,
     act_left_mask,
+    bit_flags,
     boolean_closure,
     cut_from_members,
     full_mask,
@@ -655,8 +656,8 @@ def _discrete_partition(nbrs, atoms):
 
 # (group, radius, word bound): ball sieves whose atoms' equitable partition
 # has far fewer than |V| blocks.  Forced onto the discrete partition, k = |V|,
-# each must decide on degrees 0..|V| with unchanged verdicts, irreducible
-# order and selection.
+# the k-prefix classify that `sieve` and `check` use must decide on degrees
+# 0..|V| with unchanged verdicts and irreducible order.
 DISCRETE_CELLS = [
     (_fp(2, 2, 2), 6, 1),
     (_fp(2, 3), 6, 2),
@@ -666,24 +667,19 @@ DISCRETE_CELLS = [
 
 @pytest.mark.parametrize("spec, radius, words", DISCRETE_CELLS)
 def test_discrete_partition_falls_back_to_v(monkeypatch, spec, radius, words):
-    cut = balanced_cut(make_oracle(spec), radius)
-    bv = cut.universe
-    wl = bv.oracle.words_up_to(words)
-    cuts = orbit_cuts(bv, cut, wl).cuts
-    want = select_nested_generating(cuts, action=wl)
-    want_status, want_series = _eager(want.report)
-    assert len(want_series[0]) - 1 < bv.nv
+    algebra = _orbit_algebra(spec, radius, words)
+    n = algebra.universe.nv
+    want = classify(algebra)
+    want_status, want_series = _eager(want)
+    assert len(want_series[0]) - 1 < n
     monkeypatch.setattr(series_mod, "_equitable_partition", _discrete_partition)
-    got = select_nested_generating(cuts, action=wl)
-    rep = got.report
+    rep = classify(algebra)
     got_status, got_series = _eager(rep)
-    assert all(len(s) == bv.nv + 1 for s in got_series)
-    assert all(len(el.series) == bv.nv + 1 for el in rep.irreducible)
-    _assert_verdicts(rep, *_verdicts_at(rep.algebra, bv.nv))
+    assert all(len(s) == n + 1 for s in got_series)
+    assert all(len(el.series) == n + 1 for el in rep.irreducible)
+    _assert_verdicts(rep, *_verdicts_at(algebra, n))
     assert got_status == want_status
-    assert [el.mask for el in rep.irreducible] == [el.mask for el in want.report.irreducible]
-    assert got.kept == want.kept and got.removed == want.removed
-    assert got.images == want.images
+    assert [el.mask for el in rep.irreducible] == [el.mask for el in want.irreducible]
 
 
 # (group, word bound): W = 1 and 2 on groups that split, fp(3,3) and fp(3,4)
@@ -778,3 +774,104 @@ def test_selection_translates_one_cut_of_each_complement_pair(monkeypatch, spec,
 def test_selection_without_action_has_no_images():
     sel = select_nested_generating([cut_from_members(k2(), ["u"], "A")])
     assert sel.images == ()
+
+
+def _odd_crossing_walks(bv, crossing, L):
+    """o_l, l = 0..L: the length-l walks of the ball bv, from any vertex,
+    that cross the edges in `crossing` ((source, target, generator) triples)
+    an odd number of times, by a plain walk on the parity-doubled vertices."""
+    n = bv.nv
+    darts = [[] for _ in range(n)]
+    for (s, d), gj in zip(bv.index_edges, bv.edge_gen):
+        flip = (s, d, gj) in crossing
+        darts[s].append((d, flip))
+        darts[d].append((s, flip))
+    vec = [[1] * n, [0] * n]  # walks ending at each vertex, by crossing parity
+    counts = []
+    for _ in range(L + 1):
+        counts.append(sum(vec[1]))
+        nxt = [[0] * n, [0] * n]
+        for v in range(n):
+            for w, flip in darts[v]:
+                for p in (0, 1):
+                    nxt[p ^ flip][w] += vec[p][v]
+        vec = nxt
+    return counts
+
+
+# (group, word bound, D) at R = 4, where a plain walk on the ball of radius
+# R + D is cheap: the translates of the seed cut by words of length <= W
+# reach distance m = W + 1, so D = R - m + 1 = R - W
+INVARIANCE_CELLS = [
+    ({"kind": "free", "k": 2}, 1, 3),
+    (_fp(2, 3), 2, 2),
+    (_fp(3, 3), 1, 3),
+]
+
+
+@pytest.mark.parametrize("spec, words, depth", INVARIANCE_CELLS)
+def test_walk_levels_through_the_invariant_depth_are_translation_invariant(
+    spec, words, depth
+):
+    """For seeded elements E of the orbit algebra and seeded words g whose
+    translate g·E lies in the algebra, the ball's walk levels c_l(g·E) and
+    c_l(E) agree for l <= D, and both equal half the odd-crossing walks of
+    the coboundary of E on the ball of radius R + D, which holds every such
+    walk of length up to D + 1 (`invariant_depth`).  At l = D + 1 a seeded
+    pair differs: the bound cannot be raised."""
+    R = 4
+    cut = balanced_cut(make_oracle(spec), R)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(words)
+    algebra = boolean_closure(list(orbit_cuts(bv, cut, wl).cuts))
+    pieces = AtomPieces(algebra)
+    D = sieve_mod.invariant_depth(pieces)
+    assert D == depth
+    big = ball(bv.oracle, R + D)
+    assert big.elements[:bv.nv] == bv.elements  # one vertex index in both
+    rng = random.Random("sieve-depth-%s-%d" % (spec, words))
+    full = (1 << algebra.n_atoms) - 1
+    pairs = []
+    for m in rng.sample(range(1, full), min(full - 1, 400)):
+        E = Cut(bv, algebra.element_bits(m))
+        el, word = rng.choice(wl[1:])
+        gm = act_left_mask(pieces, el, E)
+        if gm is not None and gm != m:
+            pairs.append((E, word, Cut(bv, algebra.element_bits(gm))))
+    assert len(pairs) >= 5
+    differs = 0
+    for E, word, gE in pairs:
+        side = bit_flags(E.bits).ljust(bv.nv, b"\0")
+        crossing = {(s, d, gj) for (s, d), gj in zip(bv.index_edges, bv.edge_gen)
+                    if side[s] != side[d]}
+        odd = _odd_crossing_walks(big, crossing, D + 1)
+        c, gc = (series_mod.measure(bv, x, D + 1).coeffs for x in (E, gE))
+        assert c[:D + 1] == gc[:D + 1], word
+        assert [2 * x for x in c[:D + 1]] == odd[:D + 1], word
+        differs += c[D + 1] != gc[D + 1]
+    assert differs
+
+
+def test_the_split_path_orders_by_the_invariant_depth(monkeypatch):
+    """With action data the selection sieves on walk levels 0..D, without it
+    on the exact k-prefix.  On Z/3 * Z/3 at W=1, levels 0..D = 0..5 nest the
+    irreducible family, while level 1 alone ties a crossing pair: the report
+    says so, and the selection raises a DepthTieError that names D."""
+    cut = balanced_cut(make_oracle(_fp(3, 3)), 6)
+    bv = cut.universe
+    wl = bv.oracle.words_up_to(1)
+    cuts = orbit_cuts(bv, cut, wl).cuts
+    algebra = boolean_closure(list(cuts))
+    assert sieve_mod.invariant_depth(AtomPieces(algebra)) == 5
+    sel = select_nested_generating(cuts, action=wl)
+    assert {len(el.series) for el in sel.report.irreducible} == {6}
+    exact = select_nested_generating(cuts)
+    assert {len(el.series) for el in exact.report.irreducible} == {
+        len(atom_pair_prefix(bv, algebra.atoms))}
+    assert classify(algebra, 5).nested and not classify(algebra, 1).nested
+    with pytest.raises(SieveError, match=r"^sieve depth must be >= 1"):
+        classify(algebra, 0)
+    monkeypatch.setattr(sieve_mod, "invariant_depth", lambda pieces: 1)
+    with pytest.raises(sieve_mod.DepthTieError) as exc:
+        select_nested_generating(cuts, action=wl)
+    assert exc.value.depth == 1 and not exc.value.report.nested

@@ -936,9 +936,9 @@ def test_partial_action_needs_an_edge_image_row_per_word_and_cut():
 
 
 def test_partial_action_drops_words_whose_edges_disagree():
-    # Z/3 * Z/3 at word bound 1: the kept system is not closed under a and
-    # a^-1, whose cut images do not move the tree consistently
-    o = FreeProductOracle([3, 3])
+    # Z/3 * Z/4 at word bound 1: the kept system is not closed under b and
+    # b^-1, whose cut images do not move the tree consistently
+    o = FreeProductOracle([3, 4])
     wl = o.words_up_to(1)
     cut = balanced_cut(o)
     sel = select_nested_generating(orbit_cuts(cut.universe, cut, wl).cuts, action=wl)
@@ -946,8 +946,8 @@ def test_partial_action_drops_words_whose_edges_disagree():
     pa = build_partial_action(stree, wl, sel.images)
     g = stree.graph
     assert [w for _el, w in wl] == ["", "a", "a^-1", "b", "b^-1"]
-    assert pa.blind_words() == ("a", "a^-1")
-    for i in (1, 2):
+    assert pa.blind_words() == ("b", "b^-1")
+    for i in (3, 4):
         assert set(pa.vertex_images[i]) == {None}
         assert set(pa.edge_images[i]) == {None}
     assert pa.vertex_images[0] == tuple(range(g.nv))
