@@ -32,7 +32,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "vindex", "eindex", "index_edges", "darts", "_tree",
-        "_walk_plan",
+        "_walk_step",
     )
 
     def __init__(self, vertices, edges):
@@ -65,7 +65,7 @@ class Graph:
             darts[di].append((si, k, INVERSE))
         self.darts = tuple(tuple(ds) for ds in darts)
         self._tree = None  # is_tree's answer, once asked
-        self._walk_plan = None  # series' walk plan of the vertex walk, once made
+        self._walk_step = None  # series' (compiled?, step) of the vertex walk, once made
 
     @property
     def nv(self):

@@ -12,12 +12,17 @@ walk-count kernel: every series is u^T A^l w for a start set u and an end
 set w, where A is the adjacency matrix of the universe or, for odd
 crossings, of its parity-doubled state space.  The kernel steps over the
 darts of the graph in exact big integers, so it costs O(L |darts|) per
-start vector, against O(L |V|^2) for a dense matrix.  A step is a few
-degree-bucketed gathers (`_walk_plan`): the states are cut into buckets of
-near-equal degree, and a bucket adds its rows' j-th dart ends lane by lane
-with `map(add, ...)`, so the interpreter runs O(buckets * degree) calls and
-the at most 2 |darts| big-integer additions run in C.  The vertex walk's
-plan is made once per Graph and kept on it.  The second is a
+start vector, against O(L |V|^2) for a dense matrix.  Its step comes in
+two kinds, picked by the walk length L (`_walk_step`).  A walk of fewer than
+_COMPILE_LEVELS levels steps by a few degree-bucketed gathers
+(`_walk_plan`): the states are cut into buckets of near-equal degree, and a
+bucket adds its rows' j-th dart ends lane by lane with `map(add, ...)`, so
+the interpreter runs O(buckets * degree) calls and the at most 2 |darts|
+big-integer additions run in C.  A longer walk, such as a measure at the
+certified length, steps by one compiled straight-line function
+(`_compiled_step`), one addition per dart and no padded slots, which repays
+its compile only over many levels.  The vertex walk's step is kept on the
+Graph, and once compiled it serves every later walk.  The second is a
 literal walk enumeration: it lists every walk, level by level, one byte per
 walk (the walk's end state within a page of 256 states), and advances a
 level with `bytes.translate`, so its time and memory still grow with the
@@ -37,10 +42,12 @@ of the |V| vertices, and two of its series that agree below degree k agree
 at every degree (the proof is in `sieve.classify`'s docstring).  The split
 path reads only the D + 1 walk levels that every translate shares
 (`sieve.invariant_depth`), from `atom_pair_table` on the vertices
-themselves: D is at most R + 1, too few levels to repay a refinement.  Both
-walks are one kernel, `_atom_table`: all atoms share the walk, their start
-vectors packed into disjoint bit lanes of one vector, wide enough that no
-count carries into the next lane.
+themselves: D is at most R + 1, too few levels to repay a refinement.
+`sieve.full_series` lists every element's series at any L on the k blocks,
+as `atom_pair_prefix` does.  All of these walks are one kernel,
+`_atom_table`: all atoms share the walk, their start vectors packed into
+disjoint bit lanes of one vector, wide enough that no count carries into
+the next lane.
 """
 
 from __future__ import annotations
@@ -56,7 +63,19 @@ DEFAULT_BALL_L = 16
 
 # Chained maps nest one C call per gather; `_walk_plan` folds longer runs
 # into listed gathers, so a vertex of huge degree cannot overflow the C stack.
+# `_compiled_step` folds its long sums into runs of the same length, so the
+# compiler's nesting depth stays bounded too.
 _MAX_CHAIN = 256
+
+# A walk of this many levels or more runs on the compiled step, a shorter
+# one on the bucketed step.  Measured with Python 3.11 on a 2-vCPU x86-64 VM
+# on the Z^2 balls of radius 6-10, ball(free:2, 6) and
+# ball(free_product:3,3, 6): compiling costs about 15 us plus 2.4-2.6 us per
+# dart, and a compiled level saves about 23-40 ns per dart against a
+# bucketed one, so a walk repays its compile after about 100-200 levels.
+# 256 leaves a margin, and keeps every walk of `check` (L <= 12) and of the
+# split path (D + 1 <= R + 2) bucketed.
+_COMPILE_LEVELS = 256
 
 
 class SeriesError(ValueError):
@@ -168,7 +187,9 @@ def _walk_plan(nbrs):
     bucket (degrees join in decreasing order, so the darts-to-slots ratio
     only falls), so the sort is skipped and the states stay in state order,
     as on the Z^2 balls.  Otherwise `back` gathers a step's output (its
-    padding zero at n) back from degree order into state order."""
+    padding zero at n) back from degree order into state order.
+    `_bucket_step` runs the plan; `_walk_step` picks it for a walk of fewer
+    than _COMPILE_LEVELS levels, where compiling would not pay."""
     n = len(nbrs)
     degs = [len(ns) for ns in nbrs]
     if n * max(degs, default=0) <= 2 * sum(degs):
@@ -209,17 +230,66 @@ def _chain(gathers, v):
     return acc
 
 
-def _plain_plan(g):
-    """The walk plan of the vertex walk, made once per Graph and kept on it."""
-    if g._walk_plan is None:
-        g._walk_plan = _walk_plan(_successors(g))
-    return g._walk_plan
+def _bucket_step(nbrs):
+    """The step v -> A v of `_walk_plan`'s bucketed gathers: vectors carry a
+    zero pad slot at index n, which the gathers read for a missing dart."""
+    buckets, back = _walk_plan(nbrs)
+
+    def step(v):
+        w = []
+        for size, gathers in buckets:
+            w += _chain(gathers, v) if gathers else repeat(0, size)
+        w.append(0)
+        return back(w) if back else w
+
+    return step
 
 
-def _walk_counts(plan, starts, pairs, L):
+def _step_source(nbrs):
+    """The source of `_compiled_step`, `lambda v: [v[a] + v[b] + ..., ..., 0]`:
+    entry u sums v over nbrs[u] (0 for a state with no darts), and the
+    trailing 0 is the pad slot at index n.  It holds only int indices.  A
+    row of more than _MAX_CHAIN darts is summed in parenthesised runs of at
+    most _MAX_CHAIN terms, so the compiler's nesting depth stays bounded."""
+    rows = []
+    for ns in nbrs:
+        terms = ["v[%d]" % w for w in ns]
+        while len(terms) > _MAX_CHAIN:
+            terms = ["(%s)" % "+".join(terms[i:i + _MAX_CHAIN])
+                     for i in range(0, len(terms), _MAX_CHAIN)]
+        rows.append("+".join(terms) or "0")
+    return "lambda v: [%s]" % ",".join(rows + ["0"])
+
+
+def _compiled_step(nbrs):
+    """The step v -> A v as one straight-line function, eval'd once from
+    `_step_source`: a level costs one specialised addition per dart, with no
+    gather calls and no padded slots."""
+    return eval(_step_source(nbrs), {})
+
+
+def _walk_step(nbrs, L):
+    """The step of a walk of L levels: compiled when L >= _COMPILE_LEVELS,
+    where the walk repays the compile, and bucketed otherwise."""
+    return (_compiled_step if L >= _COMPILE_LEVELS else _bucket_step)(nbrs)
+
+
+def _vertex_step(g, L):
+    """The vertex walk's step, kept on the Graph: the first walk makes it by
+    `_walk_step`, and a bucketed one is replaced by a compiled one when a
+    walk of _COMPILE_LEVELS or more levels asks.  A compiled step then
+    serves every later walk, of any length."""
+    long = L >= _COMPILE_LEVELS
+    if g._walk_step is None or (long and not g._walk_step[0]):
+        g._walk_step = long, _walk_step(_successors(g), L)
+    return g._walk_step[1]
+
+
+def _walk_counts(step, starts, pairs, L):
     """One coefficient tuple per (start position, end index list) pair:
-    coefficient l sums that start's vector A^l v over the end set."""
-    buckets, back = plan
+    coefficient l sums that start's vector A^l v over the end set, where
+    `step` maps a vector, padded with a zero at index n, to the next one
+    (`_walk_step`)."""
     coeffs = [[] for _ in pairs]
     for s, start in enumerate(starts):
         n = len(start)
@@ -227,11 +297,7 @@ def _walk_counts(plan, starts, pairs, L):
         v = [*start, 0]
         for l in range(L + 1):
             if l:
-                w = []
-                for size, gathers in buckets:
-                    w += _chain(gathers, v) if gathers else repeat(0, size)
-                w.append(0)
-                v = back(w) if back else w
+                v = step(v)
             for out, get in ends:
                 out.append(sum(get(v)))
     return [tuple(c) for c in coeffs]
@@ -255,15 +321,15 @@ def transfer_counts(universe, spec, L):
     n = g.nv
     kind, *sets = _normalize_spec(universe, spec)
     if kind == "odd":
-        plan = _walk_plan(_successors(g, sets[0]))
+        step = _walk_step(_successors(g, sets[0]), L)
         start = [1] * n + [0] * n
         end = range(n, 2 * n)
     else:
         start_bits, end_bits = sets
-        plan = _plain_plan(g)
+        step = _vertex_step(g, L)
         start = _indicator(start_bits, n)
         end = _members(end_bits, n)
-    (coeffs,) = _walk_counts(plan, [start], [(0, end)], L)
+    (coeffs,) = _walk_counts(step, [start], [(0, end)], L)
     return TruncatedSeries(coeffs)
 
 
@@ -375,7 +441,7 @@ def corner_series(universe, a, b, L=None):
     )
     return tuple(
         TruncatedSeries(coeffs)
-        for coeffs in _walk_counts(_plain_plan(g), starts, pairs, L)
+        for coeffs in _walk_counts(_vertex_step(g, L), starts, pairs, L)
     )
 
 
@@ -507,7 +573,7 @@ def _atom_table(rows, sizes, atom_of, a, L):
     ends = [[] for _ in range(a)]
     for x, i in enumerate(atom_of):
         ends[i].append(x)
-    counts = _walk_counts(_walk_plan(rows), [start], [(0, end) for end in ends], L)
+    counts = _walk_counts(_walk_step(rows, L), [start], [(0, end) for end in ends], L)
     mask = (1 << b) - 1
     # level l holds, per atom i, lane i of every end's sum; without atoms,
     # the L + 1 levels are empty
@@ -521,10 +587,12 @@ def atom_pair_table(universe, atoms, L):
     """P[l][i][j] = number of length-l walks from atom i into atom j, for
     atoms that partition the vertices, for l = 0..L.  It walks the
     universe's own vertices (the discrete partition), with no colour
-    refinement: on a ball the split path asks for D + 1 levels, D the
-    invariant depth of `sieve.invariant_depth`, too few to repay a
-    refinement.  Lets callers assemble the series of every union of atoms
-    by addition."""
+    refinement: the split path (`sieve.classify` with a depth) asks for
+    D + 1 levels, D the invariant depth of `sieve.invariant_depth`, too few
+    to repay a refinement.  The callers that refine, `sieve` and `check`
+    through `classify` without a depth and `sieve.full_series` at any L,
+    call `atom_pair_prefix`.  Lets callers assemble the series of every
+    union of atoms by addition."""
     if L < 0:
         raise SeriesError("L must be >= 0")
     n = universe.nv
@@ -532,11 +600,14 @@ def atom_pair_table(universe, atoms, L):
     return _atom_table(_successors(universe), [1] * n, label, len(atoms), L)
 
 
-def atom_pair_prefix(universe, atoms):
-    """The atom-pair table through degree k, the number of blocks of the
-    coarsest equitable partition that refines the atoms, walked on those k
-    blocks: the prefix on which `sieve.classify` decides every verdict
-    exactly when it is given no depth, as `sieve` and `check` do (the
-    Cayley-Hamilton proof is in classify's docstring)."""
+def atom_pair_prefix(universe, atoms, L=None):
+    """The atom-pair table through degree L, walked on the k blocks of the
+    coarsest equitable partition that refines the atoms.  L defaults to k:
+    the prefix on which `sieve.classify` decides every verdict exactly when
+    it is given no depth, as `sieve` and `check` do (the Cayley-Hamilton
+    proof is in classify's docstring).  `sieve.full_series` asks for its
+    own L, up to the certified 4|V| + 1, on the same k blocks."""
+    if L is not None and L < 0:
+        raise SeriesError("L must be >= 0")
     rows, sizes, atom_of = _quotient(universe, atoms)
-    return _atom_table(rows, sizes, atom_of, len(atoms), len(rows))
+    return _atom_table(rows, sizes, atom_of, len(atoms), len(rows) if L is None else L)

@@ -340,7 +340,10 @@ def classify(algebra, depth=None):
 
 def full_series(report, L):
     """Measure series of every element at length L, in mask order; classify
-    keeps only the prefix that decides its verdicts."""
+    keeps only the prefix that decides its verdicts.  The walk runs on the
+    atoms' equitable quotient (`series.atom_pair_prefix`), whatever order
+    classify used: at the certified L = 4|V| + 1 its k blocks are far fewer
+    states than the |V| vertices."""
     algebra = report.algebra
     a = algebra.n_atoms
     if a > MAX_LISTED_ATOMS:
@@ -349,7 +352,7 @@ def full_series(report, L):
             "is capped at MAX_LISTED_ATOMS = %d; pass fewer cuts (for sieve, "
             "drop --json)" % (a, a, MAX_LISTED_ATOMS)
         )
-    return _series_by_mask(atom_pair_table(algebra.universe, algebra.atoms, L), a, L)
+    return _series_by_mask(atom_pair_prefix(algebra.universe, algebra.atoms, L), a, L)
 
 
 def _paired_cuts(report):

@@ -410,6 +410,44 @@ def test_sieve_json_of_the_p5_cuts_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_P5_JSON_SHA256
 
 
+# sha256 of `sieve --json` on the Z^2 ball of radius 6 (|V| = 85) through the
+# two half-plane cuts of tests/data/z2_r6_cuts.json: the full series of its 16
+# elements at the certified length L = 341, a walk long enough for the
+# compiled step, on the atoms' equitable quotient.  Update it only together
+# with a CHANGES.md entry that says why the series moved.
+SIEVE_Z2_R6_JSON_SHA256 = "63d10966d14d8619c409a644b7e3363ba2a6585b9f5a72f2ddd916864c9aa33a"
+
+
+def test_sieve_json_of_the_z2_radius_6_cuts_is_pinned(tmp_path, capsys):
+    graph = tmp_path / "z2_r6.json"
+    assert main(["cayley", "--group", "zd:2", "--radius", "6", "--json"]) == 0
+    graph.write_text(capsys.readouterr().out)
+    cuts = str(DATA / "z2_r6_cuts.json")
+    assert main(["sieve", "--graph", str(graph), "--cuts", cuts, "--json"]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert (data["L"], data["certified"], len(data["elements"])) == (341, True, 16)
+    assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_Z2_R6_JSON_SHA256
+
+
+def test_check_and_the_split_ladder_never_compile_a_step(monkeypatch, capsys, tmp_path):
+    """`check` walks at most 12 levels, the split path D + 1 <= R + 2 and
+    `classify` the k blocks of a small family: all below
+    series._COMPILE_LEVELS, so with the compiled step made to fail the
+    transcripts of check seed 0 and of the split ladder must not move.  The
+    certified measure of the R = 10 kernel cell, 885 levels, compiles."""
+    def refuse(nbrs):
+        raise AssertionError("a short walk compiled its step")
+
+    monkeypatch.setattr(series, "_compiled_step", refuse)
+    assert main(["check", "--suite", "all", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256[0]
+    test_split_ladder_is_pinned(capsys)
+    with pytest.raises(AssertionError):
+        test_measure_of_the_z2_radius_10_cut_is_pinned(tmp_path, capsys)
+
+
 # Every split cell of this grid ends in a report or a named refusal, never in
 # an internal error: at the default radius, and at radii too small for a
 # balanced cut (R = 0, 1) or for its translates (R = 2, 3).

@@ -269,7 +269,7 @@ def test_enumeration_is_independent_of_the_kernel(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle must not use the walk-count kernel")
 
-    for name in ("_walk_counts", "_walk_plan", "_successors"):
+    for name in ("_walk_counts", "_walk_plan", "_compiled_step", "_successors"):
         monkeypatch.setattr(series_mod, name, refuse)
     g = multi()
     for spec, want in MULTI_HAND_COUNTS:
@@ -400,30 +400,114 @@ def test_measure_reuses_the_plan_kept_on_the_graph(monkeypatch):
     import cutforge.series as series_mod
 
     g = KERNEL_GRAPHS[0]
-    first = measure(g, 1)
-    plan = g._walk_plan
-    assert plan is not None
+    first = measure(g, 1)  # the certified L is below _COMPILE_LEVELS: bucketed
+    kept = g._walk_step
+    assert kept is not None and kept[0] is False
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the plan of a Graph is made once")
+        raise AssertionError("the step of a Graph is made once")
 
-    monkeypatch.setattr(series_mod, "_walk_plan", refuse)
+    monkeypatch.setattr(series_mod, "_walk_step", refuse)
     assert measure(g, 1) == first
     corner_series(g, 1, 3)
-    assert g._walk_plan is plan
+    assert g._walk_step is kept
 
 
-def test_a_vertex_of_huge_degree_folds_its_gathers():
-    from cutforge.series import _MAX_CHAIN, _successors, _walk_plan
+def test_a_long_walk_compiles_the_kept_step_which_serves_any_length(monkeypatch):
+    import cutforge.series as series_mod
+    from cutforge.series import _COMPILE_LEVELS
 
-    # the hub has 2 * 300 loop darts and 700 leaf darts: 1300 gathers would
-    # nest 1300 maps deep, so the plan folds them into runs of _MAX_CHAIN
+    g = KERNEL_GRAPHS[1]
+    a, full, L = 0b101, full_mask(g), _COMPILE_LEVELS
+    short = measure(g, a, L - 1)
+    assert g._walk_step[0] is False
+    long = measure(g, a, L)
+    kept = g._walk_step
+    assert kept[0] is True
+    assert long.coeffs == plain_walks(g, a, full ^ a, L)
+    assert long.coeffs[:L] == short.coeffs
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a compiled step serves every later walk")
+
+    monkeypatch.setattr(series_mod, "_walk_step", refuse)
+    assert measure(g, a, 3).coeffs == short.coeffs[:4]
+    assert measure(g, a, L - 1) == short
+    assert g._walk_step is kept
+
+
+def hub():
+    """A hub with 2 * 300 loop darts and 700 leaf darts: 1300 darts at one
+    vertex, so its row needs folding in either step."""
     leaves = ["l%d" % i for i in range(700)]
     edges = [("o%d" % i, "h", "h") for i in range(300)]
     edges += [("e%d" % i, "h", leaf) for i, leaf in enumerate(leaves)]
-    g = Graph(["h"] + leaves, edges)
+    return Graph(["h"] + leaves, edges)
+
+
+def _step_cells():
+    """(name, successor rows): the plain, parity-doubled and quotient rows
+    of every kernel graph, the 1300-dart hub and edgeless rows."""
+    from cutforge.series import _quotient, _successors
+
+    cells = []
+    for i, g in enumerate(KERNEL_GRAPHS):
+        cells.append(("plain-%d" % i, _successors(g)))
+        cells.append(("parity-%d" % i, _successors(g, set(range(0, g.ne, 2)))))
+        cells.append(("quotient-%d" % i, _quotient(g, [1, full_mask(g) ^ 1])[0]))
+    cells.append(("hub", _successors(hub())))
+    cells.append(("edgeless", _successors(Graph(["a", "b", "c"], []))))
+    cells.append(("no-states", []))
+    return cells
+
+
+STEP_CELLS = _step_cells()
+
+
+@pytest.mark.parametrize("name", [name for name, _rows in STEP_CELLS])
+def test_compiled_and_bucketed_steps_agree_around_the_threshold(name):
+    """Both steps, and the one `_walk_step` picks, count what a plain
+    per-state walk counts, at L just below and at _COMPILE_LEVELS."""
+    from cutforge.series import (
+        _COMPILE_LEVELS, _bucket_step, _compiled_step, _walk_counts, _walk_step,
+    )
+
+    rows = dict(STEP_CELLS)[name]
+    n = len(rows)
+    rng = random.Random(name)
+    starts = [[rng.randrange(3) for _ in range(n)] for _ in range(2)]
+    pairs = [(0, [u for u in range(n) if rng.random() < 0.5]), (1, list(range(n))), (1, [])]
+    for L in (_COMPILE_LEVELS - 1, _COMPILE_LEVELS):
+        want = []
+        for t, end in pairs:
+            vec, out = starts[t], []
+            for l in range(L + 1):
+                if l:
+                    vec = [sum(vec[w] for w in row) for row in rows]
+                out.append(sum(vec[u] for u in end))
+            want.append(tuple(out))
+        for step in (_bucket_step(rows), _compiled_step(rows), _walk_step(rows, L)):
+            assert _walk_counts(step, starts, pairs, L) == want, L
+
+
+def test_a_vertex_of_huge_degree_folds_its_gathers():
+    from cutforge.series import (
+        _COMPILE_LEVELS, _MAX_CHAIN, _step_source, _successors, _walk_plan,
+    )
+
+    # 1300 gathers would nest 1300 maps deep, so the plan folds them into
+    # runs of _MAX_CHAIN; the compiled step's sum of 1300 terms folds alike
+    g = hub()
     buckets, _back = _walk_plan(_successors(g))
     assert [size for size, _g in buckets] == [1, 700]
     assert 1 < len(buckets[0][1]) <= _MAX_CHAIN
+    hub_row = _step_source(_successors(g))[len("lambda v: ["):].split(",")[0]
+    runs = hub_row.split(")+(")
+    assert hub_row[0] == "(" and hub_row[-1] == ")"
+    assert len(runs) == -(-1300 // _MAX_CHAIN)
+    assert all(run.strip("()").count("+") < _MAX_CHAIN for run in runs)
+    assert sum(run.count("v[") for run in runs) == 1300
     a = 0b1011
     assert measure(g, a, 6).coeffs == plain_walks(g, a, full_mask(g) ^ a, 6)
+    L = _COMPILE_LEVELS
+    assert measure(g, a, L).coeffs == plain_walks(g, a, full_mask(g) ^ a, L)

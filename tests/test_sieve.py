@@ -427,8 +427,8 @@ def _adjacency(u):
 
 def _walk_table(algebra, L):
     """P[l][i][j] = number of length-l walks from atom i into atom j, by a
-    plain per-vertex walk: the reference for the quotient walk of
-    atom_pair_table."""
+    plain per-vertex walk: the reference for the packed vertex walk of
+    atom_pair_table and the quotient walk of atom_pair_prefix."""
     u = algebra.universe
     n = u.nv
     adj = _adjacency(u)
@@ -443,7 +443,7 @@ def _walk_table(algebra, L):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_atom_pair_table_equals_the_vertex_walk(seed):
-    """On random multigraphs with loops and parallel edges the quotient walk
+    """On random multigraphs with loops and parallel edges the packed walk
     counts what the per-vertex walk counts, at L = 0, 1, |V| and 4|V| + 1."""
     rng = random.Random("sieve-table-%d" % seed)
     for _ in range(12):
@@ -451,6 +451,38 @@ def test_atom_pair_table_equals_the_vertex_walk(seed):
         n = algebra.universe.nv
         for L in (0, 1, n, certified_length(algebra.universe)):
             assert atom_pair_table(algebra.universe, algebra.atoms, L) == _walk_table(algebra, L)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_series_walks_the_equitable_quotient(seed, monkeypatch):
+    """full_series walks the k blocks of the atoms' equitable partition,
+    never the |V| vertices, and lists the series the vertex walk gives, at
+    the certified length, on seeded multigraphs and Cayley-ball orbits."""
+    rng = random.Random("sieve-full-%d" % seed)
+    algebras = [_random_algebra(rng) for _ in range(8)]
+    # orbit algebras whose quotients are strictly coarser: 53 vertices on
+    # 19 blocks, and 22 on 13
+    coarse = [({"kind": "free", "k": 2}, 3), ({"kind": "free_product", "orders": [2, 3]}, 4)]
+    algebras += [_orbit_algebra(spec, radius, words=1) for spec, radius in coarse]
+    kernel = series_mod._walk_counts
+    walked = []
+
+    def spy(step, starts, pairs, L):
+        walked.extend(map(len, starts))
+        return kernel(step, starts, pairs, L)
+
+    monkeypatch.setattr(series_mod, "_walk_counts", spy)
+    coarser = 0
+    for algebra in algebras:
+        u, a = algebra.universe, algebra.n_atoms
+        rep = classify(algebra)
+        k = len(series_mod._quotient(u, algebra.atoms)[0])
+        L = certified_length(u)
+        walked.clear()
+        assert full_series(rep, L) == _series_by_mask(_walk_table(algebra, L), a, L)
+        assert walked and max(walked) <= k
+        coarser += k < u.nv
+    assert coarser >= len(coarse)
 
 
 def _lane_width_cells():
