@@ -494,7 +494,8 @@ def check_tree_invariants(artifacts):
             for b in range(a + 1, n):
                 vb = gt.edges[b][1]
                 t.hit(
-                    tree_distance(gt, va, vb) == len(la ^ stree.label_of(vb)),
+                    tree_distance(gt, va, vb)
+                    == (la ^ stree.label_of(vb)).bit_count(),
                     "distance formula fails on sample %d (cuts %d, %d)" % (i, a, b),
                 )
         for v in g.vertices:
@@ -527,9 +528,7 @@ def check_double_dual(seed):
         u = unpaired_tree(system)
         t.hit(u.graph.nv == tg.nv and u.graph.ne == tg.ne, "size changed on %d" % i)
         phimap = {
-            w: frozenset(
-                idx for idx, c in enumerate(cuts) if (c.bits >> tg.vindex[w]) & 1
-            )
+            w: sum(1 << k for k, c in enumerate(cuts) if (c.bits >> tg.vindex[w]) & 1)
             for w in tg.vertices
         }
         t.hit(

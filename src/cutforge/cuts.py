@@ -43,13 +43,18 @@ def full_mask(universe):
 
 
 def bits_of_members(universe, members):
+    """The bit set of the members: a 0/1 flag per vertex, set in a bytearray
+    and read as binary digits once, where ORing in one shifted bit per
+    member would cost O(|V|) each on a large universe."""
     g = universe_graph(universe)
-    bits = 0
-    for v in members:
-        if v not in g.vindex:
-            raise CutError("member %r not a universe vertex" % (v,))
-        bits |= 1 << g.vindex[v]
-    return bits
+    index = g.vindex
+    flags = bytearray(g.nv + 1)  # the reversed digits lead with a 0
+    try:
+        for v in members:
+            flags[index[v]] = 1
+    except KeyError:
+        raise CutError("member %r not a universe vertex" % (v,)) from None
+    return int(flags[::-1].translate(_TO_DIGITS), 2)
 
 
 def members_of_bits(universe, bits):
@@ -62,9 +67,10 @@ def _sides(bits, n):
     return format(bits, "0%db" % n)[::-1]
 
 
-# '0'/'1' digits -> 0/1 bytes, and 0/1 bytes flipped, for moving bit masks
-# through C-level bytes operations
+# '0'/'1' digits -> 0/1 bytes, 0/1 bytes -> digits, and 0/1 bytes flipped,
+# for moving bit masks through C-level bytes operations
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -217,10 +223,18 @@ def containment(masks, width):
     column is a strided slice; the atom-major one becomes bytes of 0/1 flags
     for `compress`.  The cost is O(members·width) bit work for the
     transpose plus O(members·atoms) ANDs and ORs of members-bit integers,
-    all in C-level loops.  An empty family gives three empty lists."""
+    all in C-level loops.  An empty family gives three empty lists.
+
+    A complement pair costs one row.  When ~d is a member too, its row is
+    (B(d), A(d), X(d)): ~~d = d, so A(~d) = {e | ~d ⊆ e} = B(d) and
+    B(~d) = {e | d ⊆ e} = A(d), and the four corners of ~d against e are
+    the four corners of d against e, so e crosses ~d exactly when it crosses
+    d.  A complement-stable family therefore reduces half its rows."""
     n = len(masks)
     if not n:
         return [], [], []
+    full = (1 << width) - 1
+    at = {m: i for i, m in enumerate(masks)}
     spec = "0%db" % (width,)
     # row e: member e's digits, vertices in reverse index order (any order does)
     rows = "".join([format(m, spec) for m in masks])
@@ -230,15 +244,19 @@ def containment(masks, width):
     in_rows = "".join(atoms).encode().translate(_TO_FLAGS)
     out_rows = in_rows.translate(_FLIP)
     every = (1 << n) - 1
-    inside, outside, crossing = [], [], []
+    inside, outside, crossing = [None] * n, [None] * n, [None] * n
     for d in range(n):
+        if inside[d] is not None:  # filled as the complement of an earlier cut
+            continue
         sig_in = list(compress(sigs, in_rows[d::n]))
         sig_out = list(compress(sigs, out_rows[d::n]))
         a = reduce(and_, sig_in, every)
         b = reduce(and_, sig_out, every)
-        inside.append(a)
-        outside.append(b)
-        crossing.append(reduce(or_, sig_in, 0) & reduce(or_, sig_out, 0) & ~(a | b))
+        x = reduce(or_, sig_in, 0) & reduce(or_, sig_out, 0) & ~(a | b)
+        inside[d], outside[d], crossing[d] = a, b, x
+        j = at.get(full ^ masks[d])
+        if j is not None and inside[j] is None:
+            inside[j], outside[j], crossing[j] = b, a, x
     return inside, outside, crossing
 
 

@@ -139,18 +139,21 @@ def balanced_cut(oracle, radius=DEFAULT_RADIUS):
         raise EndsError("no balanced cut: the group is finite")
     edges = bv.index_edges
     dist = bv.dist
+    # the sphere is the index suffix range(lo, nv) and a block is sorted, so
+    # a block meets the sphere exactly when its largest index does
+    lo = bv.sphere.start
     for cls in _candidate_edges(bv):
         # the side's coboundary lies in cls: a class reaching the sphere is
         # not interior
         if not cls or any(dist[i] >= radius for k in cls for i in edges[k]):
             continue
         blocks = index_classes(bv.nv, [p for k, p in enumerate(edges) if k not in cls])
-        flagged = [b for b in blocks if not bv.sphere.isdisjoint(b)]
+        flagged = [b for b in blocks if b[-1] >= lo]
         if len(flagged) < 2:
             continue
         bits = 0
         for b in blocks:
-            if b is flagged[0] or bv.sphere.isdisjoint(b):
+            if b is flagged[0] or b[-1] < lo:
                 for i in b:
                     bits |= 1 << i
         cut = Cut(bv, bits, name="A")

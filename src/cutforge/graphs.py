@@ -294,8 +294,9 @@ def graph_to_json_dict(g):
 
 def str_list(value, what, error=GraphError):
     """A list of strings as a tuple, not a string read one character at a
-    time; anything else raises error."""
-    if not isinstance(value, (list, tuple)) or any(type(x) is not str for x in value):
+    time; anything else raises error.  The element types are gathered by
+    one C-level `set(map(type, ...))`."""
+    if not isinstance(value, (list, tuple)) or not set(map(type, value)) <= {str}:
         raise error("%s must be a list of strings" % (what,))
     return tuple(value)
 

@@ -546,7 +546,8 @@ def make_oracle(spec):
 
 class BallView:
     """Cayley ball of radius R: the element list, breadth-first distances,
-    the sphere (distance == R), and the Cayley edges as index data:
+    the sphere (distance == R, a suffix range of indices), and the Cayley
+    edges as index data:
     index_edges[k] = (source index, target index) and edge_gen[k] = the
     generator index, in (source, generator) order.  These are the
     index_edges of `graph`, so cuts read a ball and a Graph alike.
@@ -588,7 +589,7 @@ class BallView:
         self.elements = elements
         self.el_to_idx = el_to_idx  # element -> index into elements
         self.dist = dist
-        self.sphere = sphere  # frozenset of vertex indices
+        self.sphere = sphere  # range(lo, nv): the suffix of breadth-first order
         self.exhausted = exhausted
         self.index_edges = index_edges  # per edge: (src_vertex_idx, dst_vertex_idx)
         self.edge_gen = edge_gen  # per edge: gen_idx
@@ -656,10 +657,7 @@ class BallView:
         return m
 
     def sphere_mask(self):
-        m = 0
-        for i in self.sphere:
-            m |= 1 << i
-        return m
+        return ((1 << len(self.sphere)) - 1) << self.sphere.start
 
     def index_of(self, element):
         if element not in self.el_to_idx:
@@ -759,20 +757,18 @@ def ball(oracle, radius, cap=None):
         if n == hi:
             exhausted = True
             break
-    # breadth-first order: the last frontier is the sphere, a suffix of order
-    if exhausted:
-        sphere = frozenset()
-    else:
-        sphere = frozenset(range(lo, n))
-        for src in range(lo, n):
-            el, p = order[src], parent[src]
-            for g, gj, _k in plans[via[src]]:
-                if gj is None:
-                    continue
-                j = p if g is None else idx.get(multiply(el, g))
-                if j is not None:
-                    index_edges.append((src, j))
-                    edge_gen.append(gj)
+    # breadth-first order: the last frontier is the sphere, a suffix of order,
+    # and an exhausted search ends with lo == n, an empty one
+    sphere = range(lo, n)
+    for src in sphere:
+        el, p = order[src], parent[src]
+        for g, gj, _k in plans[via[src]]:
+            if gj is None:
+                continue
+            j = p if g is None else idx.get(multiply(el, g))
+            if j is not None:
+                index_edges.append((src, j))
+                edge_gen.append(gj)
     return BallView(
         oracle,
         radius,

@@ -21,12 +21,13 @@ the interpreter runs O(buckets * degree) calls and the at most 2 |darts|
 big-integer additions run in C.  A longer walk, such as a measure at the
 certified length, steps by one compiled straight-line function
 (`_compiled_step`), one addition per dart and no padded slots, which repays
-its compile only over many levels.  The vertex walk's step is kept on the
-Graph, and once compiled it serves every later walk.  The second is a
-literal walk enumeration: it lists every walk, level by level, one byte per
-walk (the walk's end state within a page of 256 states), and advances a
-level with `bytes.translate`, so its time and memory still grow with the
-number of length-L walks.
+its compile only over many levels; past _COMPILE_ROWS states it is compiled
+in chunks of rows, so compiling it holds a bounded transient.  The vertex
+walk's step is kept on the Graph, and once compiled it serves every later
+walk.  The second is a literal walk enumeration: it lists every walk, level
+by level, one byte per walk (the walk's end state within a page of 256
+states), and advances a level with `bytes.translate`, so its time and
+memory still grow with the number of length-L walks.
 They are kept separate on purpose (the enumeration shares no stepping code
 with the kernel); the test suites require them to agree.
 
@@ -76,6 +77,14 @@ _MAX_CHAIN = 256
 # 256 leaves a margin, and keeps every walk of `check` (L <= 12) and of the
 # split path (D + 1 <= R + 2) bucketed.
 _COMPILE_LEVELS = 256
+
+# A compiled step of more states than this is compiled in chunks of this many
+# rows.  Compiling one source holds its text and syntax tree at once, about
+# 1.5 kB per dart: on ball(free:3, 6), 23437 states and 46872 darts, one
+# source peaked at 71 MB under tracemalloc, chunks of 1024 rows at 10 MB.
+# The bound is above the 442 parity-doubled states of the largest Z^2 ball
+# (R = 10) that `measure` walks, so every such step compiles from one source.
+_COMPILE_ROWS = 1024
 
 
 class SeriesError(ValueError):
@@ -245,12 +254,13 @@ def _bucket_step(nbrs):
     return step
 
 
-def _step_source(nbrs):
+def _step_source(nbrs, pad=True):
     """The source of `_compiled_step`, `lambda v: [v[a] + v[b] + ..., ..., 0]`:
     entry u sums v over nbrs[u] (0 for a state with no darts), and the
-    trailing 0 is the pad slot at index n.  It holds only int indices.  A
-    row of more than _MAX_CHAIN darts is summed in parenthesised runs of at
-    most _MAX_CHAIN terms, so the compiler's nesting depth stays bounded."""
+    trailing 0 is the pad slot at index n, left out of a chunk of rows when
+    pad is False.  It holds only int indices.  A row of more than
+    _MAX_CHAIN darts is summed in parenthesised runs of at most _MAX_CHAIN
+    terms, so the compiler's nesting depth stays bounded."""
     rows = []
     for ns in nbrs:
         terms = ["v[%d]" % w for w in ns]
@@ -258,14 +268,32 @@ def _step_source(nbrs):
             terms = ["(%s)" % "+".join(terms[i:i + _MAX_CHAIN])
                      for i in range(0, len(terms), _MAX_CHAIN)]
         rows.append("+".join(terms) or "0")
-    return "lambda v: [%s]" % ",".join(rows + ["0"])
+    return "lambda v: [%s]" % ",".join(rows + ["0"] if pad else rows)
 
 
 def _compiled_step(nbrs):
-    """The step v -> A v as one straight-line function, eval'd once from
-    `_step_source`: a level costs one specialised addition per dart, with no
-    gather calls and no padded slots."""
-    return eval(_step_source(nbrs), {})
+    """The step v -> A v as straight-line code, eval'd from `_step_source`:
+    a level costs one specialised addition per dart, with no gather calls
+    and no padded slots.  Up to _COMPILE_ROWS states it is one function.  A
+    larger step is compiled in chunks of _COMPILE_ROWS rows, one source at a
+    time, so the compiler's transient memory stays bounded; a level then
+    joins the chunks' lists and appends the pad slot."""
+    n = len(nbrs)
+    if n <= _COMPILE_ROWS:
+        return eval(_step_source(nbrs), {})
+    chunks = [
+        eval(_step_source(nbrs[i:i + _COMPILE_ROWS], pad=False), {})
+        for i in range(0, n, _COMPILE_ROWS)
+    ]
+
+    def step(v):
+        w = []
+        for chunk in chunks:
+            w += chunk(v)
+        w.append(0)
+        return w
+
+    return step
 
 
 def _walk_step(nbrs, L):

@@ -6,18 +6,20 @@ vertex labeled {d | d contains e or d strictly contains the complement of
 e} to the midpoint labeled {e, complement}; complementary cuts meet at the
 midpoint, so each complement pair is a length-2 segment.  In unpaired mode
 (no complement pairs in E) the cut runs between the two one-sided labels,
-with no midpoints.  Nestedness and the vertex labels (frozensets of cut
-indices) come from one pass over the atoms of the system,
+with no midpoints.  A vertex label is an int bit mask over cut indices,
+bit k set when cut k is in the label, the form in which nestedness and
+the labels come from one pass over the atoms of the system,
 `cuts.containment`: one transpose of the cut bit rows gives each universe
 vertex its signature (the cuts containing it), the distinct signatures are
 the atoms, and ANDs and ORs of atom signatures give, per cut d, the cuts
 that contain d, those that contain ~d and those that cross d, at
 O(cuts·|V|) bit work plus O(cuts·atoms) big-integer operations.
 verify_system reads nestedness and its witness off the crossing masks and
-keeps the other two on the system, and the builders read every label off
-them.  The tree metric equals the symmetric-difference size of labels, and
-that identity is what the test suites check; vertex_embed reads the built
-tree's label and checks it against the cuts that contain the vertex.
+keeps the other two on the system, and the builders OR every label out of
+them.  The tree metric equals the symmetric-difference size of labels, the
+popcount of the XOR of two masks, and that identity is what the test
+suites check; vertex_embed reads the built tree's label and checks it
+against the mask of the cuts that contain the vertex.
 
 The action layer is one class.  PartialAction holds per-word vertex maps,
 None marking an image the evidence cannot determine, and reads every edge
@@ -172,15 +174,11 @@ def verify_system(cuts):
 # -- labels --------------------------------------------------------------------
 
 
-def _index_set(mask):
-    """The bit positions of mask, as a frozenset."""
-    return frozenset(compress(count(), bit_flags(mask)))
-
-
 def _labels(system, mode):
     """Head and tail labels of each cut's edge, where the label of a set S
-    is {d | S ⊆ d, or ~S ⊊ d}.  With (A, B) = system.containment, the head
-    label of cut d is A(d) ∪ (B(d) − {~d}) and, in U mode, the tail label is
+    is {d | S ⊆ d, or ~S ⊊ d}, as a bit mask over cut indices.  With
+    (A, B) = system.containment, the head label of cut d is
+    A(d) ∪ (B(d) − {~d}) and, in U mode, the tail label is
     the label of ~d, B(d) ∪ (A(d) − {d}): verify_system refuses duplicate
     cuts, so d is the one cut equal to d, and ~d is the one cut equal to ~d
     in a complement-stable system and none in a complement-free one, where
@@ -192,18 +190,19 @@ def _labels(system, mode):
         a, b = inside[d], outside[d]
         if mode == "T":
             j = system.index_of_bits(full ^ c.bits)
-            heads.append(_index_set(a | (b & ~(1 << j))))
-            tails.append(frozenset((d, j)))
+            heads.append(a | (b & ~(1 << j)))
+            tails.append(1 << d | 1 << j)
         else:
-            heads.append(_index_set(a | b))
-            tails.append(_index_set(b | (a & ~(1 << d))))
+            heads.append(a | b)
+            tails.append(b | (a & ~(1 << d)))
     return heads, tails
 
 
 class StructureTree:
     """Tree whose edge k realizes cut k of the system; vertex labels are
-    frozensets of cut indices.  cut_names[k] is the printed name of cut k,
-    read once per tree, so printing a label costs one lookup per member."""
+    int bit masks over cut indices, bit k for cut k.  cut_names[k] is the
+    printed name of cut k, read once per tree; label_names reads a label's
+    names in index order off its bit flags, with no sort."""
 
     __slots__ = (
         "graph",
@@ -224,7 +223,7 @@ class StructureTree:
         return self.labels[self.graph.vindex[vertex_id]]
 
     def label_names(self, label):
-        return tuple(map(self.cut_names.__getitem__, sorted(label)))
+        return tuple(compress(self.cut_names, bit_flags(label)))
 
     def __repr__(self):
         return "StructureTree(mode=%s, %d cuts)" % (self.mode, len(self.system.cuts))
@@ -234,7 +233,7 @@ def _build(system, mode):
     n = len(system.cuts)
     if n == 0:
         g = Graph(["n0"], [])
-        return StructureTree(g, mode, system, [frozenset()])
+        return StructureTree(g, mode, system, [0])
     heads, tails = _labels(system, mode)
     names = {}
     order = []
@@ -317,8 +316,8 @@ def edge_cuts(t):
 
 def vertex_embed(stree, universe_vertex):
     """Tree vertex of a universe vertex: the head of the edge of a minimal
-    cut containing it.  Verifies the label identity (the cuts containing
-    the vertex are exactly that head's label) rather than trusting it."""
+    cut containing it.  Verifies the label identity (the mask of the cuts
+    containing the vertex is that head's label) rather than trusting it."""
     if stree.mode != "T":
         raise TreeError("vertex embedding is defined on paired trees")
     system = stree.system
@@ -340,10 +339,10 @@ def vertex_embed(stree, universe_vertex):
             best = i
     head = stree.graph.index_edges[best][0]
     label = stree.labels[head]
-    if frozenset(loc) != label:
+    if sum(1 << i for i in loc) != label:  # distinct bits: the sum is the OR
         raise TreeError(
             "label identity fails at %r: cuts containing it are %r, label %r"
-            % (universe_vertex, sorted(loc), sorted(label))
+            % (universe_vertex, loc, list(compress(count(), bit_flags(label))))
         )
     return stree.graph.vertices[head]
 

@@ -96,7 +96,9 @@ def test_nested_report_corners():
 @pytest.mark.parametrize("seed", range(8))
 def test_containment_matches_subset_tests(seed):
     """A, B and X of `containment` against plain subset tests and the
-    corner census of `nested_report`, pair by pair."""
+    corner census of `nested_report`, pair by pair.  The second family is
+    complement-closed, each drawn mask with its complement plus one mask
+    repeated, so the rows that a complement pair shares are checked too."""
     assert containment([], 5) == ([], [], [])
     rng = random.Random(seed)
     width = rng.randrange(1, 9)
@@ -104,14 +106,20 @@ def test_containment_matches_subset_tests(seed):
     full = (1 << width) - 1
     masks = [0, full] + [rng.randrange(full + 1) for _ in range(rng.randrange(12))]
     rng.shuffle(masks)
-    cuts = [Cut(g, m) for m in masks]
-    inside, outside, crossing = containment(masks, width)
-    assert len(inside) == len(outside) == len(crossing) == len(masks)
-    for d, md in enumerate(masks):
-        for e, me in enumerate(masks):
-            assert (inside[d] >> e) & 1 == (md & ~me == 0)
-            assert (outside[d] >> e) & 1 == ((full ^ md) & ~me == 0)
-            assert (crossing[d] >> e) & 1 == (not nested_report(cuts[d], cuts[e]).nested)
+    drawn = [rng.randrange(full + 1) for _ in range(rng.randrange(1, 7))]
+    paired = [m for d in drawn for m in (d, full ^ d)] + [rng.choice(drawn)]
+    rng.shuffle(paired)
+    for family in (masks, paired):
+        cuts = [Cut(g, m) for m in family]
+        inside, outside, crossing = containment(family, width)
+        assert len(inside) == len(outside) == len(crossing) == len(family)
+        for d, md in enumerate(family):
+            for e, me in enumerate(family):
+                assert (inside[d] >> e) & 1 == (md & ~me == 0)
+                assert (outside[d] >> e) & 1 == ((full ^ md) & ~me == 0)
+                assert (crossing[d] >> e) & 1 == (
+                    not nested_report(cuts[d], cuts[e]).nested
+                )
 
 
 def test_boolean_closure_crossing_pair():

@@ -369,7 +369,7 @@ def test_ball_equals_the_reference_search(name, radius):
     assert bv.elements == elements
     assert list(bv.el_to_idx.items()) == list(idx.items())
     assert bv.dist == dist
-    assert bv.sphere == sphere
+    assert frozenset(bv.sphere) == sphere
     assert bv.exhausted is exhausted
     assert bv.index_edges == edges
     assert bv.edge_gen == gens

@@ -511,3 +511,42 @@ def test_a_vertex_of_huge_degree_folds_its_gathers():
     assert measure(g, a, 6).coeffs == plain_walks(g, a, full_mask(g) ^ a, 6)
     L = _COMPILE_LEVELS
     assert measure(g, a, L).coeffs == plain_walks(g, a, full_mask(g) ^ a, L)
+
+
+def test_a_step_past_the_row_bound_compiles_in_chunks(monkeypatch):
+    """Up to _COMPILE_ROWS states the step compiles from one source; the
+    free:2 ball of radius 6 (1457 states) compiles in chunks of rows that
+    together are that source, and walks as the bucketed step walks."""
+    import cutforge.series as series_mod
+    from cutforge.groups import ball, make_oracle
+    from cutforge.series import (
+        _COMPILE_LEVELS, _COMPILE_ROWS, _bucket_step, _compiled_step,
+        _step_source, _successors, _walk_counts,
+    )
+
+    sources = []
+
+    def spy(source, scope):
+        sources.append(source)
+        return eval(source, scope)
+
+    monkeypatch.setattr(series_mod, "eval", spy, raising=False)
+    small = _successors(hub())
+    assert len(small) <= _COMPILE_ROWS
+    _compiled_step(small)
+    assert sources == [_step_source(small)]
+
+    rows = _successors(ball(make_oracle({"kind": "free", "k": 2}), 6))
+    n = len(rows)
+    assert n > _COMPILE_ROWS
+    sources.clear()
+    chunked = _compiled_step(rows)
+    assert len(sources) == -(-n // _COMPILE_ROWS)
+    body = ",".join(src[len("lambda v: ["):-1] for src in sources)
+    assert "lambda v: [%s,0]" % body == _step_source(rows)
+    rng = random.Random(n)
+    starts = [[rng.randrange(3) for _ in range(n)]]
+    pairs = [(0, [u for u in range(n) if rng.random() < 0.5]), (0, list(range(n)))]
+    L = _COMPILE_LEVELS
+    want = _walk_counts(_bucket_step(rows), starts, pairs, L)
+    assert _walk_counts(chunked, starts, pairs, L) == want
