@@ -87,59 +87,76 @@ def _rng(tag, seed):
     return random.Random("%s:%d" % (tag, seed))
 
 
+# Vertex and edge ids of the generated graphs, by index.  Every suite draws at
+# most 20 vertices and 19 edges per graph.
+_VERTEX_IDS = tuple("v%d" % (i,) for i in range(32))
+_EDGE_IDS = tuple("e%d" % (i,) for i in range(32))
+_TREE_EDGE_IDS = tuple("t%d" % (i,) for i in range(32))
+
+# The generators below draw a uniform index below m with `rng.choice` on a
+# sequence of length m: on Python 3.10-3.13 that is the one
+# `rng._randbelow(m)` draw that `rng.randrange(m)` makes, with fewer
+# interpreter steps.
+
+
 def _random_graph(rng, max_v, max_e, connected=False):
+    """Multigraph on 2..max_v vertices: with `connected`, vertex i > 0 first
+    joins a uniform earlier vertex; then uniform edges, loops and parallel
+    edges allowed, up to a uniform total of at most max_e.  The check
+    sha256s (tests/test_cli.py and the CI guard cell) pin its draws."""
     nv = rng.randint(2, max_v)
-    vertices = ["v%d" % (i,) for i in range(nv)]
+    vertices = _VERTEX_IDS[:nv]
+    pick = rng.choice
     edges = []
     if connected:
         for i in range(1, nv):
-            edges.append(
-                ("e%d" % (len(edges),), "v%d" % (rng.randrange(i),), "v%d" % (i,))
-            )
+            edges.append((_EDGE_IDS[i - 1], pick(vertices[:i]), vertices[i]))
     target = rng.randint(len(edges), max(len(edges), max_e))
-    while len(edges) < target:
-        edges.append(
-            (
-                "e%d" % (len(edges),),
-                "v%d" % (rng.randrange(nv),),
-                "v%d" % (rng.randrange(nv),),
-            )
-        )
+    for i in range(len(edges), target):
+        edges.append((_EDGE_IDS[i], pick(vertices), pick(vertices)))
     return Graph(vertices, edges)
 
 
 def _random_tree(rng, max_v):
+    """Tree on 2..max_v vertices: vertex i > 0 joins a uniform earlier
+    vertex, its edge oriented either way with probability 1/2.  The check
+    sha256s pin its draws."""
     nv = rng.randint(2, max_v)
-    vertices = ["v%d" % (i,) for i in range(nv)]
+    vertices = _VERTEX_IDS[:nv]
+    pick, coin = rng.choice, rng.random
     edges = []
     for i in range(1, nv):
-        s, d = "v%d" % (rng.randrange(i),), "v%d" % (i,)
-        if rng.random() < 0.5:
+        s, d = pick(vertices[:i]), vertices[i]
+        if coin() < 0.5:
             s, d = d, s
-        edges.append(("t%d" % (i - 1,), s, d))
+        edges.append((_TREE_EDGE_IDS[i - 1], s, d))
     return Graph(vertices, edges)
 
 
 def _random_bounded_graph(rng, max_v, max_e, max_deg):
     """Multigraph with every vertex degree <= max_deg (a loop counts twice).
     The enumeration engine is exponential in the walk length with branching
-    equal to the degree, so its instances must stay sparse."""
+    equal to the degree, so its instances must stay sparse.  A drawn edge
+    s-d that would push a degree past max_deg is skipped: for a loop,
+    deg[s] + 1 >= max_deg, and otherwise deg[s] or deg[d] >= max_deg.  The
+    check sha256s pin its draws."""
     nv = rng.randint(2, max_v)
     target = rng.randint(1, max_e)
+    vertices = range(nv)
+    pick = rng.choice
     deg = [0] * nv
     edges = []
     for _ in range(8 * max_e):
         if len(edges) == target:
             break
-        s = rng.randrange(nv)
-        d = rng.randrange(nv)
-        need = {s: 2} if s == d else {s: 1, d: 1}
-        if any(deg[v] + k > max_deg for v, k in need.items()):
+        s = pick(vertices)
+        d = pick(vertices)
+        if deg[s] + (s == d) >= max_deg or deg[d] >= max_deg:
             continue
-        for v, k in need.items():
-            deg[v] += k
-        edges.append(("e%d" % (len(edges),), "v%d" % (s,), "v%d" % (d,)))
-    return Graph(["v%d" % (i,) for i in range(nv)], edges)
+        deg[s] += 1
+        deg[d] += 1
+        edges.append((_EDGE_IDS[len(edges)], _VERTEX_IDS[s], _VERTEX_IDS[d]))
+    return Graph(_VERTEX_IDS[:nv], edges)
 
 
 def _random_mask(rng, n, proper=True):

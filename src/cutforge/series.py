@@ -13,19 +13,27 @@ set w, where A is the adjacency matrix of the universe or, for odd
 crossings, of its parity-doubled state space.  The kernel steps over the
 darts of the graph in exact big integers, so it costs O(L |darts|) per
 start vector, against O(L |V|^2) for a dense matrix.  Its step comes in
-two kinds, picked by the walk length L (`_walk_step`).  A walk of fewer than
-_COMPILE_LEVELS levels steps by a few degree-bucketed gathers
-(`_walk_plan`): the states are cut into buckets of near-equal degree, and a
-bucket adds its rows' j-th dart ends lane by lane with `map(add, ...)`, so
-the interpreter runs O(buckets * degree) calls and the at most 2 |darts|
-big-integer additions run in C.  A longer walk, such as a measure at the
-certified length, steps by one compiled straight-line function
-(`_compiled_step`), one addition per dart and no padded slots, which repays
-its compile only over many levels; past _COMPILE_ROWS states it is compiled
-in chunks of rows, so compiling it holds a bounded transient.  The vertex
-walk's step is kept on the Graph, and once compiled it serves every later
-walk.  The second is a literal walk enumeration: it lists every walk, level
-by level, one byte per walk (the walk's end state within a page of 256
+three layouts, picked by `_walk_step` from the walk length L and the shape
+of the rows, never from an option.  A walk of _COMPILE_LEVELS levels or
+more, such as a measure at the certified length, steps by one compiled
+straight-line function (`_compiled_step`), one addition per dart and no
+padded slots, which repays its compile only over many levels; past
+_COMPILE_ROWS states it is compiled in chunks of rows, so compiling it
+holds a bounded transient.  A shorter walk steps per row when its states
+number at most _ROW_SPAN times its top degree D, as on most of `check`'s
+small multigraphs (`_row_step`): one getter per state reads that state's
+dart ends, a level is one `map(sum, ...)` over the getters with no
+Python-level loop, and building it takes one getter per state.  With more
+states, as on the near-regular Cayley balls of the split path, it steps by
+a few degree-bucketed gathers (`_walk_plan`): the states are cut into
+buckets of near-equal degree, and a bucket adds its rows' j-th dart ends
+lane by lane with `map(add, ...)`, so the interpreter runs O(buckets *
+degree) calls and the at most 2 |darts| big-integer additions run in C.
+A walk from a zero start vector or into an empty end set takes no step:
+its coefficients are zeros (`_walk_counts`).  The vertex walk's step is
+kept on the Graph, and once compiled it serves every later walk.  The
+second engine is a literal walk enumeration: it lists every walk, level by
+level, one byte per walk (the walk's end state within a page of 256
 states), and advances a level with `bytes.translate`, so its time and
 memory still grow with the number of length-L walks.
 They are kept separate on purpose (the enumeration shares no stepping code
@@ -77,6 +85,23 @@ _MAX_CHAIN = 256
 # 256 leaves a margin, and keeps every walk of `check` (L <= 12) and of the
 # split path (D + 1 <= R + 2) bucketed.
 _COMPILE_LEVELS = 256
+
+# A shorter walk steps per row when its n states number at most this many
+# times the top degree D, and by buckets when there are more.  A per-row
+# level makes n getter calls, a bucketed level at least D gathers (in the
+# one bucket of a near-regular graph, D gathers over all n states), so n/D
+# decides.  Measured with Python 3.11 on a 2-vCPU x86-64 VM, build included:
+# on random multigraphs of 6-10 vertices and 8-14 edges and their
+# parity-doubled spaces, a 7-level per-row walk took 0.79-0.83x the bucketed
+# time where n <= 2D and 0.99-1.11x where n > 2D.  The near-regular balls
+# stay bucketed: on ball(zd:1, 6), n = 13 and D = 2, a 5-level walk took
+# 26 us bucketed against 41 us per-row, and on the Z^2 ball of radius 4 and
+# ball(free_product:2,3, 6) a bucketed walk took 0.65-0.76x the per-row
+# time.  Over every kernel walk of check seeds 0-5, spans of 1, 1.5, 2 and 3
+# and a plain 24-state bound took 0.97, 0.96, 0.96, 0.98 and 0.97x the
+# all-bucketed time; 2 also sends the parity-doubled space of every graph
+# with n <= D per row.
+_ROW_SPAN = 2
 
 # A compiled step of more states than this is compiled in chunks of this many
 # rows.  Compiling one source holds its text and syntax tree at once, about
@@ -198,7 +223,9 @@ def _walk_plan(nbrs):
     as on the Z^2 balls.  Otherwise `back` gathers a step's output (its
     padding zero at n) back from degree order into state order.
     `_bucket_step` runs the plan; `_walk_step` picks it for a walk of fewer
-    than _COMPILE_LEVELS levels, where compiling would not pay."""
+    than _COMPILE_LEVELS levels, where compiling would not pay, over more
+    states than _ROW_SPAN times its top degree, where `_row_step` would make
+    more calls."""
     n = len(nbrs)
     degs = [len(ns) for ns in nbrs]
     if n * max(degs, default=0) <= 2 * sum(degs):
@@ -241,7 +268,10 @@ def _chain(gathers, v):
 
 def _bucket_step(nbrs):
     """The step v -> A v of `_walk_plan`'s bucketed gathers: vectors carry a
-    zero pad slot at index n, which the gathers read for a missing dart."""
+    zero pad slot at index n, which the gathers read for a missing dart.  A
+    level makes O(buckets * degree) calls whatever the state count, so
+    `_walk_step` picks it for short walks over many states of near-equal
+    degree, such as the Cayley balls of the split path."""
     buckets, back = _walk_plan(nbrs)
 
     def step(v):
@@ -296,10 +326,38 @@ def _compiled_step(nbrs):
     return step
 
 
+def _row_step(nbrs):
+    """The step v -> A v with one getter per state: row u's getter reads v
+    at nbrs[u] and twice at the pad slot n, so it always returns a tuple,
+    and a level is `[*map(sum, map(itemgetter.__call__, rows, repeat(v))),
+    0]`, with no Python-level loop.  Building it takes one getter per state:
+    no degree sort, no buckets, no back gather."""
+    n = len(nbrs)
+    rows = [itemgetter(*ns, n, n) for ns in nbrs]
+    call = itemgetter.__call__
+
+    def step(v):
+        return [*map(sum, map(call, rows, repeat(v))), 0]
+
+    return step
+
+
 def _walk_step(nbrs, L):
-    """The step of a walk of L levels: compiled when L >= _COMPILE_LEVELS,
-    where the walk repays the compile, and bucketed otherwise."""
-    return (_compiled_step if L >= _COMPILE_LEVELS else _bucket_step)(nbrs)
+    """The step of a walk of L levels, picked from L and the shape of the
+    rows, never from an option: compiled (`_compiled_step`) when L >=
+    _COMPILE_LEVELS, where the walk repays the compile; otherwise per-row
+    (`_row_step`) when the n states number at most _ROW_SPAN times the top
+    degree D, and bucketed (`_bucket_step`) when there are more.  A per-row
+    level makes n getter calls and a bucketed one at least D gathers, so
+    the state count alone does not decide: a 13-state path ball stays
+    bucketed, a 20-state parity-doubled multigraph with a vertex of 10
+    darts goes per row.  The measurements are at _COMPILE_LEVELS and
+    _ROW_SPAN."""
+    if L >= _COMPILE_LEVELS:
+        return _compiled_step(nbrs)
+    if len(nbrs) <= _ROW_SPAN * max(map(len, nbrs), default=0):
+        return _row_step(nbrs)
+    return _bucket_step(nbrs)
 
 
 def _vertex_step(g, L):
@@ -317,18 +375,22 @@ def _walk_counts(step, starts, pairs, L):
     """One coefficient tuple per (start position, end index list) pair:
     coefficient l sums that start's vector A^l v over the end set, where
     `step` maps a vector, padded with a zero at index n, to the next one
-    (`_walk_step`)."""
+    (`_walk_step`).  A zero start vector or an empty end list gives L + 1
+    zeros without a step, since u^T A^l w = 0 when u or w is 0."""
     coeffs = [[] for _ in pairs]
     for s, start in enumerate(starts):
         n = len(start)
-        ends = [(c, itemgetter(*e, n, n)) for c, (t, e) in zip(coeffs, pairs) if t == s]
+        ends = [(c, itemgetter(*e, n, n)) for c, (t, e) in zip(coeffs, pairs) if t == s and e]
+        if not (ends and any(start)):
+            continue
         v = [*start, 0]
         for l in range(L + 1):
             if l:
                 v = step(v)
             for out, get in ends:
                 out.append(sum(get(v)))
-    return [tuple(c) for c in coeffs]
+    zeros = (0,) * (L + 1)
+    return [tuple(c) or zeros for c in coeffs]
 
 
 def _indicator(bits, n):
@@ -474,6 +536,9 @@ def corner_series(universe, a, b, L=None):
 
 
 def series_sum(*series):
+    """The coefficientwise sum of one or more series of the same truncation."""
+    if not series:
+        raise SeriesError("series_sum needs at least one series; none was given")
     L = series[0].L
     for s in series[1:]:
         if s.L != L:

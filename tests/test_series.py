@@ -134,6 +134,16 @@ def test_corner_identity_and_crossing_pair():
     assert ea.is_zero()
 
 
+def test_series_sum_of_no_series_is_refused():
+    with pytest.raises(SeriesError, match="none was given"):
+        series_sum()
+    g = c4()
+    s = measure(g, 0b11, 4)
+    assert series_sum(s) == s
+    with pytest.raises(SeriesError, match="different truncation"):
+        series_sum(s, measure(g, 0b11, 3))
+
+
 def test_crossing_distance():
     g = c4()
     assert crossing_distance(g, ["e1"], ["e1"]) == 1
@@ -269,7 +279,7 @@ def test_enumeration_is_independent_of_the_kernel(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle must not use the walk-count kernel")
 
-    for name in ("_walk_counts", "_walk_plan", "_compiled_step", "_successors"):
+    for name in ("_walk_counts", "_walk_plan", "_compiled_step", "_row_step", "_successors"):
         monkeypatch.setattr(series_mod, name, refuse)
     g = multi()
     for spec, want in MULTI_HAND_COUNTS:
@@ -400,7 +410,9 @@ def test_measure_reuses_the_plan_kept_on_the_graph(monkeypatch):
     import cutforge.series as series_mod
 
     g = KERNEL_GRAPHS[0]
-    first = measure(g, 1)  # the certified L is below _COMPILE_LEVELS: bucketed
+    # the certified L is below _COMPILE_LEVELS, and the star has at most
+    # twice as many states as its hub has darts: per-row
+    first = measure(g, 1)
     kept = g._walk_step
     assert kept is not None and kept[0] is False
 
@@ -466,10 +478,12 @@ STEP_CELLS = _step_cells()
 
 @pytest.mark.parametrize("name", [name for name, _rows in STEP_CELLS])
 def test_compiled_and_bucketed_steps_agree_around_the_threshold(name):
-    """Both steps, and the one `_walk_step` picks, count what a plain
-    per-state walk counts, at L just below and at _COMPILE_LEVELS."""
+    """All three steps, bucketed, compiled and per-row, and the one
+    `_walk_step` picks, count what a plain per-state walk counts, at L just
+    below and at _COMPILE_LEVELS."""
     from cutforge.series import (
-        _COMPILE_LEVELS, _bucket_step, _compiled_step, _walk_counts, _walk_step,
+        _COMPILE_LEVELS, _bucket_step, _compiled_step, _row_step, _walk_counts,
+        _walk_step,
     )
 
     rows = dict(STEP_CELLS)[name]
@@ -486,8 +500,100 @@ def test_compiled_and_bucketed_steps_agree_around_the_threshold(name):
                     vec = [sum(vec[w] for w in row) for row in rows]
                 out.append(sum(vec[u] for u in end))
             want.append(tuple(out))
-        for step in (_bucket_step(rows), _compiled_step(rows), _walk_step(rows, L)):
+        steps = (_bucket_step(rows), _compiled_step(rows), _row_step(rows), _walk_step(rows, L))
+        for step in steps:
             assert _walk_counts(step, starts, pairs, L) == want, L
+
+
+def _picked_layout(rows, L):
+    """The name of the step `_walk_step(rows, L)` builds."""
+    import cutforge.series as series_mod
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_bucket_step", "_compiled_step", "_row_step"):
+            m.setattr(series_mod, name, lambda _rows, name=name: name)
+        return series_mod._walk_step(rows, L)
+
+
+def test_walk_step_picks_the_layout_from_the_shape_of_the_rows():
+    """Per-row when the states number at most _ROW_SPAN times the top
+    degree, as on a check-sized multigraph with a loop-heavy vertex and on
+    its parity-doubled space; buckets on near-regular balls, even of 13
+    states; compiled from _COMPILE_LEVELS levels, whatever the shape."""
+    from cutforge.checks import _random_graph
+    from cutforge.groups import ball, make_oracle
+    from cutforge.series import _COMPILE_LEVELS, _ROW_SPAN, _successors
+
+    g = Graph(
+        ["v0", "v1", "v2", "v3", "v4", "v5"],
+        [("e0", "v0", "v0"), ("e1", "v0", "v1"), ("e2", "v0", "v0"),
+         ("e3", "v2", "v3"), ("e4", "v4", "v0"), ("e5", "v5", "v1"),
+         ("e6", "v3", "v3"), ("e7", "v0", "v2")],
+    )
+    plain, doubled = _successors(g), _successors(g, {1, 3, 5})
+    assert (len(plain), len(doubled), max(map(len, plain))) == (6, 12, 7)
+    for rows in (plain, doubled):
+        assert _picked_layout(rows, 12) == "_row_step"
+        assert _picked_layout(rows, _COMPILE_LEVELS) == "_compiled_step"
+    cells = [
+        ({"kind": "zd", "d": 1}, 6, 13),
+        ({"kind": "zd", "d": 2}, 4, 41),
+        ({"kind": "free_product", "orders": [2, 3]}, 6, 50),
+    ]
+    for spec, radius, n in cells:
+        rows = _successors(ball(make_oracle(spec), radius))
+        assert len(rows) == n > _ROW_SPAN * max(map(len, rows))
+        for L in (1, 12, _COMPILE_LEVELS - 1):
+            assert _picked_layout(rows, L) == "_bucket_step", spec
+        assert _picked_layout(rows, _COMPILE_LEVELS) == "_compiled_step"
+    # both sides occur among the graphs `check` draws
+    rng = random.Random(0)
+    picks = {_picked_layout(_successors(_random_graph(rng, 10, 14)), 7)
+             for _ in range(40)}
+    assert picks == {"_row_step", "_bucket_step"}
+
+
+def test_a_zero_start_or_an_empty_end_walks_no_step(monkeypatch):
+    """u^T A^l w = 0 when u or w is 0: such a pair gets L + 1 zeros and no
+    step is taken for it, in `_walk_counts` and through `measure` of the
+    empty and the full set and `corner_series` with an empty corner."""
+    import cutforge.series as series_mod
+    from cutforge.series import _walk_counts
+
+    calls = []
+
+    def refuse(v):
+        raise AssertionError("a zero walk took a step")
+
+    L = 5
+    zeros = (0,) * (L + 1)
+    assert _walk_counts(refuse, [[0, 0, 0]], [(0, [0, 1]), (0, [])], L) == [zeros, zeros]
+    assert _walk_counts(refuse, [[1, 2, 0], [0, 0, 0]], [(0, []), (1, [2])], L) == [zeros, zeros]
+    assert _walk_counts(refuse, [[]], [(0, [])], L) == [zeros]
+
+    real = series_mod._walk_step
+
+    def counted(nbrs, L):
+        step = real(nbrs, L)
+
+        def spy(v):
+            calls.append(len(v))
+            return step(v)
+
+        return spy
+
+    monkeypatch.setattr(series_mod, "_walk_step", counted)
+    g = c4()
+    full = full_mask(g)
+    assert measure(g, 0, L).coeffs == zeros
+    assert measure(g, full, L).coeffs == zeros
+    assert measure(g, Cut(g, 0, "empty"), L).coeffs == zeros
+    assert calls == []
+    a, b = 0b0011, 0b0100  # A & B is empty: a* and b* start from zero, d* ends there
+    sa, sb, sc, sd = corner_series(g, a, b, L)
+    assert sa.coeffs == sb.coeffs == sd.coeffs == zeros
+    assert sc.coeffs == plain_walks(g, a, full ^ a, L) == measure(g, a, L).coeffs
+    assert len(calls) == 2 * L  # the walk of A & ~B, and the measure's walk of A
 
 
 def test_a_vertex_of_huge_degree_folds_its_gathers():
