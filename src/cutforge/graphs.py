@@ -38,34 +38,56 @@ class Graph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.edges = tuple((e, s, d) for (e, s, d) in edges)
-        self.vindex = {}
-        for i, v in enumerate(self.vertices):
-            if v in self.vindex:
-                raise GraphError("duplicate vertex id: %r" % (v,))
-            self.vindex[v] = i
-        self.eindex = {}
+        try:
+            self._index()
+        except (GraphError, KeyError, TypeError):
+            self._first_fault()
+            raise
+        self._tree = None  # is_tree's answer, once asked
+        self._walk_step = None  # series' (compiled?, step) of the vertex walk, once made
+
+    def _index(self):
+        """vindex, eindex, index_edges and darts in one pass over the edges,
+        with the checks left to C-level passes at the end: a duplicate id
+        shrinks a dict, a collision meets the other dict, and a dangling
+        endpoint raises KeyError.  Any fault raises a bare error, and
+        `__init__` then asks `_first_fault` to name it."""
+        vindex = self.vindex = {v: i for i, v in enumerate(self.vertices)}
+        eindex = self.eindex = {}
         pairs = []
-        for k, (e, s, d) in enumerate(self.edges):
-            if e in self.eindex:
-                raise GraphError("duplicate edge id: %r" % (e,))
-            if e in self.vindex:
-                raise GraphError("edge id collides with vertex id: %r" % (e,))
-            if s not in self.vindex:
-                raise GraphError("edge %r has dangling src %r" % (e, s))
-            if d not in self.vindex:
-                raise GraphError("edge %r has dangling dst %r" % (e, d))
-            self.eindex[e] = k
-            pairs.append((self.vindex[s], self.vindex[d]))
-        self.index_edges = tuple(pairs)
         # darts[v] = list of (other vertex index, edge index, direction);
         # a loop contributes two darts at its vertex.
         darts = [[] for _ in self.vertices]
-        for k, (si, di) in enumerate(self.index_edges):
+        for k, (e, s, d) in enumerate(self.edges):
+            eindex[e] = k
+            si, di = vindex[s], vindex[d]
+            pairs.append((si, di))
             darts[si].append((di, k, FORWARD))
             darts[di].append((si, k, INVERSE))
-        self.darts = tuple(tuple(ds) for ds in darts)
-        self._tree = None  # is_tree's answer, once asked
-        self._walk_step = None  # series' (compiled?, step) of the vertex walk, once made
+        if (len(vindex) < len(self.vertices) or len(eindex) < len(self.edges)
+                or not vindex.keys().isdisjoint(eindex)):
+            raise GraphError
+        self.index_edges = tuple(pairs)
+        self.darts = tuple(map(tuple, darts))
+
+    def _first_fault(self):
+        """Raise the GraphError that names the first faulty vertex or edge,
+        checking one id at a time in input order."""
+        vids, eids = set(), set()
+        for v in self.vertices:
+            if v in vids:
+                raise GraphError("duplicate vertex id: %r" % (v,))
+            vids.add(v)
+        for e, s, d in self.edges:
+            if e in eids:
+                raise GraphError("duplicate edge id: %r" % (e,))
+            if e in vids:
+                raise GraphError("edge id collides with vertex id: %r" % (e,))
+            if s not in vids:
+                raise GraphError("edge %r has dangling src %r" % (e, s))
+            if d not in vids:
+                raise GraphError("edge %r has dangling dst %r" % (e, d))
+            eids.add(e)
 
     @property
     def nv(self):

@@ -16,20 +16,25 @@ start vector, against O(L |V|^2) for a dense matrix.  Its step comes in
 three layouts, picked by `_walk_step` from the walk length L and the shape
 of the rows, never from an option.  A walk of _COMPILE_LEVELS levels or
 more, such as a measure at the certified length, steps by one compiled
-straight-line function (`_compiled_step`), one addition per dart and no
-padded slots, which repays its compile only over many levels; past
-_COMPILE_ROWS states it is compiled in chunks of rows, so compiling it
-holds a bounded transient.  A shorter walk steps per row when its states
-number at most _ROW_SPAN times its top degree D, as on most of `check`'s
-small multigraphs (`_row_step`): one getter per state reads that state's
-dart ends, a level is one `map(sum, ...)` over the getters with no
-Python-level loop, and building it takes one getter per state.  With more
-states, as on the near-regular Cayley balls of the split path, it steps by
-a few degree-bucketed gathers (`_walk_plan`): the states are cut into
-buckets of near-equal degree, and a bucket adds its rows' j-th dart ends
-lane by lane with `map(add, ...)`, so the interpreter runs O(buckets *
-degree) calls and the at most 2 |darts| big-integer additions run in C.
-A walk from a zero start vector or into an empty end set takes no step:
+straight-line function (`_compiled_step`), with no gathers and no padded
+slots, which repays its compile only over many levels.  It adds once per
+dart, less the pairs its rows share: a pair of states that two or more rows
+sum, as the two corners of a 4-cycle do on a Z^d ball, is added once into a
+local that those rows read (`_shared_pairs`, greedy pair elimination), which
+takes a level of the Z^2 ball of radius 10 from 579 additions to 399.  Past
+_COMPILE_ROWS states it is compiled in chunks of rows, each pairing its own
+rows into its own locals, so compiling it holds a bounded transient.  Such a
+walk also sums each end set by one compiled sum (`_end_sum`).  A shorter
+walk steps per row when its states number at most _ROW_SPAN times its top
+degree D, as on most of `check`'s small multigraphs (`_row_step`): one
+getter per state reads that state's dart ends, a level is one `map(sum,
+...)` over the getters with no Python-level loop, and building it takes one
+getter per state.  With more states, as on the near-regular Cayley balls
+of the split path, it steps by a few degree-bucketed gathers
+(`_walk_plan`): the states are cut into buckets of near-equal degree, and a
+bucket adds its rows' j-th dart ends lane by lane with `map(add, ...)`, so
+the interpreter runs O(buckets * degree) calls and the at most 2 |darts|
+big-integer additions run in C.  A walk from a zero start vector or into an empty end set takes no step:
 its coefficients are zeros (`_walk_counts`).  The vertex walk's step is
 kept on the Graph, and once compiled it serves every later walk.  The
 second engine is a literal walk enumeration: it lists every walk, level by
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from itertools import chain, compress, repeat, zip_longest
+from itertools import chain, combinations, compress, repeat, zip_longest
 from operator import add, itemgetter
 
 from .cuts import bit_flags, bits_of_members, full_mask, universe_graph, Cut
@@ -76,14 +81,16 @@ DEFAULT_BALL_L = 16
 # compiler's nesting depth stays bounded too.
 _MAX_CHAIN = 256
 
-# A walk of this many levels or more runs on the compiled step, a shorter
-# one on the bucketed step.  Measured with Python 3.11 on a 2-vCPU x86-64 VM
-# on the Z^2 balls of radius 6-10, ball(free:2, 6) and
-# ball(free_product:3,3, 6): compiling costs about 15 us plus 2.4-2.6 us per
-# dart, and a compiled level saves about 23-40 ns per dart against a
-# bucketed one, so a walk repays its compile after about 100-200 levels.
-# 256 leaves a margin, and keeps every walk of `check` (L <= 12) and of the
-# split path (D + 1 <= R + 2) bucketed.
+# A walk of this many levels or more runs on the compiled step and compiled
+# end sums, a shorter one on the per-row or bucketed step.  Measured with
+# Python 3.11 on a 2-vCPU x86-64 VM, on perfbench's reference clock, on the
+# Z^2 balls of radius 6-10, ball(free:2, 6) and ball(free_product:3,3, 6):
+# compiling, the pairing pass included, costs 4.5-4.7 us per dart on the
+# Z^2 balls, whose rows share pairs, and 3.6-4.4 us on the others, and a
+# compiled level saves about 20-43 ns per dart against a bucketed one, so a
+# walk repays its compile after about 85-225 levels.  256 leaves a margin,
+# and keeps every walk of `check` (L <= 12) and of the split path
+# (D + 1 <= R + 2) off the compiled step.
 _COMPILE_LEVELS = 256
 
 # A shorter walk steps per row when its n states number at most this many
@@ -110,6 +117,17 @@ _ROW_SPAN = 2
 # The bound is above the 442 parity-doubled states of the largest Z^2 ball
 # (R = 10) that `measure` walks, so every such step compiles from one source.
 _COMPILE_ROWS = 1024
+
+# `_shared_pairs` pairs the terms of rows of at most this many darts, so it
+# enumerates at most (_PAIR_DEGREE - 1) / 2 pairs per dart, at about 65 ns a
+# pair (Python 3.11, 2-vCPU x86-64 VM, reference clock).  8 takes in the Z^d
+# balls up to d = 4: at 4 the Z^3 ball of radius 4 keeps its 399 additions
+# a level, at 6 and above it drops to 343, and the Z^4 ball of radius 3
+# drops 399 -> 343 from 8 on.  The tree-like ball(free:3, 6) shares no pair
+# and pays only the count, 23 ms at 6-8 (3 ms at 4) against a 190 ms
+# compile; K_16 shares pairs only from 16 on (224 -> 120 additions),
+# at 7.5 pairs per dart.
+_PAIR_DEGREE = 8
 
 
 class SeriesError(ValueError):
@@ -284,35 +302,99 @@ def _bucket_step(nbrs):
     return step
 
 
+def _sum_source(terms):
+    """The terms joined by `+`, or "0" for none.  Past _MAX_CHAIN terms the
+    sum is folded into parenthesised runs of at most _MAX_CHAIN terms, and
+    the runs again, so the compiler's nesting depth stays bounded."""
+    while len(terms) > _MAX_CHAIN:
+        terms = ["(%s)" % "+".join(terms[i:i + _MAX_CHAIN])
+                 for i in range(0, len(terms), _MAX_CHAIN)]
+    return "+".join(terms) or "0"
+
+
+def _shared_pairs(nbrs):
+    """Greedy pair elimination (Paar, 1997) over the rows: (temps, taken,
+    left).  temps lists the state pairs (a, b), a <= b, that become one
+    local each, taken[u] the temps row u sums and left[u] its other terms.
+
+    Only rows of 2.._PAIR_DEGREE darts are paired.  One C-level pass counts
+    the pairs of every such row; when no pair is counted twice, as on a
+    tree-like ball, nothing more is done.  Otherwise each pair counted twice
+    or more lists the rows that hold it, and the pairs are taken highest
+    count first, ties in pair order, so the result is deterministic: a pair
+    becomes a temp when two or more rows still hold both of its terms, and
+    each of those rows gives them up for it.  Integer addition is exact, so
+    every row sums what it summed before."""
+    small = [sorted(ns) if 1 < len(ns) <= _PAIR_DEGREE else () for ns in nbrs]
+    counts = Counter(chain.from_iterable(map(combinations, small, repeat(2))))
+    if max(counts.values(), default=0) < 2:
+        return [], [()] * len(nbrs), nbrs
+    shared = {p for p, c in counts.items() if c > 1}
+    users = {}
+    for u, ns in enumerate(small):
+        for p in shared.intersection(combinations(ns, 2)):
+            users.setdefault(p, []).append(u)
+    left = [list(ns) for ns in nbrs]
+    taken = [[] for _ in nbrs]
+    temps = []
+    order = sorted(shared)
+    order.sort(key=counts.__getitem__, reverse=True)  # stable: ties keep pair order
+    for p in order:
+        a, b = p
+        rows = [u for u in users[p]
+                if (left[u].count(a) > 1 if a == b else a in left[u] and b in left[u])]
+        if len(rows) > 1:
+            for u in rows:
+                left[u].remove(a)
+                left[u].remove(b)
+                taken[u].append(len(temps))
+            temps.append(p)
+    return temps, taken, left
+
+
 def _step_source(nbrs, pad=True):
-    """The source of `_compiled_step`, `lambda v: [v[a] + v[b] + ..., ..., 0]`:
-    entry u sums v over nbrs[u] (0 for a state with no darts), and the
-    trailing 0 is the pad slot at index n, left out of a chunk of rows when
-    pad is False.  It holds only int indices.  A row of more than
-    _MAX_CHAIN darts is summed in parenthesised runs of at most _MAX_CHAIN
-    terms, so the compiler's nesting depth stays bounded."""
+    """The source of `_compiled_step`, a function `step(v)` that returns
+    [row 0, ..., row n - 1, 0]: row u sums v over nbrs[u] (0 for a state
+    with no darts), and the trailing 0 is the pad slot at index n, left out
+    of a chunk of rows when pad is False.  A pair of states that two or more
+    rows sum is added once, into a local t_k = v[a] + v[b] that those rows
+    read (`_shared_pairs`); the locals are the function's own, so every
+    chunk pairs its own rows and its names cannot meet another chunk's.  It
+    holds only int indices, and every sum is folded by `_sum_source`."""
+    temps, taken, left = _shared_pairs(nbrs)
+    lines = ["def step(v):"]
+    lines += ["    t%d = v[%d] + v[%d]" % (k, a, b) for k, (a, b) in enumerate(temps)]
     rows = []
-    for ns in nbrs:
-        terms = ["v[%d]" % w for w in ns]
-        while len(terms) > _MAX_CHAIN:
-            terms = ["(%s)" % "+".join(terms[i:i + _MAX_CHAIN])
-                     for i in range(0, len(terms), _MAX_CHAIN)]
-        rows.append("+".join(terms) or "0")
-    return "lambda v: [%s]" % ",".join(rows + ["0"] if pad else rows)
+    for ks, ws in zip(taken, left):
+        terms = ["v[%d]" % w for w in ws]
+        if ks:
+            terms += ["t%d" % k for k in ks]
+        rows.append(_sum_source(terms))
+    lines.append("    return [%s]" % ",".join(rows + ["0"] if pad else rows))
+    return "\n".join(lines)
+
+
+def _compile(source):
+    """The function `step` that the source defines."""
+    scope = {}
+    exec(source, scope)
+    return scope["step"]
 
 
 def _compiled_step(nbrs):
-    """The step v -> A v as straight-line code, eval'd from `_step_source`:
-    a level costs one specialised addition per dart, with no gather calls
-    and no padded slots.  Up to _COMPILE_ROWS states it is one function.  A
-    larger step is compiled in chunks of _COMPILE_ROWS rows, one source at a
-    time, so the compiler's transient memory stays bounded; a level then
-    joins the chunks' lists and appends the pad slot."""
+    """The step v -> A v as straight-line code, compiled from
+    `_step_source`: a level costs one specialised addition per dart, less
+    one per row that reads a shared pair, plus one per shared pair, with no
+    gather calls and no padded slots.  Up to _COMPILE_ROWS states it is one
+    function.  A larger step is compiled in chunks of _COMPILE_ROWS rows,
+    one source at a time, each with its own shared pairs, so the compiler's
+    transient memory stays bounded; a level then joins the chunks' lists
+    and appends the pad slot."""
     n = len(nbrs)
     if n <= _COMPILE_ROWS:
-        return eval(_step_source(nbrs), {})
+        return _compile(_step_source(nbrs))
     chunks = [
-        eval(_step_source(nbrs[i:i + _COMPILE_ROWS], pad=False), {})
+        _compile(_step_source(nbrs[i:i + _COMPILE_ROWS], pad=False))
         for i in range(0, n, _COMPILE_ROWS)
     ]
 
@@ -371,24 +453,43 @@ def _vertex_step(g, L):
     return g._walk_step[1]
 
 
+def _end_sum(ends):
+    """v -> the sum of v over the end indices, one compiled sum folded by
+    `_sum_source` (a flat sum of 20000 terms overflows CPython 3.11's
+    compiler), for a walk of _COMPILE_LEVELS or more levels."""
+    return eval("lambda v: %s" % _sum_source(["v[%d]" % w for w in ends]), {})
+
+
 def _walk_counts(step, starts, pairs, L):
     """One coefficient tuple per (start position, end index list) pair:
     coefficient l sums that start's vector A^l v over the end set, where
     `step` maps a vector, padded with a zero at index n, to the next one
-    (`_walk_step`).  A zero start vector or an empty end list gives L + 1
+    (`_walk_step`).  A walk of _COMPILE_LEVELS or more levels sums each end
+    set by one compiled sum (`_end_sum`), about 15-20 ns a term a level less
+    than an itemgetter and `sum` on the Z^2 balls; a shorter one, as in
+    `check` and the split path, keeps the itemgetter, where the compile
+    would not pay.  A zero start vector or an empty end list gives L + 1
     zeros without a step, since u^T A^l w = 0 when u or w is 0."""
     coeffs = [[] for _ in pairs]
+    long = L >= _COMPILE_LEVELS
     for s, start in enumerate(starts):
         n = len(start)
-        ends = [(c, itemgetter(*e, n, n)) for c, (t, e) in zip(coeffs, pairs) if t == s and e]
+        ends = [(c, e if long else itemgetter(*e, n, n))
+                for c, (t, e) in zip(coeffs, pairs) if t == s and e]
         if not (ends and any(start)):
             continue
+        if long:
+            ends = [(c, _end_sum(e)) for c, e in ends]
         v = [*start, 0]
         for l in range(L + 1):
             if l:
                 v = step(v)
-            for out, get in ends:
-                out.append(sum(get(v)))
+            if long:
+                for out, total in ends:
+                    out.append(total(v))
+            else:
+                for out, get in ends:
+                    out.append(sum(get(v)))
     zeros = (0,) * (L + 1)
     return [tuple(c) or zeros for c in coeffs]
 

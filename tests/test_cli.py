@@ -395,6 +395,24 @@ def test_measure_of_the_z2_radius_10_cut_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == Z2_R10_MEASURE_SHA256
 
 
+# sha256 of `measure --L 300` on the Z^2 ball of radius 25 and the half-plane
+# x > 0 of tests/data/z2_r25_cut.json (625 of 1301 vertices): the compiled step
+# runs in two chunks of rows, each with its own shared pair sums.  The CI
+# long-walk cell pins the same value.
+Z2_R25_MEASURE_SHA256 = "2e30cc3523aeb5a6117bda1ca377c4e48cc697802302f9065a35ba4f4b2019d8"
+
+
+def test_measure_of_the_z2_radius_25_half_plane_is_pinned(tmp_path, capsys):
+    graph = tmp_path / "z2_r25.json"
+    assert main(["cayley", "--group", "zd:2", "--radius", "25", "--json"]) == 0
+    graph.write_text(capsys.readouterr().out)
+    cut = str(DATA / "z2_r25_cut.json")
+    assert main(["measure", "--graph", str(graph), "--cut", cut, "--L", "300"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "L=300 window"
+    assert hashlib.sha256(out.encode()).hexdigest() == Z2_R25_MEASURE_SHA256
+
+
 # sha256 of `sieve --json` on the 5-vertex path of tests/data/p5_cuts.json: the
 # full series of every element at the certified length L = 21, where the packed
 # atom walk's lanes are widest.  Update it only together with a CHANGES.md entry
@@ -433,13 +451,15 @@ def test_sieve_json_of_the_z2_radius_6_cuts_is_pinned(tmp_path, capsys):
 def test_check_and_the_split_ladder_never_compile_a_step(monkeypatch, capsys, tmp_path):
     """`check` walks at most 12 levels, the split path D + 1 <= R + 2 and
     `classify` the k blocks of a small family: all below
-    series._COMPILE_LEVELS, so with the compiled step made to fail the
-    transcripts of check seed 0 and of the split ladder must not move.  The
-    certified measure of the R = 10 kernel cell, 885 levels, compiles."""
+    series._COMPILE_LEVELS, so with the compiled step and the compiled end
+    sums made to fail the transcripts of check seed 0 and of the split
+    ladder must not move.  The certified measure of the R = 10 kernel cell,
+    885 levels, compiles."""
     def refuse(nbrs):
         raise AssertionError("a short walk compiled its step")
 
     monkeypatch.setattr(series, "_compiled_step", refuse)
+    monkeypatch.setattr(series, "_end_sum", refuse)
     assert main(["check", "--suite", "all", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256[0]

@@ -41,6 +41,51 @@ def test_dangling_endpoint_rejected():
         Graph(["a"], [("e", "a", "zz")])
 
 
+@pytest.mark.parametrize("vertices, edges, text", [
+    (["a", "b", "a", "b"], [], "duplicate vertex id: 'a'"),
+    (["a", "b"], [("e", "a", "b"), ("f", "a", "zz"), ("e", "b", "a")],
+     "edge 'f' has dangling dst 'zz'"),
+    (["a", "b"], [("e", "a", "b"), ("e", "b", "zz")], "duplicate edge id: 'e'"),
+    (["a", "b"], [("e", "a", "b"), ("b", "a", "a"), ("e", "a", "b")],
+     "edge id collides with vertex id: 'b'"),
+    (["a"], [("e", "zz", "yy")], "edge 'e' has dangling src 'zz'"),
+    (["a", "a"], [("e", "zz", "a")], "duplicate vertex id: 'a'"),
+    ([0, 1], [("x", 0, 1), ("y", 1, 2), (1, 0, 0)], "edge 'y' has dangling dst 2"),
+])
+def test_a_faulty_graph_names_its_first_fault(vertices, edges, text):
+    """Ids are checked after one pass over the edges; a fault is then
+    named as a per-edge scan in input order names it, whichever fault a
+    C-level check saw first."""
+    with pytest.raises(GraphError) as exc:
+        Graph(vertices, edges)
+    assert str(exc.value) == text
+
+
+def test_an_unhashable_id_is_refused_as_before():
+    with pytest.raises(TypeError):
+        Graph(["a", ["b"]], [])
+    with pytest.raises(GraphError, match="dangling src 'zz'"):
+        Graph(["a"], [("e", "zz", "a"), (["f"], "a", "a")])
+
+
+def test_the_index_pass_keeps_input_order():
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randrange(1, 9)
+        vs = ["v%d" % i for i in range(n)]
+        rng.shuffle(vs)
+        es = [("e%d" % k, rng.choice(vs), rng.choice(vs)) for k in range(rng.randrange(12))]
+        g = Graph(vs, es)
+        assert g.vindex == {v: i for i, v in enumerate(vs)}
+        assert g.eindex == {e: k for k, (e, _s, _d) in enumerate(es)}
+        assert g.index_edges == tuple((vs.index(s), vs.index(d)) for _e, s, d in es)
+        darts = [[] for _ in vs]
+        for k, (si, di) in enumerate(g.index_edges):
+            darts[si].append((di, k, 1))
+            darts[di].append((si, k, -1))
+        assert g.darts == tuple(map(tuple, darts))
+
+
 def test_darts_and_loops():
     g = Graph(["a"], [("l", "a", "a")])
     assert len(g.darts[0]) == 2

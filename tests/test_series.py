@@ -607,7 +607,9 @@ def test_a_vertex_of_huge_degree_folds_its_gathers():
     buckets, _back = _walk_plan(_successors(g))
     assert [size for size, _g in buckets] == [1, 700]
     assert 1 < len(buckets[0][1]) <= _MAX_CHAIN
-    hub_row = _step_source(_successors(g))[len("lambda v: ["):].split(",")[0]
+    source = _step_source(_successors(g))
+    assert "t0" not in source  # a row of more than _PAIR_DEGREE darts is not paired
+    hub_row = source[source.index("return [") + len("return ["):].split(",")[0]
     runs = hub_row.split(")+(")
     assert hub_row[0] == "(" and hub_row[-1] == ")"
     assert len(runs) == -(-1300 // _MAX_CHAIN)
@@ -621,8 +623,10 @@ def test_a_vertex_of_huge_degree_folds_its_gathers():
 
 def test_a_step_past_the_row_bound_compiles_in_chunks(monkeypatch):
     """Up to _COMPILE_ROWS states the step compiles from one source; the
-    free:2 ball of radius 6 (1457 states) compiles in chunks of rows that
-    together are that source, and walks as the bucketed step walks."""
+    free:2 ball of radius 6 (1457 states) and the Z^2 ball of radius 25
+    (1301 states, whose rows share pairs) compile in chunks of rows, each
+    from its own unpadded source with its own temps, and walk as the
+    bucketed step walks."""
     import cutforge.series as series_mod
     from cutforge.groups import ball, make_oracle
     from cutforge.series import (
@@ -631,28 +635,133 @@ def test_a_step_past_the_row_bound_compiles_in_chunks(monkeypatch):
     )
 
     sources = []
+    real = series_mod._compile
 
-    def spy(source, scope):
+    def spy(source):
         sources.append(source)
-        return eval(source, scope)
+        return real(source)
 
-    monkeypatch.setattr(series_mod, "eval", spy, raising=False)
+    monkeypatch.setattr(series_mod, "_compile", spy)
     small = _successors(hub())
     assert len(small) <= _COMPILE_ROWS
     _compiled_step(small)
     assert sources == [_step_source(small)]
 
-    rows = _successors(ball(make_oracle({"kind": "free", "k": 2}), 6))
-    n = len(rows)
-    assert n > _COMPILE_ROWS
-    sources.clear()
-    chunked = _compiled_step(rows)
-    assert len(sources) == -(-n // _COMPILE_ROWS)
-    body = ",".join(src[len("lambda v: ["):-1] for src in sources)
-    assert "lambda v: [%s,0]" % body == _step_source(rows)
-    rng = random.Random(n)
-    starts = [[rng.randrange(3) for _ in range(n)]]
-    pairs = [(0, [u for u in range(n) if rng.random() < 0.5]), (0, list(range(n)))]
+    for spec, radius, temps in (({"kind": "free", "k": 2}, 6, False),
+                                ({"kind": "zd", "d": 2}, 25, True)):
+        rows = _successors(ball(make_oracle(spec), radius))
+        n = len(rows)
+        assert n > _COMPILE_ROWS
+        sources.clear()
+        chunked = _compiled_step(rows)
+        assert len(sources) == -(-n // _COMPILE_ROWS)
+        assert sources == [_step_source(rows[i:i + _COMPILE_ROWS], pad=False)
+                           for i in range(0, n, _COMPILE_ROWS)]
+        assert not any(src.endswith(",0]") for src in sources)
+        assert all(("    t0 = " in src) == temps for src in sources)
+        rng = random.Random(n)
+        starts = [[rng.randrange(3) for _ in range(n)]]
+        pairs = [(0, [u for u in range(n) if rng.random() < 0.5]), (0, list(range(n)))]
+        L = _COMPILE_LEVELS
+        want = _walk_counts(_bucket_step(rows), starts, pairs, L)
+        assert _walk_counts(chunked, starts, pairs, L) == want
+
+
+# -- shared pair sums and compiled end sums ------------------------------------
+
+
+def dense_multigraph(rng):
+    """Few vertices, many loops and parallel edges: rows repeat their terms,
+    so pairs (a, a) and pairs shared by several rows both occur."""
+    n = rng.randrange(2, 7)
+    vs = ["v%d" % i for i in range(n)]
+    edges = [("e%d" % k, rng.choice(vs), rng.choice(vs)) for k in range(rng.randrange(n, 4 * n))]
+    return Graph(vs, edges)
+
+
+def plain_step(rows, v):
+    return [sum(v[w] for w in row) for row in rows] + [0]
+
+
+def test_shared_pairs_rebuild_every_row():
+    """Every row's terms are its leftover terms plus the pairs of the temps
+    it reads, each temp is read by two rows or more, and one compiled level
+    equals a plain per-state step: on random multigraphs with loops and
+    parallel edges (where (a, a) pairs occur), their parity-doubled spaces,
+    every STEP_CELLS entry and ball(zd:2, 25)."""
+    from collections import Counter
+
+    from cutforge.groups import ball, make_oracle
+    from cutforge.series import _compile, _shared_pairs, _step_source, _successors
+
+    rng = random.Random("shared-pairs")
+    cells = [rows for _name, rows in STEP_CELLS]
+    for _ in range(120):
+        g = dense_multigraph(rng)
+        cells.append(_successors(g))
+        cells.append(_successors(g, set(range(0, g.ne, 2))))
+    cells.append(_successors(ball(make_oracle({"kind": "zd", "d": 2}), 25)))
+    looped = shared = 0
+    for rows in cells:
+        temps, taken, left = _shared_pairs(rows)
+        readers = Counter(k for ks in taken for k in ks)
+        assert sorted(readers) == list(range(len(temps)))
+        assert all(c > 1 for c in readers.values())
+        for ns, ks, ws in zip(rows, taken, left):
+            rebuilt = list(ws) + [w for k in ks for w in temps[k]]
+            assert Counter(rebuilt) == Counter(ns)
+        looped += any(a == b for a, b in temps)
+        shared += bool(temps)
+        v = [rng.randrange(1 << 70) for _ in rows] + [0]
+        assert _compile(_step_source(rows))(v) == plain_step(rows, v)
+    assert looped and shared
+
+
+def test_the_shared_pair_step_matches_a_plain_walk_on_multigraphs():
+    """Measures and odd-crossing series at L = _COMPILE_LEVELS, on the
+    compiled step with shared pairs, count what a plain walk counts."""
+    from cutforge.series import _COMPILE_LEVELS
+
+    rng = random.Random("shared-walks")
     L = _COMPILE_LEVELS
-    want = _walk_counts(_bucket_step(rows), starts, pairs, L)
-    assert _walk_counts(chunked, starts, pairs, L) == want
+    for _ in range(12):
+        g = dense_multigraph(rng)
+        full = full_mask(g)
+        a = rng.getrandbits(g.nv)
+        assert measure(g, a, L).coeffs == plain_walks(g, a, full ^ a, L)
+        crossing = [e for (e, _s, _d) in g.edges if rng.random() < 0.5]
+        odd = {g.eindex[e] for e in crossing}
+        assert transfer_counts(g, ("odd", crossing), L).coeffs == plain_walks(g, 0, 0, L, odd)
+
+
+def test_shared_pairs_cut_the_additions_of_a_z2_level():
+    """ball(zd:2, 10): a plain level makes 579 additions, one per dart less
+    one per row; sharing pairs across its 4-cycles leaves at most 400."""
+    from cutforge.groups import ball, make_oracle
+    from cutforge.series import _step_source, _successors
+
+    rows = _successors(ball(make_oracle({"kind": "zd", "d": 2}), 10))
+    assert sum(len(ns) - 1 for ns in rows if ns) == 579
+    assert _step_source(rows).count("+") <= 400
+
+
+def test_a_long_walk_compiles_a_huge_end_set_sum():
+    """At L = _COMPILE_LEVELS an end set of 20000 members is summed by one
+    compiled, folded sum; a flat one would overflow the compiler."""
+    import cutforge.series as series_mod
+    from cutforge.series import _COMPILE_LEVELS, _MAX_CHAIN, _end_sum, _walk_counts
+
+    n = 20001
+    ends = list(range(1, n))
+    assert len(ends) == 20000
+    v = list(range(n)) + [0]
+    assert _end_sum(ends)(v) == sum(ends)
+    start = [0] * n
+    start[0] = 3
+    # each level moves every count one state up and wraps the last to 0
+    step = lambda v: [v[-2]] + v[:-2] + [0]  # noqa: E731
+    L = _COMPILE_LEVELS
+    want = tuple(0 if l % n == 0 else 3 for l in range(L + 1))
+    assert _walk_counts(step, [start], [(0, ends)], L) == [want]
+    assert _walk_counts(step, [start], [(0, ends)], L - 1) == [want[:L]]
+    assert series_mod._sum_source(["x"] * 20000).count("(") == -(-20000 // _MAX_CHAIN)
